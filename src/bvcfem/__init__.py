@@ -4,7 +4,11 @@
 straight facets (chord polygons, staircases), with the facet-to-boundary
 distance folded back into the boundary condition so that affine cells
 recover optimal convergence orders up to cubic elements.
+
+The `bvcfem` logger is silent unless the application configures logging.
 """
+
+import logging
 
 from .analysis import (
     DegenerateFit,
@@ -92,3 +96,5 @@ from .study import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

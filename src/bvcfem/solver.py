@@ -1,13 +1,28 @@
 """Direct sparse solution of the assembled systems.
 
-One robust path for every system: reverse Cuthill-McKee reordering followed
-by SuperLU with partial pivoting.  The relative residual contract
-||Az - b|| / max(||b||, 1e-30) <= 1e-10 is checked after every solve (with a
-single iterative-refinement step as backup).
+Every system is pre-ordered by reverse Cuthill-McKee and factored by SuperLU
+along one of two paths, chosen from the matrix:
+
+- diagonal pivoting: a minimum-degree ordering of A + A^T, pivots taken from
+  the diagonal.  Gate: no zero on the diagonal and
+  max|A - A^T| <= SYMMETRY_RTOL * |A|max.  The corrected multiplier systems
+  (nonzero -D block) and Nitsche systems pass it.
+- partial pivoting: COLAMD with SuperLU's default threshold pivoting, for
+  everything else (the zero-block `unmodified` and the non-symmetric
+  `taylor` systems).
+
+Both paths enforce the near-zero-pivot check (`SingularSystem`) and the
+relative residual contract ||Az - b|| / ||b|| <= 1e-10, with a single
+iterative-refinement step as backup.  The gate does not make diagonal
+pivoting stable (the -D block takes both signs), so any `SolverError` on that
+path falls back, with a warning, to partial pivoting, which alone decides
+whether a system is singular.  Each solve emits one DEBUG record on the
+`bvcfem.solver` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +32,8 @@ from scipy.sparse.linalg import splu
 
 from .assembly import NitscheSystem, SaddleSystem
 from .spaces import MultiplierSpace, PrimalSpace
+
+logger = logging.getLogger(__name__)
 
 
 class SolverError(Exception):
@@ -33,6 +50,19 @@ class SingularSystem(SolverError):
 
 PIVOT_RTOL = 1e-14
 RESIDUAL_RTOL = 1e-10
+# Assembled blocks are symmetric only to a few ulps (einsum contraction order).
+SYMMETRY_RTOL = 1e-12
+
+DIAGONAL_PIVOT = "diagonal-pivot"
+PARTIAL_PIVOT = "partial-pivot"
+_SPLU_OPTIONS = {
+    DIAGONAL_PIVOT: dict(
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    ),
+    PARTIAL_PIVOT: {},
+}
 
 
 @dataclass
@@ -83,15 +113,36 @@ def solve_linear(A, b) -> np.ndarray:
     perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
     Ap = A[perm, :][:, perm].tocsc()
     anorm = float(np.max(np.abs(A.data))) if A.nnz else 0.0
+    if _diagonal_pivot_gate(A, anorm):
+        try:
+            return _factor_and_solve(A, Ap, perm, b, bnorm, anorm, DIAGONAL_PIVOT)
+        except SolverError as exc:
+            logger.warning(
+                "diagonal-pivot solve rejected (%s); falling back to partial pivoting",
+                exc,
+            )
+    return _factor_and_solve(A, Ap, perm, b, bnorm, anorm, PARTIAL_PIVOT)
+
+
+def _diagonal_pivot_gate(A, anorm) -> bool:
+    """No zero on the diagonal and max|A - A^T| <= SYMMETRY_RTOL * |A|max."""
+    if not np.all(A.diagonal()):
+        return False
+    return abs(A - A.T).max() <= SYMMETRY_RTOL * anorm
+
+
+def _factor_and_solve(A, Ap, perm, b, bnorm, anorm, path) -> np.ndarray:
+    """Factor Ap = A[perm][:, perm] along `path` and solve under the contract."""
     try:
-        lu = splu(Ap)
+        lu = splu(Ap, **_SPLU_OPTIONS[path])
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularSystem(f"factorization failed: {exc}") from exc
 
     udiag = np.abs(lu.U.diagonal())
     j = int(np.argmin(udiag))
     if udiag[j] < PIVOT_RTOL * anorm:
-        dof = int(perm[lu.perm_c[j]])
+        # Column j of U is column i of Ap where perm_c[i] == j.
+        dof = int(perm[np.flatnonzero(lu.perm_c == j)[0]])
         raise SingularSystem(
             f"near-zero pivot {udiag[j]:.3e} (|A|max={anorm:.3e}) at dof {dof}",
             dof_index=dof,
@@ -101,11 +152,17 @@ def solve_linear(A, b) -> np.ndarray:
     z[perm] = lu.solve(b[perm])
     resid = b - A @ z
     relres = float(np.linalg.norm(resid)) / bnorm
-    if relres > RESIDUAL_RTOL:
+    refined = relres > RESIDUAL_RTOL
+    if refined:
         z[perm] += lu.solve(resid[perm])
         relres = float(np.linalg.norm(b - A @ z)) / bnorm
         if relres > RESIDUAL_RTOL:
             raise SolverError(f"residual contract violated: relres={relres:.3e}")
+    logger.debug(
+        "solve path=%s n=%d nnz(A)=%d nnz(L+U)=%d min_pivot_ratio=%.3e "
+        "relres=%.3e refined=%s",
+        path, A.shape[0], A.nnz, lu.nnz, udiag[j] / anorm, relres, refined,
+    )
     return z
 
 

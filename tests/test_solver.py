@@ -1,9 +1,13 @@
-"""Solver contract: residuals, linearity, singularity detection, fields."""
+"""Solver contract: residuals, linearity, singularity detection, paths, fields."""
+
+import logging
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+import bvcfem.solver
 from bvcfem.geometry import make_ring_domain, make_square_domain
 from bvcfem.mesh import build_annulus_mesh, build_square_mesh, precompute_boundary_geometry
 from bvcfem.solver import (
@@ -14,9 +18,17 @@ from bvcfem.solver import (
     solve_linear,
 )
 from bvcfem.spaces import build_multiplier_space, build_primal_space
-from bvcfem.assembly import assemble_bvc, assemble_unmodified
+from bvcfem.assembly import (
+    assemble_bvc,
+    assemble_nitsche,
+    assemble_taylor,
+    assemble_unmodified,
+)
 
 RING = make_ring_domain()
+DIAGONAL_PIVOT_KWARGS = dict(
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+)
 
 
 class TestSolveLinear:
@@ -67,6 +79,21 @@ class TestSolveLinear:
             solve_linear(A, np.ones(4))
         assert err.value.dof_index in (-1, 2)
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("k", [3, 17, 29])
+    def test_near_zero_pivot_reports_its_dof(self, k, symmetric):
+        # periodic tridiagonal with row and column k replaced by a tiny pivot;
+        # the symmetric variant passes the diagonal-pivot gate and falls back
+        n = 40
+        A = sp.diags([-1.0, 2.0, -1.0 if symmetric else -0.5], [-1, 0, 1], shape=(n, n)).tolil()
+        A[0, n - 1] = A[n - 1, 0] = -1.0
+        A[k, :] = 0.0
+        A[:, k] = 0.0
+        A[k, k] = 1e-20
+        with pytest.raises(SingularSystem) as err:
+            solve_linear(A.tocsc(), np.ones(n))
+        assert err.value.dof_index == k
+
     def test_non_square_rejected(self):
         with pytest.raises(SolverError):
             solve_linear(sp.csc_matrix(np.ones((2, 3))), np.ones(2))
@@ -74,6 +101,91 @@ class TestSolveLinear:
     def test_rhs_length_checked(self):
         with pytest.raises(SolverError):
             solve_linear(sp.eye(3, format="csc"), np.ones(2))
+
+
+def _ring_spaces(n_theta=8, n_r=2, degree=2):
+    mesh = precompute_boundary_geometry(
+        build_annulus_mesh(n_theta, n_r), RING, 2 * degree + 2
+    )
+    V = build_primal_space(mesh, degree, enrich=True)
+    return mesh, V, build_multiplier_space(mesh, degree - 1)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Keyword arguments of every SuperLU factorization the solver makes."""
+    calls = []
+
+    def recording_splu(A, **kwargs):
+        calls.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(bvcfem.solver, "splu", recording_splu)
+    return calls
+
+
+class TestSolverPath:
+    @pytest.mark.parametrize(
+        "assemble, diagonal_pivot",
+        [
+            (assemble_bvc, True),
+            (assemble_unmodified, False),
+            (assemble_taylor, False),
+            (lambda mesh, V, Lam, domain: assemble_nitsche(mesh, V, domain, 40.0), True),
+        ],
+        ids=["bvc", "unmodified", "taylor", "nitsche"],
+    )
+    def test_path_follows_matrix(self, splu_calls, assemble, diagonal_pivot):
+        mesh, V, L = _ring_spaces()
+        solve(assemble(mesh, V, L, RING))
+        assert splu_calls == [DIAGONAL_PIVOT_KWARGS if diagonal_pivot else {}]
+
+    def test_tiny_diagonal_falls_back_and_meets_contract(self, splu_calls, caplog):
+        A = sp.csc_matrix(np.array([[1e-20, 1.0], [1.0, 1e-20]]))
+        b = np.array([1.0, 2.0])
+        with caplog.at_level(logging.DEBUG, logger="bvcfem"):
+            z = solve_linear(A, b)
+        assert splu_calls == [DIAGONAL_PIVOT_KWARGS, {}]
+        assert np.linalg.norm(A @ z - b) / np.linalg.norm(b) <= 1e-10
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].name == "bvcfem.solver"
+        assert "falling back to partial pivoting" in warnings[0].getMessage()
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(debug) == 1 and "path=partial-pivot" in debug[0]
+
+    def test_symmetric_singular_still_raises(self, splu_calls):
+        A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(SingularSystem):
+            solve_linear(A, np.array([1.0, 2.0]))
+        assert splu_calls == [DIAGONAL_PIVOT_KWARGS, {}]
+
+    def test_debug_record_per_solve(self, caplog):
+        mesh, V, L = _ring_spaces()
+        system = assemble_bvc(mesh, V, L, RING)
+        with caplog.at_level(logging.DEBUG, logger="bvcfem"):
+            solve(system)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG and record.name == "bvcfem.solver"
+        message = record.getMessage()
+        n = V.dof_count + L.dof_count
+        assert f"path=diagonal-pivot n={n} nnz(A)={system.full_matrix().nnz}" in message
+        for field in ("nnz(L+U)=", "min_pivot_ratio=", "relres=", "refined=False"):
+            assert field in message
+
+    def test_package_logger_silent_by_default(self):
+        handlers = logging.getLogger("bvcfem").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+    def test_diagonal_pivot_matches_partial_pivot_p3(self, splu_calls):
+        # P3 level 2 of the bvc ring ladder
+        mesh, V, L = _ring_spaces(64, 16, degree=3)
+        system = assemble_bvc(mesh, V, L, RING)
+        A, b = system.full_matrix(), system.full_rhs()
+        z = solve_linear(A, b)
+        assert splu_calls == [DIAGONAL_PIVOT_KWARGS]
+        z_ref = splu(A).solve(b)
+        assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
 
 
 class TestSolveSystems:
