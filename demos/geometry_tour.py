@@ -51,12 +51,12 @@ print("  pullback point   ", pullback_point(ring, chord_mid, np.array([1.0, 0.0]
 # The same machinery feeds the mesh: every boundary facet stores rho_h and
 # the pullback point at each Gauss point.
 mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), ring, 6)
-rho_max = max(np.max(np.abs(f.rho)) for f in mesh.boundary_facets)
+rho_max = np.max(np.abs(mesh.boundary_facets.rho))
 print(f"\nannulus 16x4: {len(mesh.boundary_facets)} boundary facets, "
       f"max |rho_h| = {rho_max:.2e} (h = {mesh.h:.3f})")
 
 smesh = precompute_boundary_geometry(build_staircase_mesh(16, ellipse), ellipse, 4)
-rho_max = max(np.max(np.abs(f.rho)) for f in smesh.boundary_facets)
+rho_max = np.max(np.abs(smesh.boundary_facets.rho))
 print(f"staircase n=16: {len(smesh.boundary_facets)} facets, "
       f"max |rho_h| = {rho_max:.2e} (h = {smesh.h:.3f})")
 print("  (large: near the flat poles of the ellipse the axis-aligned ray is")

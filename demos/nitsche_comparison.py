@@ -11,8 +11,8 @@ import numpy as np
 
 from bvcfem import (
     SolutionField,
-    assemble_bvc,
     assemble_nitsche,
+    assemble_saddle,
     build_annulus_mesh,
     build_multiplier_space,
     build_primal_space,
@@ -36,7 +36,7 @@ for lvl in range(4):
     )
     V = build_primal_space(mesh, k, enrich=True)
     Lam = build_multiplier_space(mesh, k - 1)
-    u_mult, lam = solve(assemble_bvc(mesh, V, Lam, ring))
+    u_mult, lam = solve(assemble_saddle(mesh, V, Lam, ring, "bvc"))
     u_nit, _ = solve(assemble_nitsche(mesh, V, ring, gamma0))
     e_mult, _ = l2_h1_errors(u_mult, ring, mesh)
     e_nit, _ = l2_h1_errors(u_nit, ring, mesh)

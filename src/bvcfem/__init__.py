@@ -29,10 +29,8 @@ from .assembly import (
     DimensionMismatch,
     NitscheSystem,
     SaddleSystem,
-    assemble_bvc,
     assemble_nitsche,
-    assemble_taylor,
-    assemble_unmodified,
+    assemble_saddle,
     boundary_mass_primal,
     dump_matrix,
     dump_system,
@@ -56,8 +54,8 @@ from .geometry import (
     ray_distance,
 )
 from .mesh import (
-    BoundaryFacet,
     EmptyMesh,
+    FacetGeometry,
     InvalidResolution,
     Mesh,
     MeshError,

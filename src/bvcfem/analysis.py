@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from . import geometry as geo
-from .assembly import boundary_mass_primal, facet_primal_trace, stiffness_matrix
+from .assembly import boundary_mass_primal, coupling_matrix, facet_traces, stiffness_matrix
 from .mesh import Mesh
 from .solver import SolutionField
 from .spaces import MultiplierSpace, PrimalSpace, quadrature
@@ -97,62 +97,57 @@ def multiplier_error(
     lambda_h ~ -n_h . grad u_h); use_exact_normal evaluates the true-boundary
     normal at the pullback points instead.
     """
-    total = 0.0
-    for fidx, facet in enumerate(mesh.boundary_facets):
-        g = np.asarray(grad_u_exact(facet.points), dtype=float)
-        if use_exact_normal:
-            if domain is None:
-                raise ValueError("use_exact_normal requires the domain")
-            n = geo.exact_normal_batch(domain, facet.pullback)
-            target = -np.einsum("qd,qd->q", g, n)
-        else:
-            target = -(g @ facet.n_h)
-        lam = lambda_field.evaluate_on_facet(fidx, facet.s)
-        total += np.sum(facet.weights * (target - lam) ** 2)
-    return float(np.sqrt(total))
+    facets = mesh.boundary_facets
+    if use_exact_normal:
+        if domain is None:
+            raise ValueError("use_exact_normal requires the domain")
+        n = geo.exact_normal_batch(domain, facets.pullback.reshape(-1, 2))
+        n = n.reshape(facets.pullback.shape)
+    else:
+        n = facets.n_h[:, None, :]
+    target = -np.sum(_on_facet_points(grad_u_exact, facets) * n, axis=-1)
+    lam = lambda_field.evaluate_on_facet(slice(None), facets.s)
+    return float(np.sqrt(np.sum(facets.weights * (target - lam) ** 2)))
 
 
-def _facet_field_values(field: SolutionField, facet):
-    _, vals, _ = facet_primal_trace(field.space, facet)
-    return vals @ field.coefficients[field.space.cell_dofs(facet.cell)]
+def _on_facet_points(fn, facets) -> np.ndarray:
+    """fn at every facet Gauss point, shaped (nf, nq, ...)."""
+    vals = np.asarray(fn(facets.points.reshape(-1, 2)), dtype=float)
+    return vals.reshape(facets.weights.shape + vals.shape[1:])
+
+
+def _facet_field_traces(field: SolutionField, facets) -> np.ndarray:
+    """Values (nf, nq) of a primal field at every facet Gauss point."""
+    dofs, _, vals, _ = facet_traces(field.space, facets)
+    return np.einsum("fqn,fn->fq", vals, field.coefficients[dofs])
 
 
 def triple_norm(v_field, mu_field, mesh: Mesh, h: float) -> float:
     """||grad v|| + ||h^{-1/2} v||_bnd + ||h^{1/2} mu||_bnd for discrete fields."""
-    grad_sq = 0.0
+    facets = mesh.boundary_facets
+    grad_sq = bnd_sq = mu_sq = 0.0
     if v_field is not None:
         k = v_field.space.degree
         rule = _volume_rule(mesh, 2 * k + 2)
         _, _, guh, detJ = _field_on_volume(v_field, rule)
         grad_sq = np.sum((rule.weights[None, :] * detJ[:, None])[:, :, None] * guh**2)
-    bnd_sq = 0.0
-    mu_sq = 0.0
-    for fidx, facet in enumerate(mesh.boundary_facets):
-        if v_field is not None:
-            tv = _facet_field_values(v_field, facet)
-            bnd_sq += np.sum(facet.weights * tv**2)
-        if mu_field is not None:
-            mv = mu_field.evaluate_on_facet(fidx, facet.s)
-            mu_sq += np.sum(facet.weights * mv**2)
+        bnd_sq = np.sum(facets.weights * _facet_field_traces(v_field, facets) ** 2)
+    if mu_field is not None:
+        mv = mu_field.evaluate_on_facet(slice(None), facets.s)
+        mu_sq = np.sum(facets.weights * mv**2)
     return float(np.sqrt(grad_sq) + np.sqrt(bnd_sq / h) + np.sqrt(h * mu_sq))
 
 
 def error_triple_norm(u_field, lambda_field, domain, mesh: Mesh) -> float:
     """|||(u - u_h, lambda~ - lambda_h)||| with lambda~ = -n_h . grad u."""
     _, err_h1 = l2_h1_errors(u_field, domain, mesh)
-    h = mesh.h
-    bnd_sq = 0.0
-    mu_sq = 0.0
-    for fidx, facet in enumerate(mesh.boundary_facets):
-        ue = np.asarray(domain.u_exact(facet.points), dtype=float)
-        tv = _facet_field_values(u_field, facet)
-        bnd_sq += np.sum(facet.weights * (ue - tv) ** 2)
-        if lambda_field is not None:
-            g = np.asarray(domain.grad_u_exact(facet.points), dtype=float)
-            target = -(g @ facet.n_h)
-            lam = lambda_field.evaluate_on_facet(fidx, facet.s)
-            mu_sq += np.sum(facet.weights * (target - lam) ** 2)
-    return float(err_h1 + np.sqrt(bnd_sq / h) + np.sqrt(h * mu_sq))
+    facets = mesh.boundary_facets
+    ue = _on_facet_points(domain.u_exact, facets)
+    bnd_sq = np.sum(facets.weights * (ue - _facet_field_traces(u_field, facets)) ** 2)
+    mu_err = 0.0
+    if lambda_field is not None:
+        mu_err = multiplier_error(lambda_field, domain.grad_u_exact, mesh)
+    return float(err_h1 + np.sqrt(bnd_sq / mesh.h) + np.sqrt(mesh.h) * mu_err)
 
 
 @dataclass
@@ -204,12 +199,7 @@ def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace, mesh: Mesh) -> float
     """
     if V.dof_count > 5000:
         raise TooLarge(f"inf-sup diagnostic is coarse-level only ({V.dof_count} dofs)")
-    Bd = np.zeros((Lam.dof_count, V.dof_count))
-    for fidx, facet in enumerate(mesh.boundary_facets):
-        dofs, vals, _ = facet_primal_trace(V, facet)
-        psi = Lam.eval(facet.s)
-        blk = np.einsum("q,qi,qj->ij", facet.weights, psi, vals)
-        Bd[np.ix_(Lam.facet_dofs[fidx], dofs)] += blk
+    Bd = coupling_matrix(V, Lam, False).toarray()
     h = mesh.h
     N = (stiffness_matrix(V) + boundary_mass_primal(V) / h).toarray()
     X = scipy.linalg.solve(N, Bd.T, assume_a="pos")
@@ -221,14 +211,10 @@ def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace, mesh: Mesh) -> float
 
 def geometry_report(mesh: Mesh, domain) -> tuple:
     """(delta_h, normal_dev): worst |rho_h| and worst |n_h - n(p_h)|."""
-    delta_h = 0.0
-    normal_dev = 0.0
-    for facet in mesh.boundary_facets:
-        delta_h = max(delta_h, float(np.max(np.abs(facet.rho))))
-        n_exact = geo.exact_normal_batch(domain, facet.pullback)
-        dev = np.linalg.norm(n_exact - facet.n_h[None, :], axis=1)
-        normal_dev = max(normal_dev, float(np.max(dev)))
-    return delta_h, normal_dev
+    facets = mesh.boundary_facets
+    n_exact = geo.exact_normal_batch(domain, facets.pullback.reshape(-1, 2))
+    dev = np.linalg.norm(n_exact.reshape(facets.pullback.shape) - facets.n_h[:, None, :], axis=2)
+    return float(np.max(np.abs(facets.rho))), float(np.max(dev))
 
 
 def error_report(u_field, lambda_field, domain, mesh: Mesh) -> ErrorReport:

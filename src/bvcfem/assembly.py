@@ -1,16 +1,18 @@
-"""Assembly of the boundary-value-corrected multiplier systems.
+"""Assembly of the boundary-value-corrected multiplier and Nitsche systems.
 
-Four variants share the interior stiffness (grad u, grad v) and the facet
-coupling (u, mu):
+One saddle-point assembler builds three multiplier variants that share the
+interior stiffness (grad u, grad v) and the facet coupling (u, mu):
 
 * unmodified      -- enforce u_h = g~ on the facet boundary, no correction;
 * bvc             -- symmetric correction (u_h, mu) - (rho_h lambda_h, mu);
 * taylor          -- non-symmetric correction (u_h + rho_h dn u_h, mu);
-* nitsche         -- single-field boundary-value-corrected symmetric Nitsche
-                     with penalty gamma = gamma0 / h.
+
+and assemble_nitsche builds the single-field boundary-value-corrected
+symmetric Nitsche method with penalty gamma = gamma0 / h.
 
 g~ is the Dirichlet data pulled back from the true boundary through the
-precomputed facet pullback points.
+precomputed facet pullback points.  Every facet term is one batched
+contraction over the facet_traces tables of all boundary facets.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import ImplicitDomain
-from .mesh import Mesh, QUAD_EDGES, TRI_EDGES
+from .mesh import FacetGeometry, Mesh, QUAD_EDGES, TRI_EDGES
 from .spaces import (
     MultiplierSpace,
     PrimalSpace,
@@ -29,6 +31,8 @@ from .spaces import (
     TRI_REF_VERTS,
     quadrature,
 )
+
+SADDLE_METHODS = ("bvc", "unmodified", "taylor")
 
 
 class DimensionMismatch(Exception):
@@ -40,9 +44,9 @@ class SaddleSystem:
     """Block system [[K, B^T], [B or Bt_corr, -D]] with right-hand side.
 
     K[i,j] = (grad phi_j, grad phi_i), B[i,j] = (phi_j, psi_i) on the facet
-    boundary, D[i,j] = (rho_h psi_j, psi_i).  The taylor variant replaces the
-    second-row coupling by Bt_corr[i,j] = (phi_j + rho_h n_h.grad phi_j, psi_i)
-    and drops D.
+    boundary, D[i,j] = (rho_h psi_j, psi_i).  When Bt_corr is set (taylor) it
+    replaces the second-row coupling, Bt_corr[i,j] =
+    (phi_j + rho_h n_h.grad phi_j, psi_i); D is empty except for bvc.
     """
 
     K: sp.csr_matrix
@@ -51,13 +55,12 @@ class SaddleSystem:
     Bt_corr: sp.csr_matrix | None
     rhs_u: np.ndarray
     rhs_lam: np.ndarray
-    method: str
     V: PrimalSpace
     Lam: MultiplierSpace
     mesh: Mesh
 
     def full_matrix(self) -> sp.csc_matrix:
-        row2 = self.Bt_corr if self.method == "taylor" else self.B
+        row2 = self.Bt_corr if self.Bt_corr is not None else self.B
         return sp.bmat([[self.K, self.B.T], [row2, -self.D]], format="csc")
 
     def full_rhs(self) -> np.ndarray:
@@ -84,7 +87,7 @@ def _check_spaces(mesh, V, Lam=None):
         raise DimensionMismatch("primal space was built on a different mesh")
     if Lam is not None and Lam.mesh is not mesh:
         raise DimensionMismatch("multiplier space was built on a different mesh")
-    if mesh.boundary_facets and mesh.boundary_facets[0].s is None:
+    if mesh.boundary_facets.s is None:
         raise DimensionMismatch(
             "facet geometry missing: call precompute_boundary_geometry first"
         )
@@ -147,141 +150,124 @@ def load_vector(V: PrimalSpace, f) -> np.ndarray:
     return rhs
 
 
-def _facet_ref_points(mesh, facet, s):
-    if mesh.cell_kind == "triangle":
-        ref, edges = TRI_REF_VERTS, TRI_EDGES
-    else:
-        ref, edges = QUAD_REF_VERTS, QUAD_EDGES
-    a, b = edges[facet.local_edge]
-    return ref[a][None, :] + s[:, None] * (ref[b] - ref[a])[None, :]
+def facet_traces(V: PrimalSpace, facets: FacetGeometry):
+    """Cell basis functions traced on every boundary facet at facets.s.
 
-
-def facet_primal_trace(V: PrimalSpace, facet):
-    """(dofs, values, normal derivatives) of cell basis at the facet points."""
+    Returns (dofs, mask, vals, dn): the global dofs (nf, nl) of each facet's
+    cell -- Lagrange dofs, then the bubbles of that cell in facet order,
+    padded to the widest cell -- with mask (nf, nl) False on padded slots,
+    and the values and normal derivatives n_h . grad (nf, nq, nl), zero on
+    padded slots.  A cell's other bubbles vanish on the facet, but their
+    normal derivatives do not.
+    """
     mesh = V.mesh
-    pts = _facet_ref_points(mesh, facet, facet.s)
-    vals, grads = V.cell_basis(facet.cell, pts)
+    if mesh.cell_kind == "triangle":
+        ref, edges = TRI_REF_VERTS, np.array(TRI_EDGES)
+    else:
+        ref, edges = QUAD_REF_VERTS, np.array(QUAD_EDGES)
+    a, b = ref[edges[:, 0]], ref[edges[:, 1]]
+    ref_pts = a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :]  # (ne, nq, 2)
+    tables = [V.tabulate(p) for p in ref_pts]
+    le = facets.local_edge
+    vals = np.stack([v for v, _ in tables])[le]
+    grads = np.stack([g for _, g in tables])[le]
+    dofs = V.cell_dofs_std[facets.cell]
+    mask = np.ones(dofs.shape, dtype=bool)
+    if V.enriched:
+        # Facets are cell-major, so a cell's bubbles are the run of
+        # same-cell facets that begins at `start`.
+        nf = len(facets)
+        start = np.searchsorted(facets.cell, facets.cell)
+        width = int(np.max(np.arange(nf) - start)) + 1
+        run = start[:, None] + np.arange(width)  # (nf, width)
+        other = np.minimum(run, nf - 1)
+        valid = (run < nf) & (facets.cell[other] == facets.cell[:, None])
+        bubbles = [[V.bubble_eval(e, p) for e in range(len(edges))] for p in ref_pts]
+        bv = np.array([[v for v, _ in row] for row in bubbles])  # (ne, ne, nq)
+        bg = np.array([[g for _, g in row] for row in bubbles])  # (ne, ne, nq, 2)
+        pair = (le[:, None], le[other])
+        vals = np.concatenate(
+            [vals, np.where(valid[:, None, :], bv[pair].transpose(0, 2, 1), 0.0)], axis=2
+        )
+        grads = np.concatenate(
+            [grads, np.where(valid[:, None, :, None], bg[pair].transpose(0, 2, 1, 3), 0.0)],
+            axis=2,
+        )
+        dofs = np.concatenate([dofs, np.where(valid, V.n_lagrange + other, 0)], axis=1)
+        mask = np.concatenate([mask, valid], axis=1)
     _, _, Jinv, _ = mesh.affine_maps()
-    gp = np.einsum("qnd,de->qne", grads, Jinv[facet.cell])
-    dn = gp @ facet.n_h
-    return V.cell_dofs(facet.cell), vals, dn
+    dn = np.einsum("fqnd,fde,fe->fqn", grads, Jinv[facets.cell], facets.n_h)
+    return dofs, mask, vals, dn
+
+
+def _scatter(blocks, rows, cols, keep, shape) -> sp.csr_matrix:
+    """Sparse sum of per-facet blocks (nf, a, b) at rows (nf, a) x cols (nf, b).
+
+    keep, broadcast to the blocks, selects the entries that are stored.
+    """
+    keep = np.broadcast_to(keep, blocks.shape)
+    ii = np.broadcast_to(rows[:, :, None], blocks.shape)[keep]
+    jj = np.broadcast_to(cols[:, None, :], blocks.shape)[keep]
+    return sp.coo_matrix((blocks[keep], (ii, jj)), shape=shape).tocsr()
+
+
+def _pulled_back_data(domain, facets) -> np.ndarray:
+    """g~ = g o p_h at every facet Gauss point, (nf, nq)."""
+    g = domain.g_dirichlet(facets.pullback.reshape(-1, 2))
+    return np.asarray(g, dtype=float).reshape(facets.weights.shape)
 
 
 def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
     """(phi_i, phi_j) over the facet boundary (used by the inf-sup check)."""
-    rows, cols, data = [], [], []
-    for facet in V.mesh.boundary_facets:
-        dofs, vals, _ = facet_primal_trace(V, facet)
-        blk = np.einsum("q,qi,qj->ij", facet.weights, vals, vals)
-        ii, jj = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(ii.ravel())
-        cols.append(jj.ravel())
-        data.append(blk.ravel())
-    n = V.dof_count
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    facets = V.mesh.boundary_facets
+    dofs, mask, vals, _ = facet_traces(V, facets)
+    blocks = np.einsum("fq,fqi,fqj->fij", facets.weights, vals, vals)
+    keep = mask[:, :, None] & mask[:, None, :]
+    return _scatter(blocks, dofs, dofs, keep, (V.dof_count, V.dof_count))
 
 
-def _facet_blocks(V, Lam, domain, with_taylor):
-    mesh = V.mesh
-    nl, nu = Lam.dof_count, V.dof_count
-    b_rows, b_cols, b_vals = [], [], []
-    bt_vals = []
-    d_rows, d_cols, d_vals = [], [], []
+def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.csr_matrix:
+    """B[i,j] = (phi_j, psi_i) on the facet boundary.
+
+    With rho_dn the primal trace is Taylor-corrected:
+    (phi_j + rho_h dn phi_j, psi_i).
+    """
+    facets = V.mesh.boundary_facets
+    dofs, mask, vals, dn = facet_traces(V, facets)
+    if rho_dn:
+        vals = vals + facets.rho[:, :, None] * dn
+    blocks = np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
+    shape = (Lam.dof_count, V.dof_count)
+    return _scatter(blocks, Lam.facet_dofs, dofs, mask[:, None, :], shape)
+
+
+def assemble_saddle(
+    mesh: Mesh, V: PrimalSpace, Lam: MultiplierSpace, domain: ImplicitDomain, method: str
+) -> SaddleSystem:
+    """The multiplier system of one of SADDLE_METHODS, right-hand side (g~, mu).
+
+    bvc:        (u, mu) - (rho_h lambda, mu) = (g~, mu);
+    unmodified: (u, mu) = (g~, mu), D is empty;
+    taylor:     (u + rho_h dn u, mu) = (g~, mu), D is empty.
+    """
+    if method not in SADDLE_METHODS:
+        raise ValueError(f"unknown multiplier method {method!r}; have {SADDLE_METHODS}")
+    _check_spaces(mesh, V, Lam)
+    facets = mesh.boundary_facets
+    psi, w, nl = Lam.eval(facets.s), facets.weights, Lam.dof_count
+    D = sp.csr_matrix((nl, nl))
+    if method == "bvc":
+        blocks = np.einsum("fq,fq,qi,qj->fij", w, facets.rho, psi, psi)
+        D = _scatter(blocks, Lam.facet_dofs, Lam.facet_dofs, True, (nl, nl))
     rhs_lam = np.zeros(nl)
-    for fidx, facet in enumerate(mesh.boundary_facets):
-        dofs, vals, dn = facet_primal_trace(V, facet)
-        psi = Lam.eval(facet.s)
-        w = facet.weights
-        ldofs = Lam.facet_dofs[fidx]
-
-        Bblk = np.einsum("q,qi,qj->ij", w, psi, vals)
-        ii, jj = np.meshgrid(ldofs, dofs, indexing="ij")
-        b_rows.append(ii.ravel())
-        b_cols.append(jj.ravel())
-        b_vals.append(Bblk.ravel())
-        if with_taylor:
-            Bt = np.einsum("q,qi,qj->ij", w, psi, vals + facet.rho[:, None] * dn)
-            bt_vals.append(Bt.ravel())
-
-        Dblk = np.einsum("q,q,qi,qj->ij", w, facet.rho, psi, psi)
-        li, lj = np.meshgrid(ldofs, ldofs, indexing="ij")
-        d_rows.append(li.ravel())
-        d_cols.append(lj.ravel())
-        d_vals.append(Dblk.ravel())
-
-        gt = np.asarray(domain.g_dirichlet(facet.pullback), dtype=float)
-        rhs_lam[ldofs] += psi.T @ (w * gt)
-
-    B = sp.coo_matrix(
-        (np.concatenate(b_vals), (np.concatenate(b_rows), np.concatenate(b_cols))),
-        shape=(nl, nu),
-    ).tocsr()
-    D = sp.coo_matrix(
-        (np.concatenate(d_vals), (np.concatenate(d_rows), np.concatenate(d_cols))),
-        shape=(nl, nl),
-    ).tocsr()
-    Bt = None
-    if with_taylor:
-        Bt = sp.coo_matrix(
-            (np.concatenate(bt_vals), (np.concatenate(b_rows), np.concatenate(b_cols))),
-            shape=(nl, nu),
-        ).tocsr()
-    return B, D, Bt, rhs_lam
-
-
-def assemble_bvc(mesh: Mesh, V: PrimalSpace, Lam: MultiplierSpace, domain: ImplicitDomain) -> SaddleSystem:
-    """The corrected method: (u, mu) - (rho_h lambda, mu) = (g~, mu)."""
-    _check_spaces(mesh, V, Lam)
-    B, D, _, rhs_lam = _facet_blocks(V, Lam, domain, with_taylor=False)
+    rhs_lam[Lam.facet_dofs] = (w * _pulled_back_data(domain, facets)) @ psi
     return SaddleSystem(
         K=stiffness_matrix(V),
-        B=B,
+        B=coupling_matrix(V, Lam, False),
         D=D,
-        Bt_corr=None,
+        Bt_corr=coupling_matrix(V, Lam, True) if method == "taylor" else None,
         rhs_u=load_vector(V, domain.f_rhs),
         rhs_lam=rhs_lam,
-        method="bvc",
-        V=V,
-        Lam=Lam,
-        mesh=mesh,
-    )
-
-
-def assemble_unmodified(mesh: Mesh, V: PrimalSpace, Lam: MultiplierSpace, domain: ImplicitDomain) -> SaddleSystem:
-    """No correction: (u, mu) = (g~, mu); D is identically zero."""
-    _check_spaces(mesh, V, Lam)
-    B, _, _, rhs_lam = _facet_blocks(V, Lam, domain, with_taylor=False)
-    nl = Lam.dof_count
-    return SaddleSystem(
-        K=stiffness_matrix(V),
-        B=B,
-        D=sp.csr_matrix((nl, nl)),
-        Bt_corr=None,
-        rhs_u=load_vector(V, domain.f_rhs),
-        rhs_lam=rhs_lam,
-        method="unmodified",
-        V=V,
-        Lam=Lam,
-        mesh=mesh,
-    )
-
-
-def assemble_taylor(mesh: Mesh, V: PrimalSpace, Lam: MultiplierSpace, domain: ImplicitDomain) -> SaddleSystem:
-    """Taylor correction in the constraint: (u + rho_h dn u, mu) = (g~, mu)."""
-    _check_spaces(mesh, V, Lam)
-    B, _, Bt, rhs_lam = _facet_blocks(V, Lam, domain, with_taylor=True)
-    nl = Lam.dof_count
-    return SaddleSystem(
-        K=stiffness_matrix(V),
-        B=B,
-        D=sp.csr_matrix((nl, nl)),
-        Bt_corr=Bt,
-        rhs_u=load_vector(V, domain.f_rhs),
-        rhs_lam=rhs_lam,
-        method="taylor",
         V=V,
         Lam=Lam,
         mesh=mesh,
@@ -303,30 +289,22 @@ def assemble_nitsche(mesh: Mesh, V: PrimalSpace, domain: ImplicitDomain, gamma0:
 
     K = stiffness_matrix(V)
     rhs = load_vector(V, domain.f_rhs)
-    rows, cols, data = [], [], []
-    for facet in mesh.boundary_facets:
-        dofs, vals, dn = facet_primal_trace(V, facet)
-        w = facet.weights
-        corr = vals + facet.rho[:, None] * dn
-        M = (
-            -np.einsum("q,qj,qi->ij", w, dn, corr)
-            - np.einsum("q,qj,qi->ij", w, corr, dn)
-            + np.einsum("q,q,qj,qi->ij", w, facet.rho, dn, dn)
-            + gamma * np.einsum("q,qj,qi->ij", w, corr, corr)
-        )
-        ii, jj = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(ii.ravel())
-        cols.append(jj.ravel())
-        data.append(M.ravel())
-
-        gt = np.asarray(domain.g_dirichlet(facet.pullback), dtype=float)
-        rhs[dofs] += -dn.T @ (w * gt) + gamma * (corr.T @ (w * gt))
+    facets = mesh.boundary_facets
+    dofs, mask, vals, dn = facet_traces(V, facets)
+    w, rho = facets.weights, facets.rho
+    corr = vals + rho[:, :, None] * dn
+    M = (
+        -np.einsum("fq,fqj,fqi->fij", w, dn, corr)
+        - np.einsum("fq,fqj,fqi->fij", w, corr, dn)
+        + np.einsum("fq,fq,fqj,fqi->fij", w, rho, dn, dn)
+        + gamma * np.einsum("fq,fqj,fqi->fij", w, corr, corr)
+    )
+    wg = w * _pulled_back_data(domain, facets)
+    data = -np.einsum("fqi,fq->fi", dn, wg) + gamma * np.einsum("fqi,fq->fi", corr, wg)
+    np.add.at(rhs, dofs[mask], data[mask])
 
     n = V.dof_count
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr() + K
+    A = _scatter(M, dofs, dofs, mask[:, :, None] & mask[:, None, :], (n, n)) + K
     return NitscheSystem(A=A, rhs=rhs, gamma0=gamma0, V=V, mesh=mesh)
 
 

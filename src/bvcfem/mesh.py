@@ -1,13 +1,14 @@
 """Structured meshes and boundary facet geometry.
 
 Annulus triangulations, inside-the-curve staircase quad grids, boundary
-facet extraction with outward discrete normals, and per-quadrature-point
-signed distances / pullback points to the true boundary.
+facet extraction into one array record (FacetGeometry) with outward discrete
+normals, and per-quadrature-point signed distances / pullback points to the
+true boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,26 +33,37 @@ TRI_EDGES = ((0, 1), (1, 2), (2, 0))
 QUAD_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
 
 
-@dataclass
-class BoundaryFacet:
-    """One boundary edge of one cell, with its outward discrete normal.
+@dataclass(frozen=True)
+class FacetGeometry:
+    """Boundary facets of a mesh as arrays, one row per facet, cell-major.
 
-    After precompute_boundary_geometry the facet also carries Gauss points
-    (params s in [0,1] along the edge, physical points, weights including the
-    facet length), the discrete signed distance rho at each point and the
-    pullback point on the true boundary.
+    Facet f is local edge local_edge[f] of cell cell[f], running from vertex
+    endpoints[f, 0] to endpoints[f, 1], with outward discrete normal n_h[f].
+    precompute_boundary_geometry fills in the Gauss parameters s in [0, 1]
+    (shared by every facet), the physical points, the weights (including the
+    facet length), the discrete signed distance rho and the pullback points
+    on the true boundary.
     """
 
-    cell: int
-    local_edge: int
-    endpoints: tuple
-    n_h: np.ndarray
-    length: float
-    s: np.ndarray | None = None
-    points: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    rho: np.ndarray | None = None
-    pullback: np.ndarray | None = None
+    cell: np.ndarray                    # (nf,)
+    local_edge: np.ndarray              # (nf,)
+    endpoints: np.ndarray               # (nf, 2)
+    n_h: np.ndarray                     # (nf, 2)
+    length: np.ndarray                  # (nf,)
+    s: np.ndarray | None = None         # (nq,)
+    points: np.ndarray | None = None    # (nf, nq, 2)
+    weights: np.ndarray | None = None   # (nf, nq)
+    rho: np.ndarray | None = None       # (nf, nq)
+    pullback: np.ndarray | None = None  # (nf, nq, 2)
+
+    def __len__(self) -> int:
+        return len(self.cell)
+
+    def points_at(self, vertices, s) -> np.ndarray:
+        """Physical points (nf, len(s), 2) at edge parameters s on every facet."""
+        p = vertices[self.endpoints[:, 0]]
+        q = vertices[self.endpoints[:, 1]]
+        return p[:, None, :] + s[None, :, None] * (q - p)[:, None, :]
 
 
 @dataclass
@@ -59,7 +71,7 @@ class Mesh:
     vertices: np.ndarray            # (nno, 2)
     cells: np.ndarray               # (nc, 3) or (nc, 4), CCW
     cell_kind: str                  # "triangle" | "quad"
-    boundary_facets: list = field(default_factory=list)
+    boundary_facets: FacetGeometry
     _edge_table: dict | None = field(default=None, repr=False)
     _affine: tuple | None = field(default=None, repr=False)
 
@@ -122,28 +134,22 @@ class Mesh:
         return scale * detJ
 
 
-def _extract_boundary_facets(vertices, cells, cell_kind):
-    edges = TRI_EDGES if cell_kind == "triangle" else QUAD_EDGES
-    seen = {}
-    for c, cell in enumerate(cells):
-        for e, (a, b) in enumerate(edges):
-            key = (min(cell[a], cell[b]), max(cell[a], cell[b]))
-            seen.setdefault(key, []).append((c, e))
-    facets = []
-    for c, cell in enumerate(cells):
-        for e, (a, b) in enumerate(edges):
-            key = (min(cell[a], cell[b]), max(cell[a], cell[b]))
-            if len(seen[key]) != 1:
-                continue
-            p, q = int(cell[a]), int(cell[b])
-            edge_vec = vertices[q] - vertices[p]
-            length = float(np.hypot(edge_vec[0], edge_vec[1]))
-            # CCW cells: outward normal is the edge direction rotated -90 deg.
-            n_h = np.array([edge_vec[1], -edge_vec[0]]) / length
-            facets.append(
-                BoundaryFacet(cell=c, local_edge=e, endpoints=(p, q), n_h=n_h, length=length)
-            )
-    return facets
+def _extract_boundary_facets(vertices, cells, cell_kind) -> FacetGeometry:
+    edges = np.array(TRI_EDGES if cell_kind == "triangle" else QUAD_EDGES)
+    ends = cells[:, edges].reshape(-1, 2)  # CCW edge of every cell, cell-major
+    lo, hi = np.sort(ends, axis=1).T
+    keys = lo * len(vertices) + hi
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    boundary = np.flatnonzero(counts[inverse] == 1)
+    cell, local_edge = np.divmod(boundary, len(edges))
+    endpoints = ends[boundary]
+    edge_vec = vertices[endpoints[:, 1]] - vertices[endpoints[:, 0]]
+    length = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
+    # CCW cells: outward normal is the edge direction rotated -90 deg.
+    n_h = np.stack([edge_vec[:, 1], -edge_vec[:, 0]], axis=1) / length[:, None]
+    return FacetGeometry(
+        cell=cell, local_edge=local_edge, endpoints=endpoints, n_h=n_h, length=length
+    )
 
 
 def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
@@ -153,11 +159,11 @@ def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
     """
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
-    mesh = Mesh(vertices=vertices, cells=cells, cell_kind=cell_kind)
+    facets = _extract_boundary_facets(vertices, cells, cell_kind)
+    mesh = Mesh(vertices=vertices, cells=cells, cell_kind=cell_kind, boundary_facets=facets)
     areas = mesh.cell_areas()
     if np.any(areas <= 0):
         raise MeshError(f"{int(np.sum(areas <= 0))} cells are not counterclockwise")
-    mesh.boundary_facets = _extract_boundary_facets(vertices, cells, cell_kind)
     return mesh
 
 
@@ -267,41 +273,36 @@ def gauss_01(n: int):
 
 
 def precompute_boundary_geometry(mesh: Mesh, domain: ImplicitDomain, n_gauss: int) -> Mesh:
-    """Attach Gauss points, rho_h and pullback points to every boundary facet.
+    """A copy of mesh whose facets carry Gauss points, rho_h and pullback points.
 
     n_gauss is the number of Gauss points per facet (>= 2).  Ray distances
     are computed in one batch across all facets; a missing intersection is
-    re-raised with the offending facet attached.
+    re-raised with the offending facet attached.  The input mesh is left
+    untouched.
     """
     if n_gauss < 2:
         raise InvalidResolution(f"need at least 2 Gauss points per facet, got {n_gauss}")
     facets = mesh.boundary_facets
-    if not facets:
-        return mesh
     s, w = gauss_01(n_gauss)
-    pts = np.empty((len(facets), n_gauss, 2))
-    nrms = np.empty((len(facets), n_gauss, 2))
-    for k, f in enumerate(facets):
-        p = mesh.vertices[f.endpoints[0]]
-        q = mesh.vertices[f.endpoints[1]]
-        pts[k] = p[None, :] + s[:, None] * (q - p)[None, :]
-        nrms[k] = f.n_h
+    pts = facets.points_at(mesh.vertices, s)
     flat_pts = pts.reshape(-1, 2)
-    flat_nrm = nrms.reshape(-1, 2)
+    flat_nrm = np.repeat(facets.n_h, n_gauss, axis=0)
     try:
         rho = geometry.ray_distance_batch(domain, flat_pts, flat_nrm)
     except NoIntersection as exc:
         raise NoIntersection(f"boundary geometry failed: {exc}") from exc
     pullback = flat_pts + rho[:, None] * flat_nrm
-    rho = rho.reshape(len(facets), n_gauss)
-    pullback = pullback.reshape(len(facets), n_gauss, 2)
-    for k, f in enumerate(facets):
-        f.s = s.copy()
-        f.points = pts[k]
-        f.weights = w * f.length
-        f.rho = rho[k]
-        f.pullback = pullback[k]
-    return mesh
+    return replace(
+        mesh,
+        boundary_facets=replace(
+            facets,
+            s=s,
+            points=pts,
+            weights=w[None, :] * facets.length[:, None],
+            rho=rho.reshape(pts.shape[:2]),
+            pullback=pullback.reshape(pts.shape),
+        ),
+    )
 
 
 def mesh_sequence(kind: str, levels: int, domain: ImplicitDomain | None = None):
@@ -325,7 +326,7 @@ def euler_characteristic(mesh: Mesh) -> int:
 
 
 def boundary_length(mesh: Mesh) -> float:
-    return float(sum(f.length for f in mesh.boundary_facets))
+    return float(np.sum(mesh.boundary_facets.length))
 
 
 def export_mesh(mesh: Mesh, path) -> None:
@@ -340,8 +341,9 @@ def export_mesh(mesh: Mesh, path) -> None:
             fh.write(f"{v[0]:.17g} {v[1]:.17g}\n")
         for cell in mesh.cells:
             fh.write(" ".join(str(int(i)) for i in cell) + "\n")
-        for f in mesh.boundary_facets:
-            fh.write(f"{f.cell} {f.local_edge} {f.endpoints[0]} {f.endpoints[1]}\n")
+        facets = mesh.boundary_facets
+        for c, e, (p, q) in zip(facets.cell, facets.local_edge, facets.endpoints):
+            fh.write(f"{c} {e} {p} {q}\n")
 
 
 def load_mesh(path) -> Mesh:

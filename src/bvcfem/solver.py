@@ -79,19 +79,13 @@ class SolutionField:
                 f"match dof count {self.space.dof_count}"
             )
 
-    def evaluate_in_cell(self, c, ref_pts):
-        vals, _ = self.space.cell_basis(c, ref_pts)
-        return vals @ self.coefficients[self.space.cell_dofs(c)]
-
-    def gradient_in_cell(self, c, ref_pts):
-        _, grads = self.space.cell_basis(c, ref_pts)
-        _, _, Jinv, _ = self.space.mesh.affine_maps()
-        gp = np.einsum("qnd,de->qne", grads, Jinv[c])
-        return np.einsum("qne,n->qe", gp, self.coefficients[self.space.cell_dofs(c)])
-
     def evaluate_on_facet(self, fidx, s):
-        psi = self.space.eval(np.asarray(s))
-        return psi @ self.coefficients[self.space.facet_dofs[fidx]]
+        """Multiplier values at facet parameters s on facet(s) fidx.
+
+        fidx is a facet index (values (nq,)) or an index array or slice over
+        the facets (values (nf, nq)).
+        """
+        return self.coefficients[self.space.facet_dofs[fidx]] @ self.space.eval(np.asarray(s)).T
 
     def vertex_values(self):
         """Values at mesh vertices (vertex dofs lead the Lagrange numbering)."""

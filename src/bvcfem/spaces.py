@@ -296,14 +296,17 @@ class PrimalSpace:
         self.n_lagrange = ndof
         self.dof_points = np.concatenate(node_pts, axis=0)
 
-        # One bubble dof per boundary facet, appended after the Lagrange dofs.
-        self.facet_bubble_dof = np.full(len(mesh.boundary_facets), -1, dtype=np.int64)
+        # One bubble dof per boundary facet, appended after the Lagrange dofs
+        # in facet order (facet f owns dof n_lagrange + f).  cell_bubbles maps
+        # a cell to its [local_edge, dof] pairs: one run of the cell-major facets.
         self.cell_bubbles = {}
         if self.enriched:
-            for fidx, f in enumerate(mesh.boundary_facets):
-                self.facet_bubble_dof[fidx] = ndof
-                self.cell_bubbles.setdefault(f.cell, []).append((f.local_edge, ndof))
-                ndof += 1
+            facets = mesh.boundary_facets
+            pairs = np.stack([facets.local_edge, ndof + np.arange(len(facets))], axis=1)
+            cells, first = np.unique(facets.cell, return_index=True)
+            runs = np.split(pairs, first[1:])
+            self.cell_bubbles = dict(zip(cells.tolist(), (run.tolist() for run in runs)))
+            ndof += len(facets)
         self.dof_count = ndof
 
     def tabulate(self, pts):
@@ -368,9 +371,8 @@ class MultiplierSpace:
 
     def facet_mass_diagonal(self):
         """Diagonal facet mass entries length/(2j+1), shape (nf, m+1)."""
-        lengths = np.array([f.length for f in self.mesh.boundary_facets])
         scale = 1.0 / (2.0 * np.arange(self.degree + 1) + 1.0)
-        return lengths[:, None] * scale[None, :]
+        return self.mesh.boundary_facets.length[:, None] * scale[None, :]
 
     def mass_matrix_diagonal(self):
         return self.facet_mass_diagonal().ravel()
@@ -389,8 +391,9 @@ def build_multiplier_space(mesh: Mesh, m: int) -> MultiplierSpace:
 def project_to_multiplier(space: MultiplierSpace, trace) -> np.ndarray:
     """Facet-wise L2 projection of a boundary trace onto the multiplier space.
 
-    trace(facet, s, x) must return values at facet parameters s (array in
-    [0,1]) with physical points x of shape (nq, 2).
+    trace(s, x, n_h) must return values (nf, nq) at the facet parameters s
+    (nq,) in [0, 1], given the physical points x (nf, nq, 2) and the facet
+    normals n_h (nf, 2).
     """
     m = space.degree
     nq = max(2 * m + 2, 10)  # generous so smooth traces project to roundoff
@@ -399,11 +402,9 @@ def project_to_multiplier(space: MultiplierSpace, trace) -> np.ndarray:
     w = 0.5 * w
     psi = space.eval(s)  # (nq, m+1)
     scale = 2.0 * np.arange(m + 1) + 1.0
+    facets = space.mesh.boundary_facets
+    x = facets.points_at(space.mesh.vertices, s)
+    t = np.broadcast_to(np.asarray(trace(s, x, facets.n_h), dtype=float), x.shape[:2])
     coeffs = np.empty(space.dof_count)
-    verts = space.mesh.vertices
-    for fidx, f in enumerate(space.mesh.boundary_facets):
-        p, q = verts[f.endpoints[0]], verts[f.endpoints[1]]
-        x = p[None, :] + s[:, None] * (q - p)[None, :]
-        t = np.asarray(trace(f, s, x), dtype=float)
-        coeffs[space.facet_dofs[fidx]] = scale * (psi.T @ (w * t))
+    coeffs[space.facet_dofs] = scale * ((w * t) @ psi)
     return coeffs

@@ -8,6 +8,7 @@ emits CSV tables, self-contained SVG log-log plots and solution elevations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -20,13 +21,7 @@ from .analysis import (
     fit_rates,
     infsup_diagnostic,
 )
-from .assembly import (
-    assemble_bvc,
-    assemble_nitsche,
-    assemble_taylor,
-    assemble_unmodified,
-    dump_system,
-)
+from .assembly import SADDLE_METHODS, assemble_nitsche, assemble_saddle, dump_system
 from .geometry import make_ellipse_domain, make_ring_domain
 from .mesh import build_annulus_mesh, build_staircase_mesh, precompute_boundary_geometry
 from .solver import SingularSystem, solve
@@ -42,11 +37,7 @@ class ConfigError(Exception):
 
 
 ELEMENT_ORDER = {"p1": 1, "p2": 2, "p3": 3, "q1": 1}
-ASSEMBLERS = {
-    "bvc": assemble_bvc,
-    "unmodified": assemble_unmodified,
-    "taylor": assemble_taylor,
-}
+ASSEMBLERS = {m: functools.partial(assemble_saddle, method=m) for m in SADDLE_METHODS}
 CSV_HEADER = (
     "level,h,nno,dofs_u,dofs_lambda,err_l2,err_h1,err_lambda,"
     "rate_l2,rate_h1,rate_lambda,delta_h,normal_dev"
@@ -80,7 +71,7 @@ def validate_config(config: StudyConfig) -> None:
         raise ConfigError(f"unknown domain {config.domain!r}")
     if config.element not in ELEMENT_ORDER:
         raise ConfigError(f"unknown element {config.element!r}")
-    if config.method not in ("bvc", "unmodified", "taylor", "nitsche"):
+    if config.method not in (*SADDLE_METHODS, "nitsche"):
         raise ConfigError(f"unknown method {config.method!r}")
     if config.element == "q1" and config.domain != "ellipse":
         raise ConfigError("q1 runs on the ellipse staircase only")
@@ -121,7 +112,7 @@ def run_level(config: StudyConfig, level: int, domain=None):
         domain = make_ring_domain() if config.domain == "ring" else make_ellipse_domain()
     k = config.order()
     mesh = _build_level_mesh(config.domain, level, domain)
-    precompute_boundary_geometry(mesh, domain, 2 * k + 2)
+    mesh = precompute_boundary_geometry(mesh, domain, 2 * k + 2)
     V = build_primal_space(mesh, k, config.enrich)
     if config.method == "nitsche":
         gamma0 = config.gamma0 if config.gamma0 is not None else 10.0 * k * k
@@ -172,7 +163,7 @@ def run_unstable_pairing(levels: int = 5) -> StudyResult:
     sigmas = []
     for level in range(2):
         mesh = _build_level_mesh("ring", level, domain)
-        precompute_boundary_geometry(mesh, domain, 6)
+        mesh = precompute_boundary_geometry(mesh, domain, 6)
         V = build_primal_space(mesh, 2, enrich=False)
         Lam = build_multiplier_space(mesh, 2)
         sigmas.append(infsup_diagnostic(V, Lam, mesh))
@@ -556,7 +547,7 @@ def main(argv=None) -> int:
     parser.add_argument("--preset", help="registered experiment name")
     parser.add_argument("--domain", choices=["ring", "ellipse"])
     parser.add_argument("--element", choices=["p1", "p2", "p3", "q1"])
-    parser.add_argument("--method", choices=["bvc", "unmodified", "taylor", "nitsche"])
+    parser.add_argument("--method", choices=[*SADDLE_METHODS, "nitsche"])
     parser.add_argument("--levels", type=int)
     parser.add_argument("--gamma0", type=float)
     parser.add_argument("--multiplier-degree", dest="multiplier_degree")

@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from bvcfem.analysis import geometry_report, infsup_diagnostic, l2_h1_errors
-from bvcfem.assembly import (
-    assemble_bvc,
-    assemble_nitsche,
-    assemble_taylor,
-    assemble_unmodified,
-    stiffness_matrix,
-)
+from bvcfem.assembly import assemble_nitsche, assemble_saddle, stiffness_matrix
 from bvcfem.geometry import (
     closest_point,
     make_ellipse_domain,
@@ -182,11 +176,12 @@ def test_criterion_6_nitsche_cross_check():
     checks = []
     errs, hs = [], []
     for level in range(5):
-        mesh = build_annulus_mesh(16 * 2**level, 4 * 2**level)
-        precompute_boundary_geometry(mesh, RING, 6)
+        mesh = precompute_boundary_geometry(
+            build_annulus_mesh(16 * 2**level, 4 * 2**level), RING, 6
+        )
         V = build_primal_space(mesh, 2, enrich=True)
         Lam = build_multiplier_space(mesh, 1)
-        u_bvc, _ = solve(assemble_bvc(mesh, V, Lam, RING))
+        u_bvc, _ = solve(assemble_saddle(mesh, V, Lam, RING, "bvc"))
         u_nit, _ = solve(assemble_nitsche(mesh, V, RING, 10.0 * 2 * 2))
         err_bvc, _ = l2_h1_errors(u_bvc, RING, mesh)
         err_nit, _ = l2_h1_errors(u_nit, RING, mesh)
@@ -212,21 +207,18 @@ def test_criterion_7_patch_test():
         mesh = precompute_boundary_geometry(build_square_mesh(3, kind), domain, 2 * k + 2)
         V = build_primal_space(mesh, k, enrich=True)
         Lam = build_multiplier_space(mesh, m)
-        for name, asm in (
-            ("bvc", assemble_bvc),
-            ("unmodified", assemble_unmodified),
-            ("taylor", assemble_taylor),
-        ):
-            u, lam = solve(asm(mesh, V, Lam, domain))
+        for name in ("bvc", "unmodified", "taylor"):
+            u, lam = solve(assemble_saddle(mesh, V, Lam, domain, name))
             _, err_h1 = l2_h1_errors(u, domain, mesh)
             checks.append(
                 (err_h1 <= 1e-10, f"{kind} k={k} {name}: H1 error {err_h1:.2e}")
             )
             # lambda must equal -n_h . grad u exactly (facet-wise constant)
             worst = 0.0
-            for fidx, facet in enumerate(mesh.boundary_facets):
-                target = -(np.array([0.7, -0.4]) @ facet.n_h)
-                got = lam.evaluate_on_facet(fidx, facet.s)
+            F = mesh.boundary_facets
+            for fidx, n_h in enumerate(F.n_h):
+                target = -(np.array([0.7, -0.4]) @ n_h)
+                got = lam.evaluate_on_facet(fidx, F.s)
                 worst = max(worst, float(np.max(np.abs(got - target))))
             checks.append(
                 (worst <= 1e-10, f"{kind} k={k} {name}: multiplier off by {worst:.2e}")
@@ -250,13 +242,14 @@ def test_criterion_8_geometry_suite(p2_bvc):
     rng = np.random.default_rng(42)
     worst = 0.0
     mesh = precompute_boundary_geometry(build_annulus_mesh(32, 8), RING, 6)
+    F = mesh.boundary_facets
     for _ in range(500):
-        facet = mesh.boundary_facets[rng.integers(len(mesh.boundary_facets))]
+        i = rng.integers(len(F))
         s = rng.uniform(0.05, 0.95)
-        p = mesh.vertices[facet.endpoints[0]]
-        q = mesh.vertices[facet.endpoints[1]]
+        p = mesh.vertices[F.endpoints[i, 0]]
+        q = mesh.vertices[F.endpoints[i, 1]]
         x = p + s * (q - p)
-        n = facet.n_h
+        n = F.n_h[i]
         cands = []
         for R in (0.25, 0.75):
             disc = (x @ n) ** 2 - (x @ x) + R**2
@@ -270,13 +263,14 @@ def test_criterion_8_geometry_suite(p2_bvc):
 
         worst = max(worst, abs(ray_distance(RING, x, n) - expected))
     smesh = precompute_boundary_geometry(build_staircase_mesh(32, ELLIPSE), ELLIPSE, 4)
+    F = smesh.boundary_facets
     for _ in range(500):
-        facet = smesh.boundary_facets[rng.integers(len(smesh.boundary_facets))]
+        i = rng.integers(len(F))
         s = rng.uniform(0.05, 0.95)
-        p = smesh.vertices[facet.endpoints[0]]
-        q = smesh.vertices[facet.endpoints[1]]
+        p = smesh.vertices[F.endpoints[i, 0]]
+        q = smesh.vertices[F.endpoints[i, 1]]
         x = p + s * (q - p)
-        n = facet.n_h
+        n = F.n_h[i]
         from bvcfem.geometry import ray_distance
 
         if abs(n[0]) > 0.5:  # horizontal ray: x-crossing at +-2 sqrt(1-y^2)
@@ -321,7 +315,7 @@ def test_criterion_9_property_suite():
     mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
     V = build_primal_space(mesh, 2, enrich=True)
     Lam = build_multiplier_space(mesh, 1)
-    system = assemble_bvc(mesh, V, Lam, RING)
+    system = assemble_saddle(mesh, V, Lam, RING, "bvc")
     K = system.K
     checks.append(
         (abs(K - K.T).max() <= 1e-13 * abs(K).max(), "stiffness not symmetric")
@@ -338,7 +332,7 @@ def test_criterion_9_property_suite():
     smesh = precompute_boundary_geometry(build_staircase_mesh(16, ELLIPSE), ELLIPSE, 4)
     Vq = build_primal_space(smesh, 1, enrich=True)
     Lq = build_multiplier_space(smesh, 0)
-    D = assemble_bvc(smesh, Vq, Lq, ELLIPSE).D.toarray()
+    D = assemble_saddle(smesh, Vq, Lq, ELLIPSE, "bvc").D.toarray()
     wD = np.linalg.eigvalsh(D)
     checks.append(
         (wD[0] >= -1e-12 * max(abs(wD).max(), 1.0), "staircase D not PSD")
@@ -360,7 +354,7 @@ def test_criterion_9_property_suite():
     )
 
     eps = 1e-5
-    c = mesh.boundary_facets[0].cell
+    c = mesh.boundary_facets.cell[0]
     x = rng.uniform(0.15, 0.35, size=(8, 2))
     _, grads = V.cell_basis(c, x)
     fd_ok = True

@@ -42,8 +42,7 @@ def triangle_fixture(u, grad_u, f):
         [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], u, grad_u, f, delta0=0.2
     )
     mesh = mesh_from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], "triangle")
-    precompute_boundary_geometry(mesh, domain, 4)
-    return domain, mesh
+    return domain, precompute_boundary_geometry(mesh, domain, 4)
 
 
 class TestL2H1:
@@ -128,7 +127,7 @@ class TestMultiplierError:
     def test_projection_gives_projection_residual(self):
         mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
         L = build_multiplier_space(mesh, 1)
-        target = lambda f, s, x: -(RING.grad_u_exact(x) @ f.n_h)
+        target = lambda s, x, n_h: -np.sum(RING.grad_u_exact(x) * n_h[..., None, :], axis=-1)
         coeffs = project_to_multiplier(L, target)
         err = multiplier_error(SolutionField(L, coeffs), RING.grad_u_exact, mesh)
         # oracle: facet-wise residual norm of the same projection
@@ -136,17 +135,18 @@ class TestMultiplierError:
         sq, wq = 0.5 * (sq + 1), 0.5 * wq
         psi = L.eval(sq)
         total = 0.0
-        for fidx, f in enumerate(mesh.boundary_facets):
-            p, q = mesh.vertices[f.endpoints[0]], mesh.vertices[f.endpoints[1]]
+        F = mesh.boundary_facets
+        ends = mesh.vertices[F.endpoints]
+        for fidx, ((p, q), n_h, length) in enumerate(zip(ends, F.n_h, F.length)):
             x = p[None, :] + sq[:, None] * (q - p)[None, :]
-            resid = target(f, sq, x) - psi @ coeffs[L.facet_dofs[fidx]]
-            total += f.length * np.sum(wq * resid**2)
+            resid = target(sq, x, n_h) - psi @ coeffs[L.facet_dofs[fidx]]
+            total += length * np.sum(wq * resid**2)
         assert err == pytest.approx(np.sqrt(total), rel=1e-6)
 
     def test_exact_normal_variant_differs_but_converges(self):
         mesh = precompute_boundary_geometry(build_annulus_mesh(32, 8), RING, 6)
         L = build_multiplier_space(mesh, 1)
-        target = lambda f, s, x: -(RING.grad_u_exact(x) @ f.n_h)
+        target = lambda s, x, n_h: -np.sum(RING.grad_u_exact(x) * n_h[..., None, :], axis=-1)
         coeffs = project_to_multiplier(L, target)
         field = SolutionField(L, coeffs)
         e_h = multiplier_error(field, RING.grad_u_exact, mesh)
@@ -200,7 +200,7 @@ class TestTripleNorm:
         V = build_primal_space(mesh, 2, enrich=True)
         L = build_multiplier_space(mesh, 1)
         u = SolutionField(V, V.interpolate(RING.u_exact))
-        lam_target = lambda f, s, x: -(RING.grad_u_exact(x) @ f.n_h)
+        lam_target = lambda s, x, n_h: -np.sum(RING.grad_u_exact(x) * n_h[..., None, :], axis=-1)
         lam = SolutionField(L, project_to_multiplier(L, lam_target))
         total = error_triple_norm(u, lam, RING, mesh)
         _, err_h1 = l2_h1_errors(u, RING, mesh)
@@ -263,14 +263,19 @@ class TestInfSup:
         sigma = infsup_diagnostic(V, L, mesh)
         assert sigma > 0.0
 
-        from bvcfem.assembly import boundary_mass_primal, facet_primal_trace, stiffness_matrix
+        from bvcfem.assembly import boundary_mass_primal, stiffness_matrix
+        from bvcfem.mesh import TRI_EDGES
+        from bvcfem.spaces import TRI_REF_VERTS
 
         B = np.zeros((L.dof_count, V.dof_count))
-        for fidx, f in enumerate(mesh.boundary_facets):
-            dofs, vals, _ = facet_primal_trace(V, f)
-            psi = L.eval(f.s)
-            B[np.ix_(L.facet_dofs[fidx], dofs)] += np.einsum(
-                "q,qi,qj->ij", f.weights, psi, vals
+        F = mesh.boundary_facets
+        psi = L.eval(F.s)
+        for fidx, (c, e) in enumerate(zip(F.cell, F.local_edge)):
+            a, b = TRI_EDGES[e]
+            ref = TRI_REF_VERTS[a] + F.s[:, None] * (TRI_REF_VERTS[b] - TRI_REF_VERTS[a])
+            vals, _ = V.cell_basis(c, ref)
+            B[np.ix_(L.facet_dofs[fidx], V.cell_dofs(c))] += np.einsum(
+                "q,qi,qj->ij", F.weights[fidx], psi, vals
             )
         N = (stiffness_matrix(V) + boundary_mass_primal(V) / mesh.h).toarray()
         M = mesh.h * np.diag(L.mass_matrix_diagonal())

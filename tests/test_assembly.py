@@ -5,16 +5,16 @@ reference element; the patch test verifies that every method reproduces an
 affine solution exactly on an exactly-meshed polygon.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from bvcfem.assembly import (
     DimensionMismatch,
-    assemble_bvc,
     assemble_nitsche,
-    assemble_taylor,
-    assemble_unmodified,
+    assemble_saddle,
     boundary_mass_primal,
     load_vector,
     stiffness_matrix,
@@ -54,8 +54,12 @@ def unit_triangle_fixture(u_exact=None, grad_u=None, f=None):
     mesh = mesh_from_arrays(
         [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], "triangle"
     )
-    precompute_boundary_geometry(mesh, domain, 4)
-    return domain, mesh
+    return domain, precompute_boundary_geometry(mesh, domain, 4)
+
+
+def with_rho(mesh, rho):
+    """A copy of mesh whose facets carry the given rho_h values."""
+    return replace(mesh, boundary_facets=replace(mesh.boundary_facets, rho=rho))
 
 
 class TestReferenceElement:
@@ -72,25 +76,25 @@ class TestReferenceElement:
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_bvc(mesh, V, L, domain)
+        system = assemble_saddle(mesh, V, L, domain, "bvc")
         B = system.B.toarray()
         # the facet between vertices 0 and 1 has unit length
-        for fidx, f in enumerate(mesh.boundary_facets):
-            if set(f.endpoints) == {0, 1}:
+        for fidx, endpoints in enumerate(mesh.boundary_facets.endpoints):
+            if set(endpoints) == {0, 1}:
                 assert np.allclose(B[fidx], [0.5, 0.5, 0.0], atol=1e-14)
 
     def test_rho_zero_gives_zero_D(self):
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_bvc(mesh, V, L, domain)
+        system = assemble_saddle(mesh, V, L, domain, "bvc")
         assert system.D.nnz == 0 or np.all(system.D.data == 0.0)
 
     def test_zero_data_zero_solution(self):
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        u, lam = solve(assemble_bvc(mesh, V, L, domain))
+        u, lam = solve(assemble_saddle(mesh, V, L, domain, "bvc"))
         assert np.all(u.coefficients == 0.0)
         assert np.all(lam.coefficients == 0.0)
 
@@ -98,14 +102,13 @@ class TestReferenceElement:
         # With rho frozen to a constant c, Bt = B + c * (dn coupling); the
         # oracle evaluates the normal-derivative integrals by hand quadrature.
         domain, mesh = unit_triangle_fixture()
+        c = 0.037
+        mesh = with_rho(mesh, np.full_like(mesh.boundary_facets.rho, c))
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        c = 0.037
-        for f in mesh.boundary_facets:
-            f.rho = np.full_like(f.rho, c)
-        system = assemble_taylor(mesh, V, L, domain)
-        for fidx, f in enumerate(mesh.boundary_facets):
-            if set(f.endpoints) == {1, 2}:  # hypotenuse, n = (1,1)/sqrt(2)
+        system = assemble_saddle(mesh, V, L, domain, "taylor")
+        for fidx, endpoints in enumerate(mesh.boundary_facets.endpoints):
+            if set(endpoints) == {1, 2}:  # hypotenuse, n = (1,1)/sqrt(2)
                 # grads: phi0 (-1,-1), phi1 (1,0), phi2 (0,1); length sqrt(2)
                 dn = np.array([-2.0, 1.0, 1.0]) / np.sqrt(2.0)
                 base = np.array([0.5, 0.5]) * np.sqrt(2.0)
@@ -120,7 +123,7 @@ class TestReferenceElement:
         mesh = precompute_boundary_geometry(build_annulus_mesh(8, 2), RING, 6)
         V = build_primal_space(mesh, 2, enrich=True)
         L = build_multiplier_space(mesh, 1)
-        system = assemble_bvc(mesh, V, L, RING)
+        system = assemble_saddle(mesh, V, L, RING, "bvc")
         # u = (r - 1/4)(3/4 - r) vanishes on both circles, so g~ ~ 0
         assert np.max(np.abs(system.rhs_lam)) <= 1e-12
 
@@ -148,17 +151,17 @@ class TestStructure:
 
     def test_bvc_full_matrix_symmetric(self, ring_setup):
         mesh, V, L = ring_setup
-        A = assemble_bvc(mesh, V, L, RING).full_matrix()
+        A = assemble_saddle(mesh, V, L, RING, "bvc").full_matrix()
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
     def test_unmodified_full_matrix_symmetric(self, ring_setup):
         mesh, V, L = ring_setup
-        A = assemble_unmodified(mesh, V, L, RING).full_matrix()
+        A = assemble_saddle(mesh, V, L, RING, "unmodified").full_matrix()
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
     def test_taylor_asymmetry_localized(self, ring_setup):
         mesh, V, L = ring_setup
-        system = assemble_taylor(mesh, V, L, RING)
+        system = assemble_saddle(mesh, V, L, RING, "taylor")
         A = system.full_matrix().toarray()
         nu = V.dof_count
         # asymmetry only in the multiplier-primal coupling rows
@@ -166,34 +169,30 @@ class TestStructure:
         assert not np.allclose(A[nu:, :nu], A[:nu, nu:].T, atol=1e-12)
 
     def test_methods_agree_when_rho_zeroed(self, ring_setup):
-        mesh, V, L = ring_setup
-        saved = [f.rho.copy() for f in mesh.boundary_facets]
-        for f in mesh.boundary_facets:
-            f.rho = np.zeros_like(f.rho)
-        try:
-            bvc = assemble_bvc(mesh, V, L, RING)
-            unmod = assemble_unmodified(mesh, V, L, RING)
-            taylor = assemble_taylor(mesh, V, L, RING)
-            assert abs(bvc.full_matrix() - unmod.full_matrix()).max() <= 1e-14
-            assert abs(taylor.full_matrix() - unmod.full_matrix()).max() <= 1e-14
-        finally:
-            for f, r in zip(mesh.boundary_facets, saved):
-                f.rho = r
+        mesh, _, _ = ring_setup
+        mesh = with_rho(mesh, np.zeros_like(mesh.boundary_facets.rho))
+        V = build_primal_space(mesh, 2, enrich=True)
+        L = build_multiplier_space(mesh, 1)
+        bvc = assemble_saddle(mesh, V, L, RING, "bvc")
+        unmod = assemble_saddle(mesh, V, L, RING, "unmodified")
+        taylor = assemble_saddle(mesh, V, L, RING, "taylor")
+        assert abs(bvc.full_matrix() - unmod.full_matrix()).max() <= 1e-14
+        assert abs(taylor.full_matrix() - unmod.full_matrix()).max() <= 1e-14
 
     def test_D_positive_semidefinite_on_staircase(self):
         mesh = precompute_boundary_geometry(build_staircase_mesh(16, ELLIPSE), ELLIPSE, 4)
         V = build_primal_space(mesh, 1, enrich=True)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_bvc(mesh, V, L, ELLIPSE)
+        system = assemble_saddle(mesh, V, L, ELLIPSE, "bvc")
         D = system.D.toarray()
         w = np.linalg.eigvalsh(D)
         assert w[0] >= -1e-12 * max(abs(w).max(), 1.0)  # rho > 0 inside
 
     def test_B_facet_locality(self, ring_setup):
         mesh, V, L = ring_setup
-        B = assemble_bvc(mesh, V, L, RING).B.tocsr()
-        for fidx, f in enumerate(mesh.boundary_facets):
-            allowed = set(int(d) for d in V.cell_dofs(f.cell))
+        B = assemble_saddle(mesh, V, L, RING, "bvc").B.tocsr()
+        for fidx, c in enumerate(mesh.boundary_facets.cell):
+            allowed = set(int(d) for d in V.cell_dofs(c))
             for ldof in L.facet_dofs[fidx]:
                 cols = B.indices[B.indptr[ldof] : B.indptr[ldof + 1]]
                 assert set(int(c) for c in cols) <= allowed
@@ -203,14 +202,19 @@ class TestStructure:
         other = precompute_boundary_geometry(build_annulus_mesh(8, 2), RING, 6)
         V2 = build_primal_space(other, 2, enrich=True)
         with pytest.raises(DimensionMismatch):
-            assemble_bvc(mesh, V2, L, RING)
+            assemble_saddle(mesh, V2, L, RING, "bvc")
+
+    def test_unknown_method_rejected(self, ring_setup):
+        mesh, V, L = ring_setup
+        with pytest.raises(ValueError, match="nitsche"):
+            assemble_saddle(mesh, V, L, RING, "nitsche")
 
     def test_missing_precompute_rejected(self):
         mesh = build_annulus_mesh(8, 2)
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
         with pytest.raises(DimensionMismatch):
-            assemble_bvc(mesh, V, L, RING)
+            assemble_saddle(mesh, V, L, RING, "bvc")
 
 
 class TestNitsche:
@@ -242,14 +246,14 @@ class TestNitsche:
         s = 0.5 * (s + 1)
         w = 0.5 * w
         grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        for f in mesh.boundary_facets:
-            p, q = mesh.vertices[f.endpoints[0]], mesh.vertices[f.endpoints[1]]
+        F = mesh.boundary_facets
+        for (p, q), n_h, length in zip(mesh.vertices[F.endpoints], F.n_h, F.length):
             pts = p[None, :] + s[:, None] * (q - p)[None, :]
             lam = np.stack([1 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
-            dn = grads @ f.n_h
+            dn = grads @ n_h
             for i in range(3):
                 for j in range(3):
-                    expected[i, j] += f.length * np.sum(
+                    expected[i, j] += length * np.sum(
                         w * (-dn[j] * lam[:, i] - lam[:, j] * dn[i]
                              + gamma * lam[:, j] * lam[:, i])
                     )
@@ -276,8 +280,7 @@ class TestPatch:
         mesh = precompute_boundary_geometry(build_square_mesh(3, kind), domain, 2 * k + 2)
         V = build_primal_space(mesh, k, enrich=True)
         L = build_multiplier_space(mesh, m)
-        asm = {"bvc": assemble_bvc, "unmodified": assemble_unmodified, "taylor": assemble_taylor}
-        u, lam = solve(asm[method](mesh, V, L, domain))
+        u, lam = solve(assemble_saddle(mesh, V, L, domain, method))
         from bvcfem.analysis import l2_h1_errors, multiplier_error
 
         _, err_h1 = l2_h1_errors(u, domain, mesh)
@@ -295,6 +298,39 @@ class TestPatch:
 
         _, err_h1 = l2_h1_errors(u, domain, mesh)
         assert err_h1 <= 1e-10
+
+
+def test_taylor_rows_of_two_bubble_corner_cells():
+    # Each corner cell of the Q1 square carries the bubbles of both its
+    # boundary facets.  The other facet's bubble vanishes on a facet, but its
+    # normal derivative does not, so it enters the taylor row through rho_h.
+    # Oracle: per-facet hand quadrature of the full cell basis.
+    from bvcfem.mesh import QUAD_EDGES
+    from bvcfem.spaces import QUAD_REF_VERTS
+
+    domain = make_square_domain(0.3, 0.7, -0.4)
+    mesh = precompute_boundary_geometry(build_square_mesh(3, "quad"), domain, 4)
+    F = mesh.boundary_facets
+    mesh = with_rho(mesh, 0.05 * (1.0 + F.s[None, :]) * (1.0 + np.arange(len(F)))[:, None])
+    F = mesh.boundary_facets
+    V = build_primal_space(mesh, 1, enrich=True)
+    L = build_multiplier_space(mesh, 0)
+    Bt = assemble_saddle(mesh, V, L, domain, "taylor").Bt_corr.toarray()
+    _, _, Jinv, _ = mesh.affine_maps()
+    corners = np.flatnonzero(np.bincount(F.cell)[F.cell] == 2)
+    assert len(corners) == 8
+    for fidx in corners:
+        c = F.cell[fidx]
+        a, b = QUAD_EDGES[F.local_edge[fidx]]
+        ref = QUAD_REF_VERTS[a] + F.s[:, None] * (QUAD_REF_VERTS[b] - QUAD_REF_VERTS[a])
+        vals, grads = V.cell_basis(c, ref)
+        dn = np.einsum("qnd,de->qne", grads, Jinv[c]) @ F.n_h[fidx]
+        assert vals.shape[1] == 6 and np.all(np.max(np.abs(dn[:, 4:]), axis=0) > 0.1)
+        expected = np.zeros(V.dof_count)
+        expected[V.cell_dofs(c)] = np.einsum(
+            "q,qi,qj->ij", F.weights[fidx], L.eval(F.s), vals + F.rho[fidx][:, None] * dn
+        )[0]
+        assert np.allclose(Bt[L.facet_dofs[fidx][0]], expected, rtol=0.0, atol=1e-14)
 
 
 def test_boundary_mass_is_facet_length_partition():

@@ -36,10 +36,9 @@ class TestAnnulus:
 
     def test_boundary_vertices_on_circles(self):
         m = build_annulus_mesh(16, 4)
-        for f in m.boundary_facets:
-            for v in f.endpoints:
-                r = np.hypot(*m.vertices[v])
-                assert min(abs(r - 0.25), abs(r - 0.75)) <= 1e-14
+        for v in m.boundary_facets.endpoints.ravel():
+            r = np.hypot(*m.vertices[v])
+            assert min(abs(r - 0.25), abs(r - 0.75)) <= 1e-14
 
     def test_positive_orientation(self):
         m = build_annulus_mesh(16, 4)
@@ -47,14 +46,14 @@ class TestAnnulus:
 
     def test_facet_outwardness(self):
         m = build_annulus_mesh(16, 4)
-        for f in m.boundary_facets:
-            cell = m.cells[f.cell]
-            centroid = m.vertices[cell].mean(axis=0)
-            midpoint = 0.5 * (m.vertices[f.endpoints[0]] + m.vertices[f.endpoints[1]])
-            assert f.n_h @ (midpoint - centroid) > 0
-            edge = m.vertices[f.endpoints[1]] - m.vertices[f.endpoints[0]]
-            assert abs(f.n_h @ edge) <= 1e-14 * np.hypot(*edge)
-            assert np.hypot(*f.n_h) == pytest.approx(1.0, abs=1e-14)
+        F = m.boundary_facets
+        for c, (p, q), n_h in zip(F.cell, F.endpoints, F.n_h):
+            centroid = m.vertices[m.cells[c]].mean(axis=0)
+            midpoint = 0.5 * (m.vertices[p] + m.vertices[q])
+            assert n_h @ (midpoint - centroid) > 0
+            edge = m.vertices[q] - m.vertices[p]
+            assert abs(n_h @ edge) <= 1e-14 * np.hypot(*edge)
+            assert np.hypot(*n_h) == pytest.approx(1.0, abs=1e-14)
 
     def test_interior_edges_shared_by_two(self):
         m = build_annulus_mesh(8, 2)
@@ -63,25 +62,24 @@ class TestAnnulus:
             for a, b in ((0, 1), (1, 2), (2, 0)):
                 key = (min(cell[a], cell[b]), max(cell[a], cell[b]))
                 counts[key] = counts.get(key, 0) + 1
-        boundary_keys = {
-            (min(f.endpoints), max(f.endpoints)) for f in m.boundary_facets
-        }
+        boundary_keys = {(min(p, q), max(p, q)) for p, q in m.boundary_facets.endpoints.tolist()}
         for key, c in counts.items():
             assert c == (1 if key in boundary_keys else 2)
 
     def test_sagitta_bound_64_16(self):
         m = precompute_boundary_geometry(build_annulus_mesh(64, 16), RING, 6)
-        max_rho = max(np.max(np.abs(f.rho)) for f in m.boundary_facets)
+        max_rho = np.max(np.abs(m.boundary_facets.rho))
         assert max_rho <= 0.75 * (1.0 - np.cos(np.pi / 64)) * 1.01
 
     def test_rho_signs(self):
         m = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
-        for f in m.boundary_facets:
-            r_mid = np.hypot(*(0.5 * (m.vertices[f.endpoints[0]] + m.vertices[f.endpoints[1]])))
+        F = m.boundary_facets
+        for (p, q), rho in zip(F.endpoints, F.rho):
+            r_mid = np.hypot(*(0.5 * (m.vertices[p] + m.vertices[q])))
             if r_mid > 0.5:  # outer circle: chord inside the domain
-                assert np.all(f.rho > 0)
+                assert np.all(rho > 0)
             else:  # inner circle: chord bulges outside the annulus
-                assert np.all(f.rho < 0)
+                assert np.all(rho < 0)
 
     def test_invalid_resolution(self):
         with pytest.raises(InvalidResolution):
@@ -111,8 +109,8 @@ class TestStaircase:
     def test_axis_aligned_normals(self):
         m = build_staircase_mesh(16, ELLIPSE)
         axes = {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
-        for f in m.boundary_facets:
-            assert (f.n_h[0], f.n_h[1]) in axes
+        for n_h in m.boundary_facets.n_h:
+            assert (n_h[0], n_h[1]) in axes
 
     def test_rho_against_brute_force_n32(self):
         # Oracle: brentq on the raw level set along each facet ray.  Note the
@@ -122,25 +120,25 @@ class TestStaircase:
         from scipy.optimize import brentq
 
         m = precompute_boundary_geometry(build_staircase_mesh(32, ELLIPSE), ELLIPSE, 4)
+        F = m.boundary_facets
         oracle_max = 0.0
-        for f in m.boundary_facets:
-            for q in range(len(f.s)):
-                x = f.points[q]
-                g = lambda t: float(ELLIPSE.level_set(x + t * f.n_h))
+        for points, n_h, rho in zip(F.points, F.n_h, F.rho):
+            for q in range(len(F.s)):
+                x = points[q]
+                g = lambda t: float(ELLIPSE.level_set(x + t * n_h))
                 lo = 1e-12
                 hi = 0.5
                 root = brentq(g, lo, hi, xtol=1e-14) if g(lo) * g(hi) < 0 else 0.0
-                assert f.rho[q] == pytest.approx(root, abs=1e-10)
+                assert rho[q] == pytest.approx(root, abs=1e-10)
                 oracle_max = max(oracle_max, root)
-        max_rho = max(np.max(np.abs(f.rho)) for f in m.boundary_facets)
+        max_rho = np.max(np.abs(F.rho))
         assert max_rho == pytest.approx(oracle_max, abs=1e-10)
         assert max_rho <= ELLIPSE.delta0
 
     def test_rho_positive(self):
         # Strictly-inside retention gives Omega_h inside Omega, so rho_h > 0.
         m = precompute_boundary_geometry(build_staircase_mesh(16, ELLIPSE), ELLIPSE, 4)
-        for f in m.boundary_facets:
-            assert np.all(f.rho > 0)
+        assert np.all(m.boundary_facets.rho > 0)
 
     def test_euler_characteristic_one(self):
         for n in (16, 32):
@@ -167,22 +165,41 @@ class TestStaircase:
 class TestPrecompute:
     def test_pullback_on_boundary(self):
         m = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
-        for f in m.boundary_facets:
-            assert np.all(np.abs(RING.level_set(f.pullback)) <= 1e-12)
-            # stored rho reproduces the pullback point
-            rebuilt = f.points + f.rho[:, None] * f.n_h[None, :]
-            assert np.allclose(rebuilt, f.pullback, atol=1e-15)
+        F = m.boundary_facets
+        assert np.all(np.abs(RING.level_set(F.pullback)) <= 1e-12)
+        # stored rho reproduces the pullback point
+        rebuilt = F.points + F.rho[:, :, None] * F.n_h[:, None, :]
+        assert np.allclose(rebuilt, F.pullback, atol=1e-15)
 
     def test_weights_sum_to_length(self):
         m = precompute_boundary_geometry(build_annulus_mesh(8, 2), RING, 4)
-        for f in m.boundary_facets:
-            assert np.sum(f.weights) == pytest.approx(f.length, rel=1e-14)
+        F = m.boundary_facets
+        for weights, length in zip(F.weights, F.length):
+            assert np.sum(weights) == pytest.approx(length, rel=1e-14)
+
+    def test_second_precompute_leaves_the_first_intact(self):
+        # Each call returns a new mesh; the input and earlier results keep
+        # their geometry, so spaces built on one cannot meet another's facets.
+        from bvcfem.assembly import DimensionMismatch, assemble_saddle
+        from bvcfem.spaces import build_multiplier_space, build_primal_space
+
+        mesh = build_annulus_mesh(8, 2)
+        m4 = precompute_boundary_geometry(mesh, RING, 4)
+        m6 = precompute_boundary_geometry(mesh, RING, 6)
+        assert m4 is not m6
+        assert m4.boundary_facets.weights.shape[1] == 4
+        assert m6.boundary_facets.weights.shape[1] == 6
+        assert mesh.boundary_facets.s is None
+        V = build_primal_space(m4, 2, enrich=True)
+        L = build_multiplier_space(m4, 1)
+        with pytest.raises(DimensionMismatch):
+            assemble_saddle(m6, V, L, RING, "bvc")
 
     def test_small_rho_near_endpoints(self):
         m = precompute_boundary_geometry(build_annulus_mesh(64, 16), RING, 8)
         sagitta = 0.75 * (1.0 - np.cos(np.pi / 64))
-        for f in m.boundary_facets[:20]:
-            assert np.max(np.abs(f.rho)) <= sagitta * 1.01
+        for rho in m.boundary_facets.rho[:20]:
+            assert np.max(np.abs(rho)) <= sagitta * 1.01
 
 
 class TestSequence:
@@ -217,7 +234,7 @@ class TestGeometricAssumptionTrends:
         ratios = []
         for lvl in range(3):
             m = precompute_boundary_geometry(build_annulus_mesh(16 * 2**lvl, 4 * 2**lvl), RING, 6)
-            delta = max(np.max(np.abs(f.rho)) for f in m.boundary_facets)
+            delta = np.max(np.abs(m.boundary_facets.rho))
             ratios.append(delta / m.h**2)
         assert max(ratios) / min(ratios) < 1.2
 
@@ -227,7 +244,7 @@ class TestGeometricAssumptionTrends:
         ratios = []
         for lvl in range(4):
             m = precompute_boundary_geometry(build_staircase_mesh(16 * 2**lvl, ELLIPSE), ELLIPSE, 4)
-            delta = max(np.max(np.abs(f.rho)) for f in m.boundary_facets)
+            delta = np.max(np.abs(m.boundary_facets.rho))
             ratios.append(delta / np.sqrt(m.h))
         assert max(ratios) / min(ratios) < 2.0
 

@@ -1,5 +1,6 @@
 """Solver contract: residuals, linearity, singularity detection, paths, fields."""
 
+import functools
 import logging
 
 import numpy as np
@@ -18,12 +19,9 @@ from bvcfem.solver import (
     solve_linear,
 )
 from bvcfem.spaces import build_multiplier_space, build_primal_space
-from bvcfem.assembly import (
-    assemble_bvc,
-    assemble_nitsche,
-    assemble_taylor,
-    assemble_unmodified,
-)
+from bvcfem.analysis import _field_on_volume
+from bvcfem.assembly import assemble_nitsche, assemble_saddle
+from bvcfem.spaces import QuadratureRule
 
 RING = make_ring_domain()
 DIAGONAL_PIVOT_KWARGS = dict(
@@ -128,9 +126,9 @@ class TestSolverPath:
     @pytest.mark.parametrize(
         "assemble, diagonal_pivot",
         [
-            (assemble_bvc, True),
-            (assemble_unmodified, False),
-            (assemble_taylor, False),
+            (functools.partial(assemble_saddle, method="bvc"), True),
+            (functools.partial(assemble_saddle, method="unmodified"), False),
+            (functools.partial(assemble_saddle, method="taylor"), False),
             (lambda mesh, V, Lam, domain: assemble_nitsche(mesh, V, domain, 40.0), True),
         ],
         ids=["bvc", "unmodified", "taylor", "nitsche"],
@@ -162,7 +160,7 @@ class TestSolverPath:
 
     def test_debug_record_per_solve(self, caplog):
         mesh, V, L = _ring_spaces()
-        system = assemble_bvc(mesh, V, L, RING)
+        system = assemble_saddle(mesh, V, L, RING, "bvc")
         with caplog.at_level(logging.DEBUG, logger="bvcfem"):
             solve(system)
         (record,) = caplog.records
@@ -180,7 +178,7 @@ class TestSolverPath:
     def test_diagonal_pivot_matches_partial_pivot_p3(self, splu_calls):
         # P3 level 2 of the bvc ring ladder
         mesh, V, L = _ring_spaces(64, 16, degree=3)
-        system = assemble_bvc(mesh, V, L, RING)
+        system = assemble_saddle(mesh, V, L, RING, "bvc")
         A, b = system.full_matrix(), system.full_rhs()
         z = solve_linear(A, b)
         assert splu_calls == [DIAGONAL_PIVOT_KWARGS]
@@ -196,7 +194,7 @@ class TestSolveSystems:
         mesh = precompute_boundary_geometry(build_square_mesh(2, "triangle"), domain, 4)
         V = build_primal_space(mesh, 1, enrich=True)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_bvc(mesh, V, L, domain)
+        system = assemble_saddle(mesh, V, L, domain, "bvc")
         u, lam = solve(system)
         exact = domain.u_exact(V.dof_points)
         assert np.max(np.abs(u.coefficients[: V.n_lagrange] - exact)) <= 1e-12
@@ -210,13 +208,13 @@ class TestSolveSystems:
         V = build_primal_space(mesh, 2, enrich=False)
         L = build_multiplier_space(mesh, 2)  # richer than the boundary trace
         with pytest.raises(SingularSystem):
-            solve(assemble_unmodified(mesh, V, L, RING))
+            solve(assemble_saddle(mesh, V, L, RING, "unmodified"))
 
     def test_bvc_heals_unstable_pairing(self):
         mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
         V = build_primal_space(mesh, 2, enrich=False)
         L = build_multiplier_space(mesh, 2)
-        u, lam = solve(assemble_bvc(mesh, V, L, RING))
+        u, lam = solve(assemble_saddle(mesh, V, L, RING, "bvc"))
         assert np.all(np.isfinite(u.coefficients))
 
 
@@ -234,8 +232,9 @@ class TestSolutionField:
         field = SolutionField(V, rng.standard_normal(V.dof_count))
         # evaluate at the vertex reference positions of a few cells
         ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        _, uh, _, _ = _field_on_volume(field, QuadratureRule(points=ref, weights=np.ones(3)))
         for c in (0, 5, 17):
-            vals = field.evaluate_in_cell(c, ref)
+            vals = uh[c]
             dofs = mesh.cells[c]
             assert np.allclose(vals, field.coefficients[dofs], atol=1e-13)
 
@@ -243,7 +242,9 @@ class TestSolutionField:
         mesh = precompute_boundary_geometry(build_annulus_mesh(8, 2), RING, 6)
         V = build_primal_space(mesh, 2, enrich=False)
         field = SolutionField(V, V.interpolate(lambda p: 2.0 * p[..., 0] - 3.0 * p[..., 1]))
-        g = field.gradient_in_cell(3, np.array([[0.25, 0.25], [0.1, 0.6]]))
+        ref = np.array([[0.25, 0.25], [0.1, 0.6]])
+        _, _, guh, _ = _field_on_volume(field, QuadratureRule(points=ref, weights=np.ones(2)))
+        g = guh[3]
         assert np.allclose(g, [[2.0, -3.0]] * 2, atol=1e-12)
 
     def test_multiplier_facet_evaluation(self):
@@ -255,3 +256,5 @@ class TestSolutionField:
         s = np.array([0.0, 0.5, 1.0])
         assert np.allclose(field.evaluate_on_facet(3, s), [-1.0, 1.0, 3.0], atol=1e-14)
         assert np.allclose(field.evaluate_on_facet(2, s), 0.0, atol=1e-15)
+        every = field.evaluate_on_facet(slice(None), s)
+        assert np.allclose(every[[2, 3]], [[0.0, 0.0, 0.0], [-1.0, 1.0, 3.0]], atol=1e-14)

@@ -133,7 +133,7 @@ class TestPrimalSpace:
         rng = np.random.default_rng(3)
         x = rng.uniform(0.1, 0.4, size=(10, 2))  # interior reference points
         eps = 1e-5
-        c = mesh.boundary_facets[0].cell
+        c = mesh.boundary_facets.cell[0]
         vals, grads = V.cell_basis(c, x)
         for d, step in ((0, np.array([eps, 0.0])), (1, np.array([0.0, eps]))):
             vp, _ = V.cell_basis(c, x + step)
@@ -239,9 +239,9 @@ class TestMultiplierSpace:
         s = 0.5 * (rule_s + 1)
         w = 0.5 * rule_w
         psi = L.eval(s)
-        for fidx, f in enumerate(mesh.boundary_facets):
-            mass = f.length * np.einsum("q,qi,qj->ij", w, psi, psi)
-            expected = np.diag(f.length / (2.0 * np.arange(3) + 1.0))
+        for fidx, length in enumerate(mesh.boundary_facets.length):
+            mass = length * np.einsum("q,qi,qj->ij", w, psi, psi)
+            expected = np.diag(length / (2.0 * np.arange(3) + 1.0))
             assert np.allclose(mass, expected, atol=1e-15)
             assert np.allclose(np.diag(mass), L.facet_mass_diagonal()[fidx], atol=1e-15)
 
@@ -251,9 +251,8 @@ class TestMultiplierSpace:
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal(L.dof_count)
 
-        def trace(f, s, x):
-            fidx = mesh.boundary_facets.index(f)
-            return L.eval(s) @ coeffs[L.facet_dofs[fidx]]
+        def trace(s, x, n_h):
+            return coeffs[L.facet_dofs] @ L.eval(s).T
 
         got = project_to_multiplier(L, trace)
         assert np.allclose(got, coeffs, atol=1e-13)
@@ -261,7 +260,7 @@ class TestMultiplierSpace:
     def test_projection_mean_value(self):
         mesh = build_square_mesh(1, "quad")
         L = build_multiplier_space(mesh, 0)
-        got = project_to_multiplier(L, lambda f, s, x: s)
+        got = project_to_multiplier(L, lambda s, x, n_h: s)
         assert np.allclose(got, 0.5, atol=1e-14)
 
     def test_projection_best_affine_fit(self):
@@ -269,7 +268,7 @@ class TestMultiplierSpace:
         # (normal equations: int (s^2 - a - b s) {1, s} ds = 0).
         mesh = build_square_mesh(1, "quad")
         L = build_multiplier_space(mesh, 1)
-        got = project_to_multiplier(L, lambda f, s, x: s**2)
+        got = project_to_multiplier(L, lambda s, x, n_h: s**2)
         s = np.linspace(0, 1, 9)
         psi = L.eval(s)
         for fidx in range(len(mesh.boundary_facets)):
@@ -279,17 +278,17 @@ class TestMultiplierSpace:
     def test_projection_residual_orthogonal(self):
         mesh = build_annulus_mesh(8, 2)
         L = build_multiplier_space(mesh, 1)
-        trace = lambda f, s, x: np.sin(3.0 * s) + x[:, 0]
+        trace = lambda s, x, n_h: np.sin(3.0 * s) + x[..., 0]
         coeffs = project_to_multiplier(L, trace)
         sq, wq = np.polynomial.legendre.leggauss(12)
         sq = 0.5 * (sq + 1)
         wq = 0.5 * wq
         psi = L.eval(sq)
         verts = mesh.vertices
-        for fidx, f in enumerate(mesh.boundary_facets):
-            p, q = verts[f.endpoints[0]], verts[f.endpoints[1]]
+        F = mesh.boundary_facets
+        for fidx, ((p, q), n_h, length) in enumerate(zip(verts[F.endpoints], F.n_h, F.length)):
             x = p[None, :] + sq[:, None] * (q - p)[None, :]
-            resid = trace(f, sq, x) - psi @ coeffs[L.facet_dofs[fidx]]
+            resid = trace(sq, x, n_h) - psi @ coeffs[L.facet_dofs[fidx]]
             for j in range(2):
-                ip = f.length * np.sum(wq * resid * psi[:, j])
-                assert abs(ip) <= 1e-12 * max(f.length, 1.0)
+                ip = length * np.sum(wq * resid * psi[:, j])
+                assert abs(ip) <= 1e-12 * max(length, 1.0)

@@ -195,6 +195,34 @@ class TestCli:
         assert out.exists()
         assert (tmp_path / "p-l2.svg").exists()
 
+    def test_dump_matrices_writes_every_block(self, tmp_path):
+        from bvcfem.assembly import assemble_saddle
+        from bvcfem.geometry import make_ring_domain
+        from bvcfem.mesh import build_annulus_mesh, precompute_boundary_geometry
+        from bvcfem.spaces import build_multiplier_space, build_primal_space
+
+        prefix = tmp_path / "dump"
+        code = main(
+            [
+                "--domain", "ring", "--element", "p2", "--method", "taylor",
+                "--levels", "1", "--dump-matrices", str(prefix),
+            ]
+        )
+        assert code == 0
+        lines = {
+            block: (tmp_path / f"dump-L0-{block}.txt").read_text().splitlines()
+            for block in ("K", "B", "D", "Bt", "full")
+        }
+        # the level-0 taylor system the CLI dumped, rebuilt directly
+        ring = make_ring_domain()
+        mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), ring, 6)
+        V = build_primal_space(mesh, 2, enrich=True)
+        Lam = build_multiplier_space(mesh, 1)
+        system = assemble_saddle(mesh, V, Lam, ring, "taylor")
+        assert len(lines["full"]) == system.full_matrix().nnz
+        assert len(lines["Bt"]) == system.Bt_corr.nnz
+        assert lines["D"] == []
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"
         cfg.write_text("domain = ring\nelement = p2\nmethod = bvc\nlevels = 4\n")
