@@ -54,11 +54,13 @@ def _field_on_volume(field: SolutionField, rule):
     uh = np.einsum("qi,ci->cq", vals, cs)
     gref = np.einsum("qid,ci->cqd", grads, cs)
     guh = np.einsum("cqd,cde->cqe", gref, Jinv)
-    for c, bubs in V.cell_bubbles.items():
-        for local_edge, dof in bubs:
-            vb, gb = V.bubble_eval(local_edge, rule.points)
-            uh[c] += field.coefficients[dof] * vb
-            guh[c] += field.coefficients[dof] * (gb @ Jinv[c])
+    # Bubble columns of the enriched cells (padded slots are zero).
+    cells = V.bubble_cells
+    dofs, _, bv, bg = V.local_basis(cells, rule.points)
+    cb = field.coefficients[dofs[:, V.nb_std :]]
+    np.add.at(uh, cells, np.einsum("cqj,cj->cq", bv[:, :, V.nb_std :], cb))
+    bgrad = np.einsum("cqjd,cj->cqd", bg[:, :, V.nb_std :], cb)
+    np.add.at(guh, cells, np.einsum("cqd,cde->cqe", bgrad, Jinv[cells]))
     return X, uh, guh, detJ
 
 

@@ -107,27 +107,17 @@ def stiffness_matrix(V: PrimalSpace) -> sp.csr_matrix:
     C = np.einsum("cad,cbd->cab", Jinv, Jinv)
     Kc = np.einsum("ijab,cab->cij", S, C) * detJ[:, None, None]
 
-    shape3 = Kc.shape
-    rows = [np.broadcast_to(V.cell_dofs_std[:, :, None], shape3).ravel()]
-    cols = [np.broadcast_to(V.cell_dofs_std[:, None, :], shape3).ravel()]
-    data = [Kc.ravel()]
+    # Enriched cells add the rows and columns of their bubbles; std x std
+    # is in the bulk.  Both go into one COO, so stored zeros are kept.
+    cells = V.bubble_cells
+    dofs, mask, _, g = V.local_basis(cells, rule.points)
+    gp = np.einsum("cqnd,cde->cqne", g, Jinv[cells])
+    Kb = detJ[cells, None, None] * np.einsum("q,cqia,cqja->cij", rule.weights, gp, gp)
+    keep = mask[:, :, None] & mask[:, None, :]
+    keep[:, : V.nb_std, : V.nb_std] = False
 
-    for c, bubs in V.cell_bubbles.items():
-        dofs = V.cell_dofs(c)
-        _, gall = V.cell_basis(c, rule.points)
-        gp = np.einsum("qnd,de->qne", gall, Jinv[c])
-        Kloc = detJ[c] * np.einsum("q,qia,qja->ij", rule.weights, gp, gp)
-        ii, jj = np.meshgrid(np.arange(len(dofs)), np.arange(len(dofs)), indexing="ij")
-        mask = (ii >= V.nb_std) | (jj >= V.nb_std)  # std x std is in the bulk
-        rows.append(dofs[ii[mask]])
-        cols.append(dofs[jj[mask]])
-        data.append(Kloc[mask])
-
-    n = V.dof_count
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    std = V.cell_dofs_std
+    return _scatter((V.dof_count, V.dof_count), (Kc, std, std, True), (Kb, dofs, dofs, keep))
 
 
 def load_vector(V: PrimalSpace, f) -> np.ndarray:
@@ -143,22 +133,21 @@ def load_vector(V: PrimalSpace, f) -> np.ndarray:
 
     rhs = np.zeros(V.dof_count)
     np.add.at(rhs, V.cell_dofs_std, Fc)
-    for c, bubs in V.cell_bubbles.items():
-        for local_edge, dof in bubs:
-            vb, _ = V.bubble_eval(local_edge, rule.points)
-            rhs[dof] += detJ[c] * np.sum(rule.weights * vb * fv[c])
+    cells = V.bubble_cells
+    dofs, mask, bv, _ = V.local_basis(cells, rule.points)
+    Fb = np.einsum("q,cqj,cq->cj", rule.weights, bv, fv[cells]) * detJ[cells, None]
+    mask[:, : V.nb_std] = False  # the Lagrange part is in the bulk
+    np.add.at(rhs, dofs[mask], Fb[mask])
     return rhs
 
 
 def facet_traces(V: PrimalSpace, facets: FacetGeometry):
     """Cell basis functions traced on every boundary facet at facets.s.
 
-    Returns (dofs, mask, vals, dn): the global dofs (nf, nl) of each facet's
-    cell -- Lagrange dofs, then the bubbles of that cell in facet order,
-    padded to the widest cell -- with mask (nf, nl) False on padded slots,
-    and the values and normal derivatives n_h . grad (nf, nq, nl), zero on
-    padded slots.  A cell's other bubbles vanish on the facet, but their
-    normal derivatives do not.
+    Returns (dofs, mask, vals, dn): V.local_basis of each facet's cell at
+    the facet's Gauss points, with the reference gradients turned into
+    normal derivatives n_h . grad (nf, nq, nl).  A cell's other bubbles
+    vanish on the facet, but their normal derivatives do not.
     """
     mesh = V.mesh
     if mesh.cell_kind == "triangle":
@@ -167,48 +156,26 @@ def facet_traces(V: PrimalSpace, facets: FacetGeometry):
         ref, edges = QUAD_REF_VERTS, np.array(QUAD_EDGES)
     a, b = ref[edges[:, 0]], ref[edges[:, 1]]
     ref_pts = a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :]  # (ne, nq, 2)
-    tables = [V.tabulate(p) for p in ref_pts]
-    le = facets.local_edge
-    vals = np.stack([v for v, _ in tables])[le]
-    grads = np.stack([g for _, g in tables])[le]
-    dofs = V.cell_dofs_std[facets.cell]
-    mask = np.ones(dofs.shape, dtype=bool)
-    if V.enriched:
-        # Facets are cell-major, so a cell's bubbles are the run of
-        # same-cell facets that begins at `start`.
-        nf = len(facets)
-        start = np.searchsorted(facets.cell, facets.cell)
-        width = int(np.max(np.arange(nf) - start)) + 1
-        run = start[:, None] + np.arange(width)  # (nf, width)
-        other = np.minimum(run, nf - 1)
-        valid = (run < nf) & (facets.cell[other] == facets.cell[:, None])
-        bubbles = [[V.bubble_eval(e, p) for e in range(len(edges))] for p in ref_pts]
-        bv = np.array([[v for v, _ in row] for row in bubbles])  # (ne, ne, nq)
-        bg = np.array([[g for _, g in row] for row in bubbles])  # (ne, ne, nq, 2)
-        pair = (le[:, None], le[other])
-        vals = np.concatenate(
-            [vals, np.where(valid[:, None, :], bv[pair].transpose(0, 2, 1), 0.0)], axis=2
-        )
-        grads = np.concatenate(
-            [grads, np.where(valid[:, None, :, None], bg[pair].transpose(0, 2, 1, 3), 0.0)],
-            axis=2,
-        )
-        dofs = np.concatenate([dofs, np.where(valid, V.n_lagrange + other, 0)], axis=1)
-        mask = np.concatenate([mask, valid], axis=1)
+    dofs, mask, vals, grads = V.local_basis(facets.cell, ref_pts[facets.local_edge])
     _, _, Jinv, _ = mesh.affine_maps()
     dn = np.einsum("fqnd,fde,fe->fqn", grads, Jinv[facets.cell], facets.n_h)
     return dofs, mask, vals, dn
 
 
-def _scatter(blocks, rows, cols, keep, shape) -> sp.csr_matrix:
-    """Sparse sum of per-facet blocks (nf, a, b) at rows (nf, a) x cols (nf, b).
+def _scatter(shape, *parts) -> sp.csr_matrix:
+    """Sparse sum of per-cell or per-facet blocks, all in one COO.
 
-    keep, broadcast to the blocks, selects the entries that are stored.
+    Each part is (blocks (n, a, b), rows (n, a), cols (n, b), keep); keep,
+    broadcast to the blocks, selects the entries that are stored.
     """
-    keep = np.broadcast_to(keep, blocks.shape)
-    ii = np.broadcast_to(rows[:, :, None], blocks.shape)[keep]
-    jj = np.broadcast_to(cols[:, None, :], blocks.shape)[keep]
-    return sp.coo_matrix((blocks[keep], (ii, jj)), shape=shape).tocsr()
+    data, ii, jj = [], [], []
+    for blocks, rows, cols, keep in parts:
+        keep = np.broadcast_to(keep, blocks.shape)
+        data.append(blocks[keep])
+        ii.append(np.broadcast_to(rows[:, :, None], blocks.shape)[keep])
+        jj.append(np.broadcast_to(cols[:, None, :], blocks.shape)[keep])
+    ij = (np.concatenate(ii), np.concatenate(jj))
+    return sp.coo_matrix((np.concatenate(data), ij), shape=shape).tocsr()
 
 
 def _pulled_back_data(domain, facets) -> np.ndarray:
@@ -223,7 +190,7 @@ def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
     dofs, mask, vals, _ = facet_traces(V, facets)
     blocks = np.einsum("fq,fqi,fqj->fij", facets.weights, vals, vals)
     keep = mask[:, :, None] & mask[:, None, :]
-    return _scatter(blocks, dofs, dofs, keep, (V.dof_count, V.dof_count))
+    return _scatter((V.dof_count, V.dof_count), (blocks, dofs, dofs, keep))
 
 
 def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.csr_matrix:
@@ -238,7 +205,7 @@ def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.cs
         vals = vals + facets.rho[:, :, None] * dn
     blocks = np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
     shape = (Lam.dof_count, V.dof_count)
-    return _scatter(blocks, Lam.facet_dofs, dofs, mask[:, None, :], shape)
+    return _scatter(shape, (blocks, Lam.facet_dofs, dofs, mask[:, None, :]))
 
 
 def assemble_saddle(
@@ -258,7 +225,7 @@ def assemble_saddle(
     D = sp.csr_matrix((nl, nl))
     if method == "bvc":
         blocks = np.einsum("fq,fq,qi,qj->fij", w, facets.rho, psi, psi)
-        D = _scatter(blocks, Lam.facet_dofs, Lam.facet_dofs, True, (nl, nl))
+        D = _scatter((nl, nl), (blocks, Lam.facet_dofs, Lam.facet_dofs, True))
     rhs_lam = np.zeros(nl)
     rhs_lam[Lam.facet_dofs] = (w * _pulled_back_data(domain, facets)) @ psi
     return SaddleSystem(
@@ -304,7 +271,7 @@ def assemble_nitsche(mesh: Mesh, V: PrimalSpace, domain: ImplicitDomain, gamma0:
     np.add.at(rhs, dofs[mask], data[mask])
 
     n = V.dof_count
-    A = _scatter(M, dofs, dofs, mask[:, :, None] & mask[:, None, :], (n, n)) + K
+    A = _scatter((n, n), (M, dofs, dofs, mask[:, :, None] & mask[:, None, :])) + K
     return NitscheSystem(A=A, rhs=rhs, gamma0=gamma0, V=V, mesh=mesh)
 
 

@@ -88,9 +88,11 @@ def ray_distance_batch(domain: ImplicitDomain, points, normals) -> np.ndarray:
 
     points: (n, 2) on (or near) the facet boundary, normals: (n, 2) unit
     directions.  Roots are bracketed by a uniform 64-sample scan of
-    [-delta0, delta0], bisected to 1e-8 and polished with Newton steps to
-    |level_set| <= 1e-12.  Positive ς means the true boundary lies outward
-    of the facet boundary.  Ties in |ς| resolve to the positive root.
+    [-delta0, delta0]; the bracket nearest to 0 on each side is bisected to
+    1e-8 and polished with Newton steps to |level_set| <= 1e-12, and the
+    nearer of the two roots is kept.  Positive ς means the true boundary
+    lies outward of the facet boundary.  Ties in |ς| resolve to the
+    positive root.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     nrm = np.atleast_2d(np.asarray(normals, dtype=float))
@@ -117,72 +119,71 @@ def ray_distance_batch(domain: ImplicitDomain, points, normals) -> np.ndarray:
     phi = np.asarray(domain.level_set(samples.reshape(-1, 2)), dtype=float)
     phi = phi.reshape(idx.size, _N_SCAN)
 
-    lo = np.empty(idx.size)
-    hi = np.empty(idx.size)
-    for r in range(idx.size):
-        row = phi[r]
-        best = None
-        for k in range(_N_SCAN - 1):
-            a, b = row[k], row[k + 1]
-            if a == 0.0:
-                cand = (abs(s_grid[k]), 0 if s_grid[k] >= 0 else 1, s_grid[k], s_grid[k])
-            elif a * b < 0.0:
-                sl, sh = s_grid[k], s_grid[k + 1]
-                if sh <= 0.0:
-                    dist, side = -sh, 1
-                elif sl >= 0.0:
-                    dist, side = sl, 0
-                else:
-                    dist, side = 0.0, 0
-                cand = (dist, side, sl, sh)
-            else:
-                continue
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-        if best is None:
-            raise NoIntersection(
-                f"no level-set sign change along the ray from {sub_pts[r]} "
-                f"within [-{d0}, {d0}]"
-            )
-        lo[r] = best[2]
-        hi[r] = best[3]
+    # Candidates per scan interval k: a sample with phi = 0 (bracket
+    # [s_k, s_k]) or a sign change (bracket [s_k, s_k+1]).  The bracket
+    # nearest to 0 (the first, on ties) on each side -- 0: reaching s >= 0,
+    # 1: wholly negative -- is refined; the nearer root wins, ties to side 0.
+    sl, sh = s_grid[:-1], s_grid[1:]
+    a, b = phi[:, :-1], phi[:, 1:]
+    zero = a == 0.0
+    found = zero | (a * b < 0.0)
+    missing = ~found.any(axis=1)
+    if np.any(missing):
+        r = int(np.argmax(missing))
+        raise NoIntersection(
+            f"no level-set sign change along the ray from {sub_pts[r]} "
+            f"within [-{d0}, {d0}]"
+        )
+    dist = np.where(zero, np.abs(sl), np.where(sh <= 0.0, -sh, np.maximum(sl, 0.0)))
+    side = np.where(zero, sl < 0.0, sh <= 0.0)
+    per_side = np.where(found & (side == np.arange(2)[:, None, None]), dist, np.inf)
+    rows = np.flatnonzero(np.isfinite(per_side.min(axis=2)))  # into (side, ray)
+    ray = rows % idx.size
+    k = np.argmin(per_side, axis=2).ravel()[rows]
+    lo = sl[k]
+    hi = np.where(zero[ray, k], lo, sh[k])
+    r_pts, r_nrm = sub_pts[ray], sub_nrm[ray]
 
     # Bisection on all brackets at once, down to interval width 1e-8.
-    phi_lo = _phi_along(domain, sub_pts, sub_nrm, lo)
+    phi_lo = _phi_along(domain, r_pts, r_nrm, lo)
+    lo, hi, phi_lo = _bisect(domain, r_pts, r_nrm, lo, hi, phi_lo, 1e-8)
+    root = _newton_polish(domain, r_pts, r_nrm, 0.5 * (lo + hi))
+    residual = np.abs(_phi_along(domain, r_pts, r_nrm, root))
+    bad = residual > _ROOT_TOL
+    if np.any(bad):
+        # Fall back to a much tighter bisection for the stragglers.
+        lo, hi, _ = _bisect(domain, r_pts, r_nrm, lo, hi, phi_lo, 0.0)
+        root = np.where(bad, _newton_polish(domain, r_pts, r_nrm, 0.5 * (lo + hi)), root)
+        residual = np.abs(_phi_along(domain, r_pts, r_nrm, root))
+
+    sigma = np.full((2, idx.size), np.inf)  # per (side, ray); inf: no bracket
+    final = np.zeros((2, idx.size))
+    sigma.flat[rows], final.flat[rows] = root, residual
+    near = (np.abs(sigma[1]) < np.abs(sigma[0])).astype(int), np.arange(idx.size)
+    sigma, final = sigma[near], final[near]
+    if np.any(final > _ROOT_TOL):
+        r = int(np.argmax(final))
+        raise NoConvergence(f"root polishing stalled at {sub_pts[r]} (|phi|={final[r]:.3e})")
+
+    out[idx] = sigma
+    return out
+
+
+def _bisect(domain, pts, nrm, lo, hi, phi_lo, width):
+    """Halve every bracket [lo, hi] up to 64 times, until all are width wide.
+
+    phi_lo is the level set at lo; returns the new (lo, hi, phi_lo).
+    """
     for _ in range(64):
-        if np.max(hi - lo) <= 1e-8:
+        if np.max(hi - lo) <= width:
             break
         mid = 0.5 * (lo + hi)
-        phi_mid = _phi_along(domain, sub_pts, sub_nrm, mid)
+        phi_mid = _phi_along(domain, pts, nrm, mid)
         take_left = phi_lo * phi_mid <= 0.0
         hi = np.where(take_left, mid, hi)
         lo = np.where(take_left, lo, mid)
         phi_lo = np.where(take_left, phi_lo, phi_mid)
-
-    sigma = 0.5 * (lo + hi)
-    sigma = _newton_polish(domain, sub_pts, sub_nrm, sigma)
-
-    final = np.abs(_phi_along(domain, sub_pts, sub_nrm, sigma))
-    bad = final > _ROOT_TOL
-    if np.any(bad):
-        # Fall back to a much tighter bisection for the stragglers.
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            phi_mid = _phi_along(domain, sub_pts, sub_nrm, mid)
-            take_left = phi_lo * phi_mid <= 0.0
-            hi = np.where(take_left, mid, hi)
-            lo = np.where(take_left, lo, mid)
-            phi_lo = np.where(take_left, phi_lo, phi_mid)
-        sigma = np.where(bad, _newton_polish(domain, sub_pts, sub_nrm, 0.5 * (lo + hi)), sigma)
-        final = np.abs(_phi_along(domain, sub_pts, sub_nrm, sigma))
-        if np.any(final > _ROOT_TOL):
-            r = int(np.argmax(final))
-            raise NoConvergence(
-                f"root polishing stalled at {sub_pts[r]} (|phi|={final[r]:.3e})"
-            )
-
-    out[idx] = sigma
-    return out
+    return lo, hi, phi_lo
 
 
 def _phi_along(domain, pts, nrm, s):

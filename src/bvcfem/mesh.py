@@ -1,9 +1,10 @@
 """Structured meshes and boundary facet geometry.
 
-Annulus triangulations, inside-the-curve staircase quad grids, boundary
-facet extraction into one array record (FacetGeometry) with outward discrete
-normals, and per-quadrature-point signed distances / pullback points to the
-true boundary.
+Annulus triangulations, inside-the-curve staircase quad grids, one edge
+numbering per mesh (Mesh.cell_edges) whose once-used edges become the
+boundary facets, held in one array record (FacetGeometry) with outward
+discrete normals, and per-quadrature-point signed distances / pullback
+points to the true boundary.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class Mesh:
     cells: np.ndarray               # (nc, 3) or (nc, 4), CCW
     cell_kind: str                  # "triangle" | "quad"
     boundary_facets: FacetGeometry
-    _edge_table: dict | None = field(default=None, repr=False)
+    cell_edges: np.ndarray          # (nc, 3) or (nc, 4) edge ids, per local edge
     _affine: tuple | None = field(default=None, repr=False)
 
     @property
@@ -87,24 +88,9 @@ class Mesh:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    def local_edges(self):
-        return TRI_EDGES if self.cell_kind == "triangle" else QUAD_EDGES
-
-    def edge_table(self):
-        """Map sorted vertex pair -> edge index, built once."""
-        if self._edge_table is None:
-            table = {}
-            for cell in self.cells:
-                for a, b in self.local_edges():
-                    key = (min(cell[a], cell[b]), max(cell[a], cell[b]))
-                    if key not in table:
-                        table[key] = len(table)
-            self._edge_table = table
-        return self._edge_table
-
     @property
     def num_edges(self) -> int:
-        return len(self.edge_table())
+        return int(self.cell_edges.max()) + 1
 
     def affine_maps(self):
         """Per-cell affine reference maps x = origin + J @ xi.
@@ -134,37 +120,68 @@ class Mesh:
         return scale * detJ
 
 
-def _extract_boundary_facets(vertices, cells, cell_kind) -> FacetGeometry:
+def _number_by_first_use(keys):
+    """Number the distinct keys 0, 1, ... in order of first occurrence.
+
+    Returns (ids, counts, first): the id of every key, how often its value
+    occurs, and the position of each id's first occurrence.
+    """
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], counts[inverse], first[order]
+
+
+def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
+    """Build a Mesh from raw arrays, numbering edges and extracting facets.
+
+    Edges are numbered in one pass over the sorted vertex pairs of every
+    cell, in cell-major, local-edge order of first use; the edges used once
+    are the boundary facets.  Cells must be counterclockwise; raises
+    MeshError otherwise.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    cells = np.asarray(cells, dtype=np.int64)
     edges = np.array(TRI_EDGES if cell_kind == "triangle" else QUAD_EDGES)
     ends = cells[:, edges].reshape(-1, 2)  # CCW edge of every cell, cell-major
     lo, hi = np.sort(ends, axis=1).T
-    keys = lo * len(vertices) + hi
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    boundary = np.flatnonzero(counts[inverse] == 1)
+    edge_ids, uses, _ = _number_by_first_use(lo * len(vertices) + hi)
+    boundary = np.flatnonzero(uses == 1)
     cell, local_edge = np.divmod(boundary, len(edges))
     endpoints = ends[boundary]
     edge_vec = vertices[endpoints[:, 1]] - vertices[endpoints[:, 0]]
     length = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
     # CCW cells: outward normal is the edge direction rotated -90 deg.
     n_h = np.stack([edge_vec[:, 1], -edge_vec[:, 0]], axis=1) / length[:, None]
-    return FacetGeometry(
+    facets = FacetGeometry(
         cell=cell, local_edge=local_edge, endpoints=endpoints, n_h=n_h, length=length
     )
-
-
-def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
-    """Build a Mesh from raw arrays, extracting boundary facets.
-
-    Cells must be counterclockwise; raises MeshError otherwise.
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    cells = np.asarray(cells, dtype=np.int64)
-    facets = _extract_boundary_facets(vertices, cells, cell_kind)
-    mesh = Mesh(vertices=vertices, cells=cells, cell_kind=cell_kind, boundary_facets=facets)
+    mesh = Mesh(
+        vertices=vertices,
+        cells=cells,
+        cell_kind=cell_kind,
+        boundary_facets=facets,
+        cell_edges=edge_ids.reshape(len(cells), len(edges)),
+    )
     areas = mesh.cell_areas()
     if np.any(areas <= 0):
         raise MeshError(f"{int(np.sum(areas <= 0))} cells are not counterclockwise")
     return mesh
+
+
+def _split_quads(quads, parity):
+    """Split CCW quads (a, b, c, d) into two CCW triangles each, quad-major.
+
+    The diagonal is a-c where parity is even and b-d where it is odd.
+    """
+    a, b, c, d = quads.T
+    even = (parity % 2 == 0)[:, None]
+    first = np.where(even, np.stack([a, b, c], axis=1), np.stack([a, b, d], axis=1))
+    second = np.where(even, np.stack([a, c, d], axis=1), np.stack([b, c, d], axis=1))
+    return np.stack([first, second], axis=1).reshape(-1, 3)
 
 
 def build_annulus_mesh(n_theta: int, n_r: int, inner: float = 0.25, outer: float = 0.75) -> Mesh:
@@ -177,30 +194,14 @@ def build_annulus_mesh(n_theta: int, n_r: int, inner: float = 0.25, outer: float
         raise InvalidResolution(f"need n_theta >= 8 and n_r >= 2, got ({n_theta}, {n_r})")
     radii = inner + (outer - inner) * np.arange(n_r + 1) / n_r
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    vertices = np.empty((n_theta * (n_r + 1), 2))
-    for j, r in enumerate(radii):
-        vertices[j * n_theta : (j + 1) * n_theta, 0] = r * np.cos(theta)
-        vertices[j * n_theta : (j + 1) * n_theta, 1] = r * np.sin(theta)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    vertices = (radii[:, None, None] * circle).reshape(-1, 2)
 
-    cells = np.empty((2 * n_theta * n_r, 3), dtype=np.int64)
-    k = 0
-    for j in range(n_r):
-        for i in range(n_theta):
-            i2 = (i + 1) % n_theta
-            # CCW polar quad: inner at theta_i, outer at theta_i, outer at
-            # theta_{i+1}, inner at theta_{i+1}.
-            a = j * n_theta + i
-            b = (j + 1) * n_theta + i
-            c = (j + 1) * n_theta + i2
-            d = j * n_theta + i2
-            if (i + j) % 2 == 0:
-                cells[k] = (a, b, c)
-                cells[k + 1] = (a, c, d)
-            else:
-                cells[k] = (a, b, d)
-                cells[k + 1] = (b, c, d)
-            k += 2
-    return mesh_from_arrays(vertices, cells, "triangle")
+    # CCW polar quads: inner at theta_i, outer at theta_i, outer at
+    # theta_{i+1}, inner at theta_{i+1}; ring j-major.
+    j, i = np.divmod(np.arange(n_r * n_theta), n_theta)
+    quads = (j[:, None] + [0, 1, 1, 0]) * n_theta + (i[:, None] + [0, 0, 1, 1]) % n_theta
+    return mesh_from_arrays(vertices, _split_quads(quads, i + j), "triangle")
 
 
 def build_staircase_mesh(n: int, domain: ImplicitDomain) -> Mesh:
@@ -226,21 +227,13 @@ def build_staircase_mesh(n: int, domain: ImplicitDomain) -> Mesh:
     if not np.any(keep):
         raise EmptyMesh("no grid cell lies strictly inside the domain")
 
-    vid = -np.ones((n + 1, ny + 1), dtype=np.int64)
-    verts = []
-    cells = []
-    for j in range(ny):
-        for i in range(n):
-            if not keep[i, j]:
-                continue
-            corner_ids = []
-            for ci, cj in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)):
-                if vid[ci, cj] < 0:
-                    vid[ci, cj] = len(verts)
-                    verts.append((xs[ci], ys[cj]))
-                corner_ids.append(vid[ci, cj])
-            cells.append(corner_ids)
-    return mesh_from_arrays(np.array(verts), np.array(cells, dtype=np.int64), "quad")
+    # Kept cells in (j, i) order; corners CCW from (i, j), as grid ids.
+    j, i = np.nonzero(keep.T)
+    corners = ((i[:, None] + [0, 1, 1, 0]) * (ny + 1) + (j[:, None] + [0, 0, 1, 1])).ravel()
+    ids, _, first = _number_by_first_use(corners)
+    gi, gj = np.divmod(corners[first], ny + 1)
+    vertices = np.stack([xs[gi], ys[gj]], axis=1)
+    return mesh_from_arrays(vertices, ids.reshape(-1, 4), "quad")
 
 
 def build_square_mesh(n: int, cell_kind: str = "triangle") -> Mesh:
@@ -249,21 +242,10 @@ def build_square_mesh(n: int, cell_kind: str = "triangle") -> Mesh:
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
-    def vidx(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vidx(i, j), vidx(i + 1, j)
-            c, d = vidx(i + 1, j + 1), vidx(i, j + 1)
-            if cell_kind == "quad":
-                cells.append((a, b, c, d))
-            elif (i + j) % 2 == 0:
-                cells.extend([(a, b, c), (a, c, d)])
-            else:
-                cells.extend([(a, b, d), (b, c, d)])
-    return mesh_from_arrays(vertices, np.array(cells, dtype=np.int64), cell_kind)
+    i, j = np.divmod(np.arange(n * n), n)
+    quads = (i[:, None] + [0, 1, 1, 0]) * (n + 1) + (j[:, None] + [0, 0, 1, 1])
+    cells = quads if cell_kind == "quad" else _split_quads(quads, i + j)
+    return mesh_from_arrays(vertices, cells, cell_kind)
 
 
 def gauss_01(n: int):

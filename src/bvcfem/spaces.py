@@ -2,7 +2,8 @@
 
 Continuous Lagrange P1-P3 on triangles and Q1 on axis-aligned quads, with
 optional hierarchical degree-(k+1) edge bubbles on boundary facets, plus
-facet-wise discontinuous Legendre multiplier spaces.
+facet-wise discontinuous Legendre multiplier spaces.  PrimalSpace.local_basis
+is the one place that tabulates a cell's full basis, bubbles included.
 """
 
 from __future__ import annotations
@@ -101,44 +102,39 @@ def _tri_basis(k, pts):
         grads = np.broadcast_to(dlam, (nq, 3, 2)).copy()
         return vals, grads
 
+    a, b = np.array(TRI_EDGES).T  # edge e runs from vertex a[e] to b[e]
+    la, lb, dla, dlb = lam[:, a], lam[:, b], dlam[a], dlam[b]
+
     if k == 2:
-        vals = np.empty((nq, 6))
-        grads = np.empty((nq, 6, 2))
-        for i in range(3):
-            vals[:, i] = lam[:, i] * (2.0 * lam[:, i] - 1.0)
-            grads[:, i, :] = (4.0 * lam[:, i] - 1.0)[:, None] * dlam[i]
-        for e, (a, b) in enumerate(TRI_EDGES):
-            vals[:, 3 + e] = 4.0 * lam[:, a] * lam[:, b]
-            grads[:, 3 + e, :] = 4.0 * (
-                lam[:, b][:, None] * dlam[a] + lam[:, a][:, None] * dlam[b]
-            )
+        vals = np.concatenate([lam * (2.0 * lam - 1.0), 4.0 * la * lb], axis=1)
+        edge_grads = 4.0 * (lb[:, :, None] * dla + la[:, :, None] * dlb)
+        grads = np.concatenate([(4.0 * lam - 1.0)[:, :, None] * dlam, edge_grads], axis=1)
         return vals, grads
 
     if k == 3:
-        vals = np.empty((nq, 10))
-        grads = np.empty((nq, 10, 2))
-        for i in range(3):
-            li = lam[:, i]
-            vals[:, i] = 0.5 * li * (3.0 * li - 1.0) * (3.0 * li - 2.0)
-            grads[:, i, :] = (0.5 * (27.0 * li**2 - 18.0 * li + 2.0))[:, None] * dlam[i]
-        for e, (a, b) in enumerate(TRI_EDGES):
-            la, lb = lam[:, a], lam[:, b]
-            vals[:, 3 + 2 * e] = 4.5 * la * lb * (3.0 * la - 1.0)
-            grads[:, 3 + 2 * e, :] = 4.5 * (
-                (lb * (6.0 * la - 1.0))[:, None] * dlam[a]
-                + (la * (3.0 * la - 1.0))[:, None] * dlam[b]
-            )
-            vals[:, 4 + 2 * e] = 4.5 * la * lb * (3.0 * lb - 1.0)
-            grads[:, 4 + 2 * e, :] = 4.5 * (
-                (lb * (3.0 * lb - 1.0))[:, None] * dlam[a]
-                + (la * (6.0 * lb - 1.0))[:, None] * dlam[b]
-            )
-        l0, l1, l2 = lam[:, 0], lam[:, 1], lam[:, 2]
-        vals[:, 9] = 27.0 * l0 * l1 * l2
-        grads[:, 9, :] = 27.0 * (
-            (l1 * l2)[:, None] * dlam[0]
-            + (l0 * l2)[:, None] * dlam[1]
-            + (l0 * l1)[:, None] * dlam[2]
+        # Two nodes per edge, at 1/3 and 2/3 from a, then the interior node.
+        ev = 4.5 * la[:, :, None] * lb[:, :, None] * (3.0 * np.stack([la, lb], axis=2) - 1.0)
+        ca = np.stack([lb * (6.0 * la - 1.0), lb * (3.0 * lb - 1.0)], axis=2)[..., None]
+        cb = np.stack([la * (3.0 * la - 1.0), la * (6.0 * lb - 1.0)], axis=2)[..., None]
+        eg = 4.5 * (ca * dla[:, None, :] + cb * dlb[:, None, :])
+        l0, l1, l2 = lam.T
+        ig = (l1 * l2)[:, None] * dlam[0] + (l0 * l2)[:, None] * dlam[1]
+        ig = ig + (l0 * l1)[:, None] * dlam[2]
+        vals = np.concatenate(
+            [
+                0.5 * lam * (3.0 * lam - 1.0) * (3.0 * lam - 2.0),
+                ev.reshape(nq, 6),
+                (27.0 * l0 * l1 * l2)[:, None],
+            ],
+            axis=1,
+        )
+        grads = np.concatenate(
+            [
+                (0.5 * (27.0 * lam**2 - 18.0 * lam + 2.0))[:, :, None] * dlam,
+                eg.reshape(nq, 6, 2),
+                27.0 * ig[:, None, :],
+            ],
+            axis=1,
         )
         return vals, grads
 
@@ -173,48 +169,47 @@ def _legendre(j, t):
 
 
 def _tri_bubble(k, local_edge, pts):
-    """Hierarchical degree-(k+1) edge function lam_a lam_b L_{k-1}(lam_b - lam_a)."""
+    """Hierarchical degree-(k+1) edge function lam_a lam_b L_{k-1}(lam_b - lam_a).
+
+    local_edge broadcasts against the leading axes of pts (..., 2).
+    """
     pts = np.atleast_2d(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    lam = np.stack([1.0 - x - y, x, y], axis=1)
+    x, y = pts[..., 0], pts[..., 1]
+    lam = (1.0 - x - y, x, y)
     dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    a, b = TRI_EDGES[local_edge]
-    la, lb = lam[:, a], lam[:, b]
+    edges = np.array(TRI_EDGES)
+    a, b = edges[local_edge, 0], edges[local_edge, 1]
+    la, lb = np.choose(a, lam), np.choose(b, lam)
     L, dL = _legendre(k - 1, lb - la)
     vals = la * lb * L
     grads = (
-        (lb * L)[:, None] * dlam[a]
-        + (la * L)[:, None] * dlam[b]
-        + (la * lb * dL)[:, None] * (dlam[b] - dlam[a])
+        (lb * L)[..., None] * dlam[a]
+        + (la * L)[..., None] * dlam[b]
+        + (la * lb * dL)[..., None] * (dlam[b] - dlam[a])
     )
     return vals, grads
+
+
+# Per local quad edge: the edge parameter s and the inward decay t as
+# functions of the reference point, and their constant gradients.
+_QUAD_DS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+_QUAD_DT = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])
 
 
 def _quad_bubble(local_edge, pts):
-    """Edge bubble s(1-s)(1-t): quadratic along the edge, linear decay inward."""
+    """Edge bubble s(1-s)(1-t): quadratic along the edge, linear decay inward.
+
+    local_edge broadcasts against the leading axes of pts (..., 2).
+    """
     pts = np.atleast_2d(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    one = np.ones_like(x)
-    zero = np.zeros_like(x)
-    if local_edge == 0:
-        s, t = x, y
-        ds, dt = (one, zero), (zero, one)
-    elif local_edge == 1:
-        s, t = y, 1.0 - x
-        ds, dt = (zero, one), (-one, zero)
-    elif local_edge == 2:
-        s, t = 1.0 - x, 1.0 - y
-        ds, dt = (-one, zero), (zero, -one)
-    else:
-        s, t = 1.0 - y, x
-        ds, dt = (zero, -one), (one, zero)
+    x, y = pts[..., 0], pts[..., 1]
+    s = np.choose(local_edge, (x, y, 1.0 - x, 1.0 - y))
+    t = np.choose(local_edge, (y, 1.0 - x, 1.0 - y, x))
+    ds, dt = _QUAD_DS[local_edge], _QUAD_DT[local_edge]
     vals = s * (1.0 - s) * (1.0 - t)
     cs = (1.0 - 2.0 * s) * (1.0 - t)
     ct = -s * (1.0 - s)
-    grads = np.stack(
-        [cs * ds[0] + ct * dt[0], cs * ds[1] + ct * dt[1]], axis=1
-    )
-    return vals, grads
+    return vals, cs[..., None] * ds + ct[..., None] * dt
 
 
 def legendre_01(m, s):
@@ -246,50 +241,32 @@ class PrimalSpace:
 
     def _build_dofs(self):
         mesh, k = self.mesh, self.degree
-        nv = mesh.nno
         cells = mesh.cells
         nc = len(cells)
         self.cell_dofs_std = np.empty((nc, self.nb_std), dtype=np.int64)
         self.cell_dofs_std[:, : cells.shape[1]] = cells
-        ndof = nv
+        ndof = mesh.nno
 
-        node_pts = [mesh.vertices.copy()]
+        node_pts = [mesh.vertices]
         if mesh.cell_kind == "triangle" and k >= 2:
-            table = mesh.edge_table()
-            per_edge = k - 1
-            edge_base = ndof
-            ndof += per_edge * len(table)
-            edge_nodes = np.empty((per_edge * len(table), 2))
-            for c in range(nc):
-                cell = cells[c]
-                for e, (a, b) in enumerate(TRI_EDGES):
-                    ga, gb = int(cell[a]), int(cell[b])
-                    eid = table[(min(ga, gb), max(ga, gb))]
-                    if k == 2:
-                        dof = edge_base + eid
-                        self.cell_dofs_std[c, 3 + e] = dof
-                        edge_nodes[eid] = 0.5 * (mesh.vertices[ga] + mesh.vertices[gb])
-                    else:
-                        # Global slots ordered from the smaller vertex id, so
-                        # neighboring cells agree on the two shared nodes.
-                        d0, d1 = edge_base + 2 * eid, edge_base + 2 * eid + 1
-                        if ga < gb:
-                            self.cell_dofs_std[c, 3 + 2 * e] = d0
-                            self.cell_dofs_std[c, 4 + 2 * e] = d1
-                        else:
-                            self.cell_dofs_std[c, 3 + 2 * e] = d1
-                            self.cell_dofs_std[c, 4 + 2 * e] = d0
-                        gmin, gmax = min(ga, gb), max(ga, gb)
-                        edge_nodes[2 * eid] = (
-                            2.0 * mesh.vertices[gmin] + mesh.vertices[gmax]
-                        ) / 3.0
-                        edge_nodes[2 * eid + 1] = (
-                            mesh.vertices[gmin] + 2.0 * mesh.vertices[gmax]
-                        ) / 3.0
-            node_pts.append(edge_nodes)
+            # k - 1 nodes per edge, global slots ordered from the smaller
+            # vertex id, so neighboring cells agree on the shared nodes.
+            edges = np.array(TRI_EDGES)
+            ga, gb = cells[:, edges[:, 0]], cells[:, edges[:, 1]]
+            eid = mesh.cell_edges
+            r = np.arange(k - 1)
+            slot = np.where((ga > gb)[:, :, None], k - 2 - r, r)
+            self.cell_dofs_std[:, 3 : 3 + 3 * (k - 1)] = (
+                ndof + (k - 1) * eid[:, :, None] + slot
+            ).reshape(nc, -1)
+            ends = np.empty((mesh.num_edges, 2), dtype=np.int64)
+            ends[eid] = np.sort(np.stack([ga, gb], axis=2), axis=2)
+            lo, hi = mesh.vertices[ends[:, None, 0]], mesh.vertices[ends[:, None, 1]]
+            j = np.arange(1, k)[:, None]  # node j sits j/k of the way from lo
+            node_pts.append((((k - j) * lo + j * hi) / k).reshape(-1, 2))
+            ndof += (k - 1) * mesh.num_edges
         if mesh.cell_kind == "triangle" and k == 3:
-            base = ndof
-            self.cell_dofs_std[:, 9] = base + np.arange(nc)
+            self.cell_dofs_std[:, 9] = ndof + np.arange(nc)
             ndof += nc
             node_pts.append(mesh.vertices[cells].mean(axis=1))
 
@@ -297,17 +274,16 @@ class PrimalSpace:
         self.dof_points = np.concatenate(node_pts, axis=0)
 
         # One bubble dof per boundary facet, appended after the Lagrange dofs
-        # in facet order (facet f owns dof n_lagrange + f).  cell_bubbles maps
-        # a cell to its [local_edge, dof] pairs: one run of the cell-major facets.
-        self.cell_bubbles = {}
-        if self.enriched:
-            facets = mesh.boundary_facets
-            pairs = np.stack([facets.local_edge, ndof + np.arange(len(facets))], axis=1)
-            cells, first = np.unique(facets.cell, return_index=True)
-            runs = np.split(pairs, first[1:])
-            self.cell_bubbles = dict(zip(cells.tolist(), (run.tolist() for run in runs)))
-            ndof += len(facets)
-        self.dof_count = ndof
+        # in facet order (facet f owns dof n_lagrange + f).  Row c of
+        # cell_bubble_dofs lists the bubbles of cell c -- one run of the
+        # cell-major facets -- padded with -1; bubble_cells lists the cells
+        # that have any.
+        cell = mesh.boundary_facets.cell if self.enriched else np.empty(0, dtype=np.int64)
+        pos = np.arange(len(cell)) - np.searchsorted(cell, cell)  # within the run
+        self.cell_bubble_dofs = np.full((nc, pos.max(initial=-1) + 1), -1, dtype=np.int64)
+        self.cell_bubble_dofs[cell, pos] = ndof + np.arange(len(cell))
+        self.bubble_cells = np.unique(cell)
+        self.dof_count = ndof + len(cell)
 
     def tabulate(self, pts):
         """Standard (Lagrange) basis values and gradients at reference points."""
@@ -316,31 +292,53 @@ class PrimalSpace:
         return _quad_basis(pts)
 
     def bubble_eval(self, local_edge, pts):
+        """Edge bubbles of local_edge (broadcast against pts[..., 0]) at pts."""
         if self.mesh.cell_kind == "triangle":
             return _tri_bubble(self.degree, local_edge, pts)
         return _quad_bubble(local_edge, pts)
 
+    def _bubble_edges(self, bubble_dofs):
+        """Local edge of each bubble dof (of facet 0 on -1 padding)."""
+        facet = np.maximum(bubble_dofs - self.n_lagrange, 0)
+        return self.mesh.boundary_facets.local_edge[facet]
+
+    def local_basis(self, cells, pts):
+        """Every basis function of the given cells at reference points.
+
+        pts is shared (nq, 2) or per row (n, nq, 2).  Returns (dofs, mask,
+        vals, grads): the global dofs (n, nl) -- Lagrange dofs, then the
+        cell's bubbles in facet order, padded to the widest cell with dof 0
+        -- with mask (n, nl) False on padded slots, and the values
+        (n, nq, nl) and reference gradients (n, nq, nl, 2), zero on padded
+        slots.
+        """
+        cells = np.asarray(cells)
+        pts = np.asarray(pts, dtype=float)
+        shape = (len(cells), pts.shape[-2])
+        vals, grads = self.tabulate(pts.reshape(-1, 2))
+        vals = np.broadcast_to(vals.reshape(pts.shape[:-1] + (-1,)), shape + vals.shape[1:])
+        grads = np.broadcast_to(grads.reshape(pts.shape[:-1] + (-1, 2)), shape + grads.shape[1:])
+        std, bubbles = self.cell_dofs_std[cells], self.cell_bubble_dofs[cells]
+        valid = bubbles >= 0
+        bv, bg = self.bubble_eval(self._bubble_edges(bubbles)[:, None, :], pts[..., None, :])
+        bv = np.where(valid[:, None, :], bv, 0.0)
+        bg = np.where(valid[:, None, :, None], bg, 0.0)
+        dofs = np.concatenate([std, np.where(valid, bubbles, 0)], axis=1)
+        mask = np.concatenate([np.ones(std.shape, dtype=bool), valid], axis=1)
+        return dofs, mask, np.concatenate([vals, bv], axis=2), np.concatenate([grads, bg], axis=2)
+
     def cell_dofs(self, c):
         """Global dofs of cell c: Lagrange dofs then this cell's bubbles."""
-        std = self.cell_dofs_std[c]
-        extra = self.cell_bubbles.get(c)
-        if not extra:
-            return std
-        return np.concatenate([std, [dof for _, dof in extra]])
+        bubbles = self.cell_bubble_dofs[c]
+        return np.concatenate([self.cell_dofs_std[c], bubbles[bubbles >= 0]])
 
     def cell_basis(self, c, pts):
         """Values/gradients of every basis function of cell c (bubbles last)."""
+        pts = np.atleast_2d(pts)
         vals, grads = self.tabulate(pts)
-        extra = self.cell_bubbles.get(c)
-        if not extra:
-            return vals, grads
-        bv = [vals]
-        bg = [grads]
-        for local_edge, _ in extra:
-            v, g = self.bubble_eval(local_edge, pts)
-            bv.append(v[:, None])
-            bg.append(g[:, None, :])
-        return np.concatenate(bv, axis=1), np.concatenate(bg, axis=1)
+        bubbles = self.cell_bubble_dofs[c]
+        bv, bg = self.bubble_eval(self._bubble_edges(bubbles[bubbles >= 0]), pts[:, None, :])
+        return np.concatenate([vals, bv], axis=1), np.concatenate([grads, bg], axis=1)
 
     def interpolate(self, fn):
         """Coefficients of the Lagrange interpolant (bubble dofs set to 0)."""

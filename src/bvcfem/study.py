@@ -79,7 +79,13 @@ def validate_config(config: StudyConfig) -> None:
         raise ConfigError(f"{config.element} runs on the ring only")
     if config.levels < 1:
         raise ConfigError("levels must be positive")
-    if config.method != "nitsche" and config.mult_degree() < 0:
+    try:
+        degree = config.mult_degree()
+    except ValueError:
+        raise ConfigError(
+            f"multiplier_degree must be an integer or 'auto', got {config.multiplier_degree!r}"
+        ) from None
+    if config.method != "nitsche" and degree < 0:
         raise ConfigError("multiplier degree must be >= 0")
     if config.gamma0 is not None and config.gamma0 <= 0:
         raise ConfigError("gamma0 must be positive")
@@ -493,10 +499,31 @@ _CONFIG_KEYS = {
     "preset", "domain", "element", "method", "levels", "gamma0",
     "multiplier_degree", "enrich", "out", "plots",
 }
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(key, value: str):
+    """The typed value of a setting given as text (config file or flag)."""
+    try:
+        if key == "levels":
+            return int(value)
+        if key == "gamma0":
+            return float(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if key == "enrich":
+        if value.lower() not in _BOOLEANS:
+            raise ConfigError(f"enrich must be one of {'/'.join(_BOOLEANS)}, got {value!r}")
+        return _BOOLEANS[value.lower()]
+    return value
 
 
 def parse_config_file(path) -> dict:
-    """key = value lines, '#' comments; unknown keys are errors."""
+    """key = value lines, '#' comments; unknown keys and bad values are errors.
+
+    Values are returned as the strings in the file.
+    """
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -508,6 +535,10 @@ def parse_config_file(path) -> dict:
             key, value = (t.strip() for t in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                _config_value(key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
             out[key] = value
     return out
 
@@ -548,8 +579,8 @@ def main(argv=None) -> int:
     parser.add_argument("--domain", choices=["ring", "ellipse"])
     parser.add_argument("--element", choices=["p1", "p2", "p3", "q1"])
     parser.add_argument("--method", choices=[*SADDLE_METHODS, "nitsche"])
-    parser.add_argument("--levels", type=int)
-    parser.add_argument("--gamma0", type=float)
+    parser.add_argument("--levels")
+    parser.add_argument("--gamma0")
     parser.add_argument("--multiplier-degree", dest="multiplier_degree")
     parser.add_argument("--no-enrich", action="store_true")
     parser.add_argument("--out", help="CSV output path")
@@ -562,20 +593,12 @@ def main(argv=None) -> int:
         settings = {}
         if args.config:
             raw = parse_config_file(args.config)
-            for key, value in raw.items():
-                if key in ("levels",):
-                    settings[key] = int(value)
-                elif key in ("gamma0",):
-                    settings[key] = float(value)
-                elif key == "enrich":
-                    settings[key] = value.lower() in ("1", "true", "yes", "on")
-                else:
-                    settings[key] = value
+            settings = {key: _config_value(key, value) for key, value in raw.items()}
         for key in ("preset", "domain", "element", "method", "levels", "gamma0",
                     "multiplier_degree", "out", "plots", "dump_prefix"):
             value = getattr(args, key, None)
             if value is not None:
-                settings[key] = value
+                settings[key] = _config_value(key, value)
         if args.no_enrich:
             settings["enrich"] = False
 

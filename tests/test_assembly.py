@@ -362,3 +362,92 @@ def test_dump_matrix_round_trip(tmp_path):
     for i, j, v in entries:
         rebuilt[int(i), int(j)] = float(v)
     assert np.array_equal(rebuilt, A.toarray())
+
+
+def _bubble_path_space(case):
+    if case == "ring-p2":
+        return build_primal_space(build_annulus_mesh(16, 4), 2, enrich=True)
+    if case == "ring-p3":
+        return build_primal_space(build_annulus_mesh(16, 4), 3, enrich=True)
+    if case == "staircase-q1":
+        return build_primal_space(build_staircase_mesh(16, ELLIPSE), 1, enrich=True)
+    return build_primal_space(build_square_mesh(3, "quad"), 1, enrich=True)
+
+
+@pytest.mark.parametrize("case", ["ring-p2", "ring-p3", "staircase-q1", "square-q1"])
+class TestBatchedBubblePath:
+    """The batched local basis, stiffness and load against a per-cell loop.
+
+    The oracle walks the cells one by one through cell_basis / cell_dofs, the
+    way the assembly did before it was batched.  The staircase and the
+    square quad mesh have corner cells with two bubbles.
+    """
+
+    def _rule(self, V, degree):
+        from bvcfem.spaces import quadrature
+
+        return quadrature("triangle" if V.mesh.cell_kind == "triangle" else "quad", degree)
+
+    def test_local_basis_matches_cell_basis(self, case):
+        V = _bubble_path_space(case)
+        cells = V.bubble_cells
+        if V.mesh.cell_kind == "quad":
+            assert V.cell_bubble_dofs.shape[1] == 2  # corner cells carry two
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, 1.0, size=(len(cells), 5, 2))
+        if V.mesh.cell_kind == "triangle":
+            x[..., 0] *= 1.0 - x[..., 1]  # inside the reference triangle
+        dofs, mask, vals, grads = V.local_basis(cells, x)
+        for row, c in enumerate(cells):
+            ref_vals, ref_grads = V.cell_basis(c, x[row])
+            np.testing.assert_array_equal(dofs[row, mask[row]], V.cell_dofs(c))
+            assert np.all(dofs[row, ~mask[row]] == 0)
+            np.testing.assert_allclose(vals[row][:, mask[row]], ref_vals, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(grads[row][:, mask[row]], ref_grads, rtol=0, atol=1e-14)
+            assert np.all(vals[row][:, ~mask[row]] == 0.0)
+            assert np.all(grads[row][:, ~mask[row]] == 0.0)
+        # Shared reference points give the same tables as the same points per row.
+        shared = V.local_basis(cells, x[0])
+        per_row = V.local_basis(cells, np.broadcast_to(x[0], x.shape))
+        for got, want in zip(shared, per_row):
+            np.testing.assert_array_equal(got, want)
+
+    def test_stiffness_matches_per_cell_loop(self, case):
+        V = _bubble_path_space(case)
+        rule = self._rule(V, 2 * (V.degree + 1))
+        _, _, Jinv, detJ = V.mesh.affine_maps()
+        rows, cols, data = [], [], []
+        for c in range(V.mesh.num_cells):
+            dofs = V.cell_dofs(c)
+            _, grads = V.cell_basis(c, rule.points)
+            gp = grads @ Jinv[c]
+            Kloc = detJ[c] * np.einsum("q,qia,qja->ij", rule.weights, gp, gp)
+            rows.append(np.repeat(dofs, len(dofs)))
+            cols.append(np.tile(dofs, len(dofs)))
+            data.append(Kloc.ravel())
+        n = V.dof_count
+        expected = sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        ).tocsr()
+        K = stiffness_matrix(V)
+        # Same stored entries, exact zeros included.
+        np.testing.assert_array_equal(K.indptr, expected.indptr)
+        np.testing.assert_array_equal(K.indices, expected.indices)
+        scale = np.max(np.abs(expected.data))
+        assert np.max(np.abs(K.data - expected.data)) <= 1e-14 * scale
+
+    def test_load_matches_per_cell_loop(self, case):
+        V = _bubble_path_space(case)
+        rule = self._rule(V, 2 * V.degree + 3)
+        origins, J, _, detJ = V.mesh.affine_maps()
+
+        def f(p):
+            return np.cos(3.0 * p[..., 0]) + p[..., 1] ** 2
+
+        expected = np.zeros(V.dof_count)
+        for c in range(V.mesh.num_cells):
+            vals, _ = V.cell_basis(c, rule.points)
+            fx = f(origins[c] + rule.points @ J[c].T)
+            expected[V.cell_dofs(c)] += detJ[c] * np.einsum("q,qi,q->i", rule.weights, vals, fx)
+        got = load_vector(V, f)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))

@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from bvcfem.geometry import (
     GeometryError,
+    ImplicitDomain,
     NoIntersection,
     ZeroGradient,
     closest_point,
@@ -116,6 +117,25 @@ class TestRayDistance:
     def test_outside_tube_rejected(self):
         with pytest.raises(NoIntersection):
             ray_distance(RING, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("y0, expected", [(0.001, 0.049), (-0.001, -0.049)])
+    def test_two_crossings_pick_the_nearer_root(self, y0, expected):
+        # Slab |y| < 0.05: every vertical ray in the tube crosses the boundary
+        # on both sides; the nearer crossing wins.
+        def level_set(p):
+            return np.abs(np.asarray(p, dtype=float)[..., 1]) - 0.05
+
+        def gradient(p):
+            y = np.asarray(p, dtype=float)[..., 1]
+            return np.stack([np.zeros_like(y), np.sign(y)], axis=-1)
+
+        zero = lambda p: np.zeros(np.shape(p)[:-1])
+        slab = ImplicitDomain(
+            "slab", level_set, gradient, zero, zero, zero, zero, delta0=0.12, phi_cap=0.12
+        )
+        x = np.array([[0.3, y0], [-0.7, y0]])
+        got = ray_distance_batch(slab, x, np.array([[0.0, 1.0], [0.0, 1.0]]))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_matches_negated_signed_distance_on_ring(self):
         # Along the exact normal the ray length is the distance to the

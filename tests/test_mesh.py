@@ -101,6 +101,11 @@ class TestAnnulus:
 
 
 class TestStaircase:
+    def test_vertex_ids_in_first_use_order(self):
+        m = build_staircase_mesh(32, ELLIPSE)
+        _, first = np.unique(m.cells.ravel(), return_index=True)
+        assert np.all(np.diff(first) > 0)
+
     def test_cells_strictly_inside(self):
         m = build_staircase_mesh(8, ELLIPSE)
         corners = m.vertices[m.cells].reshape(-1, 2)
@@ -288,3 +293,30 @@ def test_mesh_from_arrays_rejects_clockwise():
         mesh_from_arrays(
             [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 2, 1)], "triangle"
         )
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_annulus_mesh(16, 4), build_staircase_mesh(16, ELLIPSE), build_square_mesh(3, "quad")],
+    ids=["annulus", "staircase", "square-quad"],
+)
+class TestCellEdges:
+    def test_ids_follow_first_use_of_vertex_pairs(self, mesh):
+        # Oracle: a dict filled in cell-major, local-edge order.
+        table = {}
+        nloc = mesh.cells.shape[1]
+        for c, cell in enumerate(mesh.cells.tolist()):
+            for e in range(nloc):
+                a, b = cell[e], cell[(e + 1) % nloc]
+                eid = table.setdefault((min(a, b), max(a, b)), len(table))
+                assert mesh.cell_edges[c, e] == eid
+        assert mesh.num_edges == len(table)
+
+    def test_interior_edges_two_cells_boundary_facets_one(self, mesh):
+        uses = np.bincount(mesh.cell_edges.ravel())
+        F = mesh.boundary_facets
+        on_boundary = np.zeros(mesh.num_edges, dtype=bool)
+        on_boundary[mesh.cell_edges[F.cell, F.local_edge]] = True
+        assert np.sum(on_boundary) == len(F)
+        assert np.all(uses[on_boundary] == 1)
+        assert np.all(uses[~on_boundary] == 2)

@@ -214,6 +214,19 @@ class TestPrimalSpace:
                 traces.append(vals @ coeffs[V.cell_dofs(c)])
             assert np.allclose(traces[0], traces[1], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "mesh_kind, k",
+        [("ring", 2), ("ring", 3), ("square", 1), ("square", 2), ("square", 3)],
+    )
+    def test_nodes_sit_at_mapped_reference_nodes(self, mesh_kind, k):
+        from bvcfem.spaces import _tri_nodes
+
+        mesh = build_annulus_mesh(16, 4) if mesh_kind == "ring" else build_square_mesh(3)
+        V = build_primal_space(mesh, k, enrich=True)
+        origins, J, _, _ = mesh.affine_maps()
+        expected = origins[:, None, :] + np.einsum("cab,nb->cna", J, _tri_nodes(k))
+        np.testing.assert_allclose(V.dof_points[V.cell_dofs_std], expected, rtol=0, atol=1e-14)
+
     def test_unsupported_orders(self):
         mesh = build_annulus_mesh(8, 2)
         with pytest.raises(UnsupportedOrder):

@@ -55,6 +55,16 @@ class TestConfig:
         )
         assert parse_config_file(path) == {"domain": "ring", "element": "p2", "levels": "3"}
 
+    def test_non_integer_multiplier_degree(self):
+        with pytest.raises(ConfigError, match="multiplier_degree"):
+            validate_config(StudyConfig(multiplier_degree="x"))
+
+    def test_config_file_bad_boolean_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("domain = ring\nenrich = flase\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:2: .*enrich"):
+            parse_config_file(path)
+
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "study.cfg"
         path.write_text("solver = magic\n")
@@ -237,6 +247,28 @@ class TestCli:
         cfg = tmp_path / "study.cfg"
         cfg.write_text("warp = 9\n")
         assert main(["--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "line, key", [("enrich = flase", "enrich"), ("levels = three", "levels"),
+                      ("gamma0 = 1e", "gamma0"), ("multiplier_degree = x", "multiplier_degree")]
+    )
+    def test_bad_config_value_exit_one(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"domain = ring\n{line}\n")
+        assert main(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "pipeline error" not in err
+
+    @pytest.mark.parametrize(
+        "flag, key", [("--levels", "levels"), ("--gamma0", "gamma0"),
+                      ("--multiplier-degree", "multiplier_degree")]
+    )
+    def test_non_numeric_flag_exit_one(self, capsys, flag, key):
+        assert main([flag, "x"]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "pipeline error" not in err
 
     def test_console_entry_point(self):
         proc = subprocess.run(
