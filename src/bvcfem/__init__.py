@@ -66,7 +66,6 @@ from .mesh import (
     export_mesh,
     load_mesh,
     mesh_from_arrays,
-    mesh_sequence,
     precompute_boundary_geometry,
 )
 from .solver import SingularSystem, SolutionField, SolverError, solve, solve_linear

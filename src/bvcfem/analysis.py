@@ -38,11 +38,6 @@ class ErrorReport:
     normal_dev: float
 
 
-def _volume_rule(mesh, degree):
-    kind = "triangle" if mesh.cell_kind == "triangle" else "quad"
-    return quadrature(kind, degree)
-
-
 def _field_on_volume(field: SolutionField, rule):
     """Physical points, values and gradients of a primal field, cell-wise."""
     V = field.space
@@ -67,7 +62,7 @@ def _field_on_volume(field: SolutionField, rule):
 def l2_h1_errors(u_field: SolutionField, domain, mesh: Mesh, extra_degree: int = 0):
     """||u - u_h|| and |u - u_h|_H1 on the mesh, elevated-order quadrature."""
     k = u_field.space.degree
-    rule = _volume_rule(mesh, 2 * k + 4 + extra_degree)
+    rule = quadrature(mesh.cell_kind, 2 * k + 4 + extra_degree)
     X, uh, guh, detJ = _field_on_volume(u_field, rule)
     flat = X.reshape(-1, 2)
     ue = np.asarray(domain.u_exact(flat), dtype=float).reshape(uh.shape)
@@ -81,7 +76,7 @@ def l2_h1_errors(u_field: SolutionField, domain, mesh: Mesh, extra_degree: int =
 def field_l2_norm(field: SolutionField) -> float:
     """||v_h|| over the mesh (used e.g. for differences of two solutions)."""
     k = field.space.degree
-    rule = _volume_rule(field.space.mesh, 2 * k + 4)
+    rule = quadrature(field.space.mesh.cell_kind, 2 * k + 4)
     _, uh, _, detJ = _field_on_volume(field, rule)
     return float(np.sqrt(np.sum(rule.weights[None, :] * detJ[:, None] * uh**2)))
 
@@ -130,7 +125,7 @@ def triple_norm(v_field, mu_field, mesh: Mesh, h: float) -> float:
     grad_sq = bnd_sq = mu_sq = 0.0
     if v_field is not None:
         k = v_field.space.degree
-        rule = _volume_rule(mesh, 2 * k + 2)
+        rule = quadrature(mesh.cell_kind, 2 * k + 2)
         _, _, guh, detJ = _field_on_volume(v_field, rule)
         grad_sq = np.sum((rule.weights[None, :] * detJ[:, None])[:, :, None] * guh**2)
         bnd_sq = np.sum(facets.weights * _facet_field_traces(v_field, facets) ** 2)
@@ -165,6 +160,14 @@ def _ls_slope(hs, errs):
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
 
+def pairwise_rate(prev: ErrorReport, report: ErrorReport, attr: str) -> float | None:
+    """log(e_prev / e) / log(h_prev / h) for the error attr, None if either is missing."""
+    e0, e1 = getattr(prev, attr), getattr(report, attr)
+    if e0 is None or e1 is None:
+        return None
+    return float(np.log(e0 / e1) / np.log(prev.h / report.h))
+
+
 def fit_rates(reports) -> dict:
     """Slopes of log(err) vs log(h) for each norm present in the reports."""
     if len(reports) < 3:
@@ -180,14 +183,10 @@ def fit_rates(reports) -> dict:
         errs = np.array(errs, dtype=float)
         if np.any(errs <= 1e-14):
             raise DegenerateFit(f"{norm} error at/below 1e-14: rate undefined")
-        pairwise = [
-            float(np.log(errs[i - 1] / errs[i]) / np.log(hs[i - 1] / hs[i]))
-            for i in range(1, len(errs))
-        ]
         out[norm] = RateFit(
             global_fit=_ls_slope(hs, errs),
             last3=_ls_slope(hs[-3:], errs[-3:]),
-            pairwise=pairwise,
+            pairwise=[pairwise_rate(a, b, attr) for a, b in zip(reports, reports[1:])],
         )
     return out
 

@@ -96,8 +96,7 @@ def _check_spaces(mesh, V, Lam=None):
 def stiffness_matrix(V: PrimalSpace) -> sp.csr_matrix:
     """(grad phi_i, grad phi_j) over all cells, bubbles included."""
     mesh = V.mesh
-    kind = "triangle" if mesh.cell_kind == "triangle" else "quad"
-    rule = quadrature(kind, 2 * (V.degree + 1))
+    rule = quadrature(mesh.cell_kind, 2 * (V.degree + 1))
     _, grads = V.tabulate(rule.points)
     _, _, Jinv, detJ = mesh.affine_maps()
 
@@ -123,8 +122,7 @@ def stiffness_matrix(V: PrimalSpace) -> sp.csr_matrix:
 def load_vector(V: PrimalSpace, f) -> np.ndarray:
     """(f, phi_i) over all cells."""
     mesh = V.mesh
-    kind = "triangle" if mesh.cell_kind == "triangle" else "quad"
-    rule = quadrature(kind, 2 * V.degree + 3)
+    rule = quadrature(mesh.cell_kind, 2 * V.degree + 3)
     vals, _ = V.tabulate(rule.points)
     origins, J, _, detJ = mesh.affine_maps()
     X = origins[:, None, :] + np.einsum("cab,qb->cqa", J, rule.points)

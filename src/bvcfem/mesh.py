@@ -32,6 +32,9 @@ class EmptyMesh(MeshError):
 # Local edges in counterclockwise order, per cell kind.
 TRI_EDGES = ((0, 1), (1, 2), (2, 0))
 QUAD_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
+CELL_EDGES = {"triangle": TRI_EDGES, "quad": QUAD_EDGES}
+# Cell kind as written in an export_mesh header.
+FILE_KIND = {"triangle": "tri", "quad": "quad"}
 
 
 @dataclass(frozen=True)
@@ -141,11 +144,13 @@ def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
     Edges are numbered in one pass over the sorted vertex pairs of every
     cell, in cell-major, local-edge order of first use; the edges used once
     are the boundary facets.  Cells must be counterclockwise; raises
-    MeshError otherwise.
+    MeshError otherwise, and for a cell kind other than "triangle" or "quad".
     """
+    if cell_kind not in CELL_EDGES:
+        raise MeshError(f"unknown cell kind {cell_kind!r}; have {', '.join(CELL_EDGES)}")
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
-    edges = np.array(TRI_EDGES if cell_kind == "triangle" else QUAD_EDGES)
+    edges = np.array(CELL_EDGES[cell_kind])
     ends = cells[:, edges].reshape(-1, 2)  # CCW edge of every cell, cell-major
     lo, hi = np.sort(ends, axis=1).T
     edge_ids, uses, _ = _number_by_first_use(lo * len(vertices) + hi)
@@ -287,22 +292,6 @@ def precompute_boundary_geometry(mesh: Mesh, domain: ImplicitDomain, n_gauss: in
     )
 
 
-def mesh_sequence(kind: str, levels: int, domain: ImplicitDomain | None = None):
-    """Refinement ladder: annulus (16,4) x 2^l or staircase n = 16 x 2^l."""
-    if levels < 3:
-        raise InvalidResolution(f"need at least 3 levels, got {levels}")
-    meshes = []
-    for lvl in range(levels):
-        if kind == "annulus":
-            meshes.append(build_annulus_mesh(16 * 2**lvl, 4 * 2**lvl))
-        elif kind == "staircase":
-            dom = domain if domain is not None else geometry.make_ellipse_domain()
-            meshes.append(build_staircase_mesh(16 * 2**lvl, dom))
-        else:
-            raise MeshError(f"unknown mesh sequence kind {kind!r}")
-    return meshes
-
-
 def euler_characteristic(mesh: Mesh) -> int:
     return mesh.nno - mesh.num_edges + mesh.num_cells
 
@@ -313,11 +302,10 @@ def boundary_length(mesh: Mesh) -> float:
 
 def export_mesh(mesh: Mesh, path) -> None:
     """Plain-text dump: header then one line per vertex, cell and facet."""
-    kind = "tri" if mesh.cell_kind == "triangle" else "quad"
     with open(path, "w") as fh:
         fh.write(
             f"vertices {mesh.nno} cells {mesh.num_cells} "
-            f"facets {len(mesh.boundary_facets)} kind {kind}\n"
+            f"facets {len(mesh.boundary_facets)} kind {FILE_KIND[mesh.cell_kind]}\n"
         )
         for v in mesh.vertices:
             fh.write(f"{v[0]:.17g} {v[1]:.17g}\n")
@@ -333,7 +321,10 @@ def load_mesh(path) -> Mesh:
     with open(path) as fh:
         header = fh.readline().split()
         nv, nc, nf = int(header[1]), int(header[3]), int(header[5])
-        kind = "triangle" if header[7] == "tri" else "quad"
+        kinds = {token: kind for kind, token in FILE_KIND.items()}
+        if header[7] not in kinds:
+            raise MeshError(f"{path}: unknown cell kind {header[7]!r}; have {', '.join(kinds)}")
+        kind = kinds[header[7]]
         vertices = np.array([[float(t) for t in fh.readline().split()] for _ in range(nv)])
         cells = np.array(
             [[int(t) for t in fh.readline().split()] for _ in range(nc)], dtype=np.int64

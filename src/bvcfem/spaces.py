@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .mesh import Mesh, TRI_EDGES, QUAD_EDGES
+from .mesh import Mesh, TRI_EDGES, QUAD_EDGES, gauss_01
 
 
 class UnsupportedOrder(Exception):
@@ -40,9 +40,7 @@ def quadrature(kind: str, degree: int) -> QuadratureRule:
     if degree > 20 or degree < 0:
         raise UnsupportedDegree(f"exactness degree {degree} not supported")
     n = max(1, (degree + 2) // 2)  # ceil((degree+1)/2)
-    x, w = np.polynomial.legendre.leggauss(n)
-    x01 = 0.5 * (x + 1.0)
-    w01 = 0.5 * w
+    x01, w01 = gauss_01(n)
     if kind == "segment":
         return QuadratureRule(points=x01[:, None], weights=w01)
     if kind == "quad":
@@ -395,9 +393,7 @@ def project_to_multiplier(space: MultiplierSpace, trace) -> np.ndarray:
     """
     m = space.degree
     nq = max(2 * m + 2, 10)  # generous so smooth traces project to roundoff
-    s, w = np.polynomial.legendre.leggauss(nq)
-    s = 0.5 * (s + 1.0)
-    w = 0.5 * w
+    s, w = gauss_01(nq)
     psi = space.eval(s)  # (nq, m+1)
     scale = 2.0 * np.arange(m + 1) + 1.0
     facets = space.mesh.boundary_facets

@@ -3,12 +3,19 @@
 Registers the shipped experiments (p2-ring, p3-ring, unstable-pairing,
 q1-ellipse, nitsche-p2-ring), runs mesh ladders end to end, fits rates, and
 emits CSV tables, self-contained SVG log-log plots and solution elevations.
+
+Each decision has one home: build_level is the ladder recipe (mesh, facet
+geometry, spaces) shared by run_level and the inf-sup diagnostic; DOMAINS,
+ELEMENT_ORDER and METHODS are the accepted settings, checked only by
+validate_config and listed in --help; analysis.pairwise_rate is the one
+rate formula behind the fits, the CSV and the printed table.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -16,10 +23,10 @@ import numpy as np
 
 from .analysis import (
     DegenerateFit,
-    ErrorReport,
     error_report,
     fit_rates,
     infsup_diagnostic,
+    pairwise_rate,
 )
 from .assembly import SADDLE_METHODS, assemble_nitsche, assemble_saddle, dump_system
 from .geometry import make_ellipse_domain, make_ring_domain
@@ -36,7 +43,9 @@ class ConfigError(Exception):
     pass
 
 
+DOMAINS = {"ring": make_ring_domain, "ellipse": make_ellipse_domain}
 ELEMENT_ORDER = {"p1": 1, "p2": 2, "p3": 3, "q1": 1}
+METHODS = (*SADDLE_METHODS, "nitsche")
 ASSEMBLERS = {m: functools.partial(assemble_saddle, method=m) for m in SADDLE_METHODS}
 CSV_HEADER = (
     "level,h,nno,dofs_u,dofs_lambda,err_l2,err_h1,err_lambda,"
@@ -53,8 +62,6 @@ class StudyConfig:
     enrich: bool = True
     levels: int = 5
     gamma0: float | None = None
-    out: str | None = None
-    plots: str | None = None
     dump_prefix: str | None = None
 
     def order(self) -> int:
@@ -67,16 +74,13 @@ class StudyConfig:
 
 
 def validate_config(config: StudyConfig) -> None:
-    if config.domain not in ("ring", "ellipse"):
-        raise ConfigError(f"unknown domain {config.domain!r}")
-    if config.element not in ELEMENT_ORDER:
-        raise ConfigError(f"unknown element {config.element!r}")
-    if config.method not in (*SADDLE_METHODS, "nitsche"):
-        raise ConfigError(f"unknown method {config.method!r}")
-    if config.element == "q1" and config.domain != "ellipse":
-        raise ConfigError("q1 runs on the ellipse staircase only")
-    if config.element in ("p1", "p2", "p3") and config.domain != "ring":
-        raise ConfigError(f"{config.element} runs on the ring only")
+    for key, accepted in (("domain", DOMAINS), ("element", ELEMENT_ORDER), ("method", METHODS)):
+        value = getattr(config, key)
+        if value not in accepted:
+            raise ConfigError(f"unknown {key} {value!r}; have {', '.join(accepted)}")
+    home = "ellipse" if config.element == "q1" else "ring"
+    if config.domain != home:
+        raise ConfigError(f"{config.element} runs on the {home} only")
     if config.levels < 1:
         raise ConfigError("levels must be positive")
     try:
@@ -106,25 +110,34 @@ class StudyResult:
         return [r for _, r in self.records]
 
 
-def _build_level_mesh(domain_name: str, level: int, domain):
-    if domain_name == "ring":
-        return build_annulus_mesh(16 * 2**level, 4 * 2**level)
-    return build_staircase_mesh(16 * 2**level, domain)
+def build_level(config: StudyConfig, level: int, domain):
+    """One rung's (mesh, V, Lam): mesh, facet geometry and spaces.
 
-
-def run_level(config: StudyConfig, level: int, domain=None):
-    """One rung of the ladder: mesh, spaces, assembly, solve, report."""
-    if domain is None:
-        domain = make_ring_domain() if config.domain == "ring" else make_ellipse_domain()
+    Level l refines the coarsest mesh by 2^l: n = 16 * 2^l cells around the
+    ring (by n/4 across it) or across the ellipse's staircase grid.  Facets
+    carry 2k+2 Gauss points; Lam is None for Nitsche.
+    """
     k = config.order()
-    mesh = _build_level_mesh(config.domain, level, domain)
+    n = 16 * 2**level
+    if config.domain == "ring":
+        mesh = build_annulus_mesh(n, n // 4)
+    else:
+        mesh = build_staircase_mesh(n, domain)
     mesh = precompute_boundary_geometry(mesh, domain, 2 * k + 2)
     V = build_primal_space(mesh, k, config.enrich)
     if config.method == "nitsche":
+        return mesh, V, None
+    return mesh, V, build_multiplier_space(mesh, config.mult_degree())
+
+
+def run_level(config: StudyConfig, level: int, domain):
+    """One rung of the ladder: mesh, spaces, assembly, solve, report."""
+    mesh, V, Lam = build_level(config, level, domain)
+    if config.method == "nitsche":
+        k = config.order()
         gamma0 = config.gamma0 if config.gamma0 is not None else 10.0 * k * k
         system = assemble_nitsche(mesh, V, domain, gamma0)
     else:
-        Lam = build_multiplier_space(mesh, config.mult_degree())
         system = ASSEMBLERS[config.method](mesh, V, Lam, domain)
     if config.dump_prefix:
         dump_system(system, f"{config.dump_prefix}-L{level}")
@@ -135,7 +148,7 @@ def run_level(config: StudyConfig, level: int, domain=None):
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the configured ladder; singular levels are recorded, not fatal."""
     validate_config(config)
-    domain = make_ring_domain() if config.domain == "ring" else make_ellipse_domain()
+    domain = DOMAINS[config.domain]()
     result = StudyResult(config=config)
     for level in range(config.levels):
         try:
@@ -159,19 +172,13 @@ def run_unstable_pairing(levels: int = 5) -> StudyResult:
     Returns the corrected-method result with the unmodified run attached as
     companion and the coarse-level inf-sup diagnostic values recorded.
     """
-    base = StudyConfig(
-        domain="ring", element="p2", method="bvc", multiplier_degree=2,
-        enrich=False, levels=levels,
-    )
-    result = run_study(base)
-    result.companion = run_study(replace(base, method="unmodified"))
-    domain = make_ring_domain()
+    config = replace(PRESETS["unstable-pairing"].config, levels=levels)
+    result = run_study(config)
+    result.companion = run_study(replace(config, method="unmodified"))
+    domain = DOMAINS[config.domain]()
     sigmas = []
     for level in range(2):
-        mesh = _build_level_mesh("ring", level, domain)
-        mesh = precompute_boundary_geometry(mesh, domain, 6)
-        V = build_primal_space(mesh, 2, enrich=False)
-        Lam = build_multiplier_space(mesh, 2)
+        mesh, V, Lam = build_level(config, level, domain)
         sigmas.append(infsup_diagnostic(V, Lam, mesh))
     result.infsup_sigmas = sigmas
     return result
@@ -193,18 +200,14 @@ def emit_csv(result: StudyResult, path) -> None:
             fh.write(CSV_HEADER + "\n")
             prev = None
             for level, r in result.records:
-                rates = {"l2": None, "h1": None, "lambda": None}
-                if prev is not None:
-                    scale = np.log(prev.h / r.h)
-                    rates["l2"] = np.log(prev.err_l2 / r.err_l2) / scale
-                    rates["h1"] = np.log(prev.err_h1 / r.err_h1) / scale
-                    if r.err_lambda is not None and prev.err_lambda is not None:
-                        rates["lambda"] = np.log(prev.err_lambda / r.err_lambda) / scale
+                rates = [
+                    None if prev is None else pairwise_rate(prev, r, attr)
+                    for attr in ("err_l2", "err_h1", "err_lambda")
+                ]
                 fields = [
                     str(level), _fmt(r.h), str(r.nno), str(r.dofs_u), str(r.dofs_lambda),
                     _fmt(r.err_l2), _fmt(r.err_h1), _fmt(r.err_lambda),
-                    _fmt(rates["l2"]), _fmt(rates["h1"]), _fmt(rates["lambda"]),
-                    _fmt(r.delta_h), _fmt(r.normal_dev),
+                    *map(_fmt, rates), _fmt(r.delta_h), _fmt(r.normal_dev),
                 ]
                 fh.write(",".join(fields) + "\n")
                 prev = r
@@ -212,24 +215,33 @@ def emit_csv(result: StudyResult, path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _csv_value(key, tok):
+    if tok == "":
+        return None
+    return int(tok) if key in ("level", "nno", "dofs_u", "dofs_lambda") else float(tok)
+
+
 def read_csv(path):
-    """Parse an emit_csv file back into per-level dictionaries."""
+    """Parse an emit_csv file back into per-level dictionaries.
+
+    A row with the wrong number of fields or a non-numeric field raises
+    IoError naming the path and line.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != CSV_HEADER.split(","):
             raise IoError(f"unexpected CSV header in {path}")
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             vals = line.strip().split(",")
-            row = {}
-            for key, tok in zip(header, vals):
-                if tok == "":
-                    row[key] = None
-                elif key in ("level", "nno", "dofs_u", "dofs_lambda"):
-                    row[key] = int(tok)
-                else:
-                    row[key] = float(tok)
-            rows.append(row)
+            if len(vals) != len(header):
+                raise IoError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(vals)}"
+                )
+            try:
+                rows.append({key: _csv_value(key, tok) for key, tok in zip(header, vals)})
+            except ValueError as exc:
+                raise IoError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 
@@ -554,7 +566,7 @@ def _print_result(result: StudyResult, label: str) -> None:
             f"  L2={r.err_l2:.3e}"
         )
         if prev is not None:
-            line += f" ({np.log(prev.err_l2 / r.err_l2) / np.log(prev.h / r.h):.2f})"
+            line += f" ({pairwise_rate(prev, r, 'err_l2'):.2f})"
         line += f"  H1={r.err_h1:.3e}"
         if r.err_lambda is not None:
             line += f"  lam={r.err_lambda:.3e}"
@@ -570,53 +582,60 @@ def _print_result(result: StudyResult, label: str) -> None:
         print(f"  inf-sup sigma_min (coarse levels): {result.infsup_sigmas}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises ConfigError instead of exiting with status 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="study",
         description="Run a convergence study of the boundary-corrected methods.",
     )
-    parser.add_argument("--preset", help="registered experiment name")
-    parser.add_argument("--domain", choices=["ring", "ellipse"])
-    parser.add_argument("--element", choices=["p1", "p2", "p3", "q1"])
-    parser.add_argument("--method", choices=[*SADDLE_METHODS, "nitsche"])
+    parser.add_argument(
+        "--preset",
+        help=f"registered experiment ({', '.join(PRESETS)}); "
+        "only --levels, --out and --plots may be given with it",
+    )
+    parser.add_argument("--domain", help=f"one of {', '.join(DOMAINS)}")
+    parser.add_argument("--element", help=f"one of {', '.join(ELEMENT_ORDER)}")
+    parser.add_argument("--method", help=f"one of {', '.join(METHODS)}")
     parser.add_argument("--levels")
     parser.add_argument("--gamma0")
     parser.add_argument("--multiplier-degree", dest="multiplier_degree")
-    parser.add_argument("--no-enrich", action="store_true")
+    parser.add_argument("--no-enrich", dest="enrich", action="store_const", const="no",
+                        help="drop the boundary-edge bubbles")
     parser.add_argument("--out", help="CSV output path")
     parser.add_argument("--plots", help="prefix for SVG plots and elevation dump")
     parser.add_argument("--config", help="key = value config file (flags override)")
     parser.add_argument("--dump-matrices", dest="dump_prefix", help="debug matrix dump prefix")
-    args = parser.parse_args(argv)
 
     try:
-        settings = {}
-        if args.config:
-            raw = parse_config_file(args.config)
-            settings = {key: _config_value(key, value) for key, value in raw.items()}
-        for key in ("preset", "domain", "element", "method", "levels", "gamma0",
-                    "multiplier_degree", "out", "plots", "dump_prefix"):
-            value = getattr(args, key, None)
-            if value is not None:
-                settings[key] = _config_value(key, value)
-        if args.no_enrich:
-            settings["enrich"] = False
+        flags = vars(parser.parse_args(argv))
+        config_path = flags.pop("config")
+        settings = parse_config_file(config_path) if config_path else {}
+        settings.update((key, value) for key, value in flags.items() if value is not None)
+        settings = {key: _config_value(key, value) for key, value in settings.items()}
 
         preset_name = settings.pop("preset", None)
         out_path = settings.pop("out", None)
         plot_prefix = settings.pop("plots", None)
 
         if preset_name:
-            levels = settings.get("levels")
-            result, msgs = run_preset(preset_name, levels=levels)
+            fixed = sorted(settings.keys() - {"levels"})
+            if fixed:
+                raise ConfigError(
+                    f"preset {preset_name} fixes its own settings; drop {', '.join(fixed)}"
+                )
+            result, msgs = run_preset(preset_name, levels=settings.get("levels"))
             label = f"preset {preset_name}"
         else:
             config = StudyConfig(**settings)
             result = run_study(config)
-            msgs = []
+            msgs = [f"levels failed: {result.failures}"] if result.failures else []
             label = f"{config.domain}/{config.element}/{config.method}"
-            if result.failures:
-                msgs.append(f"levels failed: {result.failures}")
 
         _print_result(result, label)
         if result.companion is not None:
@@ -625,27 +644,19 @@ def main(argv=None) -> int:
         if out_path:
             emit_csv(result, out_path)
             if result.companion is not None and result.companion.records:
-                stem, dot, ext = out_path.rpartition(".")
-                companion_path = (
-                    f"{stem}-{result.companion.config.method}{dot}{ext}"
-                    if dot
-                    else f"{out_path}-{result.companion.config.method}"
-                )
-                emit_csv(result.companion, companion_path)
+                stem, ext = os.path.splitext(out_path)
+                emit_csv(result.companion, f"{stem}-{result.companion.config.method}{ext}")
             print(f"wrote {out_path}")
         if plot_prefix:
             emit_plots(result, plot_prefix)
             print(f"wrote {plot_prefix}-*.svg")
 
-        if preset_name and msgs:
+        if msgs:
+            tag, code = ("CHECK FAILED", 2) if preset_name else ("ERROR", 1)
             for msg in msgs:
-                print(f"CHECK FAILED: {msg}")
-            return 2
-        if not preset_name and msgs:
-            for msg in msgs:
-                print(f"ERROR: {msg}")
-            return 1
-        if PRESETS.get(preset_name) and PRESETS[preset_name].checks:
+                print(f"{tag}: {msg}")
+            return code
+        if preset_name and PRESETS[preset_name].checks:
             print("all rate checks passed")
         return 0
     except (ConfigError, IoError) as exc:

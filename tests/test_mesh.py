@@ -7,6 +7,7 @@ from bvcfem.geometry import make_ellipse_domain, make_ring_domain
 from bvcfem.mesh import (
     EmptyMesh,
     InvalidResolution,
+    MeshError,
     boundary_length,
     build_annulus_mesh,
     build_square_mesh,
@@ -15,9 +16,9 @@ from bvcfem.mesh import (
     export_mesh,
     load_mesh,
     mesh_from_arrays,
-    mesh_sequence,
     precompute_boundary_geometry,
 )
+from bvcfem.study import StudyConfig, build_level
 
 RING = make_ring_domain()
 ELLIPSE = make_ellipse_domain()
@@ -208,30 +209,34 @@ class TestPrecompute:
 
 
 class TestSequence:
+    """The study's refinement ladder, as built by its level recipe."""
+
+    @staticmethod
+    def ladder(domain, element, levels):
+        config = StudyConfig(domain=domain, element=element)
+        dom = RING if domain == "ring" else ELLIPSE
+        return [build_level(config, level, dom)[0] for level in range(levels)]
+
     def test_annulus_ladder_counts(self):
-        ms = mesh_sequence("annulus", 3)
+        ms = self.ladder("ring", "p1", 3)
         assert [m.nno for m in ms] == [80, 288, 1088]
 
     def test_h_ratio(self):
-        ms = mesh_sequence("annulus", 4)
+        ms = self.ladder("ring", "p1", 4)
         hs = [m.h for m in ms]
         for a, b in zip(hs, hs[1:]):
             assert 1.8 <= a / b <= 2.1
-        ms = mesh_sequence("staircase", 3, ELLIPSE)
+        ms = self.ladder("ellipse", "q1", 3)
         hs = [m.h for m in ms]
         for a, b in zip(hs, hs[1:]):
             assert 1.8 <= a / b <= 2.1
 
     def test_staircase_level0(self):
-        ms = mesh_sequence("staircase", 3, ELLIPSE)
+        ms = self.ladder("ellipse", "q1", 3)
         side = np.max(ms[0].vertices[ms[0].cells[0]], axis=0) - np.min(
             ms[0].vertices[ms[0].cells[0]], axis=0
         )
         assert np.allclose(side, 4.0 / 16.0)
-
-    def test_too_few_levels(self):
-        with pytest.raises(InvalidResolution):
-            mesh_sequence("annulus", 2)
 
 
 class TestGeometricAssumptionTrends:
@@ -275,6 +280,13 @@ class TestExport:
             f"facets {len(m.boundary_facets)} kind quad"
         )
 
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        export_mesh(build_square_mesh(1, "quad"), path)
+        path.write_text(path.read_text().replace("kind quad", "kind hex"))
+        with pytest.raises(MeshError, match="'hex'"):
+            load_mesh(path)
+
 
 def test_square_fixture_mesh():
     m = build_square_mesh(2, "triangle")
@@ -293,6 +305,12 @@ def test_mesh_from_arrays_rejects_clockwise():
         mesh_from_arrays(
             [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 2, 1)], "triangle"
         )
+
+
+def test_mesh_from_arrays_rejects_unknown_cell_kind():
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    with pytest.raises(MeshError, match="'quadrilateral'"):
+        mesh_from_arrays(square, [(0, 1, 2, 3)], "quadrilateral")
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bvcfem.study import (
+    CSV_HEADER,
     PRESETS,
     ConfigError,
     IoError,
@@ -139,6 +140,15 @@ class TestCsv:
         assert len(lines) == 2
         assert lines[1].split(",")[8] == ""  # no rate on the first row
 
+    @pytest.mark.parametrize(
+        "row", ["0,0.1,80", "0,0.1,80,1,1,x,1,1,,,,1,1"], ids=["short", "non-numeric"]
+    )
+    def test_malformed_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{CSV_HEADER}\n{row}\n")
+        with pytest.raises(IoError, match=r"bad\.csv:2"):
+            read_csv(path)
+
 
 class TestPlots:
     def test_svg_files_written(self, small_ring_study, tmp_path):
@@ -269,6 +279,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert key in err
         assert "pipeline error" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["--bogus"], ["--levels"], ["--domain", "square"]],
+        ids=["unknown-flag", "missing-value", "bad-domain"],
+    )
+    def test_parser_error_exit_one(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, cfg, keys",
+        [
+            (["--preset", "p2-ring", "--element", "p3", "--method", "taylor"], "",
+             ["element", "method"]),
+            (["--preset", "p2-ring", "--no-enrich", "--dump-matrices", "d"], "",
+             ["dump_prefix", "enrich"]),
+            ([], "preset = p2-ring\ngamma0 = 3\nmultiplier_degree = 1\n",
+             ["gamma0", "multiplier_degree"]),
+        ],
+        ids=["flags", "switches", "config-file"],
+    )
+    def test_preset_rejects_study_settings(self, tmp_path, capsys, argv, cfg, keys):
+        path = tmp_path / "study.cfg"
+        path.write_text(cfg)
+        assert main(["--config", str(path), "--levels", "1", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert ", ".join(keys) in err
+        assert "level 0" not in out  # rejected before any level ran
+
+    @pytest.mark.parametrize(
+        "out, companion",
+        [("run.d/table", "run.d/table-unmodified"), ("r.csv", "r-unmodified.csv")],
+    )
+    def test_companion_csv_path(self, tmp_path, out, companion):
+        (tmp_path / "run.d").mkdir()
+        # One level fits no rate, so the check fails after both tables are written.
+        assert main(["--preset", "q1-ellipse", "--levels", "1", "--out", str(tmp_path / out)]) == 2
+        assert read_csv(tmp_path / companion)[0]["level"] == 0
 
     def test_console_entry_point(self):
         proc = subprocess.run(
