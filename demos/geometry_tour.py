@@ -1,9 +1,9 @@
 """Tour of the implicit-geometry kernel.
 
-Walks through the three shipped domains (ring, unit circle, ellipse) and
-shows what the boundary-corrected methods are built on: level sets, exact
-normals, ray-cast distances from straight facets to the true boundary, and
-closest-point projection.
+Walks through two of the shipped domains (ring and ellipse) and shows what
+the boundary-corrected methods are built on: level sets, exact normals,
+ray-cast distances from straight facets to the true boundary, pullback
+points, and closest-point projection.
 """
 
 import numpy as np
@@ -16,8 +16,7 @@ from bvcfem import (
     make_ellipse_domain,
     make_ring_domain,
     precompute_boundary_geometry,
-    pullback_point,
-    ray_distance,
+    ray_distance_batch,
 )
 
 ring = make_ring_domain()
@@ -39,14 +38,16 @@ print("  ring inner (0.25, 0):", exact_normal(ring, (0.25, 0.0)))
 print("  ellipse (2, 0):      ", exact_normal(ellipse, (2.0, 0.0)))
 
 # A chord of the outer circle: the midpoint sits inside the domain, and the
-# ray along the chord normal hits the circle at the sagitta distance.
+# ray along the chord normal hits the circle at the sagitta distance; the
+# pullback point is where it lands, x + rho_h n_h.
 alpha = np.pi / 16
 chord_mid = np.array([0.75 * np.cos(alpha), 0.0])
-sigma = ray_distance(ring, chord_mid, np.array([1.0, 0.0]))
+n_h = np.array([1.0, 0.0])
+sigma = ray_distance_batch(ring, [chord_mid], [n_h])[0]
 print("\nsagitta of a chord (half-angle pi/16):")
 print(f"  ray distance     {sigma:.8f}")
 print(f"  R(1 - cos a)     {0.75 * (1 - np.cos(alpha)):.8f}")
-print("  pullback point   ", pullback_point(ring, chord_mid, np.array([1.0, 0.0])))
+print("  pullback point   ", chord_mid + sigma * n_h)
 
 # The same machinery feeds the mesh: every boundary facet stores rho_h and
 # the pullback point at each Gauss point.

@@ -50,8 +50,7 @@ from .geometry import (
     make_ring_domain,
     make_square_domain,
     make_unit_circle_domain,
-    pullback_point,
-    ray_distance,
+    ray_distance_batch,
 )
 from .mesh import (
     EmptyMesh,
@@ -62,9 +61,6 @@ from .mesh import (
     build_annulus_mesh,
     build_square_mesh,
     build_staircase_mesh,
-    euler_characteristic,
-    export_mesh,
-    load_mesh,
     mesh_from_arrays,
     precompute_boundary_geometry,
 )
@@ -80,18 +76,22 @@ from .spaces import (
     project_to_multiplier,
     quadrature,
 )
-from .study import (
-    PRESETS,
-    StudyConfig,
-    StudyResult,
-    emit_csv,
-    emit_plots,
-    read_csv,
-    run_preset,
-    run_study,
-    run_unstable_pairing,
-)
 
 __version__ = "0.1.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
+
+# The study driver is imported on first use (PEP 562), so that
+# `python -m bvcfem.study` does not find it already imported by the package.
+_STUDY_NAMES = {
+    "PRESETS", "StudyConfig", "StudyResult", "emit_csv", "emit_plots",
+    "read_csv", "run_preset", "run_study", "run_unstable_pairing",
+}
+
+
+def __getattr__(name):
+    if name in _STUDY_NAMES:
+        from . import study
+
+        return getattr(study, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -98,8 +98,7 @@ def multiplier_error(
     if use_exact_normal:
         if domain is None:
             raise ValueError("use_exact_normal requires the domain")
-        n = geo.exact_normal_batch(domain, facets.pullback.reshape(-1, 2))
-        n = n.reshape(facets.pullback.shape)
+        n = geo.exact_normal(domain, facets.pullback)
     else:
         n = facets.n_h[:, None, :]
     target = -np.sum(_on_facet_points(grad_u_exact, facets) * n, axis=-1)
@@ -213,8 +212,8 @@ def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace, mesh: Mesh) -> float
 def geometry_report(mesh: Mesh, domain) -> tuple:
     """(delta_h, normal_dev): worst |rho_h| and worst |n_h - n(p_h)|."""
     facets = mesh.boundary_facets
-    n_exact = geo.exact_normal_batch(domain, facets.pullback.reshape(-1, 2))
-    dev = np.linalg.norm(n_exact.reshape(facets.pullback.shape) - facets.n_h[:, None, :], axis=2)
+    n_exact = geo.exact_normal(domain, facets.pullback)
+    dev = np.linalg.norm(n_exact - facets.n_h[:, None, :], axis=2)
     return float(np.max(np.abs(facets.rho))), float(np.max(dev))
 
 

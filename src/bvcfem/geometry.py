@@ -60,27 +60,25 @@ _ON_BOUNDARY = 1e-14
 _ROOT_TOL = 1e-12
 
 
-def exact_normal(domain: ImplicitDomain, y) -> np.ndarray:
-    """Outward unit normal at a boundary point y (|level_set(y)| <= 1e-10)."""
-    y = np.asarray(y, dtype=float)
-    phi = float(domain.level_set(y))
-    if abs(phi) > 1e-10:
-        raise GeometryError(f"point {y} is not on the boundary (phi={phi:.3e})")
-    g = np.asarray(domain.level_set_gradient(y), dtype=float)
-    norm = float(np.hypot(g[0], g[1]))
-    if norm < 1e-14:
-        raise ZeroGradient(f"level-set gradient vanishes at {y}")
-    return g / norm
+def exact_normal(domain: ImplicitDomain, points) -> np.ndarray:
+    """Outward unit normals at boundary points of shape (..., 2).
 
-
-def exact_normal_batch(domain: ImplicitDomain, points) -> np.ndarray:
-    """Vectorized exact_normal for an (n, 2) array of boundary points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    Every point must satisfy |level_set| <= 1e-10; GeometryError (or
+    ZeroGradient, where the gradient vanishes) names the first one that fails.
+    """
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, 2)
+    phi = np.asarray(domain.level_set(pts), dtype=float).reshape(-1)
+    off = np.abs(phi) > 1e-10
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise GeometryError(f"point {flat[i]} is not on the boundary (phi={phi[i]:.3e})")
     g = np.asarray(domain.level_set_gradient(pts), dtype=float)
-    norms = np.hypot(g[:, 0], g[:, 1])
-    if np.any(norms < 1e-14):
-        raise ZeroGradient("level-set gradient vanishes at a queried point")
-    return g / norms[:, None]
+    norm = np.hypot(g[..., 0], g[..., 1])
+    if np.any(norm < 1e-14):
+        i = int(np.argmax(norm.reshape(-1) < 1e-14))
+        raise ZeroGradient(f"level-set gradient vanishes at {flat[i]}")
+    return g / norm[..., None]
 
 
 def ray_distance_batch(domain: ImplicitDomain, points, normals) -> np.ndarray:
@@ -200,24 +198,6 @@ def _newton_polish(domain, pts, nrm, s, steps=3):
         safe = np.abs(den) > 1e-14
         s = np.where(safe, s - phi / np.where(safe, den, 1.0), s)
     return s
-
-
-def ray_distance(domain: ImplicitDomain, x, n_h) -> float:
-    """Scalar ray_distance_batch: ς = ρ_h(x) along the unit direction n_h."""
-    return float(ray_distance_batch(domain, np.asarray(x)[None, :], np.asarray(n_h)[None, :])[0])
-
-
-def pullback_batch(domain: ImplicitDomain, points, normals) -> np.ndarray:
-    """Boundary points x + ς n for each ray; |level_set| <= 1e-12 on output."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    nrm = np.atleast_2d(np.asarray(normals, dtype=float))
-    sigma = ray_distance_batch(domain, pts, nrm)
-    return pts + sigma[:, None] * nrm
-
-
-def pullback_point(domain: ImplicitDomain, x, n_h) -> np.ndarray:
-    """The point p_h(x) = x + ρ_h(x) n_h on the true boundary."""
-    return pullback_batch(domain, np.asarray(x)[None, :], np.asarray(n_h)[None, :])[0]
 
 
 def closest_point(domain: ImplicitDomain, x) -> np.ndarray:

@@ -33,8 +33,6 @@ class EmptyMesh(MeshError):
 TRI_EDGES = ((0, 1), (1, 2), (2, 0))
 QUAD_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
 CELL_EDGES = {"triangle": TRI_EDGES, "quad": QUAD_EDGES}
-# Cell kind as written in an export_mesh header.
-FILE_KIND = {"triangle": "tri", "quad": "quad"}
 
 
 @dataclass(frozen=True)
@@ -264,7 +262,8 @@ def precompute_boundary_geometry(mesh: Mesh, domain: ImplicitDomain, n_gauss: in
 
     n_gauss is the number of Gauss points per facet (>= 2).  Ray distances
     are computed in one batch across all facets; a missing intersection is
-    re-raised with the offending facet attached.  The input mesh is left
+    re-raised as NoIntersection("boundary geometry failed: ..."), whose
+    message names the point the ray starts from.  The input mesh is left
     untouched.
     """
     if n_gauss < 2:
@@ -290,46 +289,3 @@ def precompute_boundary_geometry(mesh: Mesh, domain: ImplicitDomain, n_gauss: in
             pullback=pullback.reshape(pts.shape),
         ),
     )
-
-
-def euler_characteristic(mesh: Mesh) -> int:
-    return mesh.nno - mesh.num_edges + mesh.num_cells
-
-
-def boundary_length(mesh: Mesh) -> float:
-    return float(np.sum(mesh.boundary_facets.length))
-
-
-def export_mesh(mesh: Mesh, path) -> None:
-    """Plain-text dump: header then one line per vertex, cell and facet."""
-    with open(path, "w") as fh:
-        fh.write(
-            f"vertices {mesh.nno} cells {mesh.num_cells} "
-            f"facets {len(mesh.boundary_facets)} kind {FILE_KIND[mesh.cell_kind]}\n"
-        )
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g}\n")
-        for cell in mesh.cells:
-            fh.write(" ".join(str(int(i)) for i in cell) + "\n")
-        facets = mesh.boundary_facets
-        for c, e, (p, q) in zip(facets.cell, facets.local_edge, facets.endpoints):
-            fh.write(f"{c} {e} {p} {q}\n")
-
-
-def load_mesh(path) -> Mesh:
-    """Read a mesh written by export_mesh."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        nv, nc, nf = int(header[1]), int(header[3]), int(header[5])
-        kinds = {token: kind for kind, token in FILE_KIND.items()}
-        if header[7] not in kinds:
-            raise MeshError(f"{path}: unknown cell kind {header[7]!r}; have {', '.join(kinds)}")
-        kind = kinds[header[7]]
-        vertices = np.array([[float(t) for t in fh.readline().split()] for _ in range(nv)])
-        cells = np.array(
-            [[int(t) for t in fh.readline().split()] for _ in range(nc)], dtype=np.int64
-        )
-        mesh = mesh_from_arrays(vertices, cells, kind)
-        for _ in range(nf):
-            fh.readline()  # facets are re-derived from the cells
-    return mesh

@@ -165,12 +165,11 @@ def solve(system):
 
     Returns (u_field, lambda_field); lambda_field is None for Nitsche.
     """
-    if isinstance(system, NitscheSystem):
-        z = solve_linear(system.full_matrix(), system.full_rhs())
-        return SolutionField(system.V, z), None
-    if not isinstance(system, SaddleSystem):
+    if not isinstance(system, (NitscheSystem, SaddleSystem)):
         raise SolverError(f"cannot solve a {type(system).__name__}")
     z = solve_linear(system.full_matrix(), system.full_rhs())
+    if isinstance(system, NitscheSystem):
+        return SolutionField(system.V, z), None
     nu = system.V.dof_count
     return (
         SolutionField(system.V, z[:nu]),

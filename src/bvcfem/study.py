@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -68,8 +69,11 @@ class StudyConfig:
         return ELEMENT_ORDER[self.element]
 
     def mult_degree(self) -> int:
+        """The multiplier degree; ValueError unless an integer or its text."""
         if self.multiplier_degree in (None, "auto"):
             return self.order() - 1
+        if not isinstance(self.multiplier_degree, (str, numbers.Integral)):
+            raise ValueError(f"not an integer: {self.multiplier_degree!r}")
         return int(self.multiplier_degree)
 
 
@@ -81,6 +85,8 @@ def validate_config(config: StudyConfig) -> None:
     home = "ellipse" if config.element == "q1" else "ring"
     if config.domain != home:
         raise ConfigError(f"{config.element} runs on the {home} only")
+    if not isinstance(config.levels, numbers.Integral):
+        raise ConfigError(f"levels must be an integer, got {config.levels!r}")
     if config.levels < 1:
         raise ConfigError("levels must be positive")
     try:

@@ -259,9 +259,9 @@ def test_criterion_8_geometry_suite(p2_bvc):
                     if abs(root) <= RING.delta0:
                         cands.append(root)
         expected = min(cands, key=abs)
-        from bvcfem.geometry import ray_distance
+        from bvcfem.geometry import ray_distance_batch
 
-        worst = max(worst, abs(ray_distance(RING, x, n) - expected))
+        worst = max(worst, abs(ray_distance_batch(RING, [x], [n])[0] - expected))
     smesh = precompute_boundary_geometry(build_staircase_mesh(32, ELLIPSE), ELLIPSE, 4)
     F = smesh.boundary_facets
     for _ in range(500):
@@ -271,7 +271,7 @@ def test_criterion_8_geometry_suite(p2_bvc):
         q = smesh.vertices[F.endpoints[i, 1]]
         x = p + s * (q - p)
         n = F.n_h[i]
-        from bvcfem.geometry import ray_distance
+        from bvcfem.geometry import ray_distance_batch
 
         if abs(n[0]) > 0.5:  # horizontal ray: x-crossing at +-2 sqrt(1-y^2)
             xb = 2.0 * np.sqrt(1.0 - x[1] ** 2)
@@ -281,7 +281,7 @@ def test_criterion_8_geometry_suite(p2_bvc):
             roots = [(sgn * yb - x[1]) / n[1] for sgn in (1.0, -1.0)]
         roots = [r for r in roots if abs(r) <= ELLIPSE.delta0]
         expected = min(roots, key=abs)
-        worst = max(worst, abs(ray_distance(ELLIPSE, x, n) - expected))
+        worst = max(worst, abs(ray_distance_batch(ELLIPSE, [x], [n])[0] - expected))
 
     # closest-point idempotency on random tube points
     worst_idem = 0.0
@@ -303,7 +303,7 @@ def test_criterion_8_geometry_suite(p2_bvc):
         "geometry: sagitta scaling, oracle agreement, projection idempotency",
         [
             (spread < 0.2, f"delta_h/h^2 varies by {spread:.1%} >= 20%"),
-            (worst <= 1e-10, f"ray_distance off oracle by {worst:.2e}"),
+            (worst <= 1e-10, f"ray_distance_batch off oracle by {worst:.2e}"),
             (worst_idem <= 1e-12, f"closest_point idempotency off by {worst_idem:.2e}"),
         ],
     )

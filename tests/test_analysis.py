@@ -31,7 +31,12 @@ from bvcfem.mesh import (
     precompute_boundary_geometry,
 )
 from bvcfem.solver import SolutionField
-from bvcfem.spaces import build_multiplier_space, build_primal_space, project_to_multiplier
+from bvcfem.spaces import (
+    build_multiplier_space,
+    build_primal_space,
+    project_to_multiplier,
+    quadrature,
+)
 
 RING = make_ring_domain()
 ELLIPSE = make_ellipse_domain()
@@ -204,11 +209,25 @@ class TestTripleNorm:
         lam = SolutionField(L, project_to_multiplier(L, lam_target))
         total = error_triple_norm(u, lam, RING, mesh)
         _, err_h1 = l2_h1_errors(u, RING, mesh)
-        err_lam = multiplier_error(lam, RING.grad_u_exact, mesh)
-        # composition: total >= each piece, <= sum of the three pieces
         assert total >= err_h1
-        assert total <= err_h1 + np.sqrt(mesh.h) * err_lam + total  # sanity
         assert np.isfinite(total)
+
+        # Zero discrete fields: each piece is a quadrature of the exact
+        # solution alone, computed here from the mesh and the rules.
+        zero_u = SolutionField(V, np.zeros(V.dof_count))
+        zero_lam = SolutionField(L, np.zeros(L.dof_count))
+        rule = quadrature("triangle", 2 * 2 + 4)  # l2_h1_errors' rule for k = 2
+        origins, J, _, detJ = mesh.affine_maps()
+        X = origins[:, None, :] + np.einsum("cab,qb->cqa", J, rule.points)
+        grad_sq = np.sum(RING.grad_u_exact(X) ** 2, axis=-1)
+        h1 = np.sqrt(np.sum(rule.weights[None, :] * detJ[:, None] * grad_sq))
+        F = mesh.boundary_facets
+        bnd = np.sqrt(np.sum(F.weights * RING.u_exact(F.points) ** 2) / mesh.h)
+        flux = np.sum(RING.grad_u_exact(F.points) * F.n_h[:, None, :], axis=-1)
+        lam_err = np.sqrt(np.sum(F.weights * flux**2))
+        expected = h1 + bnd + np.sqrt(mesh.h) * lam_err
+        got = error_triple_norm(zero_u, zero_lam, RING, mesh)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestFitRates:

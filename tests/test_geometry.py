@@ -22,8 +22,6 @@ from bvcfem.geometry import (
     make_ring_domain,
     make_square_domain,
     make_unit_circle_domain,
-    pullback_point,
-    ray_distance,
     ray_distance_batch,
 )
 
@@ -56,6 +54,20 @@ class TestExactNormal:
         with pytest.raises(GeometryError):
             exact_normal(RING, (0.5, 0.0))
 
+    def test_array_of_points(self):
+        theta = np.linspace(0.0, 2.0 * np.pi, 7)
+        radial = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        pts = np.stack([0.75 * radial, 0.25 * radial])  # (2, 7, 2)
+        n = exact_normal(RING, pts)
+        assert n.shape == pts.shape
+        assert np.allclose(n[0], radial, atol=1e-14)
+        assert np.allclose(n[1], -radial, atol=1e-14)
+
+    def test_one_off_boundary_row_is_named(self):
+        pts = np.array([[0.0, 0.75], [0.5, 0.0], [0.25, 0.0]])
+        with pytest.raises(GeometryError, match=r"point \[0\.5 0\. *\] is not on the boundary"):
+            exact_normal(RING, pts)
+
     def test_zero_gradient(self):
         from bvcfem.geometry import ImplicitDomain
 
@@ -77,7 +89,7 @@ class TestExactNormal:
 class TestRayDistance:
     def test_vertex_on_boundary_is_zero(self):
         x = np.array([0.75, 0.0])
-        assert ray_distance(RING, x, np.array([1.0, 0.0])) == 0.0
+        assert ray_distance_batch(RING, [x], [[1.0, 0.0]])[0] == 0.0
 
     @pytest.mark.parametrize("alpha", [np.pi / 16, np.pi / 40, np.pi / 128])
     def test_outer_chord_sagitta(self, alpha):
@@ -87,7 +99,7 @@ class TestRayDistance:
         x = np.array([R * np.cos(alpha), 0.0])
         n = np.array([1.0, 0.0])
         expected = R - np.sqrt(R**2 - ell**2 / 4.0)
-        got = ray_distance(RING, x, n)
+        got = ray_distance_batch(RING, [x], [n])[0]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(bisect_root(RING, x, n, 0.0, 0.12), abs=1e-12)
 
@@ -97,7 +109,7 @@ class TestRayDistance:
         x = np.array([xb - 0.2, y0])
         n = np.array([1.0, 0.0])
         expected = 2.0 * np.sqrt(1.0 - y0**2) - x[0]
-        got = ray_distance(ELLIPSE, x, n)
+        got = ray_distance_batch(ELLIPSE, [x], [n])[0]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(bisect_root(ELLIPSE, x, n, 0.0, 0.5), abs=1e-12)
 
@@ -106,17 +118,17 @@ class TestRayDistance:
         alpha = np.pi / 16
         x = np.array([0.25 * np.cos(alpha), 0.0])
         n = np.array([-1.0, 0.0])  # outward from the annulus
-        got = ray_distance(RING, x, n)
+        got = ray_distance_batch(RING, [x], [n])[0]
         assert got < 0.0
         assert got == pytest.approx(-(0.25 - 0.25 * np.cos(alpha)), abs=1e-12)
 
     def test_no_intersection(self):
         with pytest.raises(NoIntersection):
-            ray_distance(RING, np.array([0.74, 0.0]), np.array([0.0, 1.0]))
+            ray_distance_batch(RING, [[0.74, 0.0]], [[0.0, 1.0]])
 
     def test_outside_tube_rejected(self):
         with pytest.raises(NoIntersection):
-            ray_distance(RING, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
+            ray_distance_batch(RING, [[0.5, 0.0]], [[1.0, 0.0]])
 
     @pytest.mark.parametrize("y0, expected", [(0.001, 0.049), (-0.001, -0.049)])
     def test_two_crossings_pick_the_nearer_root(self, y0, expected):
@@ -141,15 +153,17 @@ class TestRayDistance:
         # Along the exact normal the ray length is the distance to the
         # boundary, oriented so that rho_h > 0 when the point lies inside.
         rng = np.random.default_rng(7)
+        xs, ns = [], []
         for _ in range(200):
             theta = rng.uniform(0, 2 * np.pi)
             radius = rng.choice([0.25, 0.75])
             off = rng.uniform(-0.1, 0.1)
             x = (radius + off) * np.array([np.cos(theta), np.sin(theta)])
-            n = exact_normal(RING, closest_point(RING, x))
-            sigma = ray_distance(RING, x, n)
-            phi = float(RING.level_set(x))
-            assert sigma == pytest.approx(-phi, abs=1e-10)
+            xs.append(x)
+            ns.append(exact_normal(RING, closest_point(RING, x)))
+        sigma = ray_distance_batch(RING, xs, ns)
+        phi = RING.level_set(np.array(xs))
+        np.testing.assert_allclose(sigma, -phi, rtol=0, atol=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -161,30 +175,37 @@ class TestRayDistance:
         # |rho_h| >= |rho| for any admissible ray direction.
         x = (0.75 + off) * np.array([np.cos(theta), np.sin(theta)])
         n = np.array([np.cos(theta + tilt), np.sin(theta + tilt)])
-        sigma = ray_distance(RING, x, n)
+        sigma = ray_distance_batch(RING, [x], [n])[0]
         assert abs(sigma) >= abs(float(RING.level_set(x))) - 1e-12
+
+
+def pullback(domain, x, n):
+    """The points x + rho_h(x) n at the end of each ray, as the mesh stores them."""
+    x, n = np.atleast_2d(x), np.atleast_2d(n)
+    return x + ray_distance_batch(domain, x, n)[:, None] * n
 
 
 class TestPullback:
     def test_boundary_vertex_fixed(self):
         x = np.array([0.0, 0.25])
-        p = pullback_point(RING, x, np.array([0.0, -1.0]))
+        p = pullback(RING, x, np.array([0.0, -1.0]))[0]
         assert np.allclose(p, x, atol=1e-14)
 
     def test_chord_midpoint_maps_radially(self):
         alpha = np.pi / 20
         x = np.array([0.75 * np.cos(alpha), 0.0])
-        p = pullback_point(RING, x, np.array([1.0, 0.0]))
+        p = pullback(RING, x, np.array([1.0, 0.0]))[0]
         assert np.allclose(p, (0.75, 0.0), atol=1e-12)
 
     def test_staircase_point_maps_to_ellipse(self):
         y0 = 0.4
-        p = pullback_point(ELLIPSE, np.array([1.7, y0]), np.array([1.0, 0.0]))
+        p = pullback(ELLIPSE, np.array([1.7, y0]), np.array([1.0, 0.0]))[0]
         assert np.allclose(p, (2.0 * np.sqrt(1.0 - y0**2), y0), atol=1e-12)
 
     @pytest.mark.parametrize("domain", [RING, CIRCLE, ELLIPSE], ids=lambda d: d.name)
     def test_pullback_lands_on_boundary(self, domain):
         rng = np.random.default_rng(3)
+        xs, ns = [], []
         for _ in range(100):
             t = rng.uniform(0, 2 * np.pi)
             if domain.name == "ellipse":
@@ -193,9 +214,10 @@ class TestPullback:
                 r = 1.0 if domain.name == "circle" else rng.choice([0.25, 0.75])
                 b = r * np.array([np.cos(t), np.sin(t)])
             n = exact_normal(domain, b)
-            x = b + rng.uniform(-0.5, 0.5) * domain.delta0 / 2.0 * n
-            p = pullback_point(domain, x, n)
-            assert abs(float(domain.level_set(p))) <= 1e-12
+            xs.append(b + rng.uniform(-0.5, 0.5) * domain.delta0 / 2.0 * n)
+            ns.append(n)
+        p = pullback(domain, xs, ns)
+        assert np.max(np.abs(domain.level_set(p))) <= 1e-12
 
 
 class TestClosestPoint:
@@ -286,13 +308,5 @@ class TestManufacturedData:
         assert np.allclose(sq.u_exact(pts), 0.3 + 0.7 * pts[:, 0] - 0.4 * pts[:, 1])
         assert np.allclose(sq.f_rhs(pts), 0.0)
         # rho along an edge of the square is identically zero
-        assert ray_distance(sq, np.array([0.37, 0.0]), np.array([0.0, -1.0])) == 0.0
+        assert ray_distance_batch(sq, [[0.37, 0.0]], [[0.0, -1.0]])[0] == 0.0
 
-
-def test_batch_matches_scalar():
-    pts = np.array([[0.7301, 0.1], [0.74, -0.05], [0.251, 0.003]])
-    nrm = pts / np.hypot(pts[:, 0], pts[:, 1])[:, None]
-    nrm[2] *= -1.0
-    batch = ray_distance_batch(RING, pts, nrm)
-    for i in range(3):
-        assert batch[i] == pytest.approx(ray_distance(RING, pts[i], nrm[i]), abs=1e-14)

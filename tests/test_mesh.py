@@ -8,13 +8,9 @@ from bvcfem.mesh import (
     EmptyMesh,
     InvalidResolution,
     MeshError,
-    boundary_length,
     build_annulus_mesh,
     build_square_mesh,
     build_staircase_mesh,
-    euler_characteristic,
-    export_mesh,
-    load_mesh,
     mesh_from_arrays,
     precompute_boundary_geometry,
 )
@@ -22,6 +18,15 @@ from bvcfem.study import StudyConfig, build_level
 
 RING = make_ring_domain()
 ELLIPSE = make_ellipse_domain()
+
+
+def euler_characteristic(mesh):
+    """V - E + F: 1 for a mesh of a disk, 0 for a mesh of an annulus."""
+    return mesh.nno - mesh.num_edges + mesh.num_cells
+
+
+def boundary_length(mesh):
+    return float(np.sum(mesh.boundary_facets.length))
 
 
 class TestAnnulus:
@@ -257,35 +262,6 @@ class TestGeometricAssumptionTrends:
             delta = np.max(np.abs(m.boundary_facets.rho))
             ratios.append(delta / np.sqrt(m.h))
         assert max(ratios) / min(ratios) < 2.0
-
-
-class TestExport:
-    def test_round_trip(self, tmp_path):
-        m = build_annulus_mesh(8, 2)
-        path = tmp_path / "mesh.txt"
-        export_mesh(m, path)
-        m2 = load_mesh(path)
-        assert np.array_equal(m.vertices, m2.vertices)
-        assert np.array_equal(m.cells, m2.cells)
-        assert m.cell_kind == m2.cell_kind
-        assert len(m.boundary_facets) == len(m2.boundary_facets)
-
-    def test_header(self, tmp_path):
-        m = build_staircase_mesh(8, ELLIPSE)
-        path = tmp_path / "mesh.txt"
-        export_mesh(m, path)
-        header = path.read_text().splitlines()[0]
-        assert header == (
-            f"vertices {m.nno} cells {m.num_cells} "
-            f"facets {len(m.boundary_facets)} kind quad"
-        )
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        path = tmp_path / "mesh.txt"
-        export_mesh(build_square_mesh(1, "quad"), path)
-        path.write_text(path.read_text().replace("kind quad", "kind hex"))
-        with pytest.raises(MeshError, match="'hex'"):
-            load_mesh(path)
 
 
 def test_square_fixture_mesh():

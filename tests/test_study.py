@@ -1,7 +1,9 @@
 """Study driver: configs, CSV round trip, plots, presets, CLI exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +61,21 @@ class TestConfig:
     def test_non_integer_multiplier_degree(self):
         with pytest.raises(ConfigError, match="multiplier_degree"):
             validate_config(StudyConfig(multiplier_degree="x"))
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ({"element": "p3", "multiplier_degree": 2.7}, "multiplier_degree"),
+            ({"multiplier_degree": 1.0}, "multiplier_degree"),
+            ({"levels": 2.5}, "levels"),
+            ({"levels": 2.0}, "levels"),
+        ],
+        ids=["degree-2.7", "degree-1.0", "levels-2.5", "levels-2.0"],
+    )
+    def test_non_integral_value_from_the_api(self, settings, key):
+        # int() would truncate the degree, and range() rejects a float count.
+        with pytest.raises(ConfigError, match=key):
+            validate_config(StudyConfig(**settings))
 
     def test_config_file_bad_boolean_names_file_line_and_key(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -326,3 +343,16 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "--preset" in proc.stdout
+
+    def test_module_run_imports_the_study_once(self):
+        # The package must not import bvcfem.study, or `-m` runs it twice
+        # and Python warns that it was already in sys.modules.
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bvcfem.study", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
