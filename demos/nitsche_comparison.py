@@ -11,31 +11,26 @@ import numpy as np
 
 from bvcfem import (
     SolutionField,
+    StudyConfig,
     assemble_nitsche,
     assemble_saddle,
-    build_annulus_mesh,
-    build_multiplier_space,
-    build_primal_space,
     field_l2_norm,
     l2_h1_errors,
     make_ring_domain,
-    precompute_boundary_geometry,
     solve,
 )
+from bvcfem.study import build_level
 
 ring = make_ring_domain()
-k = 2
+config = StudyConfig(element="p2")
+k = config.order()
 gamma0 = 10.0 * k * k
 
 print(f"ring P{k}, gamma0 = {gamma0:g}")
 print(f"{'level':>5} {'h':>9} {'L2 (mult)':>11} {'L2 (nitsche)':>13} {'|diff|':>11} {'diff/err':>9}")
 errs, hs = [], []
 for lvl in range(4):
-    mesh = precompute_boundary_geometry(
-        build_annulus_mesh(16 * 2**lvl, 4 * 2**lvl), ring, 2 * k + 2
-    )
-    V = build_primal_space(mesh, k, enrich=True)
-    Lam = build_multiplier_space(mesh, k - 1)
+    mesh, V, Lam = build_level(config, lvl, ring)
     u_mult, lam = solve(assemble_saddle(mesh, V, Lam, ring, "bvc"))
     u_nit, _ = solve(assemble_nitsche(mesh, V, ring, gamma0))
     e_mult, _ = l2_h1_errors(u_mult, ring, mesh)

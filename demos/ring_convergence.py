@@ -12,7 +12,7 @@ and SVG log-log plots into results/.
 
 from pathlib import Path
 
-from bvcfem import StudyConfig, emit_csv, emit_plots, run_study
+from bvcfem import emit_csv, emit_plots, run_preset
 
 ELEMENT = "p2"   # "p2" or "p3"
 LEVELS = 4       # use 5 to reproduce the acceptance ladders
@@ -20,13 +20,9 @@ LEVELS = 4       # use 5 to reproduce the acceptance ladders
 outdir = Path("results")
 outdir.mkdir(exist_ok=True)
 
-corrected = run_study(
-    StudyConfig(domain="ring", element=ELEMENT, method="bvc", levels=LEVELS)
-)
-plain = run_study(
-    StudyConfig(domain="ring", element=ELEMENT, method="unmodified", levels=LEVELS)
-)
-corrected.companion = plain
+# The preset runs the corrected method with the unmodified one as companion.
+corrected, _ = run_preset(f"{ELEMENT}-ring", levels=LEVELS)
+plain = corrected.companion
 
 print(f"ring {ELEMENT}: corrected vs unmodified")
 print(f"{'level':>5} {'h':>9} {'L2 (bvc)':>11} {'L2 (plain)':>11} "

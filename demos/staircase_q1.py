@@ -13,13 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from bvcfem import (
-    StudyConfig,
     build_staircase_mesh,
     emit_csv,
     emit_plots,
     make_ellipse_domain,
     precompute_boundary_geometry,
-    run_study,
+    run_preset,
 )
 
 outdir = Path("results")
@@ -32,9 +31,8 @@ print(f"coarse staircase: {coarse.num_cells} cells, {coarse.nno} nodes, "
 print(f"  worst |rho_h| = {np.max(coarse.boundary_facets.rho):.3f} "
       f"(cell side {4/16:.3f})")
 
-corrected = run_study(StudyConfig(domain="ellipse", element="q1", method="bvc", levels=4))
-plain = run_study(StudyConfig(domain="ellipse", element="q1", method="unmodified", levels=4))
-corrected.companion = plain
+corrected, _ = run_preset("q1-ellipse", levels=4)
+plain = corrected.companion
 
 print(f"\n{'level':>5} {'h':>9} {'L2 (bvc)':>11} {'L2 (plain)':>11} {'H1 (bvc)':>11}")
 for (lvl, rb), (_, rp) in zip(corrected.records, plain.records):

@@ -10,28 +10,18 @@ system solvable, with optimal convergence in u.
 
 import numpy as np
 
-from bvcfem import (
-    build_annulus_mesh,
-    build_multiplier_space,
-    build_primal_space,
-    infsup_diagnostic,
-    make_ring_domain,
-    precompute_boundary_geometry,
-    run_unstable_pairing,
-)
+from bvcfem import StudyConfig, infsup_diagnostic, make_ring_domain, run_unstable_pairing
+from bvcfem.study import build_level
 
 ring = make_ring_domain()
 
 print("inf-sup diagnostic sigma_min (B against the natural norms):")
 for enrich, mdeg, label in ((True, 1, "P2+bubbles / P1-disc (stable)"),
                             (False, 2, "P2 / P2-disc (unstable)")):
+    config = StudyConfig(element="p2", multiplier_degree=mdeg, enrich=enrich)
     sigmas = []
     for lvl in range(2):
-        mesh = precompute_boundary_geometry(
-            build_annulus_mesh(16 * 2**lvl, 4 * 2**lvl), ring, 6
-        )
-        V = build_primal_space(mesh, 2, enrich=enrich)
-        Lam = build_multiplier_space(mesh, mdeg)
+        mesh, V, Lam = build_level(config, lvl, ring)
         sigmas.append(infsup_diagnostic(V, Lam, mesh))
     print(f"  {label:32s} levels 0-1: {sigmas[0]:.3e}, {sigmas[1]:.3e}")
 

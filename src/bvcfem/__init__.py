@@ -23,7 +23,6 @@ from .analysis import (
     infsup_diagnostic,
     l2_h1_errors,
     multiplier_error,
-    triple_norm,
 )
 from .assembly import (
     DimensionMismatch,
@@ -49,7 +48,6 @@ from .geometry import (
     make_polygon_domain,
     make_ring_domain,
     make_square_domain,
-    make_unit_circle_domain,
     ray_distance_batch,
 )
 from .mesh import (

@@ -64,9 +64,8 @@ def l2_h1_errors(u_field: SolutionField, domain, mesh: Mesh, extra_degree: int =
     k = u_field.space.degree
     rule = quadrature(mesh.cell_kind, 2 * k + 4 + extra_degree)
     X, uh, guh, detJ = _field_on_volume(u_field, rule)
-    flat = X.reshape(-1, 2)
-    ue = np.asarray(domain.u_exact(flat), dtype=float).reshape(uh.shape)
-    ge = np.asarray(domain.grad_u_exact(flat), dtype=float).reshape(guh.shape)
+    ue = geo.at_points(domain.u_exact, X)
+    ge = geo.at_points(domain.grad_u_exact, X)
     wd = rule.weights[None, :] * detJ[:, None]
     err_l2 = np.sqrt(np.sum(wd * (uh - ue) ** 2))
     err_h1 = np.sqrt(np.sum(wd[:, :, None] * (guh - ge) ** 2))
@@ -101,15 +100,9 @@ def multiplier_error(
         n = geo.exact_normal(domain, facets.pullback)
     else:
         n = facets.n_h[:, None, :]
-    target = -np.sum(_on_facet_points(grad_u_exact, facets) * n, axis=-1)
+    target = -np.sum(geo.at_points(grad_u_exact, facets.points) * n, axis=-1)
     lam = lambda_field.evaluate_on_facet(slice(None), facets.s)
     return float(np.sqrt(np.sum(facets.weights * (target - lam) ** 2)))
-
-
-def _on_facet_points(fn, facets) -> np.ndarray:
-    """fn at every facet Gauss point, shaped (nf, nq, ...)."""
-    vals = np.asarray(fn(facets.points.reshape(-1, 2)), dtype=float)
-    return vals.reshape(facets.weights.shape + vals.shape[1:])
 
 
 def _facet_field_traces(field: SolutionField, facets) -> np.ndarray:
@@ -118,27 +111,11 @@ def _facet_field_traces(field: SolutionField, facets) -> np.ndarray:
     return np.einsum("fqn,fn->fq", vals, field.coefficients[dofs])
 
 
-def triple_norm(v_field, mu_field, mesh: Mesh, h: float) -> float:
-    """||grad v|| + ||h^{-1/2} v||_bnd + ||h^{1/2} mu||_bnd for discrete fields."""
-    facets = mesh.boundary_facets
-    grad_sq = bnd_sq = mu_sq = 0.0
-    if v_field is not None:
-        k = v_field.space.degree
-        rule = quadrature(mesh.cell_kind, 2 * k + 2)
-        _, _, guh, detJ = _field_on_volume(v_field, rule)
-        grad_sq = np.sum((rule.weights[None, :] * detJ[:, None])[:, :, None] * guh**2)
-        bnd_sq = np.sum(facets.weights * _facet_field_traces(v_field, facets) ** 2)
-    if mu_field is not None:
-        mv = mu_field.evaluate_on_facet(slice(None), facets.s)
-        mu_sq = np.sum(facets.weights * mv**2)
-    return float(np.sqrt(grad_sq) + np.sqrt(bnd_sq / h) + np.sqrt(h * mu_sq))
-
-
 def error_triple_norm(u_field, lambda_field, domain, mesh: Mesh) -> float:
     """|||(u - u_h, lambda~ - lambda_h)||| with lambda~ = -n_h . grad u."""
     _, err_h1 = l2_h1_errors(u_field, domain, mesh)
     facets = mesh.boundary_facets
-    ue = _on_facet_points(domain.u_exact, facets)
+    ue = geo.at_points(domain.u_exact, facets.points)
     bnd_sq = np.sum(facets.weights * (ue - _facet_field_traces(u_field, facets)) ** 2)
     mu_err = 0.0
     if lambda_field is not None:
@@ -148,15 +125,9 @@ def error_triple_norm(u_field, lambda_field, domain, mesh: Mesh) -> float:
 
 @dataclass
 class RateFit:
-    """Log-log slopes: global least squares, last-3 least squares, pairwise."""
+    """Least-squares log-log slope over the last three levels."""
 
-    global_fit: float
     last3: float
-    pairwise: list
-
-
-def _ls_slope(hs, errs):
-    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
 
 def pairwise_rate(prev: ErrorReport, report: ErrorReport, attr: str) -> float | None:
@@ -182,11 +153,8 @@ def fit_rates(reports) -> dict:
         errs = np.array(errs, dtype=float)
         if np.any(errs <= 1e-14):
             raise DegenerateFit(f"{norm} error at/below 1e-14: rate undefined")
-        out[norm] = RateFit(
-            global_fit=_ls_slope(hs, errs),
-            last3=_ls_slope(hs[-3:], errs[-3:]),
-            pairwise=[pairwise_rate(a, b, attr) for a, b in zip(reports, reports[1:])],
-        )
+        slope = np.polyfit(np.log(hs[-3:]), np.log(errs[-3:]), 1)[0]
+        out[norm] = RateFit(last3=float(slope))
     return out
 
 

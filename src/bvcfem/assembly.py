@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import ImplicitDomain
+from .geometry import ImplicitDomain, at_points
 from .mesh import FacetGeometry, Mesh, QUAD_EDGES, TRI_EDGES
 from .spaces import (
     MultiplierSpace,
@@ -57,7 +57,6 @@ class SaddleSystem:
     rhs_lam: np.ndarray
     V: PrimalSpace
     Lam: MultiplierSpace
-    mesh: Mesh
 
     def full_matrix(self) -> sp.csc_matrix:
         row2 = self.Bt_corr if self.Bt_corr is not None else self.B
@@ -71,9 +70,7 @@ class SaddleSystem:
 class NitscheSystem:
     A: sp.csr_matrix
     rhs: np.ndarray
-    gamma0: float
     V: PrimalSpace
-    mesh: Mesh
 
     def full_matrix(self) -> sp.csc_matrix:
         return self.A.tocsc()
@@ -126,7 +123,7 @@ def load_vector(V: PrimalSpace, f) -> np.ndarray:
     vals, _ = V.tabulate(rule.points)
     origins, J, _, detJ = mesh.affine_maps()
     X = origins[:, None, :] + np.einsum("cab,qb->cqa", J, rule.points)
-    fv = np.asarray(f(X.reshape(-1, 2)), dtype=float).reshape(mesh.num_cells, -1)
+    fv = at_points(f, X)
     Fc = np.einsum("q,qi,cq->ci", rule.weights, vals, fv) * detJ[:, None]
 
     rhs = np.zeros(V.dof_count)
@@ -176,12 +173,6 @@ def _scatter(shape, *parts) -> sp.csr_matrix:
     return sp.coo_matrix((np.concatenate(data), ij), shape=shape).tocsr()
 
 
-def _pulled_back_data(domain, facets) -> np.ndarray:
-    """g~ = g o p_h at every facet Gauss point, (nf, nq)."""
-    g = domain.g_dirichlet(facets.pullback.reshape(-1, 2))
-    return np.asarray(g, dtype=float).reshape(facets.weights.shape)
-
-
 def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
     """(phi_i, phi_j) over the facet boundary (used by the inf-sup check)."""
     facets = V.mesh.boundary_facets
@@ -225,7 +216,7 @@ def assemble_saddle(
         blocks = np.einsum("fq,fq,qi,qj->fij", w, facets.rho, psi, psi)
         D = _scatter((nl, nl), (blocks, Lam.facet_dofs, Lam.facet_dofs, True))
     rhs_lam = np.zeros(nl)
-    rhs_lam[Lam.facet_dofs] = (w * _pulled_back_data(domain, facets)) @ psi
+    rhs_lam[Lam.facet_dofs] = (w * at_points(domain.g_dirichlet, facets.pullback)) @ psi
     return SaddleSystem(
         K=stiffness_matrix(V),
         B=coupling_matrix(V, Lam, False),
@@ -235,7 +226,6 @@ def assemble_saddle(
         rhs_lam=rhs_lam,
         V=V,
         Lam=Lam,
-        mesh=mesh,
     )
 
 
@@ -264,13 +254,13 @@ def assemble_nitsche(mesh: Mesh, V: PrimalSpace, domain: ImplicitDomain, gamma0:
         + np.einsum("fq,fq,fqj,fqi->fij", w, rho, dn, dn)
         + gamma * np.einsum("fq,fqj,fqi->fij", w, corr, corr)
     )
-    wg = w * _pulled_back_data(domain, facets)
+    wg = w * at_points(domain.g_dirichlet, facets.pullback)
     data = -np.einsum("fqi,fq->fi", dn, wg) + gamma * np.einsum("fqi,fq->fi", corr, wg)
     np.add.at(rhs, dofs[mask], data[mask])
 
     n = V.dof_count
     A = _scatter((n, n), (M, dofs, dofs, mask[:, :, None] & mask[:, None, :])) + K
-    return NitscheSystem(A=A, rhs=rhs, gamma0=gamma0, V=V, mesh=mesh)
+    return NitscheSystem(A=A, rhs=rhs, V=V)
 
 
 def dump_matrix(A, path) -> None:

@@ -59,6 +59,20 @@ _N_SCAN = 64
 _ON_BOUNDARY = 1e-14
 _ROOT_TOL = 1e-12
 
+# The ring's inner and outer radii, shared by its domain and its mesh.
+RING_RADII = (0.25, 0.75)
+
+
+def at_points(fn, points) -> np.ndarray:
+    """fn at an (..., 2) point array, in one call on the flattened points.
+
+    The values are reshaped to the leading axes of points followed by the
+    value axes fn returns per point.
+    """
+    pts = np.asarray(points, dtype=float)
+    vals = np.asarray(fn(pts.reshape(-1, 2)), dtype=float)
+    return vals.reshape(pts.shape[:-1] + vals.shape[1:])
+
 
 def exact_normal(domain: ImplicitDomain, points) -> np.ndarray:
     """Outward unit normals at boundary points of shape (..., 2).
@@ -252,7 +266,7 @@ def closest_point(domain: ImplicitDomain, x) -> np.ndarray:
 
 def make_ring_domain() -> ImplicitDomain:
     """Annulus 1/4 <= r <= 3/4 with u = (r - 1/4)(3/4 - r)."""
-    inner, outer = 0.25, 0.75
+    inner, outer = RING_RADII
 
     def level_set(p):
         p = np.asarray(p, dtype=float)
@@ -291,41 +305,6 @@ def make_ring_domain() -> ImplicitDomain:
         delta0=0.12,
         phi_cap=0.12 * (1.0 + 1e-9),
         radial_circles=(inner, outer),
-    )
-
-
-def make_unit_circle_domain() -> ImplicitDomain:
-    """Unit disk, level set x^2 + y^2 - 1, with u = 1 - r^2."""
-
-    def level_set(p):
-        p = np.asarray(p, dtype=float)
-        return p[..., 0] ** 2 + p[..., 1] ** 2 - 1.0
-
-    def level_set_gradient(p):
-        return 2.0 * np.asarray(p, dtype=float)
-
-    def u_exact(p):
-        p = np.asarray(p, dtype=float)
-        return 1.0 - p[..., 0] ** 2 - p[..., 1] ** 2
-
-    def grad_u_exact(p):
-        return -2.0 * np.asarray(p, dtype=float)
-
-    def f_rhs(p):
-        p = np.asarray(p, dtype=float)
-        return np.full(p.shape[:-1], 4.0)
-
-    return ImplicitDomain(
-        name="circle",
-        level_set=level_set,
-        level_set_gradient=level_set_gradient,
-        u_exact=u_exact,
-        grad_u_exact=grad_u_exact,
-        f_rhs=f_rhs,
-        g_dirichlet=u_exact,
-        delta0=0.3,
-        phi_cap=0.7,
-        radial_circles=(1.0,),
     )
 
 

@@ -187,14 +187,15 @@ def _split_quads(quads, parity):
     return np.stack([first, second], axis=1).reshape(-1, 3)
 
 
-def build_annulus_mesh(n_theta: int, n_r: int, inner: float = 0.25, outer: float = 0.75) -> Mesh:
-    """Structured triangulation of the ring inner <= r <= outer.
+def build_annulus_mesh(n_theta: int, n_r: int) -> Mesh:
+    """Structured triangulation of the ring 1/4 <= r <= 3/4 (geometry.RING_RADII).
 
     Vertices sit on n_r+1 exact circles at n_theta equispaced angles; each
     polar quad is split into two triangles along the (i+j)-parity diagonal.
     """
     if n_theta < 8 or n_r < 2:
         raise InvalidResolution(f"need n_theta >= 8 and n_r >= 2, got ({n_theta}, {n_r})")
+    inner, outer = geometry.RING_RADII
     radii = inner + (outer - inner) * np.arange(n_r + 1) / n_r
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)

@@ -31,7 +31,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .assembly import NitscheSystem, SaddleSystem
-from .spaces import MultiplierSpace, PrimalSpace
 
 logger = logging.getLogger(__name__)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .mesh import Mesh, TRI_EDGES, QUAD_EDGES, gauss_01
+from .mesh import Mesh, TRI_EDGES, gauss_01
 
 
 class UnsupportedOrder(Exception):
@@ -26,23 +26,21 @@ class UnsupportedDegree(Exception):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    points: np.ndarray   # (nq, 1) or (nq, 2) reference coordinates
+    points: np.ndarray   # (nq, 2) reference coordinates
     weights: np.ndarray  # (nq,), positive, summing to the reference measure
 
 
 def quadrature(kind: str, degree: int) -> QuadratureRule:
-    """Gauss-type rule on the reference segment/triangle/quad, exact to degree.
+    """Gauss-type rule on the reference triangle or quad, exact to degree.
 
-    Segments and quads use (tensor) Gauss-Legendre; triangles use the conical
-    product of Gauss-Jacobi (weight 1-x) and Gauss-Legendre, exact for total
-    degree <= 2n-1 in each factor.
+    Quads use tensor Gauss-Legendre; triangles use the conical product of
+    Gauss-Jacobi (weight 1-x) and Gauss-Legendre, exact for total degree
+    <= 2n-1 in each factor.  Facet rules are gauss_01.
     """
     if degree > 20 or degree < 0:
         raise UnsupportedDegree(f"exactness degree {degree} not supported")
     n = max(1, (degree + 2) // 2)  # ceil((degree+1)/2)
     x01, w01 = gauss_01(n)
-    if kind == "segment":
-        return QuadratureRule(points=x01[:, None], weights=w01)
     if kind == "quad":
         X, Y = np.meshgrid(x01, x01, indexing="ij")
         W = np.outer(w01, w01)
@@ -210,18 +208,11 @@ def _quad_bubble(local_edge, pts):
     return vals, cs[..., None] * ds + ct[..., None] * dt
 
 
-def legendre_01(m, s):
-    """Values of P_0..P_m at 2s - 1 (orthogonal basis on a unit facet)."""
-    return np.polynomial.legendre.legvander(2.0 * np.asarray(s) - 1.0, m)
-
-
 # --- spaces -----------------------------------------------------------------
 
 
 class PrimalSpace:
     """H1-conforming primal space V_h with optional boundary edge bubbles."""
-
-    kind = "primal"
 
     def __init__(self, mesh: Mesh, degree: int, enriched: bool):
         self.mesh = mesh
@@ -245,31 +236,30 @@ class PrimalSpace:
         self.cell_dofs_std[:, : cells.shape[1]] = cells
         ndof = mesh.nno
 
-        node_pts = [mesh.vertices]
         if mesh.cell_kind == "triangle" and k >= 2:
             # k - 1 nodes per edge, global slots ordered from the smaller
             # vertex id, so neighboring cells agree on the shared nodes.
             edges = np.array(TRI_EDGES)
             ga, gb = cells[:, edges[:, 0]], cells[:, edges[:, 1]]
-            eid = mesh.cell_edges
             r = np.arange(k - 1)
             slot = np.where((ga > gb)[:, :, None], k - 2 - r, r)
             self.cell_dofs_std[:, 3 : 3 + 3 * (k - 1)] = (
-                ndof + (k - 1) * eid[:, :, None] + slot
+                ndof + (k - 1) * mesh.cell_edges[:, :, None] + slot
             ).reshape(nc, -1)
-            ends = np.empty((mesh.num_edges, 2), dtype=np.int64)
-            ends[eid] = np.sort(np.stack([ga, gb], axis=2), axis=2)
-            lo, hi = mesh.vertices[ends[:, None, 0]], mesh.vertices[ends[:, None, 1]]
-            j = np.arange(1, k)[:, None]  # node j sits j/k of the way from lo
-            node_pts.append((((k - j) * lo + j * hi) / k).reshape(-1, 2))
             ndof += (k - 1) * mesh.num_edges
         if mesh.cell_kind == "triangle" and k == 3:
             self.cell_dofs_std[:, 9] = ndof + np.arange(nc)
             ndof += nc
-            node_pts.append(mesh.vertices[cells].mean(axis=1))
-
         self.n_lagrange = ndof
-        self.dof_points = np.concatenate(node_pts, axis=0)
+
+        # Every cell writes its mapped reference nodes; the vertex rows are
+        # the mesh vertices themselves.
+        self.dof_points = np.empty((ndof, 2))
+        if mesh.cell_kind == "triangle":
+            origins, J, _, _ = mesh.affine_maps()
+            nodes = origins[:, None, :] + np.einsum("cab,nb->cna", J, _tri_nodes(k))
+            self.dof_points[self.cell_dofs_std] = nodes
+        self.dof_points[: mesh.nno] = mesh.vertices
 
         # One bubble dof per boundary facet, appended after the Lagrange dofs
         # in facet order (facet f owns dof n_lagrange + f).  Row c of
@@ -348,8 +338,6 @@ class PrimalSpace:
 class MultiplierSpace:
     """Facet-wise discontinuous multipliers, Legendre-orthogonal per facet."""
 
-    kind = "multiplier"
-
     def __init__(self, mesh: Mesh, degree: int):
         if degree < 0:
             raise UnsupportedOrder(f"multiplier degree {degree} must be >= 0")
@@ -362,16 +350,13 @@ class MultiplierSpace:
         self.dof_count = nf * (degree + 1)
 
     def eval(self, s):
-        """Basis values P_0..P_m at facet parameters s in [0, 1]: (nq, m+1)."""
-        return legendre_01(self.degree, s)
-
-    def facet_mass_diagonal(self):
-        """Diagonal facet mass entries length/(2j+1), shape (nf, m+1)."""
-        scale = 1.0 / (2.0 * np.arange(self.degree + 1) + 1.0)
-        return self.mesh.boundary_facets.length[:, None] * scale[None, :]
+        """Legendre P_0..P_m at 2s - 1, for facet parameters s in [0, 1]: (nq, m+1)."""
+        return np.polynomial.legendre.legvander(2.0 * np.asarray(s) - 1.0, self.degree)
 
     def mass_matrix_diagonal(self):
-        return self.facet_mass_diagonal().ravel()
+        """Diagonal facet mass entries length/(2j+1), in dof order."""
+        scale = 1.0 / (2.0 * np.arange(self.degree + 1) + 1.0)
+        return (self.mesh.boundary_facets.length[:, None] * scale[None, :]).ravel()
 
 
 def build_primal_space(mesh: Mesh, k: int, enrich: bool = True) -> PrimalSpace:

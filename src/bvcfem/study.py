@@ -59,7 +59,7 @@ class StudyConfig:
     domain: str = "ring"
     element: str = "p2"
     method: str = "bvc"
-    multiplier_degree: object = "auto"  # "auto" means element order - 1
+    multiplier_degree: int | None = None  # None means element order - 1
     enrich: bool = True
     levels: int = 5
     gamma0: float | None = None
@@ -69,12 +69,7 @@ class StudyConfig:
         return ELEMENT_ORDER[self.element]
 
     def mult_degree(self) -> int:
-        """The multiplier degree; ValueError unless an integer or its text."""
-        if self.multiplier_degree in (None, "auto"):
-            return self.order() - 1
-        if not isinstance(self.multiplier_degree, (str, numbers.Integral)):
-            raise ValueError(f"not an integer: {self.multiplier_degree!r}")
-        return int(self.multiplier_degree)
+        return self.order() - 1 if self.multiplier_degree is None else self.multiplier_degree
 
 
 def validate_config(config: StudyConfig) -> None:
@@ -89,16 +84,16 @@ def validate_config(config: StudyConfig) -> None:
         raise ConfigError(f"levels must be an integer, got {config.levels!r}")
     if config.levels < 1:
         raise ConfigError("levels must be positive")
-    try:
-        degree = config.mult_degree()
-    except ValueError:
-        raise ConfigError(
-            f"multiplier_degree must be an integer or 'auto', got {config.multiplier_degree!r}"
-        ) from None
-    if config.method != "nitsche" and degree < 0:
+    degree = config.multiplier_degree
+    if degree is not None and not isinstance(degree, numbers.Integral):
+        raise ConfigError(f"multiplier_degree must be an integer or None, got {degree!r}")
+    if config.method != "nitsche" and config.mult_degree() < 0:
         raise ConfigError("multiplier degree must be >= 0")
-    if config.gamma0 is not None and config.gamma0 <= 0:
-        raise ConfigError("gamma0 must be positive")
+    if not isinstance(config.enrich, bool):
+        raise ConfigError(f"enrich must be True or False, got {config.enrich!r}")
+    gamma0 = config.gamma0
+    if gamma0 is not None and not (isinstance(gamma0, numbers.Real) and 0 < gamma0 < np.inf):
+        raise ConfigError(f"gamma0 must be a positive finite number, got {gamma0!r}")
 
 
 @dataclass
@@ -382,14 +377,13 @@ def emit_plots(result: StudyResult, prefix) -> None:
     for norm in ("l2", "h1", "lambda"):
         attr = _NORM_ATTR[norm]
         series = []
-        for res, label in ((result, result.config.method), (result.companion, None)):
+        for res in (result, result.companion):
             if res is None or not res.records:
                 continue
-            label = label if label is not None else res.config.method
             hs = [r.h for r in res.reports if getattr(r, attr) is not None]
             es = [getattr(r, attr) for r in res.reports if getattr(r, attr) is not None]
             if hs:
-                series.append({"label": label, "h": hs, "err": es})
+                series.append({"label": res.config.method, "h": hs, "err": es})
         if not series:
             continue
         _svg_loglog(
@@ -413,7 +407,6 @@ def emit_plots(result: StudyResult, prefix) -> None:
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     config: StudyConfig
     comparison: str | None = None      # method overlaid for contrast
     checks: dict | None = None         # norm -> (lo, hi) on last-3 LS rates
@@ -422,25 +415,21 @@ class Preset:
 
 PRESETS = {
     "p2-ring": Preset(
-        name="p2-ring",
         config=StudyConfig(domain="ring", element="p2", method="bvc"),
         comparison="unmodified",
         checks={"l2": (2.8, 3.3), "h1": (1.8, 2.3), "lambda": (1.7, 2.3)},
     ),
     "p3-ring": Preset(
-        name="p3-ring",
         config=StudyConfig(domain="ring", element="p3", method="bvc"),
         comparison="unmodified",
         checks={"l2": (3.7, 4.3), "h1": (2.8, 3.3), "lambda": (2.6, 3.4)},
     ),
     "q1-ellipse": Preset(
-        name="q1-ellipse",
         config=StudyConfig(domain="ellipse", element="q1", method="bvc"),
         comparison="unmodified",
         checks={"l2": (1.7, 2.3), "h1": (0.8, 1.3)},
     ),
     "unstable-pairing": Preset(
-        name="unstable-pairing",
         config=StudyConfig(
             domain="ring", element="p2", method="bvc",
             multiplier_degree=2, enrich=False,
@@ -448,7 +437,6 @@ PRESETS = {
         special="unstable",
     ),
     "nitsche-p2-ring": Preset(
-        name="nitsche-p2-ring",
         config=StudyConfig(domain="ring", element="p2", method="nitsche"),
         checks={"l2": (2.8, 3.3)},
     ),
@@ -499,10 +487,10 @@ def run_preset(name: str, levels: int | None = None) -> tuple:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
     preset = PRESETS[name]
-    if preset.special == "unstable":
-        result = run_unstable_pairing(levels or preset.config.levels)
-        return result, check_unstable(result)
     config = preset.config if levels is None else replace(preset.config, levels=levels)
+    if preset.special == "unstable":
+        result = run_unstable_pairing(config.levels)
+        return result, check_unstable(result)
     result = run_study(config)
     if preset.comparison:
         result.companion = run_study(replace(config, method=preset.comparison))
@@ -524,7 +512,7 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 def _config_value(key, value: str):
     """The typed value of a setting given as text (config file or flag)."""
     try:
-        if key == "levels":
+        if key in ("levels", "multiplier_degree"):
             return int(value)
         if key == "gamma0":
             return float(value)

@@ -21,13 +21,31 @@ from bvcfem.geometry import (
     make_ellipse_domain,
     make_ring_domain,
     make_square_domain,
-    make_unit_circle_domain,
     ray_distance_batch,
 )
 
 RING = make_ring_domain()
-CIRCLE = make_unit_circle_domain()
 ELLIPSE = make_ellipse_domain()
+
+
+def _unit_disk_u(p):
+    return 1.0 - np.sum(np.asarray(p, dtype=float) ** 2, axis=-1)
+
+
+# The unit disk with u = 1 - r^2: a circle whose level set r^2 - 1 is not a
+# distance function, unlike the ring's.
+CIRCLE = ImplicitDomain(
+    name="circle",
+    level_set=lambda p: -_unit_disk_u(p),
+    level_set_gradient=lambda p: 2.0 * np.asarray(p, dtype=float),
+    u_exact=_unit_disk_u,
+    grad_u_exact=lambda p: -2.0 * np.asarray(p, dtype=float),
+    f_rhs=lambda p: np.full(np.shape(p)[:-1], 4.0),
+    g_dirichlet=_unit_disk_u,
+    delta0=0.3,
+    phi_cap=0.7,
+    radial_circles=(1.0,),
+)
 
 
 def bisect_root(domain, x, n, lo, hi):

@@ -1,0 +1,43 @@
+"""Every name a library module imports is used in that module.
+
+A stdlib-ast stand-in for a linter's unused-import check.  __init__.py is
+skipped: its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bvcfem"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_checker_flags_unused_and_ignores_future():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import scipy.sparse\n"
+        "from .mesh import Mesh, TRI_EDGES\n"
+        "x = np.zeros(2) + len(TRI_EDGES) + scipy.sparse.eye(1).nnz\n"
+    )
+    assert unused_imports(source) == ["line 4: Mesh"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

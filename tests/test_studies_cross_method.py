@@ -38,7 +38,6 @@ def test_triple_norm_rate_is_energy_order(short_ladders):
 
 def test_preset_rate_check_failure_exits_2(monkeypatch, tmp_path):
     impossible = Preset(
-        name="impossible",
         config=StudyConfig(domain="ring", element="p2", method="bvc", levels=3),
         checks={"l2": (9.0, 9.5)},
     )

@@ -77,6 +77,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             validate_config(StudyConfig(**settings))
 
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ({"enrich": "no"}, "enrich"),
+            ({"method": "nitsche", "gamma0": float("nan")}, "gamma0"),
+            ({"method": "nitsche", "gamma0": float("inf")}, "gamma0"),
+            ({"method": "nitsche", "gamma0": "5"}, "gamma0"),
+        ],
+        ids=["enrich-text", "gamma0-nan", "gamma0-inf", "gamma0-text"],
+    )
+    def test_bad_value_from_the_api_names_key(self, settings, key):
+        # A truthy string would run enriched; a nan penalty fails in the solver.
+        with pytest.raises(ConfigError, match=key):
+            validate_config(StudyConfig(**settings))
+
     def test_config_file_bad_boolean_names_file_line_and_key(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("domain = ring\nenrich = flase\n")
@@ -218,6 +233,13 @@ class TestPresetRegistry:
         with pytest.raises(ConfigError):
             run_preset("p9-hypercube")
 
+    @pytest.mark.parametrize("name", ["unstable-pairing", "p2-ring"])
+    def test_zero_levels_rejected(self, name):
+        from bvcfem.study import run_preset
+
+        with pytest.raises(ConfigError, match="levels must be positive"):
+            run_preset(name, levels=0)
+
 
 class TestCli:
     def test_explicit_run_exit_zero(self, tmp_path):
@@ -266,6 +288,19 @@ class TestCli:
         code = main(["--config", str(cfg), "--levels", "3"])
         assert code == 0
         assert "level 3:" not in capsys.readouterr().out  # flag overrode levels=4
+
+    @pytest.mark.parametrize("preset", ["unstable-pairing", "p2-ring"])
+    def test_preset_zero_levels_exit_one(self, capsys, preset):
+        assert main(["--preset", preset, "--levels", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert "levels must be positive" in err
+        assert "level 0" not in out
+
+    def test_nan_gamma0_flag_exit_one(self, capsys):
+        assert main(["--method", "nitsche", "--gamma0", "nan", "--levels", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert "gamma0" in err
+        assert "level 0" not in out
 
     def test_invalid_combo_exit_one(self):
         assert main(["--domain", "ring", "--element", "q1", "--levels", "3"]) == 1
