@@ -30,15 +30,15 @@ print(f"ring P{k}, gamma0 = {gamma0:g}")
 print(f"{'level':>5} {'h':>9} {'L2 (mult)':>11} {'L2 (nitsche)':>13} {'|diff|':>11} {'diff/err':>9}")
 errs, hs = [], []
 for lvl in range(4):
-    mesh, V, Lam = build_level(config, lvl, ring)
-    u_mult, lam = solve(assemble_saddle(mesh, V, Lam, ring, "bvc"))
-    u_nit, _ = solve(assemble_nitsche(mesh, V, ring, gamma0))
-    e_mult, _ = l2_h1_errors(u_mult, ring, mesh)
-    e_nit, _ = l2_h1_errors(u_nit, ring, mesh)
+    V, Lam = build_level(config, lvl, ring)
+    u_mult, lam = solve(assemble_saddle(V, Lam, ring, "bvc"))
+    u_nit, _ = solve(assemble_nitsche(V, ring, gamma0))
+    e_mult, _ = l2_h1_errors(u_mult, ring)
+    e_nit, _ = l2_h1_errors(u_nit, ring)
     diff = field_l2_norm(SolutionField(V, u_mult.coefficients - u_nit.coefficients))
     errs.append(e_nit)
-    hs.append(mesh.h)
-    print(f"{lvl:>5} {mesh.h:>9.5f} {e_mult:>11.3e} {e_nit:>13.3e} "
+    hs.append(V.mesh.h)
+    print(f"{lvl:>5} {V.mesh.h:>9.5f} {e_mult:>11.3e} {e_nit:>13.3e} "
           f"{diff:>11.3e} {diff / e_mult:>9.2f}")
 
 rate = np.polyfit(np.log(hs[-3:]), np.log(errs[-3:]), 1)[0]

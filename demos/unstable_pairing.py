@@ -21,8 +21,7 @@ for enrich, mdeg, label in ((True, 1, "P2+bubbles / P1-disc (stable)"),
     config = StudyConfig(element="p2", multiplier_degree=mdeg, enrich=enrich)
     sigmas = []
     for lvl in range(2):
-        mesh, V, Lam = build_level(config, lvl, ring)
-        sigmas.append(infsup_diagnostic(V, Lam, mesh))
+        sigmas.append(infsup_diagnostic(*build_level(config, lvl, ring)))
     print(f"  {label:32s} levels 0-1: {sigmas[0]:.3e}, {sigmas[1]:.3e}")
 
 result = run_unstable_pairing(levels=4)

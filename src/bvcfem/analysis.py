@@ -43,26 +43,25 @@ def _field_on_volume(field: SolutionField, rule):
     V = field.space
     mesh = V.mesh
     vals, grads = V.tabulate(rule.points)
-    origins, J, Jinv, detJ = mesh.affine_maps()
-    X = origins[:, None, :] + np.einsum("cab,qb->cqa", J, rule.points)
+    X = mesh.to_physical(rule.points)
     cs = field.coefficients[V.cell_dofs_std]
     uh = np.einsum("qi,ci->cq", vals, cs)
     gref = np.einsum("qid,ci->cqd", grads, cs)
-    guh = np.einsum("cqd,cde->cqe", gref, Jinv)
+    guh = np.einsum("cqd,cde->cqe", gref, mesh.Jinv)
     # Bubble columns of the enriched cells (padded slots are zero).
     cells = V.bubble_cells
     dofs, _, bv, bg = V.local_basis(cells, rule.points)
     cb = field.coefficients[dofs[:, V.nb_std :]]
     np.add.at(uh, cells, np.einsum("cqj,cj->cq", bv[:, :, V.nb_std :], cb))
     bgrad = np.einsum("cqjd,cj->cqd", bg[:, :, V.nb_std :], cb)
-    np.add.at(guh, cells, np.einsum("cqd,cde->cqe", bgrad, Jinv[cells]))
-    return X, uh, guh, detJ
+    np.add.at(guh, cells, np.einsum("cqd,cde->cqe", bgrad, mesh.Jinv[cells]))
+    return X, uh, guh, mesh.detJ
 
 
-def l2_h1_errors(u_field: SolutionField, domain, mesh: Mesh, extra_degree: int = 0):
-    """||u - u_h|| and |u - u_h|_H1 on the mesh, elevated-order quadrature."""
+def l2_h1_errors(u_field: SolutionField, domain, extra_degree: int = 0):
+    """||u - u_h|| and |u - u_h|_H1 on the field's mesh, elevated-order quadrature."""
     k = u_field.space.degree
-    rule = quadrature(mesh.cell_kind, 2 * k + 4 + extra_degree)
+    rule = quadrature(u_field.space.mesh.cell_kind, 2 * k + 4 + extra_degree)
     X, uh, guh, detJ = _field_on_volume(u_field, rule)
     ue = geo.at_points(domain.u_exact, X)
     ge = geo.at_points(domain.grad_u_exact, X)
@@ -81,11 +80,7 @@ def field_l2_norm(field: SolutionField) -> float:
 
 
 def multiplier_error(
-    lambda_field: SolutionField,
-    grad_u_exact,
-    mesh: Mesh,
-    use_exact_normal: bool = False,
-    domain=None,
+    lambda_field: SolutionField, domain, use_exact_normal: bool = False
 ) -> float:
     """||(-n . grad u)|_{facet boundary} - lambda_h||.
 
@@ -93,33 +88,28 @@ def multiplier_error(
     lambda_h ~ -n_h . grad u_h); use_exact_normal evaluates the true-boundary
     normal at the pullback points instead.
     """
-    facets = mesh.boundary_facets
+    facets = lambda_field.space.mesh.boundary_facets
     if use_exact_normal:
-        if domain is None:
-            raise ValueError("use_exact_normal requires the domain")
         n = geo.exact_normal(domain, facets.pullback)
     else:
         n = facets.n_h[:, None, :]
-    target = -np.sum(geo.at_points(grad_u_exact, facets.points) * n, axis=-1)
+    target = -np.sum(geo.at_points(domain.grad_u_exact, facets.points) * n, axis=-1)
     lam = lambda_field.evaluate_on_facet(slice(None), facets.s)
     return float(np.sqrt(np.sum(facets.weights * (target - lam) ** 2)))
 
 
-def _facet_field_traces(field: SolutionField, facets) -> np.ndarray:
-    """Values (nf, nq) of a primal field at every facet Gauss point."""
-    dofs, _, vals, _ = facet_traces(field.space, facets)
-    return np.einsum("fqn,fn->fq", vals, field.coefficients[dofs])
-
-
-def error_triple_norm(u_field, lambda_field, domain, mesh: Mesh) -> float:
+def error_triple_norm(u_field, lambda_field, domain) -> float:
     """|||(u - u_h, lambda~ - lambda_h)||| with lambda~ = -n_h . grad u."""
-    _, err_h1 = l2_h1_errors(u_field, domain, mesh)
+    _, err_h1 = l2_h1_errors(u_field, domain)
+    mesh = u_field.space.mesh
     facets = mesh.boundary_facets
     ue = geo.at_points(domain.u_exact, facets.points)
-    bnd_sq = np.sum(facets.weights * (ue - _facet_field_traces(u_field, facets)) ** 2)
+    dofs, _, vals, _ = facet_traces(u_field.space)
+    uh = np.einsum("fqn,fn->fq", vals, u_field.coefficients[dofs])
+    bnd_sq = np.sum(facets.weights * (ue - uh) ** 2)
     mu_err = 0.0
     if lambda_field is not None:
-        mu_err = multiplier_error(lambda_field, domain.grad_u_exact, mesh)
+        mu_err = multiplier_error(lambda_field, domain)
     return float(err_h1 + np.sqrt(bnd_sq / mesh.h) + np.sqrt(mesh.h) * mu_err)
 
 
@@ -158,7 +148,7 @@ def fit_rates(reports) -> dict:
     return out
 
 
-def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace, mesh: Mesh) -> float:
+def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace) -> float:
     """Smallest generalized singular value of the coupling B.
 
     sigma_min^2 is the smallest eigenvalue of B N^{-1} B^T against the scaled
@@ -168,7 +158,7 @@ def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace, mesh: Mesh) -> float
     if V.dof_count > 5000:
         raise TooLarge(f"inf-sup diagnostic is coarse-level only ({V.dof_count} dofs)")
     Bd = coupling_matrix(V, Lam, False).toarray()
-    h = mesh.h
+    h = V.mesh.h
     N = (stiffness_matrix(V) + boundary_mass_primal(V) / h).toarray()
     X = scipy.linalg.solve(N, Bd.T, assume_a="pos")
     G = Bd @ X
@@ -185,16 +175,17 @@ def geometry_report(mesh: Mesh, domain) -> tuple:
     return float(np.max(np.abs(facets.rho))), float(np.max(dev))
 
 
-def error_report(u_field, lambda_field, domain, mesh: Mesh) -> ErrorReport:
+def error_report(u_field, lambda_field, domain) -> ErrorReport:
     """Assemble the full per-level record for a solved problem."""
-    err_l2, err_h1 = l2_h1_errors(u_field, domain, mesh)
+    mesh = u_field.space.mesh
+    err_l2, err_h1 = l2_h1_errors(u_field, domain)
     if lambda_field is not None:
-        err_lam = multiplier_error(lambda_field, domain.grad_u_exact, mesh)
+        err_lam = multiplier_error(lambda_field, domain)
         dofs_lam = lambda_field.space.dof_count
     else:
         err_lam = None
         dofs_lam = 0
-    triple = error_triple_norm(u_field, lambda_field, domain, mesh)
+    triple = error_triple_norm(u_field, lambda_field, domain)
     delta_h, normal_dev = geometry_report(mesh, domain)
     return ErrorReport(
         h=mesh.h,

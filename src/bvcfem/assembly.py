@@ -3,16 +3,17 @@
 One saddle-point assembler builds three multiplier variants that share the
 interior stiffness (grad u, grad v) and the facet coupling (u, mu):
 
-* unmodified      -- enforce u_h = g~ on the facet boundary, no correction;
+* unmodified      -- enforce u_h = u~ on the facet boundary, no correction;
 * bvc             -- symmetric correction (u_h, mu) - (rho_h lambda_h, mu);
 * taylor          -- non-symmetric correction (u_h + rho_h dn u_h, mu);
 
 and assemble_nitsche builds the single-field boundary-value-corrected
 symmetric Nitsche method with penalty gamma = gamma0 / h.
 
-g~ is the Dirichlet data pulled back from the true boundary through the
-precomputed facet pullback points.  Every facet term is one batched
-contraction over the facet_traces tables of all boundary facets.
+u~ is the Dirichlet data, the domain's u_exact, pulled back from the true
+boundary through the precomputed facet pullback points.  Every facet term
+is one batched contraction over the facet_traces tables of all boundary
+facets.
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import ImplicitDomain, at_points
-from .mesh import FacetGeometry, Mesh, QUAD_EDGES, TRI_EDGES
-from .spaces import (
-    MultiplierSpace,
-    PrimalSpace,
-    QUAD_REF_VERTS,
-    TRI_REF_VERTS,
-    quadrature,
-)
+from .mesh import REFERENCE_CELLS
+from .spaces import MultiplierSpace, PrimalSpace, quadrature
 
 SADDLE_METHODS = ("bvc", "unmodified", "taylor")
 
@@ -79,12 +74,10 @@ class NitscheSystem:
         return self.rhs
 
 
-def _check_spaces(mesh, V, Lam=None):
-    if V.mesh is not mesh:
-        raise DimensionMismatch("primal space was built on a different mesh")
-    if Lam is not None and Lam.mesh is not mesh:
-        raise DimensionMismatch("multiplier space was built on a different mesh")
-    if mesh.boundary_facets.s is None:
+def _check_spaces(V, Lam=None):
+    if Lam is not None and Lam.mesh is not V.mesh:
+        raise DimensionMismatch("primal and multiplier spaces were built on different meshes")
+    if V.mesh.boundary_facets.s is None:
         raise DimensionMismatch(
             "facet geometry missing: call precompute_boundary_geometry first"
         )
@@ -95,7 +88,7 @@ def stiffness_matrix(V: PrimalSpace) -> sp.csr_matrix:
     mesh = V.mesh
     rule = quadrature(mesh.cell_kind, 2 * (V.degree + 1))
     _, grads = V.tabulate(rule.points)
-    _, _, Jinv, detJ = mesh.affine_maps()
+    Jinv, detJ = mesh.Jinv, mesh.detJ
 
     # Reference contraction S[i,j,a,b] folds the quadrature once; per-cell
     # stiffness is then a 2x2 metric contraction (cells are affine).
@@ -121,9 +114,8 @@ def load_vector(V: PrimalSpace, f) -> np.ndarray:
     mesh = V.mesh
     rule = quadrature(mesh.cell_kind, 2 * V.degree + 3)
     vals, _ = V.tabulate(rule.points)
-    origins, J, _, detJ = mesh.affine_maps()
-    X = origins[:, None, :] + np.einsum("cab,qb->cqa", J, rule.points)
-    fv = at_points(f, X)
+    detJ = mesh.detJ
+    fv = at_points(f, mesh.to_physical(rule.points))
     Fc = np.einsum("q,qi,cq->ci", rule.weights, vals, fv) * detJ[:, None]
 
     rhs = np.zeros(V.dof_count)
@@ -136,8 +128,8 @@ def load_vector(V: PrimalSpace, f) -> np.ndarray:
     return rhs
 
 
-def facet_traces(V: PrimalSpace, facets: FacetGeometry):
-    """Cell basis functions traced on every boundary facet at facets.s.
+def facet_traces(V: PrimalSpace):
+    """Cell basis functions traced on every boundary facet of V's mesh.
 
     Returns (dofs, mask, vals, dn): V.local_basis of each facet's cell at
     the facet's Gauss points, with the reference gradients turned into
@@ -145,15 +137,12 @@ def facet_traces(V: PrimalSpace, facets: FacetGeometry):
     vanish on the facet, but their normal derivatives do not.
     """
     mesh = V.mesh
-    if mesh.cell_kind == "triangle":
-        ref, edges = TRI_REF_VERTS, np.array(TRI_EDGES)
-    else:
-        ref, edges = QUAD_REF_VERTS, np.array(QUAD_EDGES)
-    a, b = ref[edges[:, 0]], ref[edges[:, 1]]
+    facets = mesh.boundary_facets
+    ref, edges = REFERENCE_CELLS[mesh.cell_kind]
+    a, b = ref[np.array(edges).T]
     ref_pts = a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :]  # (ne, nq, 2)
     dofs, mask, vals, grads = V.local_basis(facets.cell, ref_pts[facets.local_edge])
-    _, _, Jinv, _ = mesh.affine_maps()
-    dn = np.einsum("fqnd,fde,fe->fqn", grads, Jinv[facets.cell], facets.n_h)
+    dn = np.einsum("fqnd,fde,fe->fqn", grads, mesh.Jinv[facets.cell], facets.n_h)
     return dofs, mask, vals, dn
 
 
@@ -176,7 +165,7 @@ def _scatter(shape, *parts) -> sp.csr_matrix:
 def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
     """(phi_i, phi_j) over the facet boundary (used by the inf-sup check)."""
     facets = V.mesh.boundary_facets
-    dofs, mask, vals, _ = facet_traces(V, facets)
+    dofs, mask, vals, _ = facet_traces(V)
     blocks = np.einsum("fq,fqi,fqj->fij", facets.weights, vals, vals)
     keep = mask[:, :, None] & mask[:, None, :]
     return _scatter((V.dof_count, V.dof_count), (blocks, dofs, dofs, keep))
@@ -189,7 +178,7 @@ def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.cs
     (phi_j + rho_h dn phi_j, psi_i).
     """
     facets = V.mesh.boundary_facets
-    dofs, mask, vals, dn = facet_traces(V, facets)
+    dofs, mask, vals, dn = facet_traces(V)
     if rho_dn:
         vals = vals + facets.rho[:, :, None] * dn
     blocks = np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
@@ -198,25 +187,25 @@ def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.cs
 
 
 def assemble_saddle(
-    mesh: Mesh, V: PrimalSpace, Lam: MultiplierSpace, domain: ImplicitDomain, method: str
+    V: PrimalSpace, Lam: MultiplierSpace, domain: ImplicitDomain, method: str
 ) -> SaddleSystem:
-    """The multiplier system of one of SADDLE_METHODS, right-hand side (g~, mu).
+    """The multiplier system of one of SADDLE_METHODS, right-hand side (u~, mu).
 
-    bvc:        (u, mu) - (rho_h lambda, mu) = (g~, mu);
-    unmodified: (u, mu) = (g~, mu), D is empty;
-    taylor:     (u + rho_h dn u, mu) = (g~, mu), D is empty.
+    bvc:        (u, mu) - (rho_h lambda, mu) = (u~, mu);
+    unmodified: (u, mu) = (u~, mu), D is empty;
+    taylor:     (u + rho_h dn u, mu) = (u~, mu), D is empty.
     """
     if method not in SADDLE_METHODS:
         raise ValueError(f"unknown multiplier method {method!r}; have {SADDLE_METHODS}")
-    _check_spaces(mesh, V, Lam)
-    facets = mesh.boundary_facets
+    _check_spaces(V, Lam)
+    facets = V.mesh.boundary_facets
     psi, w, nl = Lam.eval(facets.s), facets.weights, Lam.dof_count
     D = sp.csr_matrix((nl, nl))
     if method == "bvc":
         blocks = np.einsum("fq,fq,qi,qj->fij", w, facets.rho, psi, psi)
         D = _scatter((nl, nl), (blocks, Lam.facet_dofs, Lam.facet_dofs, True))
     rhs_lam = np.zeros(nl)
-    rhs_lam[Lam.facet_dofs] = (w * at_points(domain.g_dirichlet, facets.pullback)) @ psi
+    rhs_lam[Lam.facet_dofs] = (w * at_points(domain.u_exact, facets.pullback)) @ psi
     return SaddleSystem(
         K=stiffness_matrix(V),
         B=coupling_matrix(V, Lam, False),
@@ -229,23 +218,23 @@ def assemble_saddle(
     )
 
 
-def assemble_nitsche(mesh: Mesh, V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> NitscheSystem:
+def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> NitscheSystem:
     """Boundary-value-corrected symmetric Nitsche with gamma = gamma0 / h.
 
     Facet terms, with dn = n_h . grad and corr(v) = v + rho_h dn v:
         -(dn w, corr(v)) - (corr(w), dn v) + (rho_h dn w, dn v)
         + gamma (corr(w), corr(v))
-    and data terms (f, v) - (g~, dn v) + gamma (g~, corr(v)).
+    and data terms (f, v) - (u~, dn v) + gamma (u~, corr(v)).
     """
-    _check_spaces(mesh, V)
+    _check_spaces(V)
     if gamma0 <= 0:
         raise DimensionMismatch(f"gamma0 must be positive, got {gamma0}")
-    gamma = gamma0 / mesh.h
+    facets = V.mesh.boundary_facets
+    gamma = gamma0 / V.mesh.h
 
     K = stiffness_matrix(V)
     rhs = load_vector(V, domain.f_rhs)
-    facets = mesh.boundary_facets
-    dofs, mask, vals, dn = facet_traces(V, facets)
+    dofs, mask, vals, dn = facet_traces(V)
     w, rho = facets.weights, facets.rho
     corr = vals + rho[:, :, None] * dn
     M = (
@@ -254,7 +243,7 @@ def assemble_nitsche(mesh: Mesh, V: PrimalSpace, domain: ImplicitDomain, gamma0:
         + np.einsum("fq,fq,fqj,fqi->fij", w, rho, dn, dn)
         + gamma * np.einsum("fq,fqj,fqi->fij", w, corr, corr)
     )
-    wg = w * at_points(domain.g_dirichlet, facets.pullback)
+    wg = w * at_points(domain.u_exact, facets.pullback)
     data = -np.einsum("fqi,fq->fi", dn, wg) + gamma * np.einsum("fqi,fq->fi", corr, wg)
     np.add.at(rhs, dofs[mask], data[mask])
 

@@ -34,6 +34,8 @@ class NoConvergence(GeometryError):
 class ImplicitDomain:
     """Exact domain plus manufactured-solution data.
 
+    u_exact is also the Dirichlet data that the assemblers pull back.
+
     level_set is negative inside the domain, zero on the boundary, positive
     outside.  delta0 is the tubular-neighborhood half-width inside which ray
     casting and projection are trusted; phi_cap is the matching bound on
@@ -48,7 +50,6 @@ class ImplicitDomain:
     u_exact: Callable
     grad_u_exact: Callable
     f_rhs: Callable
-    g_dirichlet: Callable
     delta0: float
     phi_cap: float
     radial_circles: tuple = ()
@@ -301,7 +302,6 @@ def make_ring_domain() -> ImplicitDomain:
         u_exact=u_exact,
         grad_u_exact=grad_u_exact,
         f_rhs=f_rhs,
-        g_dirichlet=u_exact,
         delta0=0.12,
         phi_cap=0.12 * (1.0 + 1e-9),
         radial_circles=(inner, outer),
@@ -346,7 +346,6 @@ def make_ellipse_domain() -> ImplicitDomain:
         u_exact=u_exact,
         grad_u_exact=grad_u_exact,
         f_rhs=f_rhs,
-        g_dirichlet=u_exact,
         delta0=0.5,
         phi_cap=1.3,
     )
@@ -389,7 +388,6 @@ def make_polygon_domain(
         u_exact=u_exact,
         grad_u_exact=grad_u_exact,
         f_rhs=f_rhs,
-        g_dirichlet=u_exact,
         delta0=delta0,
         phi_cap=delta0 * (1.0 + 1e-9),
     )

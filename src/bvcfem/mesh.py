@@ -4,12 +4,13 @@ Annulus triangulations, inside-the-curve staircase quad grids, one edge
 numbering per mesh (Mesh.cell_edges) whose once-used edges become the
 boundary facets, held in one array record (FacetGeometry) with outward
 discrete normals, and per-quadrature-point signed distances / pullback
-points to the true boundary.
+points to the true boundary.  A mesh is built complete, affine cell maps
+included, and never changes; REFERENCE_CELLS is the one reference-cell table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,10 +30,12 @@ class EmptyMesh(MeshError):
     pass
 
 
-# Local edges in counterclockwise order, per cell kind.
+# Reference cells: vertices, and local edges in counterclockwise order.
+TRI_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+QUAD_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRI_EDGES = ((0, 1), (1, 2), (2, 0))
 QUAD_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
-CELL_EDGES = {"triangle": TRI_EDGES, "quad": QUAD_EDGES}
+REFERENCE_CELLS = {"triangle": (TRI_REF_VERTS, TRI_EDGES), "quad": (QUAD_REF_VERTS, QUAD_EDGES)}
 
 
 @dataclass(frozen=True)
@@ -68,14 +71,24 @@ class FacetGeometry:
         return p[:, None, :] + s[None, :, None] * (q - p)[:, None, :]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
+    """Cells with their affine reference maps x = origins + J @ xi.
+
+    J's columns run from a cell's vertex 0 to vertex 1 and to its last
+    vertex, which is exact for straight triangles and axis-aligned
+    (parallelogram) quads.
+    """
+
     vertices: np.ndarray            # (nno, 2)
     cells: np.ndarray               # (nc, 3) or (nc, 4), CCW
     cell_kind: str                  # "triangle" | "quad"
     boundary_facets: FacetGeometry
     cell_edges: np.ndarray          # (nc, 3) or (nc, 4) edge ids, per local edge
-    _affine: tuple | None = field(default=None, repr=False)
+    origins: np.ndarray             # (nc, 2)
+    J: np.ndarray                   # (nc, 2, 2)
+    Jinv: np.ndarray                # (nc, 2, 2)
+    detJ: np.ndarray                # (nc,)
 
     @property
     def nno(self) -> int:
@@ -93,32 +106,9 @@ class Mesh:
     def num_edges(self) -> int:
         return int(self.cell_edges.max()) + 1
 
-    def affine_maps(self):
-        """Per-cell affine reference maps x = origin + J @ xi.
-
-        Returns (origins (nc,2), J (nc,2,2), Jinv (nc,2,2), detJ (nc,)).
-        Valid for straight triangles and axis-aligned (parallelogram) quads.
-        """
-        if self._affine is None:
-            v = self.vertices[self.cells]
-            origins = v[:, 0, :]
-            if self.cell_kind == "triangle":
-                J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-            else:
-                J = np.stack([v[:, 1] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
-            detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            Jinv = np.empty_like(J)
-            Jinv[:, 0, 0] = J[:, 1, 1] / detJ
-            Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
-            Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
-            Jinv[:, 1, 1] = J[:, 0, 0] / detJ
-            self._affine = (origins, J, Jinv, detJ)
-        return self._affine
-
-    def cell_areas(self) -> np.ndarray:
-        _, _, _, detJ = self.affine_maps()
-        scale = 0.5 if self.cell_kind == "triangle" else 1.0
-        return scale * detJ
+    def to_physical(self, xi) -> np.ndarray:
+        """Physical points (nc, nq, 2) of the reference points xi (nq, 2) in every cell."""
+        return self.origins[:, None, :] + np.einsum("cab,qb->cqa", self.J, xi)
 
 
 def _number_by_first_use(keys):
@@ -137,18 +127,18 @@ def _number_by_first_use(keys):
 
 
 def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
-    """Build a Mesh from raw arrays, numbering edges and extracting facets.
+    """Build a Mesh from raw arrays: edge numbering, facets and cell maps.
 
     Edges are numbered in one pass over the sorted vertex pairs of every
     cell, in cell-major, local-edge order of first use; the edges used once
     are the boundary facets.  Cells must be counterclockwise; raises
     MeshError otherwise, and for a cell kind other than "triangle" or "quad".
     """
-    if cell_kind not in CELL_EDGES:
-        raise MeshError(f"unknown cell kind {cell_kind!r}; have {', '.join(CELL_EDGES)}")
+    if cell_kind not in REFERENCE_CELLS:
+        raise MeshError(f"unknown cell kind {cell_kind!r}; have {', '.join(REFERENCE_CELLS)}")
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
-    edges = np.array(CELL_EDGES[cell_kind])
+    edges = np.array(REFERENCE_CELLS[cell_kind][1])
     ends = cells[:, edges].reshape(-1, 2)  # CCW edge of every cell, cell-major
     lo, hi = np.sort(ends, axis=1).T
     edge_ids, uses, _ = _number_by_first_use(lo * len(vertices) + hi)
@@ -162,17 +152,27 @@ def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
     facets = FacetGeometry(
         cell=cell, local_edge=local_edge, endpoints=endpoints, n_h=n_h, length=length
     )
-    mesh = Mesh(
+    v = vertices[cells]
+    J = np.stack([v[:, 1] - v[:, 0], v[:, -1] - v[:, 0]], axis=-1)
+    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    if np.any(detJ <= 0):
+        raise MeshError(f"{int(np.sum(detJ <= 0))} cells are not counterclockwise")
+    Jinv = np.empty_like(J)
+    Jinv[:, 0, 0] = J[:, 1, 1] / detJ
+    Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
+    Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
+    Jinv[:, 1, 1] = J[:, 0, 0] / detJ
+    return Mesh(
         vertices=vertices,
         cells=cells,
         cell_kind=cell_kind,
         boundary_facets=facets,
         cell_edges=edge_ids.reshape(len(cells), len(edges)),
+        origins=v[:, 0, :],
+        J=J,
+        Jinv=Jinv,
+        detJ=detJ,
     )
-    areas = mesh.cell_areas()
-    if np.any(areas <= 0):
-        raise MeshError(f"{int(np.sum(areas <= 0))} cells are not counterclockwise")
-    return mesh
 
 
 def _split_quads(quads, parity):

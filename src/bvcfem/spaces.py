@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .mesh import Mesh, TRI_EDGES, gauss_01
+from .mesh import Mesh, TRI_EDGES, TRI_REF_VERTS, gauss_01
 
 
 class UnsupportedOrder(Exception):
@@ -61,9 +61,6 @@ def quadrature(kind: str, degree: int) -> QuadratureRule:
 
 
 # --- reference bases --------------------------------------------------------
-
-TRI_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-QUAD_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 # Lagrange nodes in reference coordinates, in the cell_dofs ordering.
 # Triangles: vertices, then (per local edge, endpoint-ordered) edge nodes,
@@ -256,9 +253,7 @@ class PrimalSpace:
         # the mesh vertices themselves.
         self.dof_points = np.empty((ndof, 2))
         if mesh.cell_kind == "triangle":
-            origins, J, _, _ = mesh.affine_maps()
-            nodes = origins[:, None, :] + np.einsum("cab,nb->cna", J, _tri_nodes(k))
-            self.dof_points[self.cell_dofs_std] = nodes
+            self.dof_points[self.cell_dofs_std] = mesh.to_physical(_tri_nodes(k))
         self.dof_points[: mesh.nno] = mesh.vertices
 
         # One bubble dof per boundary facet, appended after the Lagrange dofs

@@ -80,6 +80,13 @@ def validate_config(config: StudyConfig) -> None:
     home = "ellipse" if config.element == "q1" else "ring"
     if config.domain != home:
         raise ConfigError(f"{config.element} runs on the {home} only")
+    unread = "multiplier_degree" if config.method == "nitsche" else "gamma0"
+    if getattr(config, unread) is not None:
+        raise ConfigError(f"{unread} is not used by method {config.method}")
+    for key in ("levels", "multiplier_degree", "gamma0"):
+        value = getattr(config, key)
+        if isinstance(value, bool):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
     if not isinstance(config.levels, numbers.Integral):
         raise ConfigError(f"levels must be an integer, got {config.levels!r}")
     if config.levels < 1:
@@ -87,7 +94,7 @@ def validate_config(config: StudyConfig) -> None:
     degree = config.multiplier_degree
     if degree is not None and not isinstance(degree, numbers.Integral):
         raise ConfigError(f"multiplier_degree must be an integer or None, got {degree!r}")
-    if config.method != "nitsche" and config.mult_degree() < 0:
+    if config.mult_degree() < 0:
         raise ConfigError("multiplier degree must be >= 0")
     if not isinstance(config.enrich, bool):
         raise ConfigError(f"enrich must be True or False, got {config.enrich!r}")
@@ -112,7 +119,7 @@ class StudyResult:
 
 
 def build_level(config: StudyConfig, level: int, domain):
-    """One rung's (mesh, V, Lam): mesh, facet geometry and spaces.
+    """One rung's spaces (V, Lam), on the mesh with its facet geometry.
 
     Level l refines the coarsest mesh by 2^l: n = 16 * 2^l cells around the
     ring (by n/4 across it) or across the ellipse's staircase grid.  Facets
@@ -127,23 +134,23 @@ def build_level(config: StudyConfig, level: int, domain):
     mesh = precompute_boundary_geometry(mesh, domain, 2 * k + 2)
     V = build_primal_space(mesh, k, config.enrich)
     if config.method == "nitsche":
-        return mesh, V, None
-    return mesh, V, build_multiplier_space(mesh, config.mult_degree())
+        return V, None
+    return V, build_multiplier_space(mesh, config.mult_degree())
 
 
 def run_level(config: StudyConfig, level: int, domain):
     """One rung of the ladder: mesh, spaces, assembly, solve, report."""
-    mesh, V, Lam = build_level(config, level, domain)
+    V, Lam = build_level(config, level, domain)
     if config.method == "nitsche":
         k = config.order()
         gamma0 = config.gamma0 if config.gamma0 is not None else 10.0 * k * k
-        system = assemble_nitsche(mesh, V, domain, gamma0)
+        system = assemble_nitsche(V, domain, gamma0)
     else:
-        system = ASSEMBLERS[config.method](mesh, V, Lam, domain)
+        system = ASSEMBLERS[config.method](V, Lam, domain)
     if config.dump_prefix:
         dump_system(system, f"{config.dump_prefix}-L{level}")
     u, lam = solve(system)
-    return mesh, u, lam, error_report(u, lam, domain, mesh)
+    return u, lam, error_report(u, lam, domain)
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -153,12 +160,12 @@ def run_study(config: StudyConfig) -> StudyResult:
     result = StudyResult(config=config)
     for level in range(config.levels):
         try:
-            mesh, u, lam, report = run_level(config, level, domain)
+            u, lam, report = run_level(config, level, domain)
         except SingularSystem as exc:
             result.failures.append((level, str(exc)))
             continue
         result.records.append((level, report))
-        result.elevation = np.column_stack([mesh.vertices, u.vertex_values()])
+        result.elevation = np.column_stack([u.space.mesh.vertices, u.vertex_values()])
     if len(result.reports) >= 3:
         try:
             result.rates = fit_rates(result.reports)
@@ -179,8 +186,7 @@ def run_unstable_pairing(levels: int = 5) -> StudyResult:
     domain = DOMAINS[config.domain]()
     sigmas = []
     for level in range(2):
-        mesh, V, Lam = build_level(config, level, domain)
-        sigmas.append(infsup_diagnostic(V, Lam, mesh))
+        sigmas.append(infsup_diagnostic(*build_level(config, level, domain)))
     result.infsup_sigmas = sigmas
     return result
 

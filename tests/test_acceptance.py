@@ -181,10 +181,10 @@ def test_criterion_6_nitsche_cross_check():
         )
         V = build_primal_space(mesh, 2, enrich=True)
         Lam = build_multiplier_space(mesh, 1)
-        u_bvc, _ = solve(assemble_saddle(mesh, V, Lam, RING, "bvc"))
-        u_nit, _ = solve(assemble_nitsche(mesh, V, RING, 10.0 * 2 * 2))
-        err_bvc, _ = l2_h1_errors(u_bvc, RING, mesh)
-        err_nit, _ = l2_h1_errors(u_nit, RING, mesh)
+        u_bvc, _ = solve(assemble_saddle(V, Lam, RING, "bvc"))
+        u_nit, _ = solve(assemble_nitsche(V, RING, 10.0 * 2 * 2))
+        err_bvc, _ = l2_h1_errors(u_bvc, RING)
+        err_nit, _ = l2_h1_errors(u_nit, RING)
         diff = field_l2_norm(
             SolutionField(V, u_bvc.coefficients - u_nit.coefficients)
         )
@@ -208,8 +208,8 @@ def test_criterion_7_patch_test():
         V = build_primal_space(mesh, k, enrich=True)
         Lam = build_multiplier_space(mesh, m)
         for name in ("bvc", "unmodified", "taylor"):
-            u, lam = solve(assemble_saddle(mesh, V, Lam, domain, name))
-            _, err_h1 = l2_h1_errors(u, domain, mesh)
+            u, lam = solve(assemble_saddle(V, Lam, domain, name))
+            _, err_h1 = l2_h1_errors(u, domain)
             checks.append(
                 (err_h1 <= 1e-10, f"{kind} k={k} {name}: H1 error {err_h1:.2e}")
             )
@@ -223,8 +223,8 @@ def test_criterion_7_patch_test():
             checks.append(
                 (worst <= 1e-10, f"{kind} k={k} {name}: multiplier off by {worst:.2e}")
             )
-        u, _ = solve(assemble_nitsche(mesh, V, domain, 10.0 * k * k))
-        _, err_h1 = l2_h1_errors(u, domain, mesh)
+        u, _ = solve(assemble_nitsche(V, domain, 10.0 * k * k))
+        _, err_h1 = l2_h1_errors(u, domain)
         checks.append((err_h1 <= 1e-10, f"{kind} k={k} nitsche: H1 error {err_h1:.2e}"))
     _criterion(7, "patch test: affine solution reproduced by all four methods", checks)
 
@@ -315,7 +315,7 @@ def test_criterion_9_property_suite():
     mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
     V = build_primal_space(mesh, 2, enrich=True)
     Lam = build_multiplier_space(mesh, 1)
-    system = assemble_saddle(mesh, V, Lam, RING, "bvc")
+    system = assemble_saddle(V, Lam, RING, "bvc")
     K = system.K
     checks.append(
         (abs(K - K.T).max() <= 1e-13 * abs(K).max(), "stiffness not symmetric")
@@ -324,7 +324,7 @@ def test_criterion_9_property_suite():
     checks.append(
         (abs(A - A.T).max() <= 1e-13 * abs(A).max(), "bvc system not symmetric")
     )
-    An = assemble_nitsche(mesh, V, RING, 40.0).A
+    An = assemble_nitsche(V, RING, 40.0).A
     checks.append(
         (abs(An - An.T).max() <= 1e-13 * abs(An).max(), "nitsche matrix not symmetric")
     )
@@ -332,7 +332,7 @@ def test_criterion_9_property_suite():
     smesh = precompute_boundary_geometry(build_staircase_mesh(16, ELLIPSE), ELLIPSE, 4)
     Vq = build_primal_space(smesh, 1, enrich=True)
     Lq = build_multiplier_space(smesh, 0)
-    D = assemble_saddle(smesh, Vq, Lq, ELLIPSE, "bvc").D.toarray()
+    D = assemble_saddle(Vq, Lq, ELLIPSE, "bvc").D.toarray()
     wD = np.linalg.eigvalsh(D)
     checks.append(
         (wD[0] >= -1e-12 * max(abs(wD).max(), 1.0), "staircase D not PSD")
@@ -365,8 +365,8 @@ def test_criterion_9_property_suite():
     checks.append((fd_ok, "basis gradients disagree with finite differences"))
 
     u, lam = solve(system)
-    e1 = l2_h1_errors(u, RING, mesh)
-    e2 = l2_h1_errors(u, RING, mesh, extra_degree=2)
+    e1 = l2_h1_errors(u, RING)
+    e2 = l2_h1_errors(u, RING, extra_degree=2)
     checks.append(
         (abs(e1[0] - e2[0]) < 0.01 * e1[0] and abs(e1[1] - e2[1]) < 0.01 * e1[1],
          "quadrature elevation shifts errors by >= 1%")

@@ -76,7 +76,7 @@ class TestReferenceElement:
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_saddle(mesh, V, L, domain, "bvc")
+        system = assemble_saddle(V, L, domain, "bvc")
         B = system.B.toarray()
         # the facet between vertices 0 and 1 has unit length
         for fidx, endpoints in enumerate(mesh.boundary_facets.endpoints):
@@ -87,14 +87,14 @@ class TestReferenceElement:
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_saddle(mesh, V, L, domain, "bvc")
+        system = assemble_saddle(V, L, domain, "bvc")
         assert system.D.nnz == 0 or np.all(system.D.data == 0.0)
 
     def test_zero_data_zero_solution(self):
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        u, lam = solve(assemble_saddle(mesh, V, L, domain, "bvc"))
+        u, lam = solve(assemble_saddle(V, L, domain, "bvc"))
         assert np.all(u.coefficients == 0.0)
         assert np.all(lam.coefficients == 0.0)
 
@@ -106,7 +106,7 @@ class TestReferenceElement:
         mesh = with_rho(mesh, np.full_like(mesh.boundary_facets.rho, c))
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_saddle(mesh, V, L, domain, "taylor")
+        system = assemble_saddle(V, L, domain, "taylor")
         for fidx, endpoints in enumerate(mesh.boundary_facets.endpoints):
             if set(endpoints) == {1, 2}:  # hypotenuse, n = (1,1)/sqrt(2)
                 # grads: phi0 (-1,-1), phi1 (1,0), phi2 (0,1); length sqrt(2)
@@ -123,7 +123,7 @@ class TestReferenceElement:
         mesh = precompute_boundary_geometry(build_annulus_mesh(8, 2), RING, 6)
         V = build_primal_space(mesh, 2, enrich=True)
         L = build_multiplier_space(mesh, 1)
-        system = assemble_saddle(mesh, V, L, RING, "bvc")
+        system = assemble_saddle(V, L, RING, "bvc")
         # u = (r - 1/4)(3/4 - r) vanishes on both circles, so g~ ~ 0
         assert np.max(np.abs(system.rhs_lam)) <= 1e-12
 
@@ -151,17 +151,17 @@ class TestStructure:
 
     def test_bvc_full_matrix_symmetric(self, ring_setup):
         mesh, V, L = ring_setup
-        A = assemble_saddle(mesh, V, L, RING, "bvc").full_matrix()
+        A = assemble_saddle(V, L, RING, "bvc").full_matrix()
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
     def test_unmodified_full_matrix_symmetric(self, ring_setup):
         mesh, V, L = ring_setup
-        A = assemble_saddle(mesh, V, L, RING, "unmodified").full_matrix()
+        A = assemble_saddle(V, L, RING, "unmodified").full_matrix()
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
     def test_taylor_asymmetry_localized(self, ring_setup):
         mesh, V, L = ring_setup
-        system = assemble_saddle(mesh, V, L, RING, "taylor")
+        system = assemble_saddle(V, L, RING, "taylor")
         A = system.full_matrix().toarray()
         nu = V.dof_count
         # asymmetry only in the multiplier-primal coupling rows
@@ -173,9 +173,9 @@ class TestStructure:
         mesh = with_rho(mesh, np.zeros_like(mesh.boundary_facets.rho))
         V = build_primal_space(mesh, 2, enrich=True)
         L = build_multiplier_space(mesh, 1)
-        bvc = assemble_saddle(mesh, V, L, RING, "bvc")
-        unmod = assemble_saddle(mesh, V, L, RING, "unmodified")
-        taylor = assemble_saddle(mesh, V, L, RING, "taylor")
+        bvc = assemble_saddle(V, L, RING, "bvc")
+        unmod = assemble_saddle(V, L, RING, "unmodified")
+        taylor = assemble_saddle(V, L, RING, "taylor")
         assert abs(bvc.full_matrix() - unmod.full_matrix()).max() <= 1e-14
         assert abs(taylor.full_matrix() - unmod.full_matrix()).max() <= 1e-14
 
@@ -183,14 +183,14 @@ class TestStructure:
         mesh = precompute_boundary_geometry(build_staircase_mesh(16, ELLIPSE), ELLIPSE, 4)
         V = build_primal_space(mesh, 1, enrich=True)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_saddle(mesh, V, L, ELLIPSE, "bvc")
+        system = assemble_saddle(V, L, ELLIPSE, "bvc")
         D = system.D.toarray()
         w = np.linalg.eigvalsh(D)
         assert w[0] >= -1e-12 * max(abs(w).max(), 1.0)  # rho > 0 inside
 
     def test_B_facet_locality(self, ring_setup):
         mesh, V, L = ring_setup
-        B = assemble_saddle(mesh, V, L, RING, "bvc").B.tocsr()
+        B = assemble_saddle(V, L, RING, "bvc").B.tocsr()
         for fidx, c in enumerate(mesh.boundary_facets.cell):
             allowed = set(int(d) for d in V.cell_dofs(c))
             for ldof in L.facet_dofs[fidx]:
@@ -202,33 +202,33 @@ class TestStructure:
         other = precompute_boundary_geometry(build_annulus_mesh(8, 2), RING, 6)
         V2 = build_primal_space(other, 2, enrich=True)
         with pytest.raises(DimensionMismatch):
-            assemble_saddle(mesh, V2, L, RING, "bvc")
+            assemble_saddle(V2, L, RING, "bvc")
 
     def test_unknown_method_rejected(self, ring_setup):
         mesh, V, L = ring_setup
         with pytest.raises(ValueError, match="nitsche"):
-            assemble_saddle(mesh, V, L, RING, "nitsche")
+            assemble_saddle(V, L, RING, "nitsche")
 
     def test_missing_precompute_rejected(self):
         mesh = build_annulus_mesh(8, 2)
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
         with pytest.raises(DimensionMismatch):
-            assemble_saddle(mesh, V, L, RING, "bvc")
+            assemble_saddle(V, L, RING, "bvc")
 
 
 class TestNitsche:
     def test_matrix_symmetric(self):
         mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
         V = build_primal_space(mesh, 2, enrich=True)
-        system = assemble_nitsche(mesh, V, RING, 40.0)
+        system = assemble_nitsche(V, RING, 40.0)
         A = system.A
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
     def test_coercive_at_default_gamma(self):
         mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
         V = build_primal_space(mesh, 2, enrich=True)
-        system = assemble_nitsche(mesh, V, RING, 10.0 * 2 * 2)
+        system = assemble_nitsche(V, RING, 10.0 * 2 * 2)
         w = np.linalg.eigvalsh(system.A.toarray())
         assert w[0] > 0.0
 
@@ -238,7 +238,7 @@ class TestNitsche:
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
         gamma0 = 10.0
-        system = assemble_nitsche(mesh, V, domain, gamma0)
+        system = assemble_nitsche(V, domain, gamma0)
         K = stiffness_matrix(V).toarray()
         gamma = gamma0 / mesh.h
         expected = K.copy()
@@ -262,7 +262,7 @@ class TestNitsche:
     def test_zero_data_zero_solution(self):
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
-        u, lam = solve(assemble_nitsche(mesh, V, domain, 10.0))
+        u, lam = solve(assemble_nitsche(V, domain, 10.0))
         assert lam is None
         assert np.all(u.coefficients == 0.0)
 
@@ -280,12 +280,12 @@ class TestPatch:
         mesh = precompute_boundary_geometry(build_square_mesh(3, kind), domain, 2 * k + 2)
         V = build_primal_space(mesh, k, enrich=True)
         L = build_multiplier_space(mesh, m)
-        u, lam = solve(assemble_saddle(mesh, V, L, domain, method))
+        u, lam = solve(assemble_saddle(V, L, domain, method))
         from bvcfem.analysis import l2_h1_errors, multiplier_error
 
-        _, err_h1 = l2_h1_errors(u, domain, mesh)
+        _, err_h1 = l2_h1_errors(u, domain)
         assert err_h1 <= 1e-10
-        err_lam = multiplier_error(lam, domain.grad_u_exact, mesh)
+        err_lam = multiplier_error(lam, domain)
         assert err_lam <= 1e-10
 
     @pytest.mark.parametrize("kind,k", [("triangle", 1), ("triangle", 2), ("quad", 1)])
@@ -293,10 +293,10 @@ class TestPatch:
         domain = make_square_domain(0.3, 0.7, -0.4)
         mesh = precompute_boundary_geometry(build_square_mesh(3, kind), domain, 2 * k + 2)
         V = build_primal_space(mesh, k, enrich=True)
-        u, _ = solve(assemble_nitsche(mesh, V, domain, 10.0 * k * k))
+        u, _ = solve(assemble_nitsche(V, domain, 10.0 * k * k))
         from bvcfem.analysis import l2_h1_errors
 
-        _, err_h1 = l2_h1_errors(u, domain, mesh)
+        _, err_h1 = l2_h1_errors(u, domain)
         assert err_h1 <= 1e-10
 
 
@@ -305,8 +305,7 @@ def test_taylor_rows_of_two_bubble_corner_cells():
     # boundary facets.  The other facet's bubble vanishes on a facet, but its
     # normal derivative does not, so it enters the taylor row through rho_h.
     # Oracle: per-facet hand quadrature of the full cell basis.
-    from bvcfem.mesh import QUAD_EDGES
-    from bvcfem.spaces import QUAD_REF_VERTS
+    from bvcfem.mesh import QUAD_EDGES, QUAD_REF_VERTS
 
     domain = make_square_domain(0.3, 0.7, -0.4)
     mesh = precompute_boundary_geometry(build_square_mesh(3, "quad"), domain, 4)
@@ -315,8 +314,7 @@ def test_taylor_rows_of_two_bubble_corner_cells():
     F = mesh.boundary_facets
     V = build_primal_space(mesh, 1, enrich=True)
     L = build_multiplier_space(mesh, 0)
-    Bt = assemble_saddle(mesh, V, L, domain, "taylor").Bt_corr.toarray()
-    _, _, Jinv, _ = mesh.affine_maps()
+    Bt = assemble_saddle(V, L, domain, "taylor").Bt_corr.toarray()
     corners = np.flatnonzero(np.bincount(F.cell)[F.cell] == 2)
     assert len(corners) == 8
     for fidx in corners:
@@ -324,7 +322,7 @@ def test_taylor_rows_of_two_bubble_corner_cells():
         a, b = QUAD_EDGES[F.local_edge[fidx]]
         ref = QUAD_REF_VERTS[a] + F.s[:, None] * (QUAD_REF_VERTS[b] - QUAD_REF_VERTS[a])
         vals, grads = V.cell_basis(c, ref)
-        dn = np.einsum("qnd,de->qne", grads, Jinv[c]) @ F.n_h[fidx]
+        dn = np.einsum("qnd,de->qne", grads, mesh.Jinv[c]) @ F.n_h[fidx]
         assert vals.shape[1] == 6 and np.all(np.max(np.abs(dn[:, 4:]), axis=0) > 0.1)
         expected = np.zeros(V.dof_count)
         expected[V.cell_dofs(c)] = np.einsum(
@@ -415,7 +413,7 @@ class TestBatchedBubblePath:
     def test_stiffness_matches_per_cell_loop(self, case):
         V = _bubble_path_space(case)
         rule = self._rule(V, 2 * (V.degree + 1))
-        _, _, Jinv, detJ = V.mesh.affine_maps()
+        Jinv, detJ = V.mesh.Jinv, V.mesh.detJ
         rows, cols, data = [], [], []
         for c in range(V.mesh.num_cells):
             dofs = V.cell_dofs(c)
@@ -439,7 +437,7 @@ class TestBatchedBubblePath:
     def test_load_matches_per_cell_loop(self, case):
         V = _bubble_path_space(case)
         rule = self._rule(V, 2 * V.degree + 3)
-        origins, J, _, detJ = V.mesh.affine_maps()
+        origins, J, detJ = V.mesh.origins, V.mesh.J, V.mesh.detJ
 
         def f(p):
             return np.cos(3.0 * p[..., 0]) + p[..., 1] ** 2

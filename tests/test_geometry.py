@@ -41,7 +41,6 @@ CIRCLE = ImplicitDomain(
     u_exact=_unit_disk_u,
     grad_u_exact=lambda p: -2.0 * np.asarray(p, dtype=float),
     f_rhs=lambda p: np.full(np.shape(p)[:-1], 4.0),
-    g_dirichlet=_unit_disk_u,
     delta0=0.3,
     phi_cap=0.7,
     radial_circles=(1.0,),
@@ -96,7 +95,6 @@ class TestExactNormal:
             u_exact=lambda p: 0.0,
             grad_u_exact=lambda p: np.zeros(2),
             f_rhs=lambda p: 0.0,
-            g_dirichlet=lambda p: 0.0,
             delta0=1.0,
             phi_cap=1.0,
         )
@@ -161,7 +159,7 @@ class TestRayDistance:
 
         zero = lambda p: np.zeros(np.shape(p)[:-1])
         slab = ImplicitDomain(
-            "slab", level_set, gradient, zero, zero, zero, zero, delta0=0.12, phi_cap=0.12
+            "slab", level_set, gradient, zero, zero, zero, delta0=0.12, phi_cap=0.12
         )
         x = np.array([[0.3, y0], [-0.7, y0]])
         got = ray_distance_batch(slab, x, np.array([[0.0, 1.0], [0.0, 1.0]]))
@@ -309,16 +307,6 @@ class TestManufacturedData:
             gx = (u(x + [eps, 0]) - u(x - [eps, 0])) / (2 * eps)
             gy = (u(x + [0, eps]) - u(x - [0, eps])) / (2 * eps)
             assert np.allclose(g, (gx, gy), atol=1e-8)
-
-    def test_g_matches_u_on_boundary(self):
-        for domain in (RING, ELLIPSE, CIRCLE):
-            t = np.linspace(0, 2 * np.pi, 17)
-            if domain.name == "ellipse":
-                b = np.stack([2 * np.cos(t), np.sin(t)], axis=-1)
-            else:
-                r = 1.0 if domain.name == "circle" else 0.75
-                b = r * np.stack([np.cos(t), np.sin(t)], axis=-1)
-            assert np.allclose(domain.g_dirichlet(b), domain.u_exact(b), atol=1e-15)
 
     def test_square_domain_affine(self):
         sq = make_square_domain(0.3, 0.7, -0.4)

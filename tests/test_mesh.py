@@ -1,5 +1,7 @@
 """Mesh construction, facet extraction and boundary geometry precompute."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ class TestAnnulus:
 
     def test_positive_orientation(self):
         m = build_annulus_mesh(16, 4)
-        assert np.all(m.cell_areas() > 0)
+        assert np.all(m.detJ > 0)
 
     def test_facet_outwardness(self):
         m = build_annulus_mesh(16, 4)
@@ -202,9 +204,18 @@ class TestPrecompute:
         assert m6.boundary_facets.weights.shape[1] == 6
         assert mesh.boundary_facets.s is None
         V = build_primal_space(m4, 2, enrich=True)
-        L = build_multiplier_space(m4, 1)
+        L = build_multiplier_space(m6, 1)
         with pytest.raises(DimensionMismatch):
-            assemble_saddle(m6, V, L, RING, "bvc")
+            assemble_saddle(V, L, RING, "bvc")
+
+    def test_mesh_is_frozen_and_keeps_its_maps(self):
+        # The maps are computed once, when the mesh is built: a precompute
+        # shares them, and no field can be reassigned afterwards.
+        mesh = build_annulus_mesh(8, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.J = np.zeros_like(mesh.J)
+        m4 = precompute_boundary_geometry(mesh, RING, 4)
+        assert m4.J is mesh.J and m4.Jinv is mesh.Jinv and m4.detJ is mesh.detJ
 
     def test_small_rho_near_endpoints(self):
         m = precompute_boundary_geometry(build_annulus_mesh(64, 16), RING, 8)
@@ -220,7 +231,7 @@ class TestSequence:
     def ladder(domain, element, levels):
         config = StudyConfig(domain=domain, element=element)
         dom = RING if domain == "ring" else ELLIPSE
-        return [build_level(config, level, dom)[0] for level in range(levels)]
+        return [build_level(config, level, dom)[0].mesh for level in range(levels)]
 
     def test_annulus_ladder_counts(self):
         ms = self.ladder("ring", "p1", 3)

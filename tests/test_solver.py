@@ -106,7 +106,7 @@ def _ring_spaces(n_theta=8, n_r=2, degree=2):
         build_annulus_mesh(n_theta, n_r), RING, 2 * degree + 2
     )
     V = build_primal_space(mesh, degree, enrich=True)
-    return mesh, V, build_multiplier_space(mesh, degree - 1)
+    return V, build_multiplier_space(mesh, degree - 1)
 
 
 @pytest.fixture
@@ -129,13 +129,13 @@ class TestSolverPath:
             (functools.partial(assemble_saddle, method="bvc"), True),
             (functools.partial(assemble_saddle, method="unmodified"), False),
             (functools.partial(assemble_saddle, method="taylor"), False),
-            (lambda mesh, V, Lam, domain: assemble_nitsche(mesh, V, domain, 40.0), True),
+            (lambda V, Lam, domain: assemble_nitsche(V, domain, 40.0), True),
         ],
         ids=["bvc", "unmodified", "taylor", "nitsche"],
     )
     def test_path_follows_matrix(self, splu_calls, assemble, diagonal_pivot):
-        mesh, V, L = _ring_spaces()
-        solve(assemble(mesh, V, L, RING))
+        V, L = _ring_spaces()
+        solve(assemble(V, L, RING))
         assert splu_calls == [DIAGONAL_PIVOT_KWARGS if diagonal_pivot else {}]
 
     def test_tiny_diagonal_falls_back_and_meets_contract(self, splu_calls, caplog):
@@ -159,8 +159,8 @@ class TestSolverPath:
         assert splu_calls == [DIAGONAL_PIVOT_KWARGS, {}]
 
     def test_debug_record_per_solve(self, caplog):
-        mesh, V, L = _ring_spaces()
-        system = assemble_saddle(mesh, V, L, RING, "bvc")
+        V, L = _ring_spaces()
+        system = assemble_saddle(V, L, RING, "bvc")
         with caplog.at_level(logging.DEBUG, logger="bvcfem"):
             solve(system)
         (record,) = caplog.records
@@ -177,8 +177,8 @@ class TestSolverPath:
 
     def test_diagonal_pivot_matches_partial_pivot_p3(self, splu_calls):
         # P3 level 2 of the bvc ring ladder
-        mesh, V, L = _ring_spaces(64, 16, degree=3)
-        system = assemble_saddle(mesh, V, L, RING, "bvc")
+        V, L = _ring_spaces(64, 16, degree=3)
+        system = assemble_saddle(V, L, RING, "bvc")
         A, b = system.full_matrix(), system.full_rhs()
         z = solve_linear(A, b)
         assert splu_calls == [DIAGONAL_PIVOT_KWARGS]
@@ -194,7 +194,7 @@ class TestSolveSystems:
         mesh = precompute_boundary_geometry(build_square_mesh(2, "triangle"), domain, 4)
         V = build_primal_space(mesh, 1, enrich=True)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_saddle(mesh, V, L, domain, "bvc")
+        system = assemble_saddle(V, L, domain, "bvc")
         u, lam = solve(system)
         exact = domain.u_exact(V.dof_points)
         assert np.max(np.abs(u.coefficients[: V.n_lagrange] - exact)) <= 1e-12
@@ -208,13 +208,13 @@ class TestSolveSystems:
         V = build_primal_space(mesh, 2, enrich=False)
         L = build_multiplier_space(mesh, 2)  # richer than the boundary trace
         with pytest.raises(SingularSystem):
-            solve(assemble_saddle(mesh, V, L, RING, "unmodified"))
+            solve(assemble_saddle(V, L, RING, "unmodified"))
 
     def test_bvc_heals_unstable_pairing(self):
         mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
         V = build_primal_space(mesh, 2, enrich=False)
         L = build_multiplier_space(mesh, 2)
-        u, lam = solve(assemble_saddle(mesh, V, L, RING, "bvc"))
+        u, lam = solve(assemble_saddle(V, L, RING, "bvc"))
         assert np.all(np.isfinite(u.coefficients))
 
 

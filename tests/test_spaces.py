@@ -145,8 +145,7 @@ class TestPrimalSpace:
         # midpoint value 0, value -3/32 at s=1/4.
         mesh = build_annulus_mesh(8, 2)
         V = build_primal_space(mesh, 2, enrich=True)
-        from bvcfem.spaces import TRI_REF_VERTS
-        from bvcfem.mesh import TRI_EDGES
+        from bvcfem.mesh import TRI_EDGES, TRI_REF_VERTS
 
         for local_edge in range(3):
             a, b = TRI_EDGES[local_edge]
@@ -159,8 +158,7 @@ class TestPrimalSpace:
     def test_bubble_vanishes_at_vertices_and_other_edges(self, k):
         mesh = build_annulus_mesh(8, 2)
         V = build_primal_space(mesh, k, enrich=True)
-        from bvcfem.spaces import TRI_REF_VERTS
-        from bvcfem.mesh import TRI_EDGES
+        from bvcfem.mesh import TRI_EDGES, TRI_REF_VERTS
 
         s = np.linspace(0, 1, 7)
         for local_edge in range(3):
@@ -189,8 +187,7 @@ class TestPrimalSpace:
         V = build_primal_space(mesh, k, enrich=True)
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal(V.dof_count)
-        from bvcfem.mesh import TRI_EDGES
-        from bvcfem.spaces import TRI_REF_VERTS
+        from bvcfem.mesh import TRI_EDGES, TRI_REF_VERTS
 
         shared = {}
         for c in range(mesh.num_cells):
@@ -222,7 +219,7 @@ class TestPrimalSpace:
 
         mesh = build_annulus_mesh(16, 4) if mesh_kind == "ring" else build_square_mesh(3)
         V = build_primal_space(mesh, k, enrich=True)
-        origins, J, _, _ = mesh.affine_maps()
+        origins, J = mesh.origins, mesh.J
         expected = origins[:, None, :] + np.einsum("cab,nb->cna", J, _tri_nodes(k))
         np.testing.assert_allclose(V.dof_points[V.cell_dofs_std], expected, rtol=0, atol=1e-14)
 

@@ -84,11 +84,19 @@ class TestConfig:
             ({"method": "nitsche", "gamma0": float("nan")}, "gamma0"),
             ({"method": "nitsche", "gamma0": float("inf")}, "gamma0"),
             ({"method": "nitsche", "gamma0": "5"}, "gamma0"),
+            ({"levels": True}, "levels"),
+            ({"multiplier_degree": False}, "multiplier_degree"),
+            ({"method": "nitsche", "gamma0": True}, "gamma0"),
+            ({"method": "bvc", "gamma0": 5.0}, "gamma0"),
+            ({"method": "nitsche", "multiplier_degree": 7}, "multiplier_degree"),
         ],
-        ids=["enrich-text", "gamma0-nan", "gamma0-inf", "gamma0-text"],
+        ids=["enrich-text", "gamma0-nan", "gamma0-inf", "gamma0-text", "levels-bool",
+             "degree-bool", "gamma0-bool", "gamma0-unread", "degree-unread"],
     )
     def test_bad_value_from_the_api_names_key(self, settings, key):
-        # A truthy string would run enriched; a nan penalty fails in the solver.
+        # A truthy string would run enriched; a nan penalty fails in the solver;
+        # a bool is an integer to Python; a setting the method never reads
+        # would be silently dropped.
         with pytest.raises(ConfigError, match=key):
             validate_config(StudyConfig(**settings))
 
@@ -277,7 +285,7 @@ class TestCli:
         mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), ring, 6)
         V = build_primal_space(mesh, 2, enrich=True)
         Lam = build_multiplier_space(mesh, 1)
-        system = assemble_saddle(mesh, V, Lam, ring, "taylor")
+        system = assemble_saddle(V, Lam, ring, "taylor")
         assert len(lines["full"]) == system.full_matrix().nnz
         assert len(lines["Bt"]) == system.Bt_corr.nnz
         assert lines["D"] == []
@@ -300,6 +308,18 @@ class TestCli:
         assert main(["--method", "nitsche", "--gamma0", "nan", "--levels", "1"]) == 1
         out, err = capsys.readouterr()
         assert "gamma0" in err
+        assert "level 0" not in out
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["--method", "bvc", "--gamma0", "5"], "gamma0"),
+         (["--method", "nitsche", "--multiplier-degree", "7"], "multiplier_degree")],
+        ids=["gamma0-with-bvc", "degree-with-nitsche"],
+    )
+    def test_setting_the_method_never_reads_exit_one(self, capsys, argv, key):
+        assert main([*argv, "--levels", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert key in err
         assert "level 0" not in out
 
     def test_invalid_combo_exit_one(self):
