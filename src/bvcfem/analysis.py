@@ -98,8 +98,11 @@ def multiplier_error(
     return float(np.sqrt(np.sum(facets.weights * (target - lam) ** 2)))
 
 
-def error_triple_norm(u_field, lambda_field, domain) -> float:
-    """|||(u - u_h, lambda~ - lambda_h)||| with lambda~ = -n_h . grad u."""
+def error_triple_norm(u_field, err_lambda, domain) -> float:
+    """|||(u - u_h, lambda~ - lambda_h)||| with lambda~ = -n_h . grad u.
+
+    err_lambda is multiplier_error's value, None for a method without multiplier.
+    """
     _, err_h1 = l2_h1_errors(u_field, domain)
     mesh = u_field.space.mesh
     facets = mesh.boundary_facets
@@ -107,9 +110,7 @@ def error_triple_norm(u_field, lambda_field, domain) -> float:
     dofs, _, vals, _ = facet_traces(u_field.space)
     uh = np.einsum("fqn,fn->fq", vals, u_field.coefficients[dofs])
     bnd_sq = np.sum(facets.weights * (ue - uh) ** 2)
-    mu_err = 0.0
-    if lambda_field is not None:
-        mu_err = multiplier_error(lambda_field, domain)
+    mu_err = 0.0 if err_lambda is None else err_lambda
     return float(err_h1 + np.sqrt(bnd_sq / mesh.h) + np.sqrt(mesh.h) * mu_err)
 
 
@@ -179,13 +180,10 @@ def error_report(u_field, lambda_field, domain) -> ErrorReport:
     """Assemble the full per-level record for a solved problem."""
     mesh = u_field.space.mesh
     err_l2, err_h1 = l2_h1_errors(u_field, domain)
-    if lambda_field is not None:
-        err_lam = multiplier_error(lambda_field, domain)
-        dofs_lam = lambda_field.space.dof_count
-    else:
-        err_lam = None
-        dofs_lam = 0
-    triple = error_triple_norm(u_field, lambda_field, domain)
+    saddle = lambda_field is not None
+    err_lam = multiplier_error(lambda_field, domain) if saddle else None
+    dofs_lam = lambda_field.space.dof_count if saddle else 0
+    triple = error_triple_norm(u_field, err_lam, domain)
     delta_h, normal_dev = geometry_report(mesh, domain)
     return ErrorReport(
         h=mesh.h,

@@ -226,9 +226,9 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> N
         + gamma (corr(w), corr(v))
     and data terms (f, v) - (u~, dn v) + gamma (u~, corr(v)).
     """
+    if not 0 < gamma0 < np.inf:
+        raise ValueError(f"gamma0 must be a positive finite number, got {gamma0!r}")
     _check_spaces(V)
-    if gamma0 <= 0:
-        raise DimensionMismatch(f"gamma0 must be positive, got {gamma0}")
     facets = V.mesh.boundary_facets
     gamma = gamma0 / V.mesh.h
 

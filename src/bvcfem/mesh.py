@@ -5,7 +5,8 @@ numbering per mesh (Mesh.cell_edges) whose once-used edges become the
 boundary facets, held in one array record (FacetGeometry) with outward
 discrete normals, and per-quadrature-point signed distances / pullback
 points to the true boundary.  A mesh is built complete, affine cell maps
-included, and never changes; REFERENCE_CELLS is the one reference-cell table.
+included, and never changes.  REFERENCE_CELLS, keyed by cell kind, is the one
+reference-cell table: vertices and counterclockwise local edges.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ class EmptyMesh(MeshError):
     pass
 
 
-# Reference cells: vertices, and local edges in counterclockwise order.
-TRI_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-QUAD_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-TRI_EDGES = ((0, 1), (1, 2), (2, 0))
-QUAD_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
-REFERENCE_CELLS = {"triangle": (TRI_REF_VERTS, TRI_EDGES), "quad": (QUAD_REF_VERTS, QUAD_EDGES)}
+# Reference cells by cell kind: vertices, and local edges in counterclockwise order.
+REFERENCE_CELLS = {
+    "triangle": (np.array([[0, 0], [1, 0], [0, 1]], float), ((0, 1), (1, 2), (2, 0))),
+    "quad": (np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float), ((0, 1), (1, 2), (2, 3), (3, 0))),
+}
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,6 @@ class FacetGeometry:
 
     def __len__(self) -> int:
         return len(self.cell)
-
-    def points_at(self, vertices, s) -> np.ndarray:
-        """Physical points (nf, len(s), 2) at edge parameters s on every facet."""
-        p = vertices[self.endpoints[:, 0]]
-        q = vertices[self.endpoints[:, 1]]
-        return p[:, None, :] + s[None, :, None] * (q - p)[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -109,6 +103,12 @@ class Mesh:
     def to_physical(self, xi) -> np.ndarray:
         """Physical points (nc, nq, 2) of the reference points xi (nq, 2) in every cell."""
         return self.origins[:, None, :] + np.einsum("cab,qb->cqa", self.J, xi)
+
+    def facet_points(self, s) -> np.ndarray:
+        """Physical points (nf, len(s), 2) at edge parameters s on every boundary facet."""
+        p = self.vertices[self.boundary_facets.endpoints[:, 0]]
+        q = self.vertices[self.boundary_facets.endpoints[:, 1]]
+        return p[:, None, :] + s[None, :, None] * (q - p)[:, None, :]
 
 
 def _number_by_first_use(keys):
@@ -271,7 +271,7 @@ def precompute_boundary_geometry(mesh: Mesh, domain: ImplicitDomain, n_gauss: in
         raise InvalidResolution(f"need at least 2 Gauss points per facet, got {n_gauss}")
     facets = mesh.boundary_facets
     s, w = gauss_01(n_gauss)
-    pts = facets.points_at(mesh.vertices, s)
+    pts = mesh.facet_points(s)
     flat_pts = pts.reshape(-1, 2)
     flat_nrm = np.repeat(facets.n_h, n_gauss, axis=0)
     try:

@@ -2,18 +2,23 @@
 
 Continuous Lagrange P1-P3 on triangles and Q1 on axis-aligned quads, with
 optional hierarchical degree-(k+1) edge bubbles on boundary facets, plus
-facet-wise discontinuous Legendre multiplier spaces.  PrimalSpace.local_basis
-is the one place that tabulates a cell's full basis, bubbles included.
+facet-wise discontinuous Legendre multiplier spaces.  ELEMENTS, keyed by
+Mesh.cell_kind and built on mesh.REFERENCE_CELLS, is the one table of what
+differs between cell kinds: supported degrees, Lagrange nodes, basis, edge
+bubble and volume quadrature.  The dof layout is the same for every kind.
+PrimalSpace.local_basis is the one place that tabulates a cell's full basis,
+bubbles included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .mesh import Mesh, TRI_EDGES, TRI_REF_VERTS, gauss_01
+from .mesh import REFERENCE_CELLS, Mesh, gauss_01
 
 
 class UnsupportedOrder(Exception):
@@ -31,7 +36,7 @@ class QuadratureRule:
 
 
 def quadrature(kind: str, degree: int) -> QuadratureRule:
-    """Gauss-type rule on the reference triangle or quad, exact to degree.
+    """Gauss-type rule on the reference cell of kind, exact to degree.
 
     Quads use tensor Gauss-Legendre; triangles use the conical product of
     Gauss-Jacobi (weight 1-x) and Gauss-Legendre, exact for total degree
@@ -39,47 +44,37 @@ def quadrature(kind: str, degree: int) -> QuadratureRule:
     """
     if degree > 20 or degree < 0:
         raise UnsupportedDegree(f"exactness degree {degree} not supported")
-    n = max(1, (degree + 2) // 2)  # ceil((degree+1)/2)
+    if kind not in ELEMENTS:
+        raise UnsupportedDegree(f"unknown reference cell kind {kind!r}")
+    return ELEMENTS[kind].rule(max(1, (degree + 2) // 2))  # n = ceil((degree+1)/2)
+
+
+def _quad_rule(n):
     x01, w01 = gauss_01(n)
-    if kind == "quad":
-        X, Y = np.meshgrid(x01, x01, indexing="ij")
-        W = np.outer(w01, w01)
-        return QuadratureRule(
-            points=np.stack([X.ravel(), Y.ravel()], axis=-1), weights=W.ravel()
-        )
-    if kind == "triangle":
-        xj, wj = roots_jacobi(n, 1, 0)       # weight (1 - x) on [-1, 1]
-        xi = 0.5 * (xj + 1.0)
-        wxi = 0.25 * wj                      # includes the (1 - xi) factor
-        XI, T = np.meshgrid(xi, x01, indexing="ij")
-        W = np.outer(wxi, w01)
-        eta = (1.0 - XI) * T
-        return QuadratureRule(
-            points=np.stack([XI.ravel(), eta.ravel()], axis=-1), weights=W.ravel()
-        )
-    raise UnsupportedDegree(f"unknown reference cell kind {kind!r}")
+    X, Y = np.meshgrid(x01, x01, indexing="ij")
+    W = np.outer(w01, w01)
+    return QuadratureRule(points=np.stack([X.ravel(), Y.ravel()], axis=-1), weights=W.ravel())
+
+
+def _tri_rule(n):
+    x01, w01 = gauss_01(n)
+    xj, wj = roots_jacobi(n, 1, 0)       # weight (1 - x) on [-1, 1]
+    xi = 0.5 * (xj + 1.0)
+    wxi = 0.25 * wj                      # includes the (1 - xi) factor
+    XI, T = np.meshgrid(xi, x01, indexing="ij")
+    W = np.outer(wxi, w01)
+    eta = (1.0 - XI) * T
+    return QuadratureRule(points=np.stack([XI.ravel(), eta.ravel()], axis=-1), weights=W.ravel())
 
 
 # --- reference bases --------------------------------------------------------
 
-# Lagrange nodes in reference coordinates, in the cell_dofs ordering.
-# Triangles: vertices, then (per local edge, endpoint-ordered) edge nodes,
-# then the interior node for P3.
 
-
-def _tri_nodes(k):
-    v = TRI_REF_VERTS
-    nodes = [v[0], v[1], v[2]]
-    if k >= 2:
-        for a, b in TRI_EDGES:
-            if k == 2:
-                nodes.append(0.5 * (v[a] + v[b]))
-            else:
-                nodes.append((2.0 * v[a] + v[b]) / 3.0)
-                nodes.append((v[a] + 2.0 * v[b]) / 3.0)
-    if k == 3:
-        nodes.append(np.array([1.0, 1.0]) / 3.0)
-    return np.array(nodes)
+def _lagrange_nodes(kind, k, interior=()):
+    """Nodes in cell_dofs order: vertices, k - 1 per edge from its first vertex, interior."""
+    verts, edges = REFERENCE_CELLS[kind]
+    along = [((k - j) * verts[a] + j * verts[b]) / k for a, b in edges for j in range(1, k)]
+    return np.array([*verts, *along, *interior])
 
 
 def _tri_basis(k, pts):
@@ -95,7 +90,7 @@ def _tri_basis(k, pts):
         grads = np.broadcast_to(dlam, (nq, 3, 2)).copy()
         return vals, grads
 
-    a, b = np.array(TRI_EDGES).T  # edge e runs from vertex a[e] to b[e]
+    a, b = np.array(REFERENCE_CELLS["triangle"][1]).T  # edge e runs from a[e] to b[e]
     la, lb, dla, dlb = lam[:, a], lam[:, b], dlam[a], dlam[b]
 
     if k == 2:
@@ -104,51 +99,40 @@ def _tri_basis(k, pts):
         grads = np.concatenate([(4.0 * lam - 1.0)[:, :, None] * dlam, edge_grads], axis=1)
         return vals, grads
 
-    if k == 3:
-        # Two nodes per edge, at 1/3 and 2/3 from a, then the interior node.
-        ev = 4.5 * la[:, :, None] * lb[:, :, None] * (3.0 * np.stack([la, lb], axis=2) - 1.0)
-        ca = np.stack([lb * (6.0 * la - 1.0), lb * (3.0 * lb - 1.0)], axis=2)[..., None]
-        cb = np.stack([la * (3.0 * la - 1.0), la * (6.0 * lb - 1.0)], axis=2)[..., None]
-        eg = 4.5 * (ca * dla[:, None, :] + cb * dlb[:, None, :])
-        l0, l1, l2 = lam.T
-        ig = (l1 * l2)[:, None] * dlam[0] + (l0 * l2)[:, None] * dlam[1]
-        ig = ig + (l0 * l1)[:, None] * dlam[2]
-        vals = np.concatenate(
-            [
-                0.5 * lam * (3.0 * lam - 1.0) * (3.0 * lam - 2.0),
-                ev.reshape(nq, 6),
-                (27.0 * l0 * l1 * l2)[:, None],
-            ],
-            axis=1,
-        )
-        grads = np.concatenate(
-            [
-                (0.5 * (27.0 * lam**2 - 18.0 * lam + 2.0))[:, :, None] * dlam,
-                eg.reshape(nq, 6, 2),
-                27.0 * ig[:, None, :],
-            ],
-            axis=1,
-        )
-        return vals, grads
-
-    raise UnsupportedOrder(f"triangle degree {k} not supported")
+    # k == 3: two nodes per edge, at 1/3 and 2/3 from a, then the interior node.
+    ev = 4.5 * la[:, :, None] * lb[:, :, None] * (3.0 * np.stack([la, lb], axis=2) - 1.0)
+    ca = np.stack([lb * (6.0 * la - 1.0), lb * (3.0 * lb - 1.0)], axis=2)[..., None]
+    cb = np.stack([la * (3.0 * la - 1.0), la * (6.0 * lb - 1.0)], axis=2)[..., None]
+    eg = 4.5 * (ca * dla[:, None, :] + cb * dlb[:, None, :])
+    l0, l1, l2 = lam.T
+    ig = (l1 * l2)[:, None] * dlam[0] + (l0 * l2)[:, None] * dlam[1]
+    ig = ig + (l0 * l1)[:, None] * dlam[2]
+    vals = np.concatenate(
+        [
+            0.5 * lam * (3.0 * lam - 1.0) * (3.0 * lam - 2.0),
+            ev.reshape(nq, 6),
+            (27.0 * l0 * l1 * l2)[:, None],
+        ],
+        axis=1,
+    )
+    grads = np.concatenate(
+        [
+            (0.5 * (27.0 * lam**2 - 18.0 * lam + 2.0))[:, :, None] * dlam,
+            eg.reshape(nq, 6, 2),
+            27.0 * ig[:, None, :],
+        ],
+        axis=1,
+    )
+    return vals, grads
 
 
-def _quad_basis(pts):
-    """Bilinear Q1 basis on the reference square."""
+def _quad_basis(k, pts):
+    """Bilinear Q1 basis on the reference square (k is 1)."""
     pts = np.atleast_2d(pts)
     x, y = pts[:, 0], pts[:, 1]
     vals = np.stack([(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y], axis=1)
-    grads = np.empty((len(pts), 4, 2))
-    grads[:, 0, 0] = -(1 - y)
-    grads[:, 0, 1] = -(1 - x)
-    grads[:, 1, 0] = 1 - y
-    grads[:, 1, 1] = -x
-    grads[:, 2, 0] = y
-    grads[:, 2, 1] = x
-    grads[:, 3, 0] = -y
-    grads[:, 3, 1] = 1 - x
-    return vals, grads
+    grads = ((-(1 - y), -(1 - x)), (1 - y, -x), (y, x), (-y, 1 - x))
+    return vals, np.stack([np.stack(g, axis=-1) for g in grads], axis=1)
 
 
 def _legendre(j, t):
@@ -170,7 +154,7 @@ def _tri_bubble(k, local_edge, pts):
     x, y = pts[..., 0], pts[..., 1]
     lam = (1.0 - x - y, x, y)
     dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    edges = np.array(TRI_EDGES)
+    edges = np.array(REFERENCE_CELLS["triangle"][1])
     a, b = edges[local_edge, 0], edges[local_edge, 1]
     la, lb = np.choose(a, lam), np.choose(b, lam)
     L, dL = _legendre(k - 1, lb - la)
@@ -189,8 +173,8 @@ _QUAD_DS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 _QUAD_DT = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])
 
 
-def _quad_bubble(local_edge, pts):
-    """Edge bubble s(1-s)(1-t): quadratic along the edge, linear decay inward.
+def _quad_bubble(k, local_edge, pts):
+    """Edge bubble s(1-s)(1-t): quadratic along the edge, linear decay inward (k is 1).
 
     local_edge broadcasts against the leading axes of pts (..., 2).
     """
@@ -205,6 +189,29 @@ def _quad_bubble(local_edge, pts):
     return vals, cs[..., None] * ds + ct[..., None] * dt
 
 
+@dataclass(frozen=True)
+class Element:
+    """A cell kind's finite element; basis and bubble give values and reference gradients."""
+
+    nodes: dict       # supported degree k -> Lagrange nodes (nb, 2), cell_dofs order
+    basis: Callable   # (k, pts)
+    bubble: Callable  # (k, local_edge, pts)
+    rule: Callable    # n -> QuadratureRule with n points per direction
+
+
+ELEMENTS = {
+    "triangle": Element(
+        {
+            1: _lagrange_nodes("triangle", 1),
+            2: _lagrange_nodes("triangle", 2),
+            3: _lagrange_nodes("triangle", 3, interior=[(1 / 3, 1 / 3)]),
+        },
+        _tri_basis, _tri_bubble, _tri_rule,
+    ),
+    "quad": Element({1: _lagrange_nodes("quad", 1)}, _quad_basis, _quad_bubble, _quad_rule),
+}
+
+
 # --- spaces -----------------------------------------------------------------
 
 
@@ -215,45 +222,42 @@ class PrimalSpace:
         self.mesh = mesh
         self.degree = degree
         self.enriched = enriched
-        if mesh.cell_kind == "triangle":
-            if degree not in (1, 2, 3):
-                raise UnsupportedOrder(f"triangle degree {degree} not supported")
-            self.nb_std = {1: 3, 2: 6, 3: 10}[degree]
-        else:
-            if degree != 1:
-                raise UnsupportedOrder("quads support Q1 only")
-            self.nb_std = 4
+        self.element = ELEMENTS[mesh.cell_kind]
+        if degree not in self.element.nodes:
+            have = ", ".join(map(str, self.element.nodes))
+            raise UnsupportedOrder(f"{mesh.cell_kind} degree {degree} not supported; have {have}")
+        self.nb_std = len(self.element.nodes[degree])
         self._build_dofs()
 
     def _build_dofs(self):
         mesh, k = self.mesh, self.degree
         cells = mesh.cells
-        nc = len(cells)
+        nc, nv = cells.shape
         self.cell_dofs_std = np.empty((nc, self.nb_std), dtype=np.int64)
-        self.cell_dofs_std[:, : cells.shape[1]] = cells
+        self.cell_dofs_std[:, :nv] = cells
         ndof = mesh.nno
 
-        if mesh.cell_kind == "triangle" and k >= 2:
-            # k - 1 nodes per edge, global slots ordered from the smaller
-            # vertex id, so neighboring cells agree on the shared nodes.
-            edges = np.array(TRI_EDGES)
-            ga, gb = cells[:, edges[:, 0]], cells[:, edges[:, 1]]
-            r = np.arange(k - 1)
-            slot = np.where((ga > gb)[:, :, None], k - 2 - r, r)
-            self.cell_dofs_std[:, 3 : 3 + 3 * (k - 1)] = (
-                ndof + (k - 1) * mesh.cell_edges[:, :, None] + slot
-            ).reshape(nc, -1)
-            ndof += (k - 1) * mesh.num_edges
-        if mesh.cell_kind == "triangle" and k == 3:
-            self.cell_dofs_std[:, 9] = ndof + np.arange(nc)
-            ndof += nc
+        # k - 1 nodes per local edge, global slots ordered from the smaller
+        # vertex id, so neighboring cells agree on the shared nodes.
+        edges = np.array(REFERENCE_CELLS[mesh.cell_kind][1])
+        ga, gb = cells[:, edges[:, 0]], cells[:, edges[:, 1]]
+        r = np.arange(k - 1)
+        slot = np.where((ga > gb)[:, :, None], k - 2 - r, r)
+        n_edge = len(edges) * (k - 1)
+        self.cell_dofs_std[:, nv : nv + n_edge] = (
+            ndof + (k - 1) * mesh.cell_edges[:, :, None] + slot
+        ).reshape(nc, n_edge)
+        ndof += (k - 1) * mesh.num_edges
+        # The remaining nodes are interior: numbered cell by cell.
+        n_inner = self.nb_std - nv - n_edge
+        self.cell_dofs_std[:, nv + n_edge :] = ndof + np.arange(nc * n_inner).reshape(nc, n_inner)
+        ndof += nc * n_inner
         self.n_lagrange = ndof
 
         # Every cell writes its mapped reference nodes; the vertex rows are
         # the mesh vertices themselves.
         self.dof_points = np.empty((ndof, 2))
-        if mesh.cell_kind == "triangle":
-            self.dof_points[self.cell_dofs_std] = mesh.to_physical(_tri_nodes(k))
+        self.dof_points[self.cell_dofs_std] = mesh.to_physical(self.element.nodes[k])
         self.dof_points[: mesh.nno] = mesh.vertices
 
         # One bubble dof per boundary facet, appended after the Lagrange dofs
@@ -270,15 +274,11 @@ class PrimalSpace:
 
     def tabulate(self, pts):
         """Standard (Lagrange) basis values and gradients at reference points."""
-        if self.mesh.cell_kind == "triangle":
-            return _tri_basis(self.degree, pts)
-        return _quad_basis(pts)
+        return self.element.basis(self.degree, pts)
 
     def bubble_eval(self, local_edge, pts):
         """Edge bubbles of local_edge (broadcast against pts[..., 0]) at pts."""
-        if self.mesh.cell_kind == "triangle":
-            return _tri_bubble(self.degree, local_edge, pts)
-        return _quad_bubble(local_edge, pts)
+        return self.element.bubble(self.degree, local_edge, pts)
 
     def _bubble_edges(self, bubble_dofs):
         """Local edge of each bubble dof (of facet 0 on -1 padding)."""
@@ -377,7 +377,7 @@ def project_to_multiplier(space: MultiplierSpace, trace) -> np.ndarray:
     psi = space.eval(s)  # (nq, m+1)
     scale = 2.0 * np.arange(m + 1) + 1.0
     facets = space.mesh.boundary_facets
-    x = facets.points_at(space.mesh.vertices, s)
+    x = space.mesh.facet_points(s)
     t = np.broadcast_to(np.asarray(trace(s, x, facets.n_h), dtype=float), x.shape[:2])
     coeffs = np.empty(space.dof_count)
     coeffs[space.facet_dofs] = scale * ((w * t) @ psi)

@@ -168,7 +168,7 @@ class TestTripleNorm:
         u = SolutionField(V, V.interpolate(RING.u_exact))
         lam_target = lambda s, x, n_h: -np.sum(RING.grad_u_exact(x) * n_h[..., None, :], axis=-1)
         lam = SolutionField(L, project_to_multiplier(L, lam_target))
-        total = error_triple_norm(u, lam, RING)
+        total = error_triple_norm(u, multiplier_error(lam, RING), RING)
         _, err_h1 = l2_h1_errors(u, RING)
         assert total >= err_h1
         assert np.isfinite(total)
@@ -187,8 +187,31 @@ class TestTripleNorm:
         flux = np.sum(RING.grad_u_exact(F.points) * F.n_h[:, None, :], axis=-1)
         lam_err = np.sqrt(np.sum(F.weights * flux**2))
         expected = h1 + bnd + np.sqrt(mesh.h) * lam_err
-        got = error_triple_norm(zero_u, zero_lam, RING)
+        got = error_triple_norm(zero_u, multiplier_error(zero_lam, RING), RING)
         assert got == pytest.approx(expected, rel=1e-12)
+        # Without a multiplier (Nitsche) the last term drops out.
+        got = error_triple_norm(zero_u, None, RING)
+        assert got == pytest.approx(h1 + bnd, rel=1e-12)
+
+    def test_error_report_computes_the_multiplier_norm_once(self, monkeypatch):
+        from bvcfem import analysis
+
+        mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
+        V = build_primal_space(mesh, 2, enrich=True)
+        L = build_multiplier_space(mesh, 1)
+        u = SolutionField(V, V.interpolate(RING.u_exact))
+        lam = SolutionField(L, np.zeros(L.dof_count))
+        calls = []
+        real = analysis.multiplier_error
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "multiplier_error", counted)
+        report = analysis.error_report(u, lam, RING)
+        assert len(calls) == 1
+        assert report.triple == error_triple_norm(u, report.err_lambda, RING)
 
 
 class TestFitRates:
@@ -244,14 +267,16 @@ class TestInfSup:
         assert sigma > 0.0
 
         from bvcfem.assembly import boundary_mass_primal, stiffness_matrix
-        from bvcfem.mesh import TRI_EDGES, TRI_REF_VERTS
+        from bvcfem.mesh import REFERENCE_CELLS
+
+        verts, edges = REFERENCE_CELLS["triangle"]
 
         B = np.zeros((L.dof_count, V.dof_count))
         F = mesh.boundary_facets
         psi = L.eval(F.s)
         for fidx, (c, e) in enumerate(zip(F.cell, F.local_edge)):
-            a, b = TRI_EDGES[e]
-            ref = TRI_REF_VERTS[a] + F.s[:, None] * (TRI_REF_VERTS[b] - TRI_REF_VERTS[a])
+            a, b = edges[e]
+            ref = verts[a] + F.s[:, None] * (verts[b] - verts[a])
             vals, _ = V.cell_basis(c, ref)
             B[np.ix_(L.facet_dofs[fidx], V.cell_dofs(c))] += np.einsum(
                 "q,qi,qj->ij", F.weights[fidx], psi, vals

@@ -232,6 +232,13 @@ class TestNitsche:
         w = np.linalg.eigvalsh(system.A.toarray())
         assert w[0] > 0.0
 
+    @pytest.mark.parametrize("gamma0", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_gamma0_rejected(self, gamma0):
+        mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
+        V = build_primal_space(mesh, 2, enrich=True)
+        with pytest.raises(ValueError, match=f"gamma0 .* got {gamma0!r}"):
+            assemble_nitsche(V, RING, gamma0)
+
     def test_rho_zero_reduces_to_classical_nitsche(self):
         # On the exact polygon rho = 0, so the facet terms must be exactly
         # -(dn u, v) - (u, dn v) + gamma (u, v); checked on one P1 triangle.
@@ -305,7 +312,9 @@ def test_taylor_rows_of_two_bubble_corner_cells():
     # boundary facets.  The other facet's bubble vanishes on a facet, but its
     # normal derivative does not, so it enters the taylor row through rho_h.
     # Oracle: per-facet hand quadrature of the full cell basis.
-    from bvcfem.mesh import QUAD_EDGES, QUAD_REF_VERTS
+    from bvcfem.mesh import REFERENCE_CELLS
+
+    verts, edges = REFERENCE_CELLS["quad"]
 
     domain = make_square_domain(0.3, 0.7, -0.4)
     mesh = precompute_boundary_geometry(build_square_mesh(3, "quad"), domain, 4)
@@ -319,8 +328,8 @@ def test_taylor_rows_of_two_bubble_corner_cells():
     assert len(corners) == 8
     for fidx in corners:
         c = F.cell[fidx]
-        a, b = QUAD_EDGES[F.local_edge[fidx]]
-        ref = QUAD_REF_VERTS[a] + F.s[:, None] * (QUAD_REF_VERTS[b] - QUAD_REF_VERTS[a])
+        a, b = edges[F.local_edge[fidx]]
+        ref = verts[a] + F.s[:, None] * (verts[b] - verts[a])
         vals, grads = V.cell_basis(c, ref)
         dn = np.einsum("qnd,de->qne", grads, mesh.Jinv[c]) @ F.n_h[fidx]
         assert vals.shape[1] == 6 and np.all(np.max(np.abs(dn[:, 4:]), axis=0) > 0.1)
@@ -384,7 +393,7 @@ class TestBatchedBubblePath:
     def _rule(self, V, degree):
         from bvcfem.spaces import quadrature
 
-        return quadrature("triangle" if V.mesh.cell_kind == "triangle" else "quad", degree)
+        return quadrature(V.mesh.cell_kind, degree)
 
     def test_local_basis_matches_cell_basis(self, case):
         V = _bubble_path_space(case)

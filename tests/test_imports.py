@@ -32,8 +32,8 @@ def test_checker_flags_unused_and_ignores_future():
         "from __future__ import annotations\n"
         "import numpy as np\n"
         "import scipy.sparse\n"
-        "from .mesh import Mesh, TRI_EDGES\n"
-        "x = np.zeros(2) + len(TRI_EDGES) + scipy.sparse.eye(1).nnz\n"
+        "from .mesh import Mesh, REFERENCE_CELLS\n"
+        "x = np.zeros(2) + len(REFERENCE_CELLS) + scipy.sparse.eye(1).nnz\n"
     )
     assert unused_imports(source) == ["line 4: Mesh"]
 

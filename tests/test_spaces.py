@@ -8,9 +8,16 @@ finite differences for basis gradients.
 import numpy as np
 import pytest
 
-from bvcfem.mesh import build_annulus_mesh, build_square_mesh, build_staircase_mesh, gauss_01
+from bvcfem.mesh import (
+    REFERENCE_CELLS,
+    build_annulus_mesh,
+    build_square_mesh,
+    build_staircase_mesh,
+    gauss_01,
+)
 from bvcfem.geometry import make_ellipse_domain
 from bvcfem.spaces import (
+    ELEMENTS,
     UnsupportedDegree,
     UnsupportedOrder,
     build_multiplier_space,
@@ -87,10 +94,18 @@ class TestPrimalSpace:
         vals, _ = V.tabulate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         assert np.allclose(vals, np.eye(3), atol=1e-15)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_lagrange_nodal_identity(self, k):
-        mesh = build_square_mesh(2, "triangle")
+    @pytest.mark.parametrize(
+        "kind, k",
+        [("triangle", 1), ("triangle", 2), ("triangle", 3), ("quad", 1)],
+        ids=["1", "2", "3", "quad-1"],
+    )
+    def test_lagrange_nodal_identity(self, kind, k):
+        mesh = build_square_mesh(2, kind)
         V = build_primal_space(mesh, k, enrich=False)
+        # reference coordinates of a cell's nodes
+        nodes = ELEMENTS[kind].nodes[k]
+        vals, _ = V.tabulate(nodes)
+        np.testing.assert_allclose(vals, np.eye(len(nodes)), rtol=0, atol=1e-13)
         # interpolation of each dof's indicator reproduces itself at the nodes
         rng = np.random.default_rng(0)
         coeffs = rng.standard_normal(V.dof_count)
@@ -98,10 +113,6 @@ class TestPrimalSpace:
         counts = np.zeros(V.dof_count)
         for c in range(mesh.num_cells):
             dofs = V.cell_dofs_std[c]
-            # reference coordinates of this cell's nodes
-            from bvcfem.spaces import _tri_nodes
-
-            vals, _ = V.tabulate(_tri_nodes(k))
             field_at_nodes[dofs] = vals @ coeffs[dofs]
             counts[dofs] += 1
         assert np.all(counts > 0)
@@ -145,12 +156,11 @@ class TestPrimalSpace:
         # midpoint value 0, value -3/32 at s=1/4.
         mesh = build_annulus_mesh(8, 2)
         V = build_primal_space(mesh, 2, enrich=True)
-        from bvcfem.mesh import TRI_EDGES, TRI_REF_VERTS
-
+        verts, edges = REFERENCE_CELLS["triangle"]
         for local_edge in range(3):
-            a, b = TRI_EDGES[local_edge]
+            a, b = edges[local_edge]
             for s, expected in ((0.0, 0.0), (0.5, 0.0), (0.25, -3.0 / 32.0), (1.0, 0.0)):
-                pt = TRI_REF_VERTS[a] + s * (TRI_REF_VERTS[b] - TRI_REF_VERTS[a])
+                pt = verts[a] + s * (verts[b] - verts[a])
                 vals, _ = V.bubble_eval(local_edge, pt[None, :])
                 assert vals[0] == pytest.approx(expected, abs=1e-15)
 
@@ -158,17 +168,14 @@ class TestPrimalSpace:
     def test_bubble_vanishes_at_vertices_and_other_edges(self, k):
         mesh = build_annulus_mesh(8, 2)
         V = build_primal_space(mesh, k, enrich=True)
-        from bvcfem.mesh import TRI_EDGES, TRI_REF_VERTS
-
+        verts, edges = REFERENCE_CELLS["triangle"]
         s = np.linspace(0, 1, 7)
         for local_edge in range(3):
             for other in range(3):
                 if other == local_edge:
                     continue
-                a, b = TRI_EDGES[other]
-                pts = TRI_REF_VERTS[a][None, :] + s[:, None] * (
-                    TRI_REF_VERTS[b] - TRI_REF_VERTS[a]
-                )[None, :]
+                a, b = edges[other]
+                pts = verts[a][None, :] + s[:, None] * (verts[b] - verts[a])[None, :]
                 vals, _ = V.bubble_eval(local_edge, pts)
                 assert np.max(np.abs(vals)) <= 1e-14
 
@@ -187,12 +194,11 @@ class TestPrimalSpace:
         V = build_primal_space(mesh, k, enrich=True)
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal(V.dof_count)
-        from bvcfem.mesh import TRI_EDGES, TRI_REF_VERTS
-
+        verts, edges = REFERENCE_CELLS["triangle"]
         shared = {}
         for c in range(mesh.num_cells):
             cell = mesh.cells[c]
-            for e, (a, b) in enumerate(TRI_EDGES):
+            for e, (a, b) in enumerate(edges):
                 key = (min(cell[a], cell[b]), max(cell[a], cell[b]))
                 shared.setdefault(key, []).append((c, e, cell[a] > cell[b]))
         s = np.linspace(0.0, 1.0, 5)
@@ -201,34 +207,35 @@ class TestPrimalSpace:
                 continue
             traces = []
             for c, e, flipped in occ:
-                a, b = TRI_EDGES[e]
+                a, b = edges[e]
                 ss = 1.0 - s if flipped else s
-                pts = TRI_REF_VERTS[a][None, :] + ss[:, None] * (
-                    TRI_REF_VERTS[b] - TRI_REF_VERTS[a]
-                )[None, :]
+                pts = verts[a][None, :] + ss[:, None] * (verts[b] - verts[a])[None, :]
                 vals, _ = V.cell_basis(c, pts)
                 traces.append(vals @ coeffs[V.cell_dofs(c)])
             assert np.allclose(traces[0], traces[1], atol=1e-12)
 
     @pytest.mark.parametrize(
         "mesh_kind, k",
-        [("ring", 2), ("ring", 3), ("square", 1), ("square", 2), ("square", 3)],
+        [("ring", 2), ("ring", 3), ("square", 1), ("square", 2), ("square", 3), ("staircase", 1)],
     )
     def test_nodes_sit_at_mapped_reference_nodes(self, mesh_kind, k):
-        from bvcfem.spaces import _tri_nodes
-
-        mesh = build_annulus_mesh(16, 4) if mesh_kind == "ring" else build_square_mesh(3)
+        mesh = {
+            "ring": lambda: build_annulus_mesh(16, 4),
+            "square": lambda: build_square_mesh(3),
+            "staircase": lambda: build_staircase_mesh(16, ELLIPSE),
+        }[mesh_kind]()
         V = build_primal_space(mesh, k, enrich=True)
         origins, J = mesh.origins, mesh.J
-        expected = origins[:, None, :] + np.einsum("cab,nb->cna", J, _tri_nodes(k))
+        nodes = ELEMENTS[mesh.cell_kind].nodes[k]
+        expected = origins[:, None, :] + np.einsum("cab,nb->cna", J, nodes)
         np.testing.assert_allclose(V.dof_points[V.cell_dofs_std], expected, rtol=0, atol=1e-14)
 
     def test_unsupported_orders(self):
         mesh = build_annulus_mesh(8, 2)
-        with pytest.raises(UnsupportedOrder):
+        with pytest.raises(UnsupportedOrder, match=r"triangle degree 4 not supported; have 1, 2, 3$"):
             build_primal_space(mesh, 4, enrich=False)
         qmesh = build_staircase_mesh(8, ELLIPSE)
-        with pytest.raises(UnsupportedOrder):
+        with pytest.raises(UnsupportedOrder, match=r"quad degree 2 not supported; have 1$"):
             build_primal_space(qmesh, 2, enrich=False)
 
 
