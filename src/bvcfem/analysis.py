@@ -48,9 +48,10 @@ def _field_on_volume(field: SolutionField, rule):
     uh = np.einsum("qi,ci->cq", vals, cs)
     gref = np.einsum("qid,ci->cqd", grads, cs)
     guh = np.einsum("cqd,cde->cqe", gref, mesh.Jinv)
-    # Bubble columns of the enriched cells (padded slots are zero).
+    # Bubble columns of the enriched cells; a -1 slot reads the last
+    # coefficient against zero values.
     cells = V.bubble_cells
-    dofs, _, bv, bg = V.local_basis(cells, rule.points)
+    dofs, bv, bg = V.local_basis(cells, rule.points)
     cb = field.coefficients[dofs[:, V.nb_std :]]
     np.add.at(uh, cells, np.einsum("cqj,cj->cq", bv[:, :, V.nb_std :], cb))
     bgrad = np.einsum("cqjd,cj->cqd", bg[:, :, V.nb_std :], cb)
@@ -79,20 +80,13 @@ def field_l2_norm(field: SolutionField) -> float:
     return float(np.sqrt(np.sum(rule.weights[None, :] * detJ[:, None] * uh**2)))
 
 
-def multiplier_error(
-    lambda_field: SolutionField, domain, use_exact_normal: bool = False
-) -> float:
-    """||(-n . grad u)|_{facet boundary} - lambda_h||.
+def multiplier_error(lambda_field: SolutionField, domain) -> float:
+    """||(-n_h . grad u)|_{facet boundary} - lambda_h||.
 
-    The normal defaults to the facet normal n_h (consistent with
-    lambda_h ~ -n_h . grad u_h); use_exact_normal evaluates the true-boundary
-    normal at the pullback points instead.
+    n_h is the facet normal, consistent with lambda_h ~ -n_h . grad u_h.
     """
     facets = lambda_field.space.mesh.boundary_facets
-    if use_exact_normal:
-        n = geo.exact_normal(domain, facets.pullback)
-    else:
-        n = facets.n_h[:, None, :]
+    n = facets.n_h[:, None, :]
     target = -np.sum(geo.at_points(domain.grad_u_exact, facets.points) * n, axis=-1)
     lam = lambda_field.evaluate_on_facet(slice(None), facets.s)
     return float(np.sqrt(np.sum(facets.weights * (target - lam) ** 2)))
@@ -107,7 +101,7 @@ def error_triple_norm(u_field, err_lambda, domain) -> float:
     mesh = u_field.space.mesh
     facets = mesh.boundary_facets
     ue = geo.at_points(domain.u_exact, facets.points)
-    dofs, _, vals, _ = facet_traces(u_field.space)
+    dofs, vals, _ = facet_traces(u_field.space)
     uh = np.einsum("fqn,fn->fq", vals, u_field.coefficients[dofs])
     bnd_sq = np.sum(facets.weights * (ue - uh) ** 2)
     mu_err = 0.0 if err_lambda is None else err_lambda

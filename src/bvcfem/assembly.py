@@ -13,7 +13,9 @@ symmetric Nitsche method with penalty gamma = gamma0 / h.
 u~ is the Dirichlet data, the domain's u_exact, pulled back from the true
 boundary through the precomputed facet pullback points.  Every facet term
 is one batched contraction over the facet_traces tables of all boundary
-facets.
+facets.  Local dof tables carry -1 on the bubble slot of an edge without a
+bubble; _scatter drops those rows and columns, right-hand sides index
+dofs >= 0.
 """
 
 from __future__ import annotations
@@ -99,11 +101,11 @@ def stiffness_matrix(V: PrimalSpace) -> sp.csr_matrix:
     # Enriched cells add the rows and columns of their bubbles; std x std
     # is in the bulk.  Both go into one COO, so stored zeros are kept.
     cells = V.bubble_cells
-    dofs, mask, _, g = V.local_basis(cells, rule.points)
+    dofs, _, g = V.local_basis(cells, rule.points)
     gp = np.einsum("cqnd,cde->cqne", g, Jinv[cells])
     Kb = detJ[cells, None, None] * np.einsum("q,cqia,cqja->cij", rule.weights, gp, gp)
-    keep = mask[:, :, None] & mask[:, None, :]
-    keep[:, : V.nb_std, : V.nb_std] = False
+    keep = np.ones(Kb.shape[1:], dtype=bool)
+    keep[: V.nb_std, : V.nb_std] = False
 
     std = V.cell_dofs_std
     return _scatter((V.dof_count, V.dof_count), (Kc, std, std, True), (Kb, dofs, dofs, keep))
@@ -121,39 +123,42 @@ def load_vector(V: PrimalSpace, f) -> np.ndarray:
     rhs = np.zeros(V.dof_count)
     np.add.at(rhs, V.cell_dofs_std, Fc)
     cells = V.bubble_cells
-    dofs, mask, bv, _ = V.local_basis(cells, rule.points)
+    dofs, bv, _ = V.local_basis(cells, rule.points)
     Fb = np.einsum("q,cqj,cq->cj", rule.weights, bv, fv[cells]) * detJ[cells, None]
-    mask[:, : V.nb_std] = False  # the Lagrange part is in the bulk
-    np.add.at(rhs, dofs[mask], Fb[mask])
+    dofs[:, : V.nb_std] = -1  # the Lagrange part is in the bulk
+    np.add.at(rhs, dofs[dofs >= 0], Fb[dofs >= 0])
     return rhs
 
 
 def facet_traces(V: PrimalSpace):
     """Cell basis functions traced on every boundary facet of V's mesh.
 
-    Returns (dofs, mask, vals, dn): V.local_basis of each facet's cell at
-    the facet's Gauss points, with the reference gradients turned into
-    normal derivatives n_h . grad (nf, nq, nl).  A cell's other bubbles
-    vanish on the facet, but their normal derivatives do not.
+    Returns (dofs, vals, dn): V.local_basis of each facet's cell at the
+    facet's Gauss points, -1 dofs and zero columns included, with the
+    reference gradients turned into normal derivatives n_h . grad
+    (nf, nq, nl).  A cell's other bubbles vanish on the facet, but their
+    normal derivatives do not.
     """
     mesh = V.mesh
     facets = mesh.boundary_facets
     ref, edges = REFERENCE_CELLS[mesh.cell_kind]
     a, b = ref[np.array(edges).T]
     ref_pts = a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :]  # (ne, nq, 2)
-    dofs, mask, vals, grads = V.local_basis(facets.cell, ref_pts[facets.local_edge])
+    dofs, vals, grads = V.local_basis(facets.cell, ref_pts[facets.local_edge])
     dn = np.einsum("fqnd,fde,fe->fqn", grads, mesh.Jinv[facets.cell], facets.n_h)
-    return dofs, mask, vals, dn
+    return dofs, vals, dn
 
 
 def _scatter(shape, *parts) -> sp.csr_matrix:
     """Sparse sum of per-cell or per-facet blocks, all in one COO.
 
     Each part is (blocks (n, a, b), rows (n, a), cols (n, b), keep); keep,
-    broadcast to the blocks, selects the entries that are stored.
+    broadcast to the blocks, selects the entries that are stored, and an
+    entry in a -1 row or column is never stored.
     """
     data, ii, jj = [], [], []
     for blocks, rows, cols, keep in parts:
+        keep = keep & (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
         keep = np.broadcast_to(keep, blocks.shape)
         data.append(blocks[keep])
         ii.append(np.broadcast_to(rows[:, :, None], blocks.shape)[keep])
@@ -165,10 +170,9 @@ def _scatter(shape, *parts) -> sp.csr_matrix:
 def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
     """(phi_i, phi_j) over the facet boundary (used by the inf-sup check)."""
     facets = V.mesh.boundary_facets
-    dofs, mask, vals, _ = facet_traces(V)
+    dofs, vals, _ = facet_traces(V)
     blocks = np.einsum("fq,fqi,fqj->fij", facets.weights, vals, vals)
-    keep = mask[:, :, None] & mask[:, None, :]
-    return _scatter((V.dof_count, V.dof_count), (blocks, dofs, dofs, keep))
+    return _scatter((V.dof_count, V.dof_count), (blocks, dofs, dofs, True))
 
 
 def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.csr_matrix:
@@ -178,12 +182,12 @@ def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.cs
     (phi_j + rho_h dn phi_j, psi_i).
     """
     facets = V.mesh.boundary_facets
-    dofs, mask, vals, dn = facet_traces(V)
+    dofs, vals, dn = facet_traces(V)
     if rho_dn:
         vals = vals + facets.rho[:, :, None] * dn
     blocks = np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
     shape = (Lam.dof_count, V.dof_count)
-    return _scatter(shape, (blocks, Lam.facet_dofs, dofs, mask[:, None, :]))
+    return _scatter(shape, (blocks, Lam.facet_dofs, dofs, True))
 
 
 def assemble_saddle(
@@ -234,7 +238,7 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> N
 
     K = stiffness_matrix(V)
     rhs = load_vector(V, domain.f_rhs)
-    dofs, mask, vals, dn = facet_traces(V)
+    dofs, vals, dn = facet_traces(V)
     w, rho = facets.weights, facets.rho
     corr = vals + rho[:, :, None] * dn
     M = (
@@ -245,10 +249,10 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> N
     )
     wg = w * at_points(domain.u_exact, facets.pullback)
     data = -np.einsum("fqi,fq->fi", dn, wg) + gamma * np.einsum("fqi,fq->fi", corr, wg)
-    np.add.at(rhs, dofs[mask], data[mask])
+    np.add.at(rhs, dofs[dofs >= 0], data[dofs >= 0])
 
     n = V.dof_count
-    A = _scatter((n, n), (M, dofs, dofs, mask[:, :, None] & mask[:, None, :])) + K
+    A = _scatter((n, n), (M, dofs, dofs, True)) + K
     return NitscheSystem(A=A, rhs=rhs, V=V)
 
 

@@ -6,8 +6,9 @@ facet-wise discontinuous Legendre multiplier spaces.  ELEMENTS, keyed by
 Mesh.cell_kind and built on mesh.REFERENCE_CELLS, is the one table of what
 differs between cell kinds: supported degrees, Lagrange nodes, basis, edge
 bubble and volume quadrature.  The dof layout is the same for every kind.
-PrimalSpace.local_basis is the one place that tabulates a cell's full basis,
-bubbles included.
+A cell's bubbles are held by local edge (PrimalSpace.edge_bubble_dofs, -1
+on an edge without one), and PrimalSpace.local_basis, the one place that
+tabulates a cell's full basis, pads in the same way: dof -1 and zero values.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ def quadrature(kind: str, degree: int) -> QuadratureRule:
     Gauss-Jacobi (weight 1-x) and Gauss-Legendre, exact for total degree
     <= 2n-1 in each factor.  Facet rules are gauss_01.
     """
+    if kind not in ELEMENTS:
+        raise ValueError(f"unknown cell kind {kind!r}; have {tuple(ELEMENTS)}")
     if degree > 20 or degree < 0:
         raise UnsupportedDegree(f"exactness degree {degree} not supported")
-    if kind not in ELEMENTS:
-        raise UnsupportedDegree(f"unknown reference cell kind {kind!r}")
     return ELEMENTS[kind].rule(max(1, (degree + 2) // 2))  # n = ceil((degree+1)/2)
 
 
@@ -77,12 +78,20 @@ def _lagrange_nodes(kind, k, interior=()):
     return np.array([*verts, *along, *interior])
 
 
+# Barycentric gradients, and the first and second vertex of each local edge.
+_DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+_TRI_A, _TRI_B = np.array(REFERENCE_CELLS["triangle"][1]).T
+
+
+def _barycentric(pts):
+    x, y = pts[..., 0], pts[..., 1]
+    return np.stack([1.0 - x - y, x, y], axis=-1)
+
+
 def _tri_basis(k, pts):
     """Values and gradients of the P^k Lagrange basis at reference points."""
     pts = np.atleast_2d(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    lam = np.stack([1.0 - x - y, x, y], axis=1)              # (nq, 3)
-    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # (3, 2)
+    lam, dlam = _barycentric(pts), _DLAM  # (nq, 3), (3, 2)
     nq = len(pts)
 
     if k == 1:
@@ -90,7 +99,7 @@ def _tri_basis(k, pts):
         grads = np.broadcast_to(dlam, (nq, 3, 2)).copy()
         return vals, grads
 
-    a, b = np.array(REFERENCE_CELLS["triangle"][1]).T  # edge e runs from a[e] to b[e]
+    a, b = _TRI_A, _TRI_B
     la, lb, dla, dlb = lam[:, a], lam[:, b], dlam[a], dlam[b]
 
     if k == 2:
@@ -145,44 +154,37 @@ def _legendre(j, t):
     raise UnsupportedOrder(f"Legendre kernel degree {j} not needed here")
 
 
-def _tri_bubble(k, local_edge, pts):
-    """Hierarchical degree-(k+1) edge function lam_a lam_b L_{k-1}(lam_b - lam_a).
+def _tri_bubble(k, pts):
+    """Hierarchical degree-(k+1) edge functions lam_a lam_b L_{k-1}(lam_b - lam_a).
 
-    local_edge broadcasts against the leading axes of pts (..., 2).
+    One column per local edge a -> b, as (..., 3) values and (..., 3, 2) gradients.
     """
-    pts = np.atleast_2d(pts)
-    x, y = pts[..., 0], pts[..., 1]
-    lam = (1.0 - x - y, x, y)
-    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    edges = np.array(REFERENCE_CELLS["triangle"][1])
-    a, b = edges[local_edge, 0], edges[local_edge, 1]
-    la, lb = np.choose(a, lam), np.choose(b, lam)
+    lam = _barycentric(np.atleast_2d(pts))
+    a, b = _TRI_A, _TRI_B
+    la, lb = lam[..., a], lam[..., b]
     L, dL = _legendre(k - 1, lb - la)
     vals = la * lb * L
     grads = (
-        (lb * L)[..., None] * dlam[a]
-        + (la * L)[..., None] * dlam[b]
-        + (la * lb * dL)[..., None] * (dlam[b] - dlam[a])
+        (lb * L)[..., None] * _DLAM[a]
+        + (la * L)[..., None] * _DLAM[b]
+        + (la * lb * dL)[..., None] * (_DLAM[b] - _DLAM[a])
     )
     return vals, grads
 
 
-# Per local quad edge: the edge parameter s and the inward decay t as
-# functions of the reference point, and their constant gradients.
-_QUAD_DS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-_QUAD_DT = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])
+def _quad_bubble(k, pts):
+    """Edge bubbles s(1-s)(1-t), one column per local edge a -> b (k is 1).
 
-
-def _quad_bubble(k, local_edge, pts):
-    """Edge bubble s(1-s)(1-t): quadratic along the edge, linear decay inward (k is 1).
-
-    local_edge broadcasts against the leading axes of pts (..., 2).
+    s runs along the edge from a, ds = v[b] - v[a]; t decays inward along
+    dt, ds turned +90 degrees.  Adding 0.0 turns -0.0 into 0.0.
     """
-    pts = np.atleast_2d(pts)
-    x, y = pts[..., 0], pts[..., 1]
-    s = np.choose(local_edge, (x, y, 1.0 - x, 1.0 - y))
-    t = np.choose(local_edge, (y, 1.0 - x, 1.0 - y, x))
-    ds, dt = _QUAD_DS[local_edge], _QUAD_DT[local_edge]
+    verts, edges = REFERENCE_CELLS["quad"]
+    a, b = np.array(edges).T
+    ds = verts[b] - verts[a]
+    dt = np.stack([-ds[:, 1], ds[:, 0]], axis=1) + 0.0
+    rel = np.atleast_2d(pts)[..., None, :] - verts[a]  # (..., 4, 2)
+    s = np.sum(rel * ds, axis=-1) + 0.0
+    t = np.sum(rel * dt, axis=-1) + 0.0
     vals = s * (1.0 - s) * (1.0 - t)
     cs = (1.0 - 2.0 * s) * (1.0 - t)
     ct = -s * (1.0 - s)
@@ -195,7 +197,7 @@ class Element:
 
     nodes: dict       # supported degree k -> Lagrange nodes (nb, 2), cell_dofs order
     basis: Callable   # (k, pts)
-    bubble: Callable  # (k, local_edge, pts)
+    bubble: Callable  # (k, pts), one column per local edge
     rule: Callable    # n -> QuadratureRule with n points per direction
 
 
@@ -261,67 +263,55 @@ class PrimalSpace:
         self.dof_points[: mesh.nno] = mesh.vertices
 
         # One bubble dof per boundary facet, appended after the Lagrange dofs
-        # in facet order (facet f owns dof n_lagrange + f).  Row c of
-        # cell_bubble_dofs lists the bubbles of cell c -- one run of the
-        # cell-major facets -- padded with -1; bubble_cells lists the cells
-        # that have any.
-        cell = mesh.boundary_facets.cell if self.enriched else np.empty(0, dtype=np.int64)
-        pos = np.arange(len(cell)) - np.searchsorted(cell, cell)  # within the run
-        self.cell_bubble_dofs = np.full((nc, pos.max(initial=-1) + 1), -1, dtype=np.int64)
-        self.cell_bubble_dofs[cell, pos] = ndof + np.arange(len(cell))
-        self.bubble_cells = np.unique(cell)
-        self.dof_count = ndof + len(cell)
+        # in facet order (facet f owns dof n_lagrange + f).  edge_bubble_dofs
+        # holds it at the facet's (cell, local edge) and -1 on every other
+        # edge; bubble_cells lists the cells that have any.
+        facets = mesh.boundary_facets
+        nf = len(facets) if self.enriched else 0
+        self.edge_bubble_dofs = np.full((nc, len(edges)), -1, dtype=np.int64)
+        self.edge_bubble_dofs[facets.cell[:nf], facets.local_edge[:nf]] = ndof + np.arange(nf)
+        self.bubble_cells = np.unique(facets.cell[:nf])
+        self.dof_count = ndof + nf
 
     def tabulate(self, pts):
         """Standard (Lagrange) basis values and gradients at reference points."""
         return self.element.basis(self.degree, pts)
 
-    def bubble_eval(self, local_edge, pts):
-        """Edge bubbles of local_edge (broadcast against pts[..., 0]) at pts."""
-        return self.element.bubble(self.degree, local_edge, pts)
-
-    def _bubble_edges(self, bubble_dofs):
-        """Local edge of each bubble dof (of facet 0 on -1 padding)."""
-        facet = np.maximum(bubble_dofs - self.n_lagrange, 0)
-        return self.mesh.boundary_facets.local_edge[facet]
+    def bubble_eval(self, pts):
+        """Edge bubble values and gradients at reference points, one column per local edge."""
+        return self.element.bubble(self.degree, pts)
 
     def local_basis(self, cells, pts):
         """Every basis function of the given cells at reference points.
 
-        pts is shared (nq, 2) or per row (n, nq, 2).  Returns (dofs, mask,
-        vals, grads): the global dofs (n, nl) -- Lagrange dofs, then the
-        cell's bubbles in facet order, padded to the widest cell with dof 0
-        -- with mask (n, nl) False on padded slots, and the values
-        (n, nq, nl) and reference gradients (n, nq, nl, 2), zero on padded
-        slots.
+        pts is shared (nq, 2) or per row (n, nq, 2).  Returns (dofs, vals,
+        grads): the global dofs (n, nl) -- Lagrange dofs, then one column
+        per local edge holding its bubble dof or -1 -- with the values
+        (n, nq, nl) and reference gradients (n, nq, nl, 2), zero in every
+        -1 column.
         """
         cells = np.asarray(cells)
         pts = np.asarray(pts, dtype=float)
-        shape = (len(cells), pts.shape[-2])
-        vals, grads = self.tabulate(pts.reshape(-1, 2))
-        vals = np.broadcast_to(vals.reshape(pts.shape[:-1] + (-1,)), shape + vals.shape[1:])
-        grads = np.broadcast_to(grads.reshape(pts.shape[:-1] + (-1, 2)), shape + grads.shape[1:])
-        std, bubbles = self.cell_dofs_std[cells], self.cell_bubble_dofs[cells]
-        valid = bubbles >= 0
-        bv, bg = self.bubble_eval(self._bubble_edges(bubbles)[:, None, :], pts[..., None, :])
-        bv = np.where(valid[:, None, :], bv, 0.0)
-        bg = np.where(valid[:, None, :, None], bg, 0.0)
-        dofs = np.concatenate([std, np.where(valid, bubbles, 0)], axis=1)
-        mask = np.concatenate([np.ones(std.shape, dtype=bool), valid], axis=1)
-        return dofs, mask, np.concatenate([vals, bv], axis=2), np.concatenate([grads, bg], axis=2)
+        flat = pts.reshape(-1, 2)
+        (vals, grads), (bv, bg) = self.tabulate(flat), self.bubble_eval(flat)
+        vals = np.concatenate([vals, bv], axis=1).reshape(pts.shape[:-1] + (-1,))
+        grads = np.concatenate([grads, bg], axis=1).reshape(pts.shape[:-1] + (-1, 2))
+        dofs = np.concatenate([self.cell_dofs_std[cells], self.edge_bubble_dofs[cells]], axis=1)
+        on = (dofs >= 0)[:, None, :]
+        return dofs, np.where(on, vals, 0.0), np.where(on[..., None], grads, 0.0)
 
     def cell_dofs(self, c):
-        """Global dofs of cell c: Lagrange dofs then this cell's bubbles."""
-        bubbles = self.cell_bubble_dofs[c]
+        """Global dofs of cell c: Lagrange dofs then its bubbles by local edge."""
+        bubbles = self.edge_bubble_dofs[c]
         return np.concatenate([self.cell_dofs_std[c], bubbles[bubbles >= 0]])
 
     def cell_basis(self, c, pts):
         """Values/gradients of every basis function of cell c (bubbles last)."""
         pts = np.atleast_2d(pts)
         vals, grads = self.tabulate(pts)
-        bubbles = self.cell_bubble_dofs[c]
-        bv, bg = self.bubble_eval(self._bubble_edges(bubbles[bubbles >= 0]), pts[:, None, :])
-        return np.concatenate([vals, bv], axis=1), np.concatenate([grads, bg], axis=1)
+        bv, bg = self.bubble_eval(pts)
+        on = self.edge_bubble_dofs[c] >= 0
+        return np.concatenate([vals, bv[:, on]], axis=1), np.concatenate([grads, bg[:, on]], axis=1)
 
     def interpolate(self, fn):
         """Coefficients of the Lagrange interpolant (bubble dofs set to 0)."""

@@ -469,7 +469,7 @@ def check_rates(result: StudyResult, checks: dict) -> list:
 
 def check_unstable(result: StudyResult) -> list:
     """Validate the expected instability/stabilization signature."""
-    msgs = []
+    msgs = [f"levels failed: {result.failures}"] if result.failures else []
     unmod = result.companion
     failed = bool(unmod and unmod.failures)
     if not failed and unmod is not None and unmod.rates and "l2" in unmod.rates:

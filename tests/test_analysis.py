@@ -148,17 +148,6 @@ class TestMultiplierError:
             total += length * np.sum(wq * resid**2)
         assert err == pytest.approx(np.sqrt(total), rel=1e-6)
 
-    def test_exact_normal_variant_differs_but_converges(self):
-        mesh = precompute_boundary_geometry(build_annulus_mesh(32, 8), RING, 6)
-        L = build_multiplier_space(mesh, 1)
-        target = lambda s, x, n_h: -np.sum(RING.grad_u_exact(x) * n_h[..., None, :], axis=-1)
-        coeffs = project_to_multiplier(L, target)
-        field = SolutionField(L, coeffs)
-        e_h = multiplier_error(field, RING)
-        e_x = multiplier_error(field, RING, use_exact_normal=True)
-        assert e_x != e_h
-        assert abs(e_x - e_h) < 0.1  # normals differ by O(h)
-
 
 class TestTripleNorm:
     def test_error_triple_norm_composition(self):

@@ -26,6 +26,7 @@ from bvcfem.geometry import (
     make_square_domain,
 )
 from bvcfem.mesh import (
+    REFERENCE_CELLS,
     build_annulus_mesh,
     build_square_mesh,
     build_staircase_mesh,
@@ -312,10 +313,7 @@ def test_taylor_rows_of_two_bubble_corner_cells():
     # boundary facets.  The other facet's bubble vanishes on a facet, but its
     # normal derivative does not, so it enters the taylor row through rho_h.
     # Oracle: per-facet hand quadrature of the full cell basis.
-    from bvcfem.mesh import REFERENCE_CELLS
-
     verts, edges = REFERENCE_CELLS["quad"]
-
     domain = make_square_domain(0.3, 0.7, -0.4)
     mesh = precompute_boundary_geometry(build_square_mesh(3, "quad"), domain, 4)
     F = mesh.boundary_facets
@@ -398,21 +396,30 @@ class TestBatchedBubblePath:
     def test_local_basis_matches_cell_basis(self, case):
         V = _bubble_path_space(case)
         cells = V.bubble_cells
+        F = V.mesh.boundary_facets
+        n_edges = len(REFERENCE_CELLS[V.mesh.cell_kind][1])
+        assert V.edge_bubble_dofs.shape == (V.mesh.num_cells, n_edges)
         if V.mesh.cell_kind == "quad":
-            assert V.cell_bubble_dofs.shape[1] == 2  # corner cells carry two
+            assert np.max(np.sum(V.edge_bubble_dofs >= 0, axis=1)) == 2  # corner cells
         rng = np.random.default_rng(11)
         x = rng.uniform(0.0, 1.0, size=(len(cells), 5, 2))
         if V.mesh.cell_kind == "triangle":
             x[..., 0] *= 1.0 - x[..., 1]  # inside the reference triangle
-        dofs, mask, vals, grads = V.local_basis(cells, x)
+        dofs, vals, grads = V.local_basis(cells, x)
+        assert dofs.shape == (len(cells), V.nb_std + n_edges)
+        # -1 exactly where (cell, local edge) is not a boundary facet.
+        is_facet = np.zeros((V.mesh.num_cells, n_edges), dtype=bool)
+        is_facet[F.cell, F.local_edge] = True
+        np.testing.assert_array_equal(dofs[:, V.nb_std :] == -1, ~is_facet[cells])
+        assert np.all(dofs[:, : V.nb_std] >= 0)
         for row, c in enumerate(cells):
+            on = dofs[row] >= 0
             ref_vals, ref_grads = V.cell_basis(c, x[row])
-            np.testing.assert_array_equal(dofs[row, mask[row]], V.cell_dofs(c))
-            assert np.all(dofs[row, ~mask[row]] == 0)
-            np.testing.assert_allclose(vals[row][:, mask[row]], ref_vals, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(grads[row][:, mask[row]], ref_grads, rtol=0, atol=1e-14)
-            assert np.all(vals[row][:, ~mask[row]] == 0.0)
-            assert np.all(grads[row][:, ~mask[row]] == 0.0)
+            np.testing.assert_array_equal(dofs[row, on], V.cell_dofs(c))
+            np.testing.assert_allclose(vals[row][:, on], ref_vals, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(grads[row][:, on], ref_grads, rtol=0, atol=1e-14)
+            assert np.all(vals[row][:, ~on] == 0.0)
+            assert np.all(grads[row][:, ~on] == 0.0)
         # Shared reference points give the same tables as the same points per row.
         shared = V.local_basis(cells, x[0])
         per_row = V.local_basis(cells, np.broadcast_to(x[0], x.shape))

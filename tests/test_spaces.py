@@ -74,6 +74,11 @@ class TestQuadrature:
         with pytest.raises(UnsupportedDegree):
             quadrature("triangle", 21)
 
+    def test_unknown_cell_kind_is_a_bad_value(self):
+        message = r"unknown cell kind 'hexagon'; have \('triangle', 'quad'\)"
+        with pytest.raises(ValueError, match=message):
+            quadrature("hexagon", 2)
+
 
 class TestPrimalSpace:
     def test_dof_count_annulus_p2_enriched(self):
@@ -161,8 +166,8 @@ class TestPrimalSpace:
             a, b = edges[local_edge]
             for s, expected in ((0.0, 0.0), (0.5, 0.0), (0.25, -3.0 / 32.0), (1.0, 0.0)):
                 pt = verts[a] + s * (verts[b] - verts[a])
-                vals, _ = V.bubble_eval(local_edge, pt[None, :])
-                assert vals[0] == pytest.approx(expected, abs=1e-15)
+                vals, _ = V.bubble_eval(pt[None, :])
+                assert vals[0, local_edge] == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_bubble_vanishes_at_vertices_and_other_edges(self, k):
@@ -176,16 +181,34 @@ class TestPrimalSpace:
                     continue
                 a, b = edges[other]
                 pts = verts[a][None, :] + s[:, None] * (verts[b] - verts[a])[None, :]
-                vals, _ = V.bubble_eval(local_edge, pts)
-                assert np.max(np.abs(vals)) <= 1e-14
+                vals, _ = V.bubble_eval(pts)
+                assert np.max(np.abs(vals[:, local_edge])) <= 1e-14
 
     def test_quad_bubble_shape(self):
         mesh = build_staircase_mesh(8, ELLIPSE)
         V = build_primal_space(mesh, 1, enrich=True)
         # edge 0 (bottom): bubble = x(1-x)(1-y)
         pts = np.array([[0.3, 0.0], [0.3, 1.0], [0.0, 0.5], [1.0, 0.5], [0.25, 0.5]])
-        vals, _ = V.bubble_eval(0, pts)
-        assert np.allclose(vals, [0.21, 0.0, 0.0, 0.0, 0.09375], atol=1e-15)
+        vals, _ = V.bubble_eval(pts)
+        assert np.allclose(vals[:, 0], [0.21, 0.0, 0.0, 0.0, 0.09375], atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "mesh_kind", ["ring", "staircase", "square-quad", "ring-plain", "staircase-plain"]
+    )
+    def test_edge_bubble_dofs_held_by_local_edge(self, mesh_kind):
+        mesh = {
+            "ring": lambda: build_annulus_mesh(8, 2),
+            "staircase": lambda: build_staircase_mesh(16, ELLIPSE),
+            "square-quad": lambda: build_square_mesh(3, "quad"),
+        }[mesh_kind.removesuffix("-plain")]()
+        enrich = not mesh_kind.endswith("-plain")
+        V = build_primal_space(mesh, 1, enrich=enrich)
+        F = mesh.boundary_facets
+        expected = np.full((mesh.num_cells, len(REFERENCE_CELLS[mesh.cell_kind][1])), -1)
+        if enrich:
+            expected[F.cell, F.local_edge] = V.n_lagrange + np.arange(len(F))
+        np.testing.assert_array_equal(V.edge_bubble_dofs, expected)
+        assert V.dof_count == V.n_lagrange + enrich * len(F)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_conformity_across_interior_edges(self, k):
@@ -237,6 +260,42 @@ class TestPrimalSpace:
         qmesh = build_staircase_mesh(8, ELLIPSE)
         with pytest.raises(UnsupportedOrder, match=r"quad degree 2 not supported; have 1$"):
             build_primal_space(qmesh, 2, enrich=False)
+
+
+@pytest.mark.parametrize(
+    "kind, k", [(kind, k) for kind, element in ELEMENTS.items() for k in element.nodes]
+)
+class TestEdgeBubbleTable:
+    """Column e of ELEMENTS[kind].bubble is the bubble of local edge e.
+
+    On edge a -> b of REFERENCE_CELLS, at s from a, it is s (1 - s) L with
+    L the Legendre polynomial P_{k-1}(2s - 1); it vanishes at the vertices
+    and on every other local edge.
+    """
+
+    def test_edge_traces(self, kind, k):
+        verts, edges = REFERENCE_CELLS[kind]
+        s = np.linspace(0.0, 1.0, 9)
+        L = np.polynomial.legendre.legval(2.0 * s - 1.0, [0.0] * (k - 1) + [1.0])
+        for e, (a, b) in enumerate(edges):
+            pts = verts[a] + s[:, None] * (verts[b] - verts[a])
+            vals, grads = ELEMENTS[kind].bubble(k, pts)
+            assert vals.shape == (len(s), len(edges))
+            assert grads.shape == (len(s), len(edges), 2)
+            expected = np.zeros((len(s), len(edges)))
+            expected[:, e] = s * (1.0 - s) * L
+            np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-15)
+
+    def test_gradients_match_finite_differences(self, kind, k):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.1, 0.4, size=(10, 2))  # inside both reference cells
+        eps = 1e-6
+        _, grads = ELEMENTS[kind].bubble(k, x)
+        for d in range(2):
+            step = eps * np.eye(2)[d]
+            vp, _ = ELEMENTS[kind].bubble(k, x + step)
+            vm, _ = ELEMENTS[kind].bubble(k, x - step)
+            np.testing.assert_allclose(grads[..., d], (vp - vm) / (2 * eps), rtol=0, atol=1e-8)
 
 
 class TestMultiplierSpace:

@@ -8,12 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bvcfem.analysis import ErrorReport, RateFit
 from bvcfem.study import (
     CSV_HEADER,
     PRESETS,
     ConfigError,
     IoError,
     StudyConfig,
+    StudyResult,
+    check_rates,
+    check_unstable,
     emit_csv,
     emit_plots,
     expected_rates,
@@ -247,6 +251,27 @@ class TestPresetRegistry:
 
         with pytest.raises(ConfigError, match="levels must be positive"):
             run_preset(name, levels=0)
+
+
+class TestChecks:
+    def test_unstable_check_reports_failed_levels(self):
+        # A corrected branch that lost level 2: its L2 rate is fitted across
+        # a gap in h, so the check must fail the way check_rates does.
+        config = PRESETS["unstable-pairing"].config
+        reports = [
+            ErrorReport(h, 0, 0, 0, h**3, h**2, h**2, None, 0.0, 0.0)
+            for h in (1 / 16, 1 / 32, 1 / 128)
+        ]
+        result = StudyResult(
+            config=config,
+            records=list(zip((0, 1, 3), reports)),
+            failures=[(2, "near-zero pivot")],
+            rates={"l2": RateFit(last3=3.0)},
+            companion=StudyResult(config=config, failures=[(0, "near-zero pivot")]),
+        )
+        failed = "levels failed: [(2, 'near-zero pivot')]"
+        assert check_unstable(result) == [failed]
+        assert check_rates(result, {"l2": (2.7, 3.3)}) == [failed]
 
 
 class TestCli:

@@ -1,0 +1,133 @@
+"""Parity check of dof tables, assembled systems and error norms.
+
+    python tools/parity.py save ref.npz      # in the reference checkout
+    python tools/parity.py compare ref.npz   # in the changed checkout
+
+save writes, for P1-P3 on a ring and a 4x4 triangle square and Q1 on the
+ellipse staircase and a 4x4 quad square, enriched and not: the dof tables,
+every assembled matrix and right-hand side (bvc, unmodified, taylor,
+nitsche), a load vector, the primal boundary mass and the error_report of
+a fixed random field.  compare rebuilds the same arrays with the bvcfem
+next to this script and prints the max relative difference of each; 0 on
+every array means bit-identical results.  It exits 1 if an array is
+missing or changed shape.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bvcfem import (  # noqa: E402
+    SolutionField,
+    assemble_nitsche,
+    assemble_saddle,
+    boundary_mass_primal,
+    build_annulus_mesh,
+    build_multiplier_space,
+    build_primal_space,
+    build_square_mesh,
+    build_staircase_mesh,
+    error_report,
+    load_vector,
+    make_ellipse_domain,
+    make_ring_domain,
+    make_square_domain,
+    precompute_boundary_geometry,
+)
+
+MESHES = {
+    "ring": (lambda d: build_annulus_mesh(32, 8), make_ring_domain, (1, 2, 3)),
+    "staircase": (lambda d: build_staircase_mesh(32, d), make_ellipse_domain, (1,)),
+    "square": (lambda d: build_square_mesh(4, "triangle"), make_square_domain, (1, 2, 3)),
+    "square-quad": (lambda d: build_square_mesh(4, "quad"), make_square_domain, (1,)),
+}
+
+
+def _load(p):
+    return np.cos(3.0 * p[..., 0]) + p[..., 1] ** 2
+
+
+def _put_matrix(out, key, A):
+    A = A.tocsr()
+    out[f"{key}.indptr"], out[f"{key}.indices"], out[f"{key}.data"] = A.indptr, A.indices, A.data
+
+
+def arrays() -> dict:
+    """Every compared array, keyed '<mesh>-p<k>[-plain]/<name>'."""
+    out = {}
+    for name, (build, make_domain, degrees) in MESHES.items():
+        domain = make_domain()
+        for k in degrees:
+            mesh = precompute_boundary_geometry(build(domain), domain, 2 * k + 2)
+            for enrich in (True, False):
+                tag = f"{name}-p{k}" + ("" if enrich else "-plain")
+                V = build_primal_space(mesh, k, enrich)
+                Lam = build_multiplier_space(mesh, k - 1)
+                out[f"{tag}/cell_dofs_std"] = V.cell_dofs_std
+                out[f"{tag}/cell_dofs"] = np.concatenate(
+                    [V.cell_dofs(c) for c in range(mesh.num_cells)]
+                )
+                out[f"{tag}/dof_points"] = V.dof_points
+                out[f"{tag}/counts"] = np.array([V.n_lagrange, V.dof_count])
+                out[f"{tag}/bubble_cells"] = V.bubble_cells
+                for method in ("bvc", "unmodified", "taylor"):
+                    system = assemble_saddle(V, Lam, domain, method)
+                    for block in ("K", "B", "D", "Bt_corr"):
+                        if getattr(system, block) is not None:
+                            _put_matrix(out, f"{tag}/{method}.{block}", getattr(system, block))
+                    out[f"{tag}/{method}.rhs_u"] = system.rhs_u
+                    out[f"{tag}/{method}.rhs_lam"] = system.rhs_lam
+                nitsche = assemble_nitsche(V, domain, 10.0 * k * k)
+                _put_matrix(out, f"{tag}/nitsche.A", nitsche.A)
+                out[f"{tag}/nitsche.rhs"] = nitsche.rhs
+                out[f"{tag}/load"] = load_vector(V, _load)
+                _put_matrix(out, f"{tag}/boundary_mass", boundary_mass_primal(V))
+                rng = np.random.default_rng(1234)
+                u = SolutionField(V, rng.standard_normal(V.dof_count))
+                lam = SolutionField(Lam, rng.standard_normal(Lam.dof_count))
+                for label, lf in (("saddle", lam), ("nitsche", None)):
+                    report = error_report(u, lf, domain)
+                    out[f"{tag}/error_report.{label}"] = np.array(
+                        [np.nan if v is None else v for v in vars(report).values()], dtype=float
+                    )
+    return out
+
+
+def compare(ref: dict, new: dict) -> int:
+    status = 0
+    for key in sorted(ref.keys() | new.keys()):
+        if key not in ref or key not in new:
+            print(f"{key}: only in {'reference' if key in ref else 'this checkout'}")
+            status = 1
+            continue
+        a, b = np.asarray(ref[key], dtype=float), np.asarray(new[key], dtype=float)
+        if a.shape != b.shape:
+            print(f"{key}: shape {a.shape} -> {b.shape}")
+            status = 1
+            continue
+        same_nan = np.isnan(a) & np.isnan(b)
+        diff = np.where(same_nan, 0.0, np.abs(a - b)).max(initial=0.0)
+        scale = np.abs(np.where(same_nan, 0.0, a)).max(initial=0.0)
+        print(f"{key}: {diff / scale if scale > 0 else diff:.3g}")
+    return status
+
+
+def main(argv) -> int:
+    if len(argv) != 2 or argv[0] not in ("save", "compare"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    command, path = argv
+    if command == "save":
+        np.savez(path, **arrays())
+        return 0
+    with np.load(path) as ref:
+        return compare(dict(ref), arrays())
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
