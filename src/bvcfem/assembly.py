@@ -11,11 +11,11 @@ and assemble_nitsche builds the single-field boundary-value-corrected
 symmetric Nitsche method with penalty gamma = gamma0 / h.
 
 u~ is the Dirichlet data, the domain's u_exact, pulled back from the true
-boundary through the precomputed facet pullback points.  Every facet term
-is one batched contraction over the facet_traces tables of all boundary
-facets.  Local dof tables carry -1 on the bubble slot of an edge without a
-bubble; _scatter drops those rows and columns, right-hand sides index
-dofs >= 0.
+boundary through the precomputed facet pullback points.  Every cell term
+is one contraction over all cells of V.basis and V.dof_table, every facet
+term one over the facet_traces tables of all boundary facets.  A -1 column
+of the dof table (an edge without a bubble) keeps its reference values;
+_scatter drops its rows and columns, right-hand sides index dofs >= 0.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def stiffness_matrix(V: PrimalSpace) -> sp.csr_matrix:
     """(grad phi_i, grad phi_j) over all cells, bubbles included."""
     mesh = V.mesh
     rule = quadrature(mesh.cell_kind, 2 * (V.degree + 1))
-    _, grads = V.tabulate(rule.points)
+    _, grads = V.basis(rule.points)
     Jinv, detJ = mesh.Jinv, mesh.detJ
 
     # Reference contraction S[i,j,a,b] folds the quadrature once; per-cell
@@ -97,74 +97,57 @@ def stiffness_matrix(V: PrimalSpace) -> sp.csr_matrix:
     S = np.einsum("q,qia,qjb->ijab", rule.weights, grads, grads)
     C = np.einsum("cad,cbd->cab", Jinv, Jinv)
     Kc = np.einsum("ijab,cab->cij", S, C) * detJ[:, None, None]
-
-    # Enriched cells add the rows and columns of their bubbles; std x std
-    # is in the bulk.  Both go into one COO, so stored zeros are kept.
-    cells = V.bubble_cells
-    dofs, _, g = V.local_basis(cells, rule.points)
-    gp = np.einsum("cqnd,cde->cqne", g, Jinv[cells])
-    Kb = detJ[cells, None, None] * np.einsum("q,cqia,cqja->cij", rule.weights, gp, gp)
-    keep = np.ones(Kb.shape[1:], dtype=bool)
-    keep[: V.nb_std, : V.nb_std] = False
-
-    std = V.cell_dofs_std
-    return _scatter((V.dof_count, V.dof_count), (Kc, std, std, True), (Kb, dofs, dofs, keep))
+    dofs = V.dof_table()
+    return _scatter((V.dof_count, V.dof_count), Kc, dofs, dofs)
 
 
 def load_vector(V: PrimalSpace, f) -> np.ndarray:
     """(f, phi_i) over all cells."""
     mesh = V.mesh
     rule = quadrature(mesh.cell_kind, 2 * V.degree + 3)
-    vals, _ = V.tabulate(rule.points)
-    detJ = mesh.detJ
+    vals, _ = V.basis(rule.points)
     fv = at_points(f, mesh.to_physical(rule.points))
-    Fc = np.einsum("q,qi,cq->ci", rule.weights, vals, fv) * detJ[:, None]
-
+    Fc = np.einsum("q,qi,cq->ci", rule.weights, vals, fv) * mesh.detJ[:, None]
+    dofs = V.dof_table()
+    on = dofs >= 0
     rhs = np.zeros(V.dof_count)
-    np.add.at(rhs, V.cell_dofs_std, Fc)
-    cells = V.bubble_cells
-    dofs, bv, _ = V.local_basis(cells, rule.points)
-    Fb = np.einsum("q,cqj,cq->cj", rule.weights, bv, fv[cells]) * detJ[cells, None]
-    dofs[:, : V.nb_std] = -1  # the Lagrange part is in the bulk
-    np.add.at(rhs, dofs[dofs >= 0], Fb[dofs >= 0])
+    np.add.at(rhs, dofs[on], Fc[on])
     return rhs
 
 
 def facet_traces(V: PrimalSpace):
     """Cell basis functions traced on every boundary facet of V's mesh.
 
-    Returns (dofs, vals, dn): V.local_basis of each facet's cell at the
-    facet's Gauss points, -1 dofs and zero columns included, with the
+    Returns (dofs, vals, dn): the dof_table row of each facet's cell and
+    V.basis at the facet's Gauss points on its local edge, with the
     reference gradients turned into normal derivatives n_h . grad
-    (nf, nq, nl).  A cell's other bubbles vanish on the facet, but their
-    normal derivatives do not.
+    (nf, nq, nl).  The basis is tabulated once per local edge.  A -1
+    column keeps its reference values, for the consumer to drop.  A
+    cell's other bubbles vanish on the facet, but their normal
+    derivatives do not.
     """
     mesh = V.mesh
     facets = mesh.boundary_facets
     ref, edges = REFERENCE_CELLS[mesh.cell_kind]
     a, b = ref[np.array(edges).T]
-    ref_pts = a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :]  # (ne, nq, 2)
-    dofs, vals, grads = V.local_basis(facets.cell, ref_pts[facets.local_edge])
-    dn = np.einsum("fqnd,fde,fe->fqn", grads, mesh.Jinv[facets.cell], facets.n_h)
-    return dofs, vals, dn
+    vals, grads = V.basis(a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :])
+    e = facets.local_edge
+    dn = np.einsum("fqnd,fde,fe->fqn", grads[e], mesh.Jinv[facets.cell], facets.n_h)
+    return V.dof_table()[facets.cell], vals[e], dn
 
 
-def _scatter(shape, *parts) -> sp.csr_matrix:
-    """Sparse sum of per-cell or per-facet blocks, all in one COO.
+def _scatter(shape, blocks, rows, cols) -> sp.csr_matrix:
+    """Sparse sum of per-cell or per-facet blocks (n, a, b) at rows (n, a), cols (n, b).
 
-    Each part is (blocks (n, a, b), rows (n, a), cols (n, b), keep); keep,
-    broadcast to the blocks, selects the entries that are stored, and an
-    entry in a -1 row or column is never stored.
+    An entry in a -1 row or column is never stored; every other entry is,
+    exact zeros included.
     """
-    data, ii, jj = [], [], []
-    for blocks, rows, cols, keep in parts:
-        keep = keep & (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
-        keep = np.broadcast_to(keep, blocks.shape)
-        data.append(blocks[keep])
-        ii.append(np.broadcast_to(rows[:, :, None], blocks.shape)[keep])
-        jj.append(np.broadcast_to(cols[:, None, :], blocks.shape)[keep])
-    ij = (np.concatenate(ii), np.concatenate(jj))
-    return sp.coo_matrix((np.concatenate(data), ij), shape=shape).tocsr()
+    stored = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+    ij = (
+        np.broadcast_to(rows[:, :, None], blocks.shape)[stored],
+        np.broadcast_to(cols[:, None, :], blocks.shape)[stored],
+    )
+    return sp.coo_matrix((blocks[stored], ij), shape=shape).tocsr()
 
 
 def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
@@ -172,7 +155,7 @@ def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
     facets = V.mesh.boundary_facets
     dofs, vals, _ = facet_traces(V)
     blocks = np.einsum("fq,fqi,fqj->fij", facets.weights, vals, vals)
-    return _scatter((V.dof_count, V.dof_count), (blocks, dofs, dofs, True))
+    return _scatter((V.dof_count, V.dof_count), blocks, dofs, dofs)
 
 
 def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.csr_matrix:
@@ -187,7 +170,7 @@ def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.cs
         vals = vals + facets.rho[:, :, None] * dn
     blocks = np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
     shape = (Lam.dof_count, V.dof_count)
-    return _scatter(shape, (blocks, Lam.facet_dofs, dofs, True))
+    return _scatter(shape, blocks, Lam.facet_dofs, dofs)
 
 
 def assemble_saddle(
@@ -207,7 +190,7 @@ def assemble_saddle(
     D = sp.csr_matrix((nl, nl))
     if method == "bvc":
         blocks = np.einsum("fq,fq,qi,qj->fij", w, facets.rho, psi, psi)
-        D = _scatter((nl, nl), (blocks, Lam.facet_dofs, Lam.facet_dofs, True))
+        D = _scatter((nl, nl), blocks, Lam.facet_dofs, Lam.facet_dofs)
     rhs_lam = np.zeros(nl)
     rhs_lam[Lam.facet_dofs] = (w * at_points(domain.u_exact, facets.pullback)) @ psi
     return SaddleSystem(
@@ -252,7 +235,7 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> N
     np.add.at(rhs, dofs[dofs >= 0], data[dofs >= 0])
 
     n = V.dof_count
-    A = _scatter((n, n), (M, dofs, dofs, True)) + K
+    A = _scatter((n, n), M, dofs, dofs) + K
     return NitscheSystem(A=A, rhs=rhs, V=V)
 
 

@@ -131,14 +131,29 @@ def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
 
     Edges are numbered in one pass over the sorted vertex pairs of every
     cell, in cell-major, local-edge order of first use; the edges used once
-    are the boundary facets.  Cells must be counterclockwise; raises
-    MeshError otherwise, and for a cell kind other than "triangle" or "quad".
+    are the boundary facets.  vertices has shape (nno, 2), cells one row of
+    vertex ids in [0, nno) per cell, as many as the cell kind's reference
+    cell has, counterclockwise.  Raises MeshError, naming the first bad
+    cell, otherwise, and for a cell kind other than "triangle" or "quad".
     """
     if cell_kind not in REFERENCE_CELLS:
         raise MeshError(f"unknown cell kind {cell_kind!r}; have {', '.join(REFERENCE_CELLS)}")
+    corners, edges = REFERENCE_CELLS[cell_kind]
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
-    edges = np.array(REFERENCE_CELLS[cell_kind][1])
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise MeshError(f"vertices must have shape (nno, 2), got {vertices.shape}")
+    if cells.ndim != 2 or cells.shape[1] != len(corners):
+        raise MeshError(
+            f"cell 0: a {cell_kind} has {len(corners)} vertices, cells has shape {cells.shape}"
+        )
+    bad = np.flatnonzero(np.any((cells < 0) | (cells >= len(vertices)), axis=1))
+    if len(bad):
+        raise MeshError(
+            f"cell {bad[0]} has vertex ids {cells[bad[0]].tolist()}, "
+            f"not all in [0, {len(vertices)})"
+        )
+    edges = np.array(edges)
     ends = cells[:, edges].reshape(-1, 2)  # CCW edge of every cell, cell-major
     lo, hi = np.sort(ends, axis=1).T
     edge_ids, uses, _ = _number_by_first_use(lo * len(vertices) + hi)

@@ -6,9 +6,11 @@ facet-wise discontinuous Legendre multiplier spaces.  ELEMENTS, keyed by
 Mesh.cell_kind and built on mesh.REFERENCE_CELLS, is the one table of what
 differs between cell kinds: supported degrees, Lagrange nodes, basis, edge
 bubble and volume quadrature.  The dof layout is the same for every kind.
-A cell's bubbles are held by local edge (PrimalSpace.edge_bubble_dofs, -1
-on an edge without one), and PrimalSpace.local_basis, the one place that
-tabulates a cell's full basis, pads in the same way: dof -1 and zero values.
+Every cell has the same local functions, PrimalSpace.basis: the Lagrange
+functions, then one bubble per local edge.  PrimalSpace.dof_table holds their
+global dofs, -1 on an edge without a bubble.  A -1 column keeps its reference
+values; every consumer drops it (_scatter for matrices, dofs >= 0 for
+vectors, an appended zero coefficient for fields).
 """
 
 from __future__ import annotations
@@ -265,53 +267,42 @@ class PrimalSpace:
         # One bubble dof per boundary facet, appended after the Lagrange dofs
         # in facet order (facet f owns dof n_lagrange + f).  edge_bubble_dofs
         # holds it at the facet's (cell, local edge) and -1 on every other
-        # edge; bubble_cells lists the cells that have any.
+        # edge.
         facets = mesh.boundary_facets
         nf = len(facets) if self.enriched else 0
         self.edge_bubble_dofs = np.full((nc, len(edges)), -1, dtype=np.int64)
         self.edge_bubble_dofs[facets.cell[:nf], facets.local_edge[:nf]] = ndof + np.arange(nf)
-        self.bubble_cells = np.unique(facets.cell[:nf])
         self.dof_count = ndof + nf
 
-    def tabulate(self, pts):
-        """Standard (Lagrange) basis values and gradients at reference points."""
-        return self.element.basis(self.degree, pts)
+    def basis(self, pts):
+        """Every local function at reference points pts (..., 2).
 
-    def bubble_eval(self, pts):
-        """Edge bubble values and gradients at reference points, one column per local edge."""
-        return self.element.bubble(self.degree, pts)
-
-    def local_basis(self, cells, pts):
-        """Every basis function of the given cells at reference points.
-
-        pts is shared (nq, 2) or per row (n, nq, 2).  Returns (dofs, vals,
-        grads): the global dofs (n, nl) -- Lagrange dofs, then one column
-        per local edge holding its bubble dof or -1 -- with the values
-        (n, nq, nl) and reference gradients (n, nq, nl, 2), zero in every
-        -1 column.
+        Returns values (..., nl) and reference gradients (..., nl, 2): the
+        Lagrange functions in cell_dofs_std order, then one edge bubble per
+        local edge of REFERENCE_CELLS, the columns of dof_table().
         """
-        cells = np.asarray(cells)
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 2)
-        (vals, grads), (bv, bg) = self.tabulate(flat), self.bubble_eval(flat)
+        vals, grads = self.element.basis(self.degree, flat)
+        bv, bg = self.element.bubble(self.degree, flat)
         vals = np.concatenate([vals, bv], axis=1).reshape(pts.shape[:-1] + (-1,))
         grads = np.concatenate([grads, bg], axis=1).reshape(pts.shape[:-1] + (-1, 2))
-        dofs = np.concatenate([self.cell_dofs_std[cells], self.edge_bubble_dofs[cells]], axis=1)
-        on = (dofs >= 0)[:, None, :]
-        return dofs, np.where(on, vals, 0.0), np.where(on[..., None], grads, 0.0)
+        return vals, grads
+
+    def dof_table(self):
+        """Global dofs (cells, nl) of the basis columns, -1 on an edge without a bubble."""
+        return np.concatenate([self.cell_dofs_std, self.edge_bubble_dofs], axis=1)
 
     def cell_dofs(self, c):
         """Global dofs of cell c: Lagrange dofs then its bubbles by local edge."""
-        bubbles = self.edge_bubble_dofs[c]
-        return np.concatenate([self.cell_dofs_std[c], bubbles[bubbles >= 0]])
+        dofs = self.dof_table()[c]
+        return dofs[dofs >= 0]
 
     def cell_basis(self, c, pts):
         """Values/gradients of every basis function of cell c (bubbles last)."""
-        pts = np.atleast_2d(pts)
-        vals, grads = self.tabulate(pts)
-        bv, bg = self.bubble_eval(pts)
-        on = self.edge_bubble_dofs[c] >= 0
-        return np.concatenate([vals, bv[:, on]], axis=1), np.concatenate([grads, bg[:, on]], axis=1)
+        vals, grads = self.basis(np.atleast_2d(pts))
+        on = self.dof_table()[c] >= 0
+        return vals[:, on], grads[:, on]
 
     def interpolate(self, fn):
         """Coefficients of the Lagrange interpolant (bubble dofs set to 0)."""

@@ -474,8 +474,9 @@ def check_unstable(result: StudyResult) -> list:
     failed = bool(unmod and unmod.failures)
     if not failed and unmod is not None and unmod.rates and "l2" in unmod.rates:
         failed = unmod.rates["l2"].last3 < 0.5
-    if not failed and result.infsup_sigmas and len(result.infsup_sigmas) >= 2:
-        failed = result.infsup_sigmas[1] <= result.infsup_sigmas[0] / 10.0
+    sigmas = result.infsup_sigmas or []
+    if not failed and len(sigmas) >= 2 and sigmas[0] > 0:
+        failed = sigmas[1] <= sigmas[0] / 10.0
     if not failed:
         msgs.append("unmodified branch did not exhibit the expected failure")
     if result.rates is None or "l2" not in result.rates:

@@ -182,6 +182,28 @@ class TestTripleNorm:
         got = error_triple_norm(zero_u, None, RING)
         assert got == pytest.approx(h1 + bnd, rel=1e-12)
 
+    @pytest.mark.parametrize("enrich", [True, False], ids=["enriched", "plain"])
+    def test_boundary_term_matches_per_facet_loop(self, enrich):
+        # A random field traced facet by facet through cell_basis / cell_dofs;
+        # without bubbles every facet's own edge is a -1 column of the table.
+        from bvcfem.mesh import REFERENCE_CELLS
+
+        mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
+        V = build_primal_space(mesh, 2, enrich)
+        u = SolutionField(V, np.random.default_rng(7).standard_normal(V.dof_count))
+        F = mesh.boundary_facets
+        verts, edges = REFERENCE_CELLS["triangle"]
+        bnd_sq = 0.0
+        for f in range(len(F)):
+            a, b = edges[F.local_edge[f]]
+            pts = verts[a] + F.s[:, None] * (verts[b] - verts[a])
+            vals, _ = V.cell_basis(F.cell[f], pts)
+            uh = vals @ u.coefficients[V.cell_dofs(F.cell[f])]
+            bnd_sq += np.sum(F.weights[f] * (RING.u_exact(F.points[f]) - uh) ** 2)
+        _, err_h1 = l2_h1_errors(u, RING)
+        got = error_triple_norm(u, None, RING) - err_h1
+        assert got == pytest.approx(np.sqrt(bnd_sq / mesh.h), rel=1e-10)
+
     def test_error_report_computes_the_multiplier_norm_once(self, monkeypatch):
         from bvcfem import analysis
 

@@ -372,6 +372,8 @@ def test_dump_matrix_round_trip(tmp_path):
 def _bubble_path_space(case):
     if case == "ring-p2":
         return build_primal_space(build_annulus_mesh(16, 4), 2, enrich=True)
+    if case == "ring-p2-plain":
+        return build_primal_space(build_annulus_mesh(16, 4), 2, enrich=False)
     if case == "ring-p3":
         return build_primal_space(build_annulus_mesh(16, 4), 3, enrich=True)
     if case == "staircase-q1":
@@ -379,13 +381,15 @@ def _bubble_path_space(case):
     return build_primal_space(build_square_mesh(3, "quad"), 1, enrich=True)
 
 
-@pytest.mark.parametrize("case", ["ring-p2", "ring-p3", "staircase-q1", "square-q1"])
+@pytest.mark.parametrize(
+    "case", ["ring-p2", "ring-p2-plain", "ring-p3", "staircase-q1", "square-q1"]
+)
 class TestBatchedBubblePath:
-    """The batched local basis, stiffness and load against a per-cell loop.
+    """The shared basis table and padded dof table against a per-cell loop.
 
-    The oracle walks the cells one by one through cell_basis / cell_dofs, the
-    way the assembly did before it was batched.  The staircase and the
-    square quad mesh have corner cells with two bubbles.
+    The oracle walks the cells one by one through cell_basis / cell_dofs,
+    which keep only the columns a cell has.  The staircase and the square
+    quad mesh have corner cells with two bubbles; ring-p2-plain has none.
     """
 
     def _rule(self, V, degree):
@@ -395,36 +399,65 @@ class TestBatchedBubblePath:
 
     def test_local_basis_matches_cell_basis(self, case):
         V = _bubble_path_space(case)
-        cells = V.bubble_cells
         F = V.mesh.boundary_facets
         n_edges = len(REFERENCE_CELLS[V.mesh.cell_kind][1])
         assert V.edge_bubble_dofs.shape == (V.mesh.num_cells, n_edges)
         if V.mesh.cell_kind == "quad":
             assert np.max(np.sum(V.edge_bubble_dofs >= 0, axis=1)) == 2  # corner cells
+        dofs = V.dof_table()
+        assert dofs.shape == (V.mesh.num_cells, V.nb_std + n_edges)
+        # -1 exactly where (cell, local edge) is not a boundary facet of an
+        # enriched space.
+        is_facet = np.zeros((V.mesh.num_cells, n_edges), dtype=bool)
+        is_facet[F.cell, F.local_edge] = V.enriched
+        np.testing.assert_array_equal(dofs[:, V.nb_std :] == -1, ~is_facet)
+        assert np.all(dofs[:, : V.nb_std] >= 0)
         rng = np.random.default_rng(11)
-        x = rng.uniform(0.0, 1.0, size=(len(cells), 5, 2))
+        x = rng.uniform(0.0, 1.0, size=(V.mesh.num_cells, 5, 2))
         if V.mesh.cell_kind == "triangle":
             x[..., 0] *= 1.0 - x[..., 1]  # inside the reference triangle
-        dofs, vals, grads = V.local_basis(cells, x)
-        assert dofs.shape == (len(cells), V.nb_std + n_edges)
-        # -1 exactly where (cell, local edge) is not a boundary facet.
-        is_facet = np.zeros((V.mesh.num_cells, n_edges), dtype=bool)
-        is_facet[F.cell, F.local_edge] = True
-        np.testing.assert_array_equal(dofs[:, V.nb_std :] == -1, ~is_facet[cells])
-        assert np.all(dofs[:, : V.nb_std] >= 0)
-        for row, c in enumerate(cells):
-            on = dofs[row] >= 0
-            ref_vals, ref_grads = V.cell_basis(c, x[row])
-            np.testing.assert_array_equal(dofs[row, on], V.cell_dofs(c))
-            np.testing.assert_allclose(vals[row][:, on], ref_vals, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(grads[row][:, on], ref_grads, rtol=0, atol=1e-14)
-            assert np.all(vals[row][:, ~on] == 0.0)
-            assert np.all(grads[row][:, ~on] == 0.0)
-        # Shared reference points give the same tables as the same points per row.
-        shared = V.local_basis(cells, x[0])
-        per_row = V.local_basis(cells, np.broadcast_to(x[0], x.shape))
-        for got, want in zip(shared, per_row):
-            np.testing.assert_array_equal(got, want)
+        vals, grads = V.basis(x)
+        assert vals.shape == dofs.shape[:1] + (5,) + dofs.shape[1:]
+        assert grads.shape == vals.shape + (2,)
+        for c in range(V.mesh.num_cells):
+            on = dofs[c] >= 0
+            ref_vals, ref_grads = V.cell_basis(c, x[c])
+            np.testing.assert_array_equal(dofs[c, on], V.cell_dofs(c))
+            np.testing.assert_allclose(vals[c][:, on], ref_vals, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(grads[c][:, on], ref_grads, rtol=0, atol=1e-14)
+        # Lagrange columns, then one bubble column per local edge.
+        lagrange = V.element.basis(V.degree, x[0])
+        bubbles = V.element.bubble(V.degree, x[0])
+        for got, lag, bub in zip(V.basis(x[0]), lagrange, bubbles):
+            np.testing.assert_array_equal(got, np.concatenate([lag, bub], axis=1))
+
+    def test_l2_h1_matches_per_cell_loop(self, case):
+        from bvcfem.analysis import field_l2_norm, l2_h1_errors
+        from bvcfem.solver import SolutionField
+
+        V = _bubble_path_space(case)
+        domain = ELLIPSE if V.mesh.cell_kind == "quad" else RING
+        rng = np.random.default_rng(12)
+        field = SolutionField(V, rng.standard_normal(V.dof_count))
+        if V.enriched:
+            assert np.all(field.coefficients[V.n_lagrange :] != 0.0)
+        rule = self._rule(V, 2 * V.degree + 4)
+        origins, J, Jinv, detJ = V.mesh.origins, V.mesh.J, V.mesh.Jinv, V.mesh.detJ
+        l2_sq = h1_sq = norm_sq = 0.0
+        for c in range(V.mesh.num_cells):
+            vals, grads = V.cell_basis(c, rule.points)
+            coeffs = field.coefficients[V.cell_dofs(c)]
+            x = origins[c] + rule.points @ J[c].T
+            uh = vals @ coeffs
+            guh = np.einsum("qid,i->qd", grads, coeffs) @ Jinv[c]
+            w = detJ[c] * rule.weights
+            l2_sq += np.sum(w * (uh - domain.u_exact(x)) ** 2)
+            h1_sq += np.sum(w[:, None] * (guh - domain.grad_u_exact(x)) ** 2)
+            norm_sq += np.sum(w * uh**2)
+        err_l2, err_h1 = l2_h1_errors(field, domain)
+        assert err_l2 == pytest.approx(np.sqrt(l2_sq), rel=1e-12)
+        assert err_h1 == pytest.approx(np.sqrt(h1_sq), rel=1e-12)
+        assert field_l2_norm(field) == pytest.approx(np.sqrt(norm_sq), rel=1e-12)
 
     def test_stiffness_matches_per_cell_loop(self, case):
         V = _bubble_path_space(case)

@@ -3,6 +3,9 @@
 A stdlib-ast check over the modules that use the element table: none
 compares cell_kind to a string literal, so a new cell kind is one entry of
 spaces.ELEMENTS (and mesh.REFERENCE_CELLS), not an edit of every branch.
+A second check keeps the volume kernels on one path: assembly and analysis
+read every cell through PrimalSpace.basis and PrimalSpace.dof_table, never
+through a separate pass over the cells with bubbles.
 """
 
 import ast
@@ -55,3 +58,23 @@ def test_checker_flags_kind_branches():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_cell_kind_branch(name):
     assert kind_comparisons((PACKAGE / name).read_text()) == []
+
+
+SECOND_PATH = {"local_basis", "bubble_cells", "nb_std"}
+
+
+def names(source: str) -> set:
+    """Every variable, attribute, definition, import, argument and keyword name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        for attr in ("id", "attr", "name", "arg"):
+            value = getattr(node, attr, None)
+            if isinstance(value, str):
+                out.add(value)
+    return out
+
+
+def test_one_volume_path():
+    found = {name: names((PACKAGE / name).read_text()) & SECOND_PATH
+             for name in ("assembly.py", "analysis.py")}
+    assert found == {"assembly.py": set(), "analysis.py": set()}

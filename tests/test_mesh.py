@@ -300,6 +300,26 @@ def test_mesh_from_arrays_rejects_unknown_cell_kind():
         mesh_from_arrays(square, [(0, 1, 2, 3)], "quadrilateral")
 
 
+_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "vertices, cells, kind, message",
+    [
+        (_SQUARE, [(0, 1, 2), (1, 3, -1)], "triangle", r"cell 1 has vertex ids \[1, 3, -1\]"),
+        (_SQUARE, [(0, 1, 2), (1, 3, 4)], "triangle", r"cell 1 .* not all in \[0, 4\)"),
+        (_SQUARE, [(0, 1, 2, 3)], "triangle", r"cell 0: a triangle has 3 vertices"),
+        (_SQUARE, [(0, 1, 3)], "quad", r"cell 0: a quad has 4 vertices"),
+        ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], [(0, 1, 2)], "triangle",
+         r"vertices must have shape \(nno, 2\), got \(3, 3\)"),
+    ],
+    ids=["negative-id", "id-past-nno", "triangle-with-4", "quad-with-3", "3d-vertices"],
+)
+def test_mesh_from_arrays_rejects_bad_arrays(vertices, cells, kind, message):
+    with pytest.raises(MeshError, match=message):
+        mesh_from_arrays(vertices, cells, kind)
+
+
 @pytest.mark.parametrize(
     "mesh",
     [build_annulus_mesh(16, 4), build_staircase_mesh(16, ELLIPSE), build_square_mesh(3, "quad")],

@@ -273,6 +273,24 @@ class TestChecks:
         assert check_unstable(result) == [failed]
         assert check_rates(result, {"l2": (2.7, 3.3)}) == [failed]
 
+    def test_zero_sigmas_are_no_collapse(self):
+        # sigma_min is 0 on both coarse levels, so "sigma_1 <= sigma_0 / 10"
+        # holds without any collapse; the companion solved every level at
+        # L2 rate 1, so nothing failed.
+        config = PRESETS["unstable-pairing"].config
+        records = [
+            (level, ErrorReport(h, 0, 0, 0, h**3, h**2, h**2, None, 0.0, 0.0))
+            for level, h in enumerate((1 / 16, 1 / 32, 1 / 64))
+        ]
+        result = StudyResult(
+            config=config,
+            records=records,
+            rates={"l2": RateFit(last3=3.0)},
+            companion=StudyResult(config=config, records=records, rates={"l2": RateFit(last3=1.0)}),
+            infsup_sigmas=[0.0, 0.0],
+        )
+        assert check_unstable(result) == ["unmodified branch did not exhibit the expected failure"]
+
 
 class TestCli:
     def test_explicit_run_exit_zero(self, tmp_path):

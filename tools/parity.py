@@ -11,6 +11,11 @@ a fixed random field.  compare rebuilds the same arrays with the bvcfem
 next to this script and prints the max relative difference of each; 0 on
 every array means bit-identical results.  It exits 1 if an array is
 missing or changed shape.
+
+Keys are added and removed as the program changes.  To compare across such
+a change, make the reference save by copying this script into a checkout
+of the reference commit and running save there, so that both sides write
+the same keys; the script must then read only names that both checkouts have.
 """
 
 from __future__ import annotations
@@ -69,12 +74,16 @@ def arrays() -> dict:
                 V = build_primal_space(mesh, k, enrich)
                 Lam = build_multiplier_space(mesh, k - 1)
                 out[f"{tag}/cell_dofs_std"] = V.cell_dofs_std
+                # The -1-padded dof table, joined here so that a reference
+                # checkout without PrimalSpace.dof_table writes it too.
+                out[f"{tag}/dof_table"] = np.concatenate(
+                    [V.cell_dofs_std, V.edge_bubble_dofs], axis=1
+                )
                 out[f"{tag}/cell_dofs"] = np.concatenate(
                     [V.cell_dofs(c) for c in range(mesh.num_cells)]
                 )
                 out[f"{tag}/dof_points"] = V.dof_points
                 out[f"{tag}/counts"] = np.array([V.n_lagrange, V.dof_count])
-                out[f"{tag}/bubble_cells"] = V.bubble_cells
                 for method in ("bvc", "unmodified", "taylor"):
                     system = assemble_saddle(V, Lam, domain, method)
                     for block in ("K", "B", "D", "Bt_corr"):
