@@ -107,7 +107,7 @@ def load_vector(V: PrimalSpace, f) -> np.ndarray:
     rule = quadrature(mesh.cell_kind, 2 * V.degree + 3)
     vals, _ = V.basis(rule.points)
     fv = at_points(f, mesh.to_physical(rule.points))
-    Fc = np.einsum("q,qi,cq->ci", rule.weights, vals, fv) * mesh.detJ[:, None]
+    Fc = fv @ (rule.weights[:, None] * vals) * mesh.detJ[:, None]
     dofs = V.dof_table()
     on = dofs >= 0
     rhs = np.zeros(V.dof_count)

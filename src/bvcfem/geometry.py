@@ -309,7 +309,11 @@ def make_ring_domain() -> ImplicitDomain:
 
 
 def make_ellipse_domain() -> ImplicitDomain:
-    """Interior of x^2/4 + y^2 = 1 with u = sin(x^3) cos(8 y^3)."""
+    """Interior of x^2/4 + y^2 = 1 with u = sin(x^3) cos(8 y^3).
+
+    The data write every power of x and y as a product: numpy sends
+    exponents above 2 to libm pow, which costs about 30x more per point.
+    """
 
     def level_set(p):
         p = np.asarray(p, dtype=float)
@@ -319,24 +323,28 @@ def make_ellipse_domain() -> ImplicitDomain:
         p = np.asarray(p, dtype=float)
         return np.stack([0.5 * p[..., 0], 2.0 * p[..., 1]], axis=-1)
 
-    def u_exact(p):
-        p = np.asarray(p, dtype=float)
-        return np.sin(p[..., 0] ** 3) * np.cos(8.0 * p[..., 1] ** 3)
-
-    def grad_u_exact(p):
+    def cubes(p):
+        """x, y, x^3 and 8 y^3 at the points p."""
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
-        gx = 3.0 * x**2 * np.cos(x**3) * np.cos(8.0 * y**3)
-        gy = -24.0 * y**2 * np.sin(x**3) * np.sin(8.0 * y**3)
+        return x, y, x * x * x, 8.0 * (y * y * y)
+
+    def u_exact(p):
+        _, _, x3, y3 = cubes(p)
+        return np.sin(x3) * np.cos(y3)
+
+    def grad_u_exact(p):
+        x, y, x3, y3 = cubes(p)
+        gx = 3.0 * (x * x) * np.cos(x3) * np.cos(y3)
+        gy = -24.0 * (y * y) * np.sin(x3) * np.sin(y3)
         return np.stack([gx, gy], axis=-1)
 
     def f_rhs(p):
-        p = np.asarray(p, dtype=float)
-        x, y = p[..., 0], p[..., 1]
-        sx, cx = np.sin(x**3), np.cos(x**3)
-        sy, cy = np.sin(8.0 * y**3), np.cos(8.0 * y**3)
-        uxx = (6.0 * x * cx - 9.0 * x**4 * sx) * cy
-        uyy = -(48.0 * y * sy + 576.0 * y**4 * cy) * sx
+        x, y, x3, y3 = cubes(p)
+        sx, cx = np.sin(x3), np.cos(x3)
+        sy, cy = np.sin(y3), np.cos(y3)
+        uxx = (6.0 * x * cx - 9.0 * (x3 * x) * sx) * cy
+        uyy = -(48.0 * y * sy + 72.0 * (y3 * y) * cy) * sx
         return -(uxx + uyy)
 
     return ImplicitDomain(

@@ -102,7 +102,7 @@ class Mesh:
 
     def to_physical(self, xi) -> np.ndarray:
         """Physical points (nc, nq, 2) of the reference points xi (nq, 2) in every cell."""
-        return self.origins[:, None, :] + np.einsum("cab,qb->cqa", self.J, xi)
+        return self.origins[:, None, :] + xi @ self.J.transpose(0, 2, 1)
 
     def facet_points(self, s) -> np.ndarray:
         """Physical points (nf, len(s), 2) at edge parameters s on every boundary facet."""
@@ -133,26 +133,34 @@ def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
     cell, in cell-major, local-edge order of first use; the edges used once
     are the boundary facets.  vertices has shape (nno, 2), cells one row of
     vertex ids in [0, nno) per cell, as many as the cell kind's reference
-    cell has, counterclockwise.  Raises MeshError, naming the first bad
-    cell, otherwise, and for a cell kind other than "triangle" or "quad".
+    cell has, counterclockwise, and every vertex finite.  Raises MeshError,
+    naming the first bad vertex or cell, otherwise, and for a cell kind other
+    than "triangle" or "quad".
     """
     if cell_kind not in REFERENCE_CELLS:
         raise MeshError(f"unknown cell kind {cell_kind!r}; have {', '.join(REFERENCE_CELLS)}")
     corners, edges = REFERENCE_CELLS[cell_kind]
     vertices = np.asarray(vertices, dtype=float)
-    cells = np.asarray(cells, dtype=np.int64)
+    cells = np.asarray(cells)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError(f"vertices must have shape (nno, 2), got {vertices.shape}")
+    bad = np.flatnonzero(~np.all(np.isfinite(vertices), axis=1))
+    if len(bad):
+        raise MeshError(f"vertex {bad[0]} is {vertices[bad[0]].tolist()}, not finite")
     if cells.ndim != 2 or cells.shape[1] != len(corners):
         raise MeshError(
             f"cell 0: a {cell_kind} has {len(corners)} vertices, cells has shape {cells.shape}"
         )
+    bad = np.flatnonzero(np.any(cells != np.floor(cells), axis=1))
+    if len(bad):
+        raise MeshError(f"cell {bad[0]} has vertex ids {cells[bad[0]].tolist()}, not all integers")
     bad = np.flatnonzero(np.any((cells < 0) | (cells >= len(vertices)), axis=1))
     if len(bad):
         raise MeshError(
             f"cell {bad[0]} has vertex ids {cells[bad[0]].tolist()}, "
             f"not all in [0, {len(vertices)})"
         )
+    cells = cells.astype(np.int64)
     edges = np.array(edges)
     ends = cells[:, edges].reshape(-1, 2)  # CCW edge of every cell, cell-major
     lo, hi = np.sort(ends, axis=1).T
@@ -170,8 +178,12 @@ def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
     v = vertices[cells]
     J = np.stack([v[:, 1] - v[:, 0], v[:, -1] - v[:, 0]], axis=-1)
     detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    if np.any(detJ <= 0):
-        raise MeshError(f"{int(np.sum(detJ <= 0))} cells are not counterclockwise")
+    # Written so that a NaN determinant (overflow in J) fails it too.
+    flipped = ~(detJ > 0)
+    if np.any(flipped):
+        raise MeshError(
+            f"{int(np.sum(flipped))} cells are not counterclockwise, first cell {np.argmax(flipped)}"
+        )
     Jinv = np.empty_like(J)
     Jinv[:, 0, 0] = J[:, 1, 1] / detJ
     Jinv[:, 0, 1] = -J[:, 0, 1] / detJ

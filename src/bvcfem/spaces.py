@@ -7,7 +7,8 @@ Mesh.cell_kind and built on mesh.REFERENCE_CELLS, is the one table of what
 differs between cell kinds: supported degrees, Lagrange nodes, basis, edge
 bubble and volume quadrature.  The dof layout is the same for every kind.
 Every cell has the same local functions, PrimalSpace.basis: the Lagrange
-functions, then one bubble per local edge.  PrimalSpace.dof_table holds their
+functions, then, in an enriched space, one bubble per local edge (an
+unenriched space has no bubble columns).  PrimalSpace.dof_table holds their
 global dofs, -1 on an edge without a bubble.  A -1 column keeps its reference
 values; every consumer drops it (_scatter for matrices, dofs >= 0 for
 vectors, an appended zero coefficient for fields).
@@ -267,10 +268,11 @@ class PrimalSpace:
         # One bubble dof per boundary facet, appended after the Lagrange dofs
         # in facet order (facet f owns dof n_lagrange + f).  edge_bubble_dofs
         # holds it at the facet's (cell, local edge) and -1 on every other
-        # edge.
+        # edge; an unenriched space has no bubble columns at all.
         facets = mesh.boundary_facets
         nf = len(facets) if self.enriched else 0
-        self.edge_bubble_dofs = np.full((nc, len(edges)), -1, dtype=np.int64)
+        n_bubbles = len(edges) if self.enriched else 0
+        self.edge_bubble_dofs = np.full((nc, n_bubbles), -1, dtype=np.int64)
         self.edge_bubble_dofs[facets.cell[:nf], facets.local_edge[:nf]] = ndof + np.arange(nf)
         self.dof_count = ndof + nf
 
@@ -278,19 +280,23 @@ class PrimalSpace:
         """Every local function at reference points pts (..., 2).
 
         Returns values (..., nl) and reference gradients (..., nl, 2): the
-        Lagrange functions in cell_dofs_std order, then one edge bubble per
-        local edge of REFERENCE_CELLS, the columns of dof_table().
+        Lagrange functions in cell_dofs_std order, then, if the space is
+        enriched, one edge bubble per local edge of REFERENCE_CELLS; the
+        columns of dof_table().
         """
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 2)
         vals, grads = self.element.basis(self.degree, flat)
-        bv, bg = self.element.bubble(self.degree, flat)
-        vals = np.concatenate([vals, bv], axis=1).reshape(pts.shape[:-1] + (-1,))
-        grads = np.concatenate([grads, bg], axis=1).reshape(pts.shape[:-1] + (-1, 2))
-        return vals, grads
+        if self.enriched:
+            bv, bg = self.element.bubble(self.degree, flat)
+            vals, grads = np.concatenate([vals, bv], axis=1), np.concatenate([grads, bg], axis=1)
+        return vals.reshape(pts.shape[:-1] + (-1,)), grads.reshape(pts.shape[:-1] + (-1, 2))
 
     def dof_table(self):
-        """Global dofs (cells, nl) of the basis columns, -1 on an edge without a bubble."""
+        """Global dofs (cells, nl) of the basis columns, -1 on an edge without a bubble.
+
+        An unenriched space has the Lagrange columns only.
+        """
         return np.concatenate([self.cell_dofs_std, self.edge_bubble_dofs], axis=1)
 
     def cell_dofs(self, c):

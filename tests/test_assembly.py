@@ -400,7 +400,7 @@ class TestBatchedBubblePath:
     def test_local_basis_matches_cell_basis(self, case):
         V = _bubble_path_space(case)
         F = V.mesh.boundary_facets
-        n_edges = len(REFERENCE_CELLS[V.mesh.cell_kind][1])
+        n_edges = len(REFERENCE_CELLS[V.mesh.cell_kind][1]) if V.enriched else 0
         assert V.edge_bubble_dofs.shape == (V.mesh.num_cells, n_edges)
         if V.mesh.cell_kind == "quad":
             assert np.max(np.sum(V.edge_bubble_dofs >= 0, axis=1)) == 2  # corner cells
@@ -409,7 +409,8 @@ class TestBatchedBubblePath:
         # -1 exactly where (cell, local edge) is not a boundary facet of an
         # enriched space.
         is_facet = np.zeros((V.mesh.num_cells, n_edges), dtype=bool)
-        is_facet[F.cell, F.local_edge] = V.enriched
+        if V.enriched:
+            is_facet[F.cell, F.local_edge] = True
         np.testing.assert_array_equal(dofs[:, V.nb_std :] == -1, ~is_facet)
         assert np.all(dofs[:, : V.nb_std] >= 0)
         rng = np.random.default_rng(11)
@@ -425,11 +426,12 @@ class TestBatchedBubblePath:
             np.testing.assert_array_equal(dofs[c, on], V.cell_dofs(c))
             np.testing.assert_allclose(vals[c][:, on], ref_vals, rtol=0, atol=1e-14)
             np.testing.assert_allclose(grads[c][:, on], ref_grads, rtol=0, atol=1e-14)
-        # Lagrange columns, then one bubble column per local edge.
+        # Lagrange columns, then one bubble column per local edge if enriched.
         lagrange = V.element.basis(V.degree, x[0])
         bubbles = V.element.bubble(V.degree, x[0])
         for got, lag, bub in zip(V.basis(x[0]), lagrange, bubbles):
-            np.testing.assert_array_equal(got, np.concatenate([lag, bub], axis=1))
+            want = np.concatenate([lag, bub], axis=1) if V.enriched else lag
+            np.testing.assert_array_equal(got, want)
 
     def test_l2_h1_matches_per_cell_loop(self, case):
         from bvcfem.analysis import field_l2_norm, l2_h1_errors

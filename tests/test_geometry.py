@@ -308,6 +308,27 @@ class TestManufacturedData:
             gy = (u(x + [0, eps]) - u(x - [0, eps])) / (2 * eps)
             assert np.allclose(g, (gx, gy), atol=1e-8)
 
+    def test_ellipse_data_match_closed_forms(self):
+        # The library writes the powers as products; here they are written
+        # with **.  10^4 points over the staircase grid's box.  The bound is
+        # relative to each array's largest value: near a zero of sin or cos
+        # a pointwise ratio amplifies the last bit of x^3.
+        p = np.random.default_rng(5).uniform([-2.0, -1.0], [2.0, 1.0], size=(100, 100, 2))
+        x, y = p[..., 0], p[..., 1]
+        sx, cx = np.sin(x**3), np.cos(x**3)
+        sy, cy = np.sin(8.0 * y**3), np.cos(8.0 * y**3)
+        uxx = (6.0 * x * cx - 9.0 * x**4 * sx) * cy
+        uyy = -(48.0 * y * sy + 576.0 * y**4 * cy) * sx
+        expected = {
+            "u_exact": sx * cy,
+            "grad_u_exact": np.stack([3.0 * x**2 * cx * cy, -24.0 * y**2 * sx * sy], axis=-1),
+            "f_rhs": -(uxx + uyy),
+        }
+        for name, want in expected.items():
+            got = getattr(ELLIPSE, name)(p)
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale, err_msg=name)
+
     def test_square_domain_affine(self):
         sq = make_square_domain(0.3, 0.7, -0.4)
         pts = np.array([[0.2, 0.9], [0.5, 0.5]])

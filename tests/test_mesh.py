@@ -312,19 +312,38 @@ _SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
         (_SQUARE, [(0, 1, 3)], "quad", r"cell 0: a quad has 4 vertices"),
         ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], [(0, 1, 2)], "triangle",
          r"vertices must have shape \(nno, 2\), got \(3, 3\)"),
+        ([(0.0, 0.0), (np.nan, 0.0), (0.0, 1.0)], [(0, 1, 2)], "triangle",
+         r"vertex 1 is \[nan, 0.0\], not finite"),
+        (_SQUARE, [(0, 1, 2), (1, 3, 2), (0, 1.7, 2)], "triangle",
+         r"cell 2 has vertex ids \[0.0, 1.7, 2.0\], not all integers"),
     ],
-    ids=["negative-id", "id-past-nno", "triangle-with-4", "quad-with-3", "3d-vertices"],
+    ids=["negative-id", "id-past-nno", "triangle-with-4", "quad-with-3", "3d-vertices",
+         "nan-vertex", "fractional-id"],
 )
 def test_mesh_from_arrays_rejects_bad_arrays(vertices, cells, kind, message):
     with pytest.raises(MeshError, match=message):
         mesh_from_arrays(vertices, cells, kind)
 
 
-@pytest.mark.parametrize(
+# One mesh from each builder: annulus triangles, staircase quads, square quads.
+EVERY_BUILDER = pytest.mark.parametrize(
     "mesh",
     [build_annulus_mesh(16, 4), build_staircase_mesh(16, ELLIPSE), build_square_mesh(3, "quad")],
     ids=["annulus", "staircase", "square-quad"],
 )
+
+
+@EVERY_BUILDER
+def test_to_physical_matches_per_cell_map(mesh):
+    xi = np.random.default_rng(3).uniform(0.0, 1.0, size=(7, 2))
+    got = mesh.to_physical(xi)
+    assert got.shape == (mesh.num_cells, 7, 2)
+    for c in range(mesh.num_cells):
+        want = [mesh.origins[c] + mesh.J[c] @ p for p in xi]
+        np.testing.assert_allclose(got[c], want, rtol=0, atol=1e-15)
+
+
+@EVERY_BUILDER
 class TestCellEdges:
     def test_ids_follow_first_use_of_vertex_pairs(self, mesh):
         # Oracle: a dict filled in cell-major, local-edge order.

@@ -4,7 +4,9 @@
     python tools/parity.py compare ref.npz   # in the changed checkout
 
 save writes, for P1-P3 on a ring and a 4x4 triangle square and Q1 on the
-ellipse staircase and a 4x4 quad square, enriched and not: the dof tables,
+ellipse staircase and a 4x4 quad square: the volume quadrature points of
+the error norms (Mesh.to_physical of that rule) with the domain's u_exact,
+grad_u_exact and f_rhs at them, and, enriched and not, the dof tables,
 every assembled matrix and right-hand side (bvc, unmodified, taylor,
 nitsche), a load vector, the primal boundary mass and the error_report of
 a fixed random field.  compare rebuilds the same arrays with the bvcfem
@@ -44,6 +46,7 @@ from bvcfem import (  # noqa: E402
     make_square_domain,
     precompute_boundary_geometry,
 )
+from bvcfem.spaces import quadrature  # noqa: E402
 
 MESHES = {
     "ring": (lambda d: build_annulus_mesh(32, 8), make_ring_domain, (1, 2, 3)),
@@ -69,6 +72,10 @@ def arrays() -> dict:
         domain = make_domain()
         for k in degrees:
             mesh = precompute_boundary_geometry(build(domain), domain, 2 * k + 2)
+            X = mesh.to_physical(quadrature(mesh.cell_kind, 2 * k + 4).points)
+            out[f"{name}-p{k}/volume_points"] = X
+            for data in ("u_exact", "grad_u_exact", "f_rhs"):
+                out[f"{name}-p{k}/{data}"] = getattr(domain, data)(X)
             for enrich in (True, False):
                 tag = f"{name}-p{k}" + ("" if enrich else "-plain")
                 V = build_primal_space(mesh, k, enrich)
