@@ -22,10 +22,14 @@ from bvcfem.spaces import build_multiplier_space, build_primal_space
 from bvcfem.analysis import _field_on_volume
 from bvcfem.assembly import assemble_nitsche, assemble_saddle
 from bvcfem.spaces import QuadratureRule
+from bvcfem.study import ASSEMBLERS, DOMAINS, StudyConfig, build_level
 
 RING = make_ring_domain()
 DIAGONAL_PIVOT_KWARGS = dict(
     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+)
+ZERO_BLOCK_KWARGS = dict(
+    permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
 )
 
 
@@ -100,6 +104,28 @@ class TestSolveLinear:
         with pytest.raises(SolverError):
             solve_linear(sp.eye(3, format="csc"), np.ones(2))
 
+    @pytest.mark.parametrize(
+        "where, value, named",
+        [
+            ("b", np.nan, "index 1"),
+            ("b", -np.inf, "index 1"),
+            ("A", np.nan, "row 0, column 1"),
+            ("A", np.inf, "row 0, column 1"),
+        ],
+    )
+    def test_non_finite_input_rejected_before_factoring(self, splu_calls, where, value, named):
+        A = np.array([[2.0, 1.0], [1.0, 2.0]])
+        b = np.array([1.0, 2.0])
+        if where == "A":
+            A[1, 0] = A[0, 1] = value
+        else:
+            b[1] = value
+        with pytest.raises(SolverError) as err:
+            solve_linear(sp.csc_matrix(A), b)
+        assert type(err.value) is SolverError
+        assert "non-finite" in str(err.value) and named in str(err.value)
+        assert splu_calls == []
+
 
 def _ring_spaces(n_theta=8, n_r=2, degree=2):
     mesh = precompute_boundary_geometry(
@@ -109,14 +135,24 @@ def _ring_spaces(n_theta=8, n_r=2, degree=2):
     return V, build_multiplier_space(mesh, degree - 1)
 
 
+class _Calls(list):
+    """Keyword arguments of each factorization; `factored` holds (matrix, lu)."""
+
+    def __init__(self):
+        super().__init__()
+        self.factored = []
+
+
 @pytest.fixture
 def splu_calls(monkeypatch):
     """Keyword arguments of every SuperLU factorization the solver makes."""
-    calls = []
+    calls = _Calls()
 
     def recording_splu(A, **kwargs):
         calls.append(kwargs)
-        return splu(A, **kwargs)
+        lu = splu(A, **kwargs)
+        calls.factored.append((A, lu))
+        return lu
 
     monkeypatch.setattr(bvcfem.solver, "splu", recording_splu)
     return calls
@@ -124,19 +160,19 @@ def splu_calls(monkeypatch):
 
 class TestSolverPath:
     @pytest.mark.parametrize(
-        "assemble, diagonal_pivot",
+        "assemble, kwargs",
         [
-            (functools.partial(assemble_saddle, method="bvc"), True),
-            (functools.partial(assemble_saddle, method="unmodified"), False),
-            (functools.partial(assemble_saddle, method="taylor"), False),
-            (lambda V, Lam, domain: assemble_nitsche(V, domain, 40.0), True),
+            (functools.partial(assemble_saddle, method="bvc"), DIAGONAL_PIVOT_KWARGS),
+            (functools.partial(assemble_saddle, method="unmodified"), ZERO_BLOCK_KWARGS),
+            (functools.partial(assemble_saddle, method="taylor"), {}),
+            (lambda V, Lam, domain: assemble_nitsche(V, domain, 40.0), DIAGONAL_PIVOT_KWARGS),
         ],
         ids=["bvc", "unmodified", "taylor", "nitsche"],
     )
-    def test_path_follows_matrix(self, splu_calls, assemble, diagonal_pivot):
+    def test_path_follows_matrix(self, splu_calls, assemble, kwargs):
         V, L = _ring_spaces()
         solve(assemble(V, L, RING))
-        assert splu_calls == [DIAGONAL_PIVOT_KWARGS if diagonal_pivot else {}]
+        assert splu_calls == [kwargs]
 
     def test_tiny_diagonal_falls_back_and_meets_contract(self, splu_calls, caplog):
         A = sp.csc_matrix(np.array([[1e-20, 1.0], [1.0, 1e-20]]))
@@ -184,6 +220,79 @@ class TestSolverPath:
         assert splu_calls == [DIAGONAL_PIVOT_KWARGS]
         z_ref = splu(A).solve(b)
         assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
+
+
+@pytest.fixture(scope="module")
+def p3_level2_spaces():
+    """P3 level 2 of the ring ladder."""
+    return _ring_spaces(64, 16, degree=3)
+
+
+class TestZeroBlockPath:
+    @pytest.mark.parametrize("element", ["p2", "p3", "q1"])
+    def test_multipliers_follow_their_neighbours(self, splu_calls, element):
+        config = StudyConfig(
+            domain="ellipse" if element == "q1" else "ring", element=element,
+            method="unmodified",
+        )
+        domain = DOMAINS[config.domain]()
+        solve(ASSEMBLERS["unmodified"](*build_level(config, 1, domain), domain))
+        assert splu_calls == [ZERO_BLOCK_KWARGS]
+        ((Aq, lu),) = splu_calls.factored
+        n = Aq.shape[0]
+        zero = np.flatnonzero(Aq.diagonal() == 0)
+        assert zero.size
+        pattern = (abs(Aq) + abs(Aq).T).tocsc()
+        for j in zero:
+            assert pattern[:, j].indices.max() < j
+        assert np.array_equal(lu.perm_r, np.arange(n))
+
+    def test_matches_partial_pivot_p3(self, splu_calls, p3_level2_spaces):
+        system = assemble_saddle(*p3_level2_spaces, RING, "unmodified")
+        A, b = system.full_matrix(), system.full_rhs()
+        z = solve_linear(A, b)
+        assert splu_calls == [ZERO_BLOCK_KWARGS]
+        z_ref = splu(A).solve(b)
+        assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
+
+    def test_fill_stays_near_bvc_p3(self, splu_calls, p3_level2_spaces):
+        # exact counts, not timings: a return to row-swapping fill (2.6x the
+        # bvc factor here) fails
+        for method in ("bvc", "unmodified"):
+            solve(assemble_saddle(*p3_level2_spaces, RING, method))
+        assert splu_calls == [DIAGONAL_PIVOT_KWARGS, ZERO_BLOCK_KWARGS]
+        (_, lu_bvc), (_, lu_unmodified) = splu_calls.factored
+        assert lu_unmodified.nnz <= 1.5 * lu_bvc.nnz
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_unstable_pairing_raises_on_the_new_path(
+        self, splu_calls, caplog, monkeypatch, level
+    ):
+        config = StudyConfig(
+            element="p2", method="unmodified", multiplier_degree=2, enrich=False
+        )
+        system = ASSEMBLERS["unmodified"](*build_level(config, level, RING), RING)
+        with caplog.at_level(logging.WARNING, logger="bvcfem"), pytest.raises(
+            SingularSystem
+        ) as err:
+            solve(system)
+        assert splu_calls == [ZERO_BLOCK_KWARGS, {}]
+        (warning,) = caplog.records
+        assert "zero-block solve rejected (SingularSystem:" in warning.getMessage()
+
+        # partial pivoting on its own reports the same dof
+        monkeypatch.setattr(bvcfem.solver, "_diagonal_pivot_gate", lambda A, anorm: False)
+        with pytest.raises(SingularSystem) as alone:
+            solve(system)
+        assert splu_calls[2:] == [{}]
+        assert err.value.dof_index == alone.value.dof_index >= 0
+
+    def test_coupled_zero_diagonal_goes_to_partial_pivoting(self, splu_calls):
+        A = sp.csc_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 3.0]]))
+        b = np.array([1.0, 2.0, 3.0])
+        z = solve_linear(A, b)
+        assert splu_calls == [{}]
+        assert np.linalg.norm(A @ z - b) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestSolveSystems:

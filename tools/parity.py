@@ -8,10 +8,12 @@ ellipse staircase and a 4x4 quad square: the volume quadrature points of
 the error norms (Mesh.to_physical of that rule) with the domain's u_exact,
 grad_u_exact and f_rhs at them, and, enriched and not, the dof tables,
 every assembled matrix and right-hand side (bvc, unmodified, taylor,
-nitsche), a load vector, the primal boundary mass and the error_report of
-a fixed random field.  compare rebuilds the same arrays with the bvcfem
-next to this script and prints the max relative difference of each; 0 on
-every array means bit-identical results.  It exits 1 if an array is
+nitsche) with its solve_linear solution (NaN where the solver raises), a
+load vector, the primal boundary mass and the error_report of a fixed
+random field.  compare rebuilds the same arrays with the bvcfem next to
+this script and prints the max relative difference of each; 0 on every
+array means bit-identical results, and the `.solution` lines show the
+solver's drift per system.  It exits 1 if an array is
 missing or changed shape.
 
 Keys are added and removed as the program changes.  To compare across such
@@ -31,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bvcfem import (  # noqa: E402
     SolutionField,
+    SolverError,
     assemble_nitsche,
     assemble_saddle,
     boundary_mass_primal,
@@ -45,6 +48,7 @@ from bvcfem import (  # noqa: E402
     make_ring_domain,
     make_square_domain,
     precompute_boundary_geometry,
+    solve_linear,
 )
 from bvcfem.spaces import quadrature  # noqa: E402
 
@@ -63,6 +67,14 @@ def _load(p):
 def _put_matrix(out, key, A):
     A = A.tocsr()
     out[f"{key}.indptr"], out[f"{key}.indices"], out[f"{key}.data"] = A.indptr, A.indices, A.data
+
+
+def _put_solution(out, key, system):
+    try:
+        z = solve_linear(system.full_matrix(), system.full_rhs())
+    except SolverError:
+        z = np.full(system.full_matrix().shape[0], np.nan)
+    out[f"{key}.solution"] = z
 
 
 def arrays() -> dict:
@@ -98,9 +110,11 @@ def arrays() -> dict:
                             _put_matrix(out, f"{tag}/{method}.{block}", getattr(system, block))
                     out[f"{tag}/{method}.rhs_u"] = system.rhs_u
                     out[f"{tag}/{method}.rhs_lam"] = system.rhs_lam
+                    _put_solution(out, f"{tag}/{method}", system)
                 nitsche = assemble_nitsche(V, domain, 10.0 * k * k)
                 _put_matrix(out, f"{tag}/nitsche.A", nitsche.A)
                 out[f"{tag}/nitsche.rhs"] = nitsche.rhs
+                _put_solution(out, f"{tag}/nitsche", nitsche)
                 out[f"{tag}/load"] = load_vector(V, _load)
                 _put_matrix(out, f"{tag}/boundary_mass", boundary_mass_primal(V))
                 rng = np.random.default_rng(1234)
