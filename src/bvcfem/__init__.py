@@ -71,7 +71,6 @@ from .spaces import (
     UnsupportedOrder,
     build_multiplier_space,
     build_primal_space,
-    project_to_multiplier,
     quadrature,
 )
 
@@ -83,7 +82,7 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 # `python -m bvcfem.study` does not find it already imported by the package.
 _STUDY_NAMES = {
     "PRESETS", "StudyConfig", "StudyResult", "emit_csv", "emit_plots",
-    "read_csv", "run_preset", "run_study", "run_unstable_pairing",
+    "run_preset", "run_study", "run_unstable_pairing",
 }
 
 

@@ -47,7 +47,7 @@ def _field_on_volume(field: SolutionField, rule):
     V = field.space
     mesh = V.mesh
     vals, grads = V.basis(rule.points)
-    cs = np.append(field.coefficients, 0.0)[V.dof_table()]
+    cs = np.append(field.coefficients, 0.0)[V.dof_table]
     uh = np.einsum("qi,ci->cq", vals, cs)  # faster than the matmul here
     guh = np.tensordot(cs, grads, axes=([1], [1])) @ mesh.Jinv
     return mesh.to_physical(rule.points), uh, guh, mesh.detJ

@@ -36,6 +36,10 @@ class DimensionMismatch(Exception):
     pass
 
 
+class IoError(Exception):
+    pass
+
+
 @dataclass
 class SaddleSystem:
     """Block system [[K, B^T], [B or Bt_corr, -D]] with right-hand side.
@@ -97,7 +101,7 @@ def stiffness_matrix(V: PrimalSpace) -> sp.csr_matrix:
     S = np.einsum("q,qia,qjb->ijab", rule.weights, grads, grads)
     C = np.einsum("cad,cbd->cab", Jinv, Jinv)
     Kc = np.einsum("ijab,cab->cij", S, C) * detJ[:, None, None]
-    dofs = V.dof_table()
+    dofs = V.dof_table
     return _scatter((V.dof_count, V.dof_count), Kc, dofs, dofs)
 
 
@@ -108,7 +112,7 @@ def load_vector(V: PrimalSpace, f) -> np.ndarray:
     vals, _ = V.basis(rule.points)
     fv = at_points(f, mesh.to_physical(rule.points))
     Fc = fv @ (rule.weights[:, None] * vals) * mesh.detJ[:, None]
-    dofs = V.dof_table()
+    dofs = V.dof_table
     on = dofs >= 0
     rhs = np.zeros(V.dof_count)
     np.add.at(rhs, dofs[on], Fc[on])
@@ -133,7 +137,7 @@ def facet_traces(V: PrimalSpace):
     vals, grads = V.basis(a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :])
     e = facets.local_edge
     dn = np.einsum("fqnd,fde,fe->fqn", grads[e], mesh.Jinv[facets.cell], facets.n_h)
-    return V.dof_table()[facets.cell], vals[e], dn
+    return V.dof_table[facets.cell], vals[e], dn
 
 
 def _scatter(shape, blocks, rows, cols) -> sp.csr_matrix:
@@ -242,9 +246,12 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> N
 def dump_matrix(A, path) -> None:
     """Coordinate text dump 'i j value', one entry per line."""
     coo = sp.coo_matrix(A)
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v:.17g}\n")
+    try:
+        with open(path, "w") as fh:
+            for i, j, v in zip(coo.row, coo.col, coo.data):
+                fh.write(f"{i} {j} {v:.17g}\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def dump_system(system, prefix) -> None:

@@ -75,7 +75,7 @@ def _tri_rule(n):
 
 
 def _lagrange_nodes(kind, k, interior=()):
-    """Nodes in cell_dofs order: vertices, k - 1 per edge from its first vertex, interior."""
+    """Nodes in dof_table order: vertices, k - 1 per edge from its first vertex, interior."""
     verts, edges = REFERENCE_CELLS[kind]
     along = [((k - j) * verts[a] + j * verts[b]) / k for a, b in edges for j in range(1, k)]
     return np.array([*verts, *along, *interior])
@@ -198,7 +198,7 @@ def _quad_bubble(k, pts):
 class Element:
     """A cell kind's finite element; basis and bubble give values and reference gradients."""
 
-    nodes: dict       # supported degree k -> Lagrange nodes (nb, 2), cell_dofs order
+    nodes: dict       # supported degree k -> Lagrange nodes (nb, 2), dof_table order
     basis: Callable   # (k, pts)
     bubble: Callable  # (k, pts), one column per local edge
     rule: Callable    # n -> QuadratureRule with n points per direction
@@ -221,7 +221,13 @@ ELEMENTS = {
 
 
 class PrimalSpace:
-    """H1-conforming primal space V_h with optional boundary edge bubbles."""
+    """H1-conforming primal space V_h with optional boundary edge bubbles.
+
+    dof_table (cells, nl), built once and read-only, holds the global dof of
+    each basis column: the Lagrange dofs (the first nb_std columns), then, if
+    enriched, one bubble per local edge, -1 on an edge that is no boundary
+    facet.  Bubble dofs follow the Lagrange dofs in boundary-facet order.
+    """
 
     def __init__(self, mesh: Mesh, degree: int, enriched: bool):
         self.mesh = mesh
@@ -238,51 +244,43 @@ class PrimalSpace:
         mesh, k = self.mesh, self.degree
         cells = mesh.cells
         nc, nv = cells.shape
-        self.cell_dofs_std = np.empty((nc, self.nb_std), dtype=np.int64)
-        self.cell_dofs_std[:, :nv] = cells
+        edges = np.array(REFERENCE_CELLS[mesh.cell_kind][1])
+        n_bubbles = len(edges) if self.enriched else 0
+        self.dof_table = np.full((nc, self.nb_std + n_bubbles), -1, dtype=np.int64)
+        lagrange, bubbles = self.dof_table[:, : self.nb_std], self.dof_table[:, self.nb_std :]
+        lagrange[:, :nv] = cells
         ndof = mesh.nno
 
         # k - 1 nodes per local edge, global slots ordered from the smaller
         # vertex id, so neighboring cells agree on the shared nodes.
-        edges = np.array(REFERENCE_CELLS[mesh.cell_kind][1])
         ga, gb = cells[:, edges[:, 0]], cells[:, edges[:, 1]]
         r = np.arange(k - 1)
         slot = np.where((ga > gb)[:, :, None], k - 2 - r, r)
         n_edge = len(edges) * (k - 1)
-        self.cell_dofs_std[:, nv : nv + n_edge] = (
+        lagrange[:, nv : nv + n_edge] = (
             ndof + (k - 1) * mesh.cell_edges[:, :, None] + slot
         ).reshape(nc, n_edge)
         ndof += (k - 1) * mesh.num_edges
         # The remaining nodes are interior: numbered cell by cell.
         n_inner = self.nb_std - nv - n_edge
-        self.cell_dofs_std[:, nv + n_edge :] = ndof + np.arange(nc * n_inner).reshape(nc, n_inner)
+        lagrange[:, nv + n_edge :] = ndof + np.arange(nc * n_inner).reshape(nc, n_inner)
         ndof += nc * n_inner
-        self.n_lagrange = ndof
-
-        # Every cell writes its mapped reference nodes; the vertex rows are
-        # the mesh vertices themselves.
-        self.dof_points = np.empty((ndof, 2))
-        self.dof_points[self.cell_dofs_std] = mesh.to_physical(self.element.nodes[k])
-        self.dof_points[: mesh.nno] = mesh.vertices
 
         # One bubble dof per boundary facet, appended after the Lagrange dofs
-        # in facet order (facet f owns dof n_lagrange + f).  edge_bubble_dofs
-        # holds it at the facet's (cell, local edge) and -1 on every other
-        # edge; an unenriched space has no bubble columns at all.
+        # in facet order, at the facet's (cell, local edge); every other edge
+        # keeps -1.
         facets = mesh.boundary_facets
         nf = len(facets) if self.enriched else 0
-        n_bubbles = len(edges) if self.enriched else 0
-        self.edge_bubble_dofs = np.full((nc, n_bubbles), -1, dtype=np.int64)
-        self.edge_bubble_dofs[facets.cell[:nf], facets.local_edge[:nf]] = ndof + np.arange(nf)
+        bubbles[facets.cell[:nf], facets.local_edge[:nf]] = ndof + np.arange(nf)
         self.dof_count = ndof + nf
+        self.dof_table.flags.writeable = False
 
     def basis(self, pts):
         """Every local function at reference points pts (..., 2).
 
         Returns values (..., nl) and reference gradients (..., nl, 2): the
-        Lagrange functions in cell_dofs_std order, then, if the space is
-        enriched, one edge bubble per local edge of REFERENCE_CELLS; the
-        columns of dof_table().
+        Lagrange functions, then, if the space is enriched, one edge bubble
+        per local edge of REFERENCE_CELLS; the columns of dof_table.
         """
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 2)
@@ -291,30 +289,6 @@ class PrimalSpace:
             bv, bg = self.element.bubble(self.degree, flat)
             vals, grads = np.concatenate([vals, bv], axis=1), np.concatenate([grads, bg], axis=1)
         return vals.reshape(pts.shape[:-1] + (-1,)), grads.reshape(pts.shape[:-1] + (-1, 2))
-
-    def dof_table(self):
-        """Global dofs (cells, nl) of the basis columns, -1 on an edge without a bubble.
-
-        An unenriched space has the Lagrange columns only.
-        """
-        return np.concatenate([self.cell_dofs_std, self.edge_bubble_dofs], axis=1)
-
-    def cell_dofs(self, c):
-        """Global dofs of cell c: Lagrange dofs then its bubbles by local edge."""
-        dofs = self.dof_table()[c]
-        return dofs[dofs >= 0]
-
-    def cell_basis(self, c, pts):
-        """Values/gradients of every basis function of cell c (bubbles last)."""
-        vals, grads = self.basis(np.atleast_2d(pts))
-        on = self.dof_table()[c] >= 0
-        return vals[:, on], grads[:, on]
-
-    def interpolate(self, fn):
-        """Coefficients of the Lagrange interpolant (bubble dofs set to 0)."""
-        coeffs = np.zeros(self.dof_count)
-        coeffs[: self.n_lagrange] = np.asarray(fn(self.dof_points), dtype=float)
-        return coeffs
 
 
 class MultiplierSpace:
@@ -350,22 +324,3 @@ def build_multiplier_space(mesh: Mesh, m: int) -> MultiplierSpace:
     """Discontinuous degree-m multipliers, m+1 Legendre dofs per boundary facet."""
     return MultiplierSpace(mesh, m)
 
-
-def project_to_multiplier(space: MultiplierSpace, trace) -> np.ndarray:
-    """Facet-wise L2 projection of a boundary trace onto the multiplier space.
-
-    trace(s, x, n_h) must return values (nf, nq) at the facet parameters s
-    (nq,) in [0, 1], given the physical points x (nf, nq, 2) and the facet
-    normals n_h (nf, 2).
-    """
-    m = space.degree
-    nq = max(2 * m + 2, 10)  # generous so smooth traces project to roundoff
-    s, w = gauss_01(nq)
-    psi = space.eval(s)  # (nq, m+1)
-    scale = 2.0 * np.arange(m + 1) + 1.0
-    facets = space.mesh.boundary_facets
-    x = space.mesh.facet_points(s)
-    t = np.broadcast_to(np.asarray(trace(s, x, facets.n_h), dtype=float), x.shape[:2])
-    coeffs = np.empty(space.dof_count)
-    coeffs[space.facet_dofs] = scale * ((w * t) @ psi)
-    return coeffs

@@ -29,15 +29,11 @@ from .analysis import (
     infsup_diagnostic,
     pairwise_rate,
 )
-from .assembly import SADDLE_METHODS, assemble_nitsche, assemble_saddle, dump_system
+from .assembly import SADDLE_METHODS, IoError, assemble_nitsche, assemble_saddle, dump_system
 from .geometry import make_ellipse_domain, make_ring_domain
 from .mesh import build_annulus_mesh, build_staircase_mesh, precompute_boundary_geometry
 from .solver import SingularSystem, solve
 from .spaces import build_multiplier_space, build_primal_space
-
-
-class IoError(Exception):
-    pass
 
 
 class ConfigError(Exception):
@@ -220,36 +216,6 @@ def emit_csv(result: StudyResult, path) -> None:
                 prev = r
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _csv_value(key, tok):
-    if tok == "":
-        return None
-    return int(tok) if key in ("level", "nno", "dofs_u", "dofs_lambda") else float(tok)
-
-
-def read_csv(path):
-    """Parse an emit_csv file back into per-level dictionaries.
-
-    A row with the wrong number of fields or a non-numeric field raises
-    IoError naming the path and line.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != CSV_HEADER.split(","):
-            raise IoError(f"unexpected CSV header in {path}")
-        rows = []
-        for lineno, line in enumerate(fh, 2):
-            vals = line.strip().split(",")
-            if len(vals) != len(header):
-                raise IoError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(vals)}"
-                )
-            try:
-                rows.append({key: _csv_value(key, tok) for key, tok in zip(header, vals)})
-            except ValueError as exc:
-                raise IoError(f"{path}:{lineno}: {exc}") from None
-    return rows
 
 
 def expected_rates(config: StudyConfig) -> dict:
@@ -533,26 +499,32 @@ def _config_value(key, value: str):
 
 
 def parse_config_file(path) -> dict:
-    """key = value lines, '#' comments; unknown keys and bad values are errors.
+    """key = value lines, '#' comments; unknown, repeated keys and bad values are errors.
 
     Values are returned as the strings in the file.
     """
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (t.strip() for t in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                _config_value(key, value)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            out[key] = value
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    out, first_line = {}, {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (t.strip() for t in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        try:
+            _config_value(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        out[key], first_line[key] = value, lineno
     return out
 
 

@@ -35,6 +35,7 @@ from bvcfem.mesh import (
 )
 from bvcfem.solver import solve
 from bvcfem.spaces import build_multiplier_space, build_primal_space
+from oracles import cell_basis, cell_dofs
 
 RING = make_ring_domain()
 ELLIPSE = make_ellipse_domain()
@@ -193,7 +194,7 @@ class TestStructure:
         mesh, V, L = ring_setup
         B = assemble_saddle(V, L, RING, "bvc").B.tocsr()
         for fidx, c in enumerate(mesh.boundary_facets.cell):
-            allowed = set(int(d) for d in V.cell_dofs(c))
+            allowed = set(int(d) for d in cell_dofs(V, c))
             for ldof in L.facet_dofs[fidx]:
                 cols = B.indices[B.indptr[ldof] : B.indptr[ldof + 1]]
                 assert set(int(c) for c in cols) <= allowed
@@ -328,11 +329,11 @@ def test_taylor_rows_of_two_bubble_corner_cells():
         c = F.cell[fidx]
         a, b = edges[F.local_edge[fidx]]
         ref = verts[a] + F.s[:, None] * (verts[b] - verts[a])
-        vals, grads = V.cell_basis(c, ref)
+        vals, grads = cell_basis(V, c, ref)
         dn = np.einsum("qnd,de->qne", grads, mesh.Jinv[c]) @ F.n_h[fidx]
         assert vals.shape[1] == 6 and np.all(np.max(np.abs(dn[:, 4:]), axis=0) > 0.1)
         expected = np.zeros(V.dof_count)
-        expected[V.cell_dofs(c)] = np.einsum(
+        expected[cell_dofs(V, c)] = np.einsum(
             "q,qi,qj->ij", F.weights[fidx], L.eval(F.s), vals + F.rho[fidx][:, None] * dn
         )[0]
         assert np.allclose(Bt[L.facet_dofs[fidx][0]], expected, rtol=0.0, atol=1e-14)
@@ -401,11 +402,10 @@ class TestBatchedBubblePath:
         V = _bubble_path_space(case)
         F = V.mesh.boundary_facets
         n_edges = len(REFERENCE_CELLS[V.mesh.cell_kind][1]) if V.enriched else 0
-        assert V.edge_bubble_dofs.shape == (V.mesh.num_cells, n_edges)
-        if V.mesh.cell_kind == "quad":
-            assert np.max(np.sum(V.edge_bubble_dofs >= 0, axis=1)) == 2  # corner cells
-        dofs = V.dof_table()
+        dofs = V.dof_table
         assert dofs.shape == (V.mesh.num_cells, V.nb_std + n_edges)
+        if V.mesh.cell_kind == "quad":
+            assert np.max(np.sum(dofs[:, V.nb_std :] >= 0, axis=1)) == 2  # corner cells
         # -1 exactly where (cell, local edge) is not a boundary facet of an
         # enriched space.
         is_facet = np.zeros((V.mesh.num_cells, n_edges), dtype=bool)
@@ -422,8 +422,8 @@ class TestBatchedBubblePath:
         assert grads.shape == vals.shape + (2,)
         for c in range(V.mesh.num_cells):
             on = dofs[c] >= 0
-            ref_vals, ref_grads = V.cell_basis(c, x[c])
-            np.testing.assert_array_equal(dofs[c, on], V.cell_dofs(c))
+            ref_vals, ref_grads = cell_basis(V, c, x[c])
+            np.testing.assert_array_equal(dofs[c, on], cell_dofs(V, c))
             np.testing.assert_allclose(vals[c][:, on], ref_vals, rtol=0, atol=1e-14)
             np.testing.assert_allclose(grads[c][:, on], ref_grads, rtol=0, atol=1e-14)
         # Lagrange columns, then one bubble column per local edge if enriched.
@@ -441,14 +441,14 @@ class TestBatchedBubblePath:
         domain = ELLIPSE if V.mesh.cell_kind == "quad" else RING
         rng = np.random.default_rng(12)
         field = SolutionField(V, rng.standard_normal(V.dof_count))
-        if V.enriched:
-            assert np.all(field.coefficients[V.n_lagrange :] != 0.0)
+        bubbles = V.dof_table[:, V.nb_std :]
+        assert np.all(field.coefficients[bubbles[bubbles >= 0]] != 0.0)
         rule = self._rule(V, 2 * V.degree + 4)
         origins, J, Jinv, detJ = V.mesh.origins, V.mesh.J, V.mesh.Jinv, V.mesh.detJ
         l2_sq = h1_sq = norm_sq = 0.0
         for c in range(V.mesh.num_cells):
-            vals, grads = V.cell_basis(c, rule.points)
-            coeffs = field.coefficients[V.cell_dofs(c)]
+            vals, grads = cell_basis(V, c, rule.points)
+            coeffs = field.coefficients[cell_dofs(V, c)]
             x = origins[c] + rule.points @ J[c].T
             uh = vals @ coeffs
             guh = np.einsum("qid,i->qd", grads, coeffs) @ Jinv[c]
@@ -467,8 +467,8 @@ class TestBatchedBubblePath:
         Jinv, detJ = V.mesh.Jinv, V.mesh.detJ
         rows, cols, data = [], [], []
         for c in range(V.mesh.num_cells):
-            dofs = V.cell_dofs(c)
-            _, grads = V.cell_basis(c, rule.points)
+            dofs = cell_dofs(V, c)
+            _, grads = cell_basis(V, c, rule.points)
             gp = grads @ Jinv[c]
             Kloc = detJ[c] * np.einsum("q,qia,qja->ij", rule.weights, gp, gp)
             rows.append(np.repeat(dofs, len(dofs)))
@@ -495,8 +495,8 @@ class TestBatchedBubblePath:
 
         expected = np.zeros(V.dof_count)
         for c in range(V.mesh.num_cells):
-            vals, _ = V.cell_basis(c, rule.points)
+            vals, _ = cell_basis(V, c, rule.points)
             fx = f(origins[c] + rule.points @ J[c].T)
-            expected[V.cell_dofs(c)] += detJ[c] * np.einsum("q,qi,q->i", rule.weights, vals, fx)
+            expected[cell_dofs(V, c)] += detJ[c] * np.einsum("q,qi,q->i", rule.weights, vals, fx)
         got = load_vector(V, f)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))

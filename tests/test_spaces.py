@@ -22,9 +22,9 @@ from bvcfem.spaces import (
     UnsupportedOrder,
     build_multiplier_space,
     build_primal_space,
-    project_to_multiplier,
     quadrature,
 )
+from oracles import cell_basis, cell_dofs, project_to_multiplier
 
 ELLIPSE = make_ellipse_domain()
 
@@ -117,7 +117,7 @@ class TestPrimalSpace:
         field_at_nodes = np.zeros(V.dof_count)
         counts = np.zeros(V.dof_count)
         for c in range(mesh.num_cells):
-            dofs = V.cell_dofs_std[c]
+            dofs = V.dof_table[c, : V.nb_std]
             field_at_nodes[dofs] = vals @ coeffs[dofs]
             counts[dofs] += 1
         assert np.all(counts > 0)
@@ -149,10 +149,10 @@ class TestPrimalSpace:
         x = rng.uniform(0.1, 0.4, size=(10, 2))  # interior reference points
         eps = 1e-5
         c = mesh.boundary_facets.cell[0]
-        vals, grads = V.cell_basis(c, x)
+        vals, grads = cell_basis(V, c, x)
         for d, step in ((0, np.array([eps, 0.0])), (1, np.array([0.0, eps]))):
-            vp, _ = V.cell_basis(c, x + step)
-            vm, _ = V.cell_basis(c, x - step)
+            vp, _ = cell_basis(V, c, x + step)
+            vm, _ = cell_basis(V, c, x - step)
             fd = (vp - vm) / (2 * eps)
             assert np.allclose(grads[:, :, d], fd, atol=1e-6)
 
@@ -207,9 +207,11 @@ class TestPrimalSpace:
         n_bubbles = len(REFERENCE_CELLS[mesh.cell_kind][1]) if enrich else 0
         expected = np.full((mesh.num_cells, n_bubbles), -1)
         if enrich:
-            expected[F.cell, F.local_edge] = V.n_lagrange + np.arange(len(F))
-        np.testing.assert_array_equal(V.edge_bubble_dofs, expected)
-        assert V.dof_count == V.n_lagrange + enrich * len(F)
+            # P1 / Q1: the Lagrange dofs are the mesh vertices.
+            expected[F.cell, F.local_edge] = mesh.nno + np.arange(len(F))
+        np.testing.assert_array_equal(V.dof_table[:, V.nb_std :], expected)
+        np.testing.assert_array_equal(V.dof_table[:, : V.nb_std], mesh.cells)
+        assert V.dof_count == mesh.nno + enrich * len(F)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_conformity_across_interior_edges(self, k):
@@ -234,8 +236,8 @@ class TestPrimalSpace:
                 a, b = edges[e]
                 ss = 1.0 - s if flipped else s
                 pts = verts[a][None, :] + ss[:, None] * (verts[b] - verts[a])[None, :]
-                vals, _ = V.cell_basis(c, pts)
-                traces.append(vals @ coeffs[V.cell_dofs(c)])
+                vals, _ = cell_basis(V, c, pts)
+                traces.append(vals @ coeffs[cell_dofs(V, c)])
             assert np.allclose(traces[0], traces[1], atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -243,6 +245,9 @@ class TestPrimalSpace:
         [("ring", 2), ("ring", 3), ("square", 1), ("square", 2), ("square", 3), ("staircase", 1)],
     )
     def test_nodes_sit_at_mapped_reference_nodes(self, mesh_kind, k):
+        # Every cell that refers to a Lagrange dof maps its local node to the
+        # same physical point, a vertex dof to its mesh vertex; so neighbours
+        # agree on their shared edge nodes.
         mesh = {
             "ring": lambda: build_annulus_mesh(16, 4),
             "square": lambda: build_square_mesh(3),
@@ -251,8 +256,14 @@ class TestPrimalSpace:
         V = build_primal_space(mesh, k, enrich=True)
         origins, J = mesh.origins, mesh.J
         nodes = ELEMENTS[mesh.cell_kind].nodes[k]
-        expected = origins[:, None, :] + np.einsum("cab,nb->cna", J, nodes)
-        np.testing.assert_allclose(V.dof_points[V.cell_dofs_std], expected, rtol=0, atol=1e-14)
+        mapped = origins[:, None, :] + np.einsum("cab,nb->cna", J, nodes)
+        dofs = V.dof_table[:, : V.nb_std]
+        n_lagrange = dofs.max() + 1
+        assert np.array_equal(np.unique(dofs), np.arange(n_lagrange))
+        point = np.empty((n_lagrange, 2))
+        point[dofs] = mapped  # one of the cells that refer to each dof
+        np.testing.assert_allclose(mapped, point[dofs], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(point[: mesh.nno], mesh.vertices, rtol=0, atol=1e-14)
 
     def test_unsupported_orders(self):
         mesh = build_annulus_mesh(8, 2)

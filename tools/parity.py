@@ -92,17 +92,8 @@ def arrays() -> dict:
                 tag = f"{name}-p{k}" + ("" if enrich else "-plain")
                 V = build_primal_space(mesh, k, enrich)
                 Lam = build_multiplier_space(mesh, k - 1)
-                out[f"{tag}/cell_dofs_std"] = V.cell_dofs_std
-                # The -1-padded dof table, joined here so that a reference
-                # checkout without PrimalSpace.dof_table writes it too.
-                out[f"{tag}/dof_table"] = np.concatenate(
-                    [V.cell_dofs_std, V.edge_bubble_dofs], axis=1
-                )
-                out[f"{tag}/cell_dofs"] = np.concatenate(
-                    [V.cell_dofs(c) for c in range(mesh.num_cells)]
-                )
-                out[f"{tag}/dof_points"] = V.dof_points
-                out[f"{tag}/counts"] = np.array([V.n_lagrange, V.dof_count])
+                out[f"{tag}/dof_table"] = V.dof_table
+                out[f"{tag}/counts"] = np.array([V.dof_count])
                 for method in ("bvc", "unmodified", "taylor"):
                     system = assemble_saddle(V, Lam, domain, method)
                     for block in ("K", "B", "D", "Bt_corr"):
