@@ -4,8 +4,10 @@ Continuous Lagrange P1-P3 on triangles and Q1 on axis-aligned quads, with
 optional hierarchical degree-(k+1) edge bubbles on boundary facets, plus
 facet-wise discontinuous Legendre multiplier spaces.  ELEMENTS, keyed by
 Mesh.cell_kind and built on mesh.REFERENCE_CELLS, is the one table of what
-differs between cell kinds: supported degrees, Lagrange nodes, basis, edge
-bubble and volume quadrature.  The dof layout is the same for every kind.
+differs between cell kinds: Lagrange nodes per supported degree, affine
+coordinates, edge bubble and volume quadrature.  One product formula builds
+every kind's Lagrange basis from its nodes and coordinates, so a new degree
+is a nodes entry.  The dof layout is the same for every kind.
 Every cell has the same local functions, PrimalSpace.basis: the Lagrange
 functions, then, in an enriched space, one bubble per local edge (an
 unenriched space has no bubble columns).  PrimalSpace.dof_table holds their
@@ -17,9 +19,14 @@ vectors, an appended zero coefficient for fields).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import factorial
+from operator import add, mul
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
+from numpy.polynomial.legendre import legder, legval
 from scipy.special import roots_jacobi
 
 from .mesh import REFERENCE_CELLS, Mesh, gauss_01
@@ -86,75 +93,32 @@ _DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 _TRI_A, _TRI_B = np.array(REFERENCE_CELLS["triangle"][1]).T
 
 
-def _barycentric(pts):
+def _tri_coords(pts):
+    """Barycentric coordinates (..., 3) and their constant gradients (3, 2)."""
     x, y = pts[..., 0], pts[..., 1]
-    return np.stack([1.0 - x - y, x, y], axis=-1)
+    return np.stack([1.0 - x - y, x, y], axis=-1), _DLAM
 
 
-def _tri_basis(k, pts):
-    """Values and gradients of the P^k Lagrange basis at reference points."""
-    pts = np.atleast_2d(pts)
-    lam, dlam = _barycentric(pts), _DLAM  # (nq, 3), (3, 2)
-    nq = len(pts)
-
-    if k == 1:
-        vals = lam
-        grads = np.broadcast_to(dlam, (nq, 3, 2)).copy()
-        return vals, grads
-
-    a, b = _TRI_A, _TRI_B
-    la, lb, dla, dlb = lam[:, a], lam[:, b], dlam[a], dlam[b]
-
-    if k == 2:
-        vals = np.concatenate([lam * (2.0 * lam - 1.0), 4.0 * la * lb], axis=1)
-        edge_grads = 4.0 * (lb[:, :, None] * dla + la[:, :, None] * dlb)
-        grads = np.concatenate([(4.0 * lam - 1.0)[:, :, None] * dlam, edge_grads], axis=1)
-        return vals, grads
-
-    # k == 3: two nodes per edge, at 1/3 and 2/3 from a, then the interior node.
-    ev = 4.5 * la[:, :, None] * lb[:, :, None] * (3.0 * np.stack([la, lb], axis=2) - 1.0)
-    ca = np.stack([lb * (6.0 * la - 1.0), lb * (3.0 * lb - 1.0)], axis=2)[..., None]
-    cb = np.stack([la * (3.0 * la - 1.0), la * (6.0 * lb - 1.0)], axis=2)[..., None]
-    eg = 4.5 * (ca * dla[:, None, :] + cb * dlb[:, None, :])
-    l0, l1, l2 = lam.T
-    ig = (l1 * l2)[:, None] * dlam[0] + (l0 * l2)[:, None] * dlam[1]
-    ig = ig + (l0 * l1)[:, None] * dlam[2]
-    vals = np.concatenate(
-        [
-            0.5 * lam * (3.0 * lam - 1.0) * (3.0 * lam - 2.0),
-            ev.reshape(nq, 6),
-            (27.0 * l0 * l1 * l2)[:, None],
-        ],
-        axis=1,
-    )
-    grads = np.concatenate(
-        [
-            (0.5 * (27.0 * lam**2 - 18.0 * lam + 2.0))[:, :, None] * dlam,
-            eg.reshape(nq, 6, 2),
-            27.0 * ig[:, None, :],
-        ],
-        axis=1,
-    )
-    return vals, grads
+_DQUAD = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
 
-def _quad_basis(k, pts):
-    """Bilinear Q1 basis on the reference square (k is 1)."""
-    pts = np.atleast_2d(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    vals = np.stack([(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y], axis=1)
-    grads = ((-(1 - y), -(1 - x)), (1 - y, -x), (y, x), (-y, 1 - x))
-    return vals, np.stack([np.stack(g, axis=-1) for g in grads], axis=1)
+def _quad_coords(pts):
+    """Coordinates (1 - x, x, 1 - y, y) (..., 4) and their constant gradients (4, 2)."""
+    x, y = pts[..., 0], pts[..., 1]
+    return np.stack([1.0 - x, x, 1.0 - y, y], axis=-1), _DQUAD
 
 
-def _legendre(j, t):
-    if j == 0:
-        return np.ones_like(t), np.zeros_like(t)
-    if j == 1:
-        return t, np.ones_like(t)
-    if j == 2:
-        return 1.5 * t**2 - 0.5, 3.0 * t
-    raise UnsupportedOrder(f"Legendre kernel degree {j} not needed here")
+def _silvester(k, m):
+    """Monomial coefficients of F_m(t) = prod_{j<m} (k t - j) / (j + 1) and of F_m'.
+
+    Integer numerators over m!, each rounded once, so that Horner evaluation
+    reproduces the closed forms (P2: F_2 = 2t^2 - t, F_2' = 4t - 1) to the bit.
+    """
+    num = [1]
+    for j in range(m):
+        num = [k * a - j * b for a, b in zip([0, *num], [*num, 0])]
+    dnum = [i * a for i, a in enumerate(num)][1:] or [0]
+    return [a / factorial(m) for a in num], [a / factorial(m) for a in dnum]
 
 
 def _tri_bubble(k, pts):
@@ -162,10 +126,11 @@ def _tri_bubble(k, pts):
 
     One column per local edge a -> b, as (..., 3) values and (..., 3, 2) gradients.
     """
-    lam = _barycentric(np.atleast_2d(pts))
+    lam, _ = _tri_coords(np.atleast_2d(pts))
     a, b = _TRI_A, _TRI_B
     la, lb = lam[..., a], lam[..., b]
-    L, dL = _legendre(k - 1, lb - la)
+    series = np.eye(k)[k - 1]  # P_{k-1} as a Legendre series
+    L, dL = legval(lb - la, series), legval(lb - la, legder(series))
     vals = la * lb * L
     grads = (
         (lb * L)[..., None] * _DLAM[a]
@@ -199,9 +164,31 @@ class Element:
     """A cell kind's finite element; basis and bubble give values and reference gradients."""
 
     nodes: dict       # supported degree k -> Lagrange nodes (nb, 2), dof_table order
-    basis: Callable   # (k, pts)
+    coords: Callable  # pts -> affine coordinates (..., m), their gradients (m, 2)
     bubble: Callable  # (k, pts), one column per local edge
     rule: Callable    # n -> QuadratureRule with n points per direction
+
+    def basis(self, k, pts):
+        """Values (n, nb) and reference gradients (n, nb, 2) of the degree-k Lagrange basis.
+
+        Silvester's product formula over the affine coordinates c: the node
+        at c(node) has the multi-index alpha = k c(node) and the function
+        prod_i F_{alpha_i}(c_i), whose gradient is
+        sum_i F'_{alpha_i}(c_i) prod_{j != i} F_{alpha_j}(c_j) grad c_i.  The
+        node table alone decides the functions and their column order.
+        """
+        c, dc = self.coords(np.atleast_2d(pts))
+        F = [_silvester(k, m) for m in range(k + 1)]
+        # F_m(c_i) and F_m'(c_i), indexed [m][i].
+        Fc, dFc = ([[P.polyval(t, f[d]) for t in c.T] for f in F] for d in (0, 1))
+        vals, grads = [], []
+        for alpha in np.rint(k * self.coords(self.nodes[k])[0]).astype(int):
+            f = [Fc[m][i] for i, m in enumerate(alpha)]
+            vals.append(reduce(mul, f))
+            terms = [(dFc[m][i] * reduce(mul, f[:i] + f[i + 1 :]))[:, None] * dc[i]
+                     for i, m in enumerate(alpha) if m > 0]  # F_0' = 0
+            grads.append(reduce(add, terms))
+        return np.stack(vals, axis=1), np.stack(grads, axis=1)
 
 
 ELEMENTS = {
@@ -211,9 +198,9 @@ ELEMENTS = {
             2: _lagrange_nodes("triangle", 2),
             3: _lagrange_nodes("triangle", 3, interior=[(1 / 3, 1 / 3)]),
         },
-        _tri_basis, _tri_bubble, _tri_rule,
+        _tri_coords, _tri_bubble, _tri_rule,
     ),
-    "quad": Element({1: _lagrange_nodes("quad", 1)}, _quad_basis, _quad_bubble, _quad_rule),
+    "quad": Element({1: _lagrange_nodes("quad", 1)}, _quad_coords, _quad_bubble, _quad_rule),
 }
 
 

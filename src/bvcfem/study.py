@@ -366,12 +366,13 @@ def emit_plots(result: StudyResult, prefix) -> None:
             ref_slope=ref[norm],
         )
     if result.elevation is not None:
+        path = f"{prefix}-elevation.txt"
         try:
-            with open(f"{prefix}-elevation.txt", "w") as fh:
+            with open(path, "w") as fh:
                 for x, y, u in result.elevation:
                     fh.write(f"{x:.17g} {y:.17g} {u:.17g}\n")
         except OSError as exc:
-            raise IoError(f"cannot write elevation: {exc}") from exc
+            raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 # --- presets ------------------------------------------------------------------

@@ -6,6 +6,8 @@ the raw level set, and brute-force minimization over the boundary
 parameterization.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from scipy.optimize import brentq
 from bvcfem.geometry import (
     GeometryError,
     ImplicitDomain,
+    NoConvergence,
     NoIntersection,
     ZeroGradient,
     closest_point,
@@ -45,6 +48,17 @@ CIRCLE = ImplicitDomain(
     phi_cap=0.7,
     radial_circles=(1.0,),
 )
+
+
+def _flat_slab(phi_of_y):
+    """A domain with level set phi_of_y(y) and a zero level-set gradient."""
+    zero = lambda p: np.zeros(np.shape(p)[:-1])
+    return ImplicitDomain(
+        "flat-slab",
+        lambda p: phi_of_y(np.asarray(p, dtype=float)[..., 1]),
+        lambda p: np.zeros(np.shape(p)),
+        zero, zero, zero, delta0=0.12, phi_cap=0.12,
+    )
 
 
 def bisect_root(domain, x, n, lo, hi):
@@ -164,6 +178,23 @@ class TestRayDistance:
         x = np.array([[0.3, y0], [-0.7, y0]])
         got = ray_distance_batch(slab, x, np.array([[0.0, 1.0], [0.0, 1.0]]))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_without_newton_steps_the_tight_bisection_finds_the_root(self):
+        # A zero gradient skips every Newton step, so the 1e-8 bracket's
+        # midpoint misses the tolerance and the width-0 bisection takes over.
+        slab = _flat_slab(lambda y: np.abs(y) - 0.05)
+        x = np.array([[0.3, 0.001]])
+        got = ray_distance_batch(slab, x, [[0.0, 1.0]])
+        assert abs(got[0] - 0.049) <= 1e-16
+        assert slab.level_set(x + got[:, None] * [0.0, 1.0]) == 0.0
+
+    def test_a_level_set_jump_names_the_ray(self):
+        # phi jumps from -0.05 to 0.05 at |y| = 0.05: no bisection reaches a root.
+        jump = _flat_slab(lambda y: np.where(np.abs(y) < 0.05, -0.05, 0.05))
+        x = np.array([[0.3, 0.001]])
+        message = re.escape(f"root polishing stalled at {x[0]} (|phi|=5.000e-02)")
+        with pytest.raises(NoConvergence, match=message):
+            ray_distance_batch(jump, x, [[0.0, 1.0]])
 
     def test_matches_negated_signed_distance_on_ring(self):
         # Along the exact normal the ray length is the distance to the

@@ -1,7 +1,8 @@
 """tools/parity.py runs end to end in one checkout and reads no drift there.
 
 save then compare, in the same checkout, must exit 0 and print 0 on every
-key; compare itself must report a changed array as nonzero drift.
+key; compare itself must report a changed array as nonzero drift, fail on a
+drift past DRIFT_BOUND, and compare a saved CSR triple as one matrix.
 """
 
 import importlib.util
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 
@@ -29,11 +32,40 @@ def test_save_then_compare_reads_zero_on_every_key(tmp_path):
     assert {key for key, value in values.items() if value != "0"} == set()
 
 
-def test_compare_prints_the_drift_of_a_changed_array(capsys):
+@pytest.fixture(scope="module")
+def parity():
     spec = importlib.util.spec_from_file_location("parity", TOOL)
-    parity = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(parity)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_prints_the_drift_of_a_changed_array(parity, capsys):
     ref = {"same": np.arange(3.0), "moved": np.array([2.0, 4.0])}
     new = {"same": np.arange(3.0), "moved": np.array([2.0, 4.5])}
-    assert parity.compare(ref, new) == 0
+    assert parity.compare(ref, new) == 1
     assert capsys.readouterr().out.splitlines() == ["moved: 0.125", "same: 0"]
+
+
+def test_drift_within_the_bound_passes(parity, capsys):
+    assert parity.DRIFT_BOUND == 1e-10
+    ref = {"moved": np.array([2.0, 4.0])}
+    assert parity.compare(ref, {"moved": np.array([2.0, 4.0 + 2e-10])}) == 0
+    assert parity.compare(ref, {"moved": np.array([2.0, 4.0 + 8e-10])}) == 1
+    assert capsys.readouterr().out.splitlines() == ["moved: 5e-11", "moved: 2e-10"]
+
+
+def test_a_csr_matrix_is_compared_as_one_matrix(parity, capsys):
+    # The same matrix with and without a stored exact zero: the raw CSR
+    # arrays differ, the matrices do not.
+    saved = {}
+    for name, (data, indices, indptr) in {
+        "A": ([2.0, 4.0, 1.0], [0, 1, 2], [0, 1, 3]),
+        "stored-zero": ([2.0, 0.0, 4.0, 1.0], [0, 2, 1, 2], [0, 2, 4]),
+        "moved": ([2.0, 4.0, 1.5], [0, 1, 2], [0, 1, 3]),
+    }.items():
+        saved[name] = {}
+        parity._put_matrix(saved[name], "K", sp.csr_matrix((data, indices, indptr), shape=(2, 3)))
+    assert parity.compare(saved["A"], saved["stored-zero"]) == 0
+    assert parity.compare(saved["A"], saved["moved"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["K: 0", "K: 0.125"]

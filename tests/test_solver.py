@@ -159,6 +159,49 @@ def splu_calls(monkeypatch):
     return calls
 
 
+class _OffsetLU:
+    """A factorization whose first `bad` solves come back offset by 1e-3."""
+
+    def __init__(self, lu, bad):
+        self.lu, self.bad = lu, bad
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    def solve(self, b):
+        self.bad -= 1
+        return self.lu.solve(b) + (1e-3 if self.bad >= 0 else 0.0)
+
+
+class TestRefinement:
+    """A solve that misses the residual contract gets one refinement step."""
+
+    @staticmethod
+    def offset_solves(monkeypatch, bad):
+        recording = bvcfem.solver.splu
+        monkeypatch.setattr(
+            bvcfem.solver, "splu", lambda A, **kwargs: _OffsetLU(recording(A, **kwargs), bad)
+        )
+        M = np.random.default_rng(6).standard_normal((12, 12))
+        return sp.csc_matrix(M + M.T + 24.0 * np.eye(12)), np.linspace(1.0, 2.0, 12)
+
+    def test_one_step_restores_the_contract(self, splu_calls, monkeypatch, caplog):
+        A, b = self.offset_solves(monkeypatch, bad=1)
+        with caplog.at_level(logging.DEBUG, logger="bvcfem"):
+            z = solve_linear(A, b)
+        assert splu_calls == [DIAGONAL_PIVOT_KWARGS]
+        assert np.linalg.norm(A @ z - b) / np.linalg.norm(b) <= 1e-10
+        (record,) = caplog.records
+        assert "refined=True" in record.getMessage()
+
+    def test_a_step_that_does_not_help_raises(self, splu_calls, monkeypatch):
+        # Partial pivoting, the fallback, misses the contract too.
+        A, b = self.offset_solves(monkeypatch, bad=2)
+        with pytest.raises(SolverError, match=r"^residual contract violated: relres="):
+            solve_linear(A, b)
+        assert splu_calls == [DIAGONAL_PIVOT_KWARGS, {}]
+
+
 class TestSolverPath:
     @pytest.mark.parametrize(
         "assemble, kwargs",

@@ -29,6 +29,22 @@ from oracles import cell_basis, cell_dofs, project_to_multiplier
 ELLIPSE = make_ellipse_domain()
 
 
+# Every (kind, k) of the element table; triangle cases are named by k alone.
+LAGRANGE_CASES = [
+    pytest.param(kind, k, id=str(k) if kind == "triangle" else f"{kind}-{k}")
+    for kind, element in ELEMENTS.items()
+    for k in element.nodes
+]
+
+
+def inside(kind, n, seed, margin=0.0):
+    """n random points of the reference cell of kind: convex combinations of
+    its vertices, each weight at least margin / (number of vertices)."""
+    verts = REFERENCE_CELLS[kind][0]
+    w = np.random.default_rng(seed).dirichlet(np.ones(len(verts)), size=n)
+    return (margin / len(verts) + (1.0 - margin) * w) @ verts
+
+
 def tri_monomial_integral(a, b):
     """Exact integral of x^a y^b over the reference triangle."""
     from math import factorial
@@ -99,11 +115,7 @@ class TestPrimalSpace:
         vals = V.basis(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))[0][:, : V.nb_std]
         assert np.allclose(vals, np.eye(3), atol=1e-15)
 
-    @pytest.mark.parametrize(
-        "kind, k",
-        [("triangle", 1), ("triangle", 2), ("triangle", 3), ("quad", 1)],
-        ids=["1", "2", "3", "quad-1"],
-    )
+    @pytest.mark.parametrize("kind, k", LAGRANGE_CASES)
     def test_lagrange_nodal_identity(self, kind, k):
         mesh = build_square_mesh(2, kind)
         V = build_primal_space(mesh, k, enrich=False)
@@ -123,30 +135,18 @@ class TestPrimalSpace:
         assert np.all(counts > 0)
         assert np.allclose(field_at_nodes, coeffs, atol=1e-13)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_partition_of_unity(self, k):
-        mesh = build_annulus_mesh(8, 2)
+    @pytest.mark.parametrize("kind, k", LAGRANGE_CASES)
+    def test_partition_of_unity(self, kind, k):
+        mesh = build_square_mesh(2, kind)
         V = build_primal_space(mesh, k, enrich=False)
-        rng = np.random.default_rng(1)
-        x = rng.uniform(0, 1, size=(40, 2))
-        pts = np.stack([x[:, 0] * (1 - x[:, 1]), x[:, 1]], axis=1)  # inside triangle
-        vals = V.basis(pts)[0][:, : V.nb_std]
+        vals = V.basis(inside(kind, 40, seed=1))[0][:, : V.nb_std]
         assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-13)
 
-    def test_partition_of_unity_quad(self):
-        mesh = build_staircase_mesh(8, ELLIPSE)
-        V = build_primal_space(mesh, 1, enrich=False)
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 1, size=(40, 2))
-        vals = V.basis(pts)[0][:, : V.nb_std]
-        assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-13)
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_gradients_match_finite_differences(self, k):
-        mesh = build_annulus_mesh(8, 2)
+    @pytest.mark.parametrize("kind, k", LAGRANGE_CASES)
+    def test_gradients_match_finite_differences(self, kind, k):
+        mesh = build_square_mesh(2, kind)
         V = build_primal_space(mesh, k, enrich=True)
-        rng = np.random.default_rng(3)
-        x = rng.uniform(0.1, 0.4, size=(10, 2))  # interior reference points
+        x = inside(kind, 10, seed=3, margin=0.1)
         eps = 1e-5
         c = mesh.boundary_facets.cell[0]
         vals, grads = cell_basis(V, c, x)

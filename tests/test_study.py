@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bvcfem.analysis import ErrorReport, RateFit
+from bvcfem.analysis import ErrorReport, RateFit, error_report
+from bvcfem.assembly import assemble_nitsche
+from bvcfem.geometry import make_ring_domain
+from bvcfem.solver import solve
 from bvcfem.study import (
     CSV_HEADER,
     PRESETS,
@@ -17,6 +20,7 @@ from bvcfem.study import (
     IoError,
     StudyConfig,
     StudyResult,
+    build_level,
     check_rates,
     check_unstable,
     emit_csv,
@@ -24,6 +28,7 @@ from bvcfem.study import (
     expected_rates,
     main,
     parse_config_file,
+    run_preset,
     run_study,
     validate_config,
 )
@@ -222,6 +227,12 @@ class TestPlots:
         text = (tmp_path / "plot-l2.svg").read_text()
         assert f">{ref['l2']:g}</text>" in text
 
+    def test_unwritable_elevation_names_its_path(self, small_ring_study, tmp_path):
+        prefix = tmp_path / "plot"
+        (tmp_path / "plot-elevation.txt").mkdir()
+        with pytest.raises(IoError, match=f"^cannot write {prefix}-elevation.txt: "):
+            emit_plots(small_ring_study, prefix)
+
 
 class TestExpectedRates:
     def test_bvc_orders(self):
@@ -243,6 +254,30 @@ class TestPresetRegistry:
 
         with pytest.raises(ConfigError):
             run_preset("p9-hypercube")
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_every_preset_runs_two_levels(self, name):
+        result, msgs = run_preset(name, levels=2)
+        preset = PRESETS[name]
+        assert [level for level, _ in result.records] == [0, 1]
+        assert result.failures == []
+        if preset.special == "unstable":
+            assert result.companion.config.method == "unmodified"
+            assert len(result.infsup_sigmas) == 2
+        else:
+            assert (result.companion is None) == (preset.comparison is None)
+            assert msgs == (["no rates could be fitted"] if preset.checks else [])
+
+    def test_nitsche_preset_matches_a_hand_built_solve(self):
+        # No multiplier, and the default penalty 10 k^2 = 40 for P2.
+        result, _ = run_preset("nitsche-p2-ring", levels=2)
+        config, ring = PRESETS["nitsche-p2-ring"].config, make_ring_domain()
+        for level, report in result.records:
+            assert report.dofs_lambda == 0 and report.err_lambda is None
+            V, Lam = build_level(config, level, ring)
+            assert Lam is None
+            u, _ = solve(assemble_nitsche(V, ring, 40.0))
+            assert report.err_l2 == error_report(u, None, ring).err_l2
 
     @pytest.mark.parametrize("name", ["unstable-pairing", "p2-ring"])
     def test_zero_levels_rejected(self, name):
@@ -331,6 +366,16 @@ class TestCli:
         assert len(lines["full"]) == system.full_matrix().nnz
         assert len(lines["Bt"]) == system.Bt_corr.nnz
         assert lines["D"] == []
+
+    def test_dump_matrices_writes_the_nitsche_matrix(self, tmp_path):
+        prefix = tmp_path / "dump"
+        argv = ["--element", "p2", "--method", "nitsche", "--levels", "1"]
+        assert main([*argv, "--dump-matrices", str(prefix)]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["dump-L0-A.txt"]
+        ring = make_ring_domain()
+        V, _ = build_level(StudyConfig(element="p2", method="nitsche"), 0, ring)
+        A = assemble_nitsche(V, ring, 40.0).A
+        assert len((tmp_path / "dump-L0-A.txt").read_text().splitlines()) == A.nnz
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"

@@ -11,10 +11,12 @@ every assembled matrix and right-hand side (bvc, unmodified, taylor,
 nitsche) with its solve_linear solution (NaN where the solver raises), a
 load vector, the primal boundary mass and the error_report of a fixed
 random field.  compare rebuilds the same arrays with the bvcfem next to
-this script and prints the max relative difference of each; 0 on every
-array means bit-identical results, and the `.solution` lines show the
-solver's drift per system.  It exits 1 if an array is
-missing or changed shape.
+this script and prints the max relative difference of each, max|new - ref|
+/ max|ref|; a matrix, saved as its CSR indptr/indices/data and shape, is
+compared as one matrix, so an exact zero stored on one side and absent on
+the other reads no drift.  0 on every key means bit-identical results,
+and the `.solution` lines show the solver's drift per system.  It exits 1
+if a key is missing, changed shape or drifts by more than DRIFT_BOUND.
 
 Keys are added and removed as the program changes.  To compare across such
 a change, make the reference save by copying this script into a checkout
@@ -28,6 +30,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -60,13 +63,21 @@ MESHES = {
 }
 
 
+# The roundoff a reordered but equivalent computation may leave, relative.
+DRIFT_BOUND = 1e-10
+
+
 def _load(p):
     return np.cos(3.0 * p[..., 0]) + p[..., 1] ** 2
 
 
+CSR = (".indptr", ".indices", ".data", ".shape")
+
+
 def _put_matrix(out, key, A):
     A = A.tocsr()
-    out[f"{key}.indptr"], out[f"{key}.indices"], out[f"{key}.data"] = A.indptr, A.indices, A.data
+    for part, array in zip(CSR, (A.indptr, A.indices, A.data, np.array(A.shape))):
+        out[key + part] = array
 
 
 def _put_solution(out, key, system):
@@ -119,22 +130,40 @@ def arrays() -> dict:
     return out
 
 
+def _matrices(arrays: dict) -> dict:
+    """arrays with each saved CSR matrix joined from its four keys into one."""
+    out = dict(arrays)
+    for key in [k.removesuffix(".shape") for k in arrays if k.endswith(".shape")]:
+        indptr, indices, data, shape = (out.pop(key + part) for part in CSR)
+        out[key] = sp.csr_matrix((data, indices, indptr), shape=tuple(shape))
+    return out
+
+
 def compare(ref: dict, new: dict) -> int:
+    ref, new = _matrices(ref), _matrices(new)
     status = 0
     for key in sorted(ref.keys() | new.keys()):
         if key not in ref or key not in new:
             print(f"{key}: only in {'reference' if key in ref else 'this checkout'}")
             status = 1
             continue
-        a, b = np.asarray(ref[key], dtype=float), np.asarray(new[key], dtype=float)
+        a, b = ref[key], new[key]
+        if not sp.issparse(a):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if a.shape != b.shape:
             print(f"{key}: shape {a.shape} -> {b.shape}")
             status = 1
             continue
-        same_nan = np.isnan(a) & np.isnan(b)
-        diff = np.where(same_nan, 0.0, np.abs(a - b)).max(initial=0.0)
-        scale = np.abs(np.where(same_nan, 0.0, a)).max(initial=0.0)
-        print(f"{key}: {diff / scale if scale > 0 else diff:.3g}")
+        if sp.issparse(a):
+            diff, scale = (np.abs(m.data).max(initial=0.0) for m in (b - a, a))
+        else:
+            same_nan = np.isnan(a) & np.isnan(b)
+            diff = np.where(same_nan, 0.0, np.abs(a - b)).max(initial=0.0)
+            scale = np.abs(np.where(same_nan, 0.0, a)).max(initial=0.0)
+        drift = diff / scale if scale > 0 else diff
+        print(f"{key}: {drift:.3g}")
+        if not drift <= DRIFT_BOUND:
+            status = 1
     return status
 
 
