@@ -10,6 +10,10 @@ interior stiffness (grad u, grad v) and the facet coupling (u, mu):
 and assemble_nitsche builds the single-field boundary-value-corrected
 symmetric Nitsche method with penalty gamma = gamma0 / h.
 
+Both return their systems with the primal space's cell-interior dofs (one
+per P3 cell) condensed out by `condense`; solve restores them.  P1, P2 and
+Q1 have none, and their systems are the assembled blocks themselves.
+
 u~ is the Dirichlet data, the domain's u_exact, pulled back from the true
 boundary through the precomputed facet pullback points.  Every cell term
 is one contraction over all cells of V.basis and V.dof_table, every facet
@@ -40,6 +44,73 @@ class IoError(Exception):
     pass
 
 
+class SingularCell(Exception):
+    """A cell-interior dof has a zero diagonal entry, so it cannot be condensed."""
+
+
+@dataclass
+class Interior:
+    """The cell-interior dofs of V, eliminated from an assembled system.
+
+    An interior dof couples only to the dofs of its own cell, so with one
+    per cell (P3) its block of the system is diagonal, diag.  keep lists the
+    retained dofs in order; A_Ir and f_I are the interior rows of the matrix
+    (retained columns) and of the right-hand side, kept for restore.  With
+    no interior dofs drop and eliminate return their input.
+    """
+
+    dofs: range
+    keep: np.ndarray
+    A_Ir: sp.csr_matrix
+    f_I: np.ndarray
+    diag: np.ndarray
+
+    def drop(self, B):
+        """B without its interior columns, which hold only roundoff: the
+        interior functions vanish on every facet."""
+        return B[:, self.keep] if self.dofs else B
+
+    def eliminate(self, C, g):
+        """(C_r - C_I diag^-1 A_Ir, g - C_I diag^-1 f_I) for rows C over V's
+        dofs with right-hand side g: their coupling to the interior dofs
+        moved onto the retained ones."""
+        if not self.dofs:
+            return C, g
+        C_I = C[:, self.dofs.start : self.dofs.stop] @ sp.diags(1.0 / self.diag)
+        return C[:, self.keep] - C_I @ self.A_Ir, g - C_I @ self.f_I
+
+    def restore(self, u_r) -> np.ndarray:
+        """Coefficients of every dof of V from those of the retained ones:
+        u_I = diag^-1 (f_I - A_Ir u_r)."""
+        a = self.dofs.start
+        u_I = (self.f_I - self.A_Ir @ u_r) / self.diag
+        return np.concatenate([u_r[:a], u_I, u_r[a:]])
+
+
+def condense(V: PrimalSpace, A: sp.csr_matrix, f: np.ndarray):
+    """(A', f', Interior): the system A z = f on V's dofs with V's cell-interior
+    dofs eliminated (static condensation).
+
+    A' = A_rr - A_rI diag^-1 A_Ir and f' = f_r - A_rI diag^-1 f_I on the
+    retained dofs r.  Without interior dofs (P1, P2, Q1) A and f come back
+    as they are.
+    """
+    I, n = V.interior_dofs, A.shape[0]
+    if len(I) > V.mesh.num_cells:
+        raise NotImplementedError("condensation takes at most one interior dof per cell")
+    keep = np.r_[0 : I.start, I.stop : n]
+    A_I = A[I.start : I.stop]
+    diag = A_I[:, I.start : I.stop].diagonal()
+    zero = np.flatnonzero(diag == 0)
+    if zero.size:
+        cell = int(zero[0])  # interior dofs are numbered cell by cell
+        raise SingularCell(f"cell {cell}: zero diagonal at its interior dof {I.start + cell}")
+    interior = Interior(I, keep, A_I[:, keep], f[I.start : I.stop], diag)
+    if not I:
+        return A, f, interior
+    return *interior.eliminate(A[keep], f[keep]), interior
+
+
 @dataclass
 class SaddleSystem:
     """Block system [[K, B^T], [B or Bt_corr, -D]] with right-hand side.
@@ -47,7 +118,10 @@ class SaddleSystem:
     K[i,j] = (grad phi_j, grad phi_i), B[i,j] = (phi_j, psi_i) on the facet
     boundary, D[i,j] = (rho_h psi_j, psi_i).  When Bt_corr is set (taylor) it
     replaces the second-row coupling, Bt_corr[i,j] =
-    (phi_j + rho_h n_h.grad phi_j, psi_i); D is empty except for bvc.
+    (phi_j + rho_h n_h.grad phi_j, psi_i); D is empty except for bvc.  The
+    primal blocks act on the retained dofs of V: interior holds the
+    condensed cell-interior dofs (K and rhs_u condensed, B without their
+    columns, Bt_corr and rhs_lam through Interior.eliminate).
     """
 
     K: sp.csr_matrix
@@ -58,6 +132,7 @@ class SaddleSystem:
     rhs_lam: np.ndarray
     V: PrimalSpace
     Lam: MultiplierSpace
+    interior: Interior
 
     def full_matrix(self) -> sp.csc_matrix:
         row2 = self.Bt_corr if self.Bt_corr is not None else self.B
@@ -69,9 +144,12 @@ class SaddleSystem:
 
 @dataclass
 class NitscheSystem:
+    """A z = rhs on the retained dofs of V; interior as in SaddleSystem."""
+
     A: sp.csr_matrix
     rhs: np.ndarray
     V: PrimalSpace
+    interior: Interior
 
     def full_matrix(self) -> sp.csc_matrix:
         return self.A.tocsc()
@@ -197,15 +275,20 @@ def assemble_saddle(
         D = _scatter((nl, nl), blocks, Lam.facet_dofs, Lam.facet_dofs)
     rhs_lam = np.zeros(nl)
     rhs_lam[Lam.facet_dofs] = (w * at_points(domain.u_exact, facets.pullback)) @ psi
+    K, rhs_u, interior = condense(V, stiffness_matrix(V), load_vector(V, domain.f_rhs))
+    Bt_corr = None
+    if method == "taylor":
+        Bt_corr, rhs_lam = interior.eliminate(coupling_matrix(V, Lam, True), rhs_lam)
     return SaddleSystem(
-        K=stiffness_matrix(V),
-        B=coupling_matrix(V, Lam, False),
+        K=K,
+        B=interior.drop(coupling_matrix(V, Lam, False)),
         D=D,
-        Bt_corr=coupling_matrix(V, Lam, True) if method == "taylor" else None,
-        rhs_u=load_vector(V, domain.f_rhs),
+        Bt_corr=Bt_corr,
+        rhs_u=rhs_u,
         rhs_lam=rhs_lam,
         V=V,
         Lam=Lam,
+        interior=interior,
     )
 
 
@@ -239,8 +322,8 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> N
     np.add.at(rhs, dofs[dofs >= 0], data[dofs >= 0])
 
     n = V.dof_count
-    A = _scatter((n, n), M, dofs, dofs) + K
-    return NitscheSystem(A=A, rhs=rhs, V=V)
+    A, rhs, interior = condense(V, _scatter((n, n), M, dofs, dofs) + K, rhs)
+    return NitscheSystem(A=A, rhs=rhs, V=V, interior=interior)
 
 
 def dump_matrix(A, path) -> None:

@@ -218,15 +218,21 @@ def _factor_and_solve(A, Ap, perm, b, bnorm, anorm, path) -> np.ndarray:
 def solve(system):
     """Solve an assembled system.
 
-    Returns (u_field, lambda_field); lambda_field is None for Nitsche.
+    Returns (u_field, lambda_field) over every dof of the spaces;
+    lambda_field is None for Nitsche.  solve_linear factors the condensed
+    matrix the assembler built, and its residual contract holds on that
+    matrix; the cell-interior dofs are then restored from
+    system.interior.  Keeping the uncondensed matrix alive through the
+    factorization for a second residual check would cost the memory the
+    condensation saves.
     """
     if not isinstance(system, (NitscheSystem, SaddleSystem)):
         raise SolverError(f"cannot solve a {type(system).__name__}")
     z = solve_linear(system.full_matrix(), system.full_rhs())
     if isinstance(system, NitscheSystem):
-        return SolutionField(system.V, z), None
-    nu = system.V.dof_count
+        return SolutionField(system.V, system.interior.restore(z)), None
+    nu = system.K.shape[0]
     return (
-        SolutionField(system.V, z[:nu]),
+        SolutionField(system.V, system.interior.restore(z[:nu])),
         SolutionField(system.Lam, z[nu:]),
     )

@@ -7,7 +7,9 @@ Mesh.cell_kind and built on mesh.REFERENCE_CELLS, is the one table of what
 differs between cell kinds: Lagrange nodes per supported degree, affine
 coordinates, edge bubble and volume quadrature.  One product formula builds
 every kind's Lagrange basis from its nodes and coordinates, so a new degree
-is a nodes entry.  The dof layout is the same for every kind.
+is a nodes entry (with more than one interior node per cell, as P4, also a
+block inverse in assembly.condense).  The dof layout is the same for every
+kind.
 Every cell has the same local functions, PrimalSpace.basis: the Lagrange
 functions, then, in an enriched space, one bubble per local edge (an
 unenriched space has no bubble columns).  PrimalSpace.dof_table holds their
@@ -214,6 +216,9 @@ class PrimalSpace:
     each basis column: the Lagrange dofs (the first nb_std columns), then, if
     enriched, one bubble per local edge, -1 on an edge that is no boundary
     facet.  Bubble dofs follow the Lagrange dofs in boundary-facet order.
+    interior_dofs is the contiguous range of the Lagrange dofs inside the
+    cells (numbered cell by cell, empty below P3), which the assembler
+    condenses out.
     """
 
     def __init__(self, mesh: Mesh, degree: int, enriched: bool):
@@ -250,6 +255,7 @@ class PrimalSpace:
         ndof += (k - 1) * mesh.num_edges
         # The remaining nodes are interior: numbered cell by cell.
         n_inner = self.nb_std - nv - n_edge
+        self.interior_dofs = range(ndof, ndof + nc * n_inner)
         lagrange[:, nv + n_edge :] = ndof + np.arange(nc * n_inner).reshape(nc, n_inner)
         ndof += nc * n_inner
 

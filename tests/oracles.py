@@ -3,11 +3,16 @@
 The library evaluates every cell at once through PrimalSpace.basis and the
 -1-padded PrimalSpace.dof_table.  These helpers walk one cell at a time and
 keep only the columns a cell has, or build a field from nodal values, so
-that the batched kernels can be checked against them.
+that the batched kernels can be checked against them.  uncondensed_system
+builds a system over every dof, before the assembler condenses the
+cell-interior dofs, so that the restored solution can be checked on it.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
+from bvcfem.assembly import coupling_matrix, facet_traces, load_vector, stiffness_matrix
+from bvcfem.geometry import at_points
 from bvcfem.mesh import gauss_01
 
 
@@ -63,3 +68,43 @@ def project_to_multiplier(space, trace):
     coeffs = np.empty(space.dof_count)
     coeffs[space.facet_dofs] = scale * ((w * t) @ psi)
     return coeffs
+
+
+def uncondensed_system(V, domain, method, Lam=None, gamma0=None):
+    """(A, b) of a multiplier method (Lam given) or of Nitsche (gamma0 given)
+    over every dof of V and Lam, unknowns ordered u then lambda.
+
+    Built from stiffness_matrix, coupling_matrix and load_vector, with the
+    facet terms of the assemble_saddle and assemble_nitsche docstrings
+    written out here; nothing is condensed.
+    """
+    facets = V.mesh.boundary_facets
+    w, rho = facets.weights, facets.rho
+    wg = w * at_points(domain.u_exact, facets.pullback)
+    K, f = stiffness_matrix(V), load_vector(V, domain.f_rhs)
+    if method == "nitsche":
+        gamma = gamma0 / V.mesh.h
+        dofs, vals, dn = facet_traces(V)
+        corr = vals + rho[:, :, None] * dn
+        M = (
+            -np.einsum("fq,fqj,fqi->fij", w, dn, corr)
+            - np.einsum("fq,fqj,fqi->fij", w, corr, dn)
+            + np.einsum("fq,fq,fqj,fqi->fij", w, rho, dn, dn)
+            + gamma * np.einsum("fq,fqj,fqi->fij", w, corr, corr)
+        )
+        data = -np.einsum("fqi,fq->fi", dn, wg) + gamma * np.einsum("fqi,fq->fi", corr, wg)
+        rows = np.broadcast_to(dofs[:, :, None], M.shape)
+        cols = np.broadcast_to(dofs[:, None, :], M.shape)
+        on = (rows >= 0) & (cols >= 0)
+        A = K + sp.coo_matrix((M[on], (rows[on], cols[on])), shape=K.shape)
+        np.add.at(f, dofs[dofs >= 0], data[dofs >= 0])
+        return A.tocsr(), f
+    psi = Lam.eval(facets.s)
+    B = coupling_matrix(V, Lam, False)
+    row2 = coupling_matrix(V, Lam, True) if method == "taylor" else B
+    # Facet dofs are contiguous per facet, so D is block diagonal.
+    D = sp.block_diag(np.einsum("fq,fq,qi,qj->fij", w, rho, psi, psi))
+    g = np.zeros(Lam.dof_count)
+    g[Lam.facet_dofs] = wg @ psi
+    A = sp.bmat([[K, B.T], [row2, -D if method == "bvc" else None]], format="csr")
+    return A, np.concatenate([f, g])

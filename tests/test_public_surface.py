@@ -32,6 +32,7 @@ ALLOWED = {
 }
 PRIMAL_MEMBERS = {
     "mesh", "degree", "enriched", "element", "nb_std", "dof_count", "dof_table", "basis",
+    "interior_dofs",
 }
 
 

@@ -8,7 +8,7 @@ ellipse staircase and a 4x4 quad square: the volume quadrature points of
 the error norms (Mesh.to_physical of that rule) with the domain's u_exact,
 grad_u_exact and f_rhs at them, and, enriched and not, the dof tables,
 every assembled matrix and right-hand side (bvc, unmodified, taylor,
-nitsche) with its solve_linear solution (NaN where the solver raises), a
+nitsche) with the solution solve returns (NaN where the solver raises), a
 load vector, the primal boundary mass and the error_report of a fixed
 random field.  compare rebuilds the same arrays with the bvcfem next to
 this script and prints the max relative difference of each, max|new - ref|
@@ -51,7 +51,7 @@ from bvcfem import (  # noqa: E402
     make_ring_domain,
     make_square_domain,
     precompute_boundary_geometry,
-    solve_linear,
+    solve,
 )
 from bvcfem.spaces import quadrature  # noqa: E402
 
@@ -81,10 +81,14 @@ def _put_matrix(out, key, A):
 
 
 def _put_solution(out, key, system):
+    """The coefficients solve returns over every dof (u, then lambda), so
+    that a system's condensed blocks may change shape while its solution
+    stays comparable."""
     try:
-        z = solve_linear(system.full_matrix(), system.full_rhs())
+        z = np.concatenate([f.coefficients for f in solve(system) if f is not None])
     except SolverError:
-        z = np.full(system.full_matrix().shape[0], np.nan)
+        spaces = (system.V, getattr(system, "Lam", None))
+        z = np.full(sum(s.dof_count for s in spaces if s is not None), np.nan)
     out[f"{key}.solution"] = z
 
 
