@@ -1,29 +1,29 @@
 """Direct sparse solution of the assembled systems.
 
 Every system is pre-ordered by reverse Cuthill-McKee and factored by SuperLU
-along one of two paths, chosen from the matrix:
+along one of two paths, chosen from the matrix structure:
 
 - diagonal pivoting: a minimum-degree ordering of A + A^T, pivots taken from
-  the diagonal.  Gate: max|A - A^T| <= SYMMETRY_RTOL * |A|max, and the
-  zeros on the diagonal span a principal block with no stored entry.
-  The corrected multiplier and Nitsche systems have no zero on the diagonal
-  and let SuperLU order them (`MMD_AT_PLUS_A`).  The zero-block
-  `unmodified` saddle systems take the same minimum-degree order, read from
-  a drop-everything incomplete factorization of their pattern, with each
-  zero-diagonal dof moved to just after its last neighbour, and are factored
-  in that order: its neighbours' fill makes its pivot nonzero by the time it
-  is eliminated, so no row is swapped.
-- partial pivoting: COLAMD with SuperLU's default threshold pivoting, for
-  everything else (the non-symmetric `taylor` systems).
+  the diagonal.  Gate: the zeros on the diagonal span a principal block with
+  no stored entry; the values are not read.  The corrected multiplier and
+  Nitsche systems have no zero on the diagonal and let SuperLU order them
+  (`MMD_AT_PLUS_A`).  The zero-block `unmodified` and `taylor` saddle
+  systems take the same minimum-degree order, read from a drop-everything
+  incomplete factorization of their pattern, with each zero-diagonal dof
+  moved to just after its last neighbour, and are factored in that order:
+  its neighbours' fill makes its pivot nonzero by the time it is
+  eliminated, so no row is swapped.
+- partial pivoting: COLAMD with SuperLU's default threshold pivoting, for a
+  matrix whose zero-diagonal block holds entries, and as the fallback below.
 
 Both paths enforce the near-zero-pivot check (`SingularSystem`) and the
 relative residual contract ||Az - b|| / ||b|| <= 1e-10, with a single
 iterative-refinement step as backup.  The gate does not make diagonal
-pivoting stable (the -D block takes both signs, a zero block is indefinite),
-so any `SolverError` on that path falls back, with a warning, to partial
-pivoting, which alone decides whether a system is singular.  A non-finite
-entry in A or b is rejected before any ordering.  Each solve emits one DEBUG
-record on the `bvcfem.solver` logger.
+pivoting stable (the -D block takes both signs, a zero block is indefinite,
+`taylor` is not symmetric), so any `SolverError` on that path falls back,
+with a warning, to partial pivoting, which alone decides whether a system
+is singular.  A non-finite entry in A or b is rejected before any ordering.
+Each solve emits one DEBUG record on the `bvcfem.solver` logger.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ class SingularSystem(SolverError):
 
 PIVOT_RTOL = 1e-14
 RESIDUAL_RTOL = 1e-10
-# Assembled blocks are symmetric only to a few ulps (einsum contraction order).
-SYMMETRY_RTOL = 1e-12
 
 DIAGONAL_PIVOT = "diagonal-pivot"
 ZERO_BLOCK = "zero-block"  # diagonal pivoting in a precomputed order
@@ -119,8 +117,8 @@ def solve_linear(A, b) -> np.ndarray:
     perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
     Ap = A[perm, :][:, perm].tocsc()
     anorm = float(np.max(np.abs(A.data))) if A.nnz else 0.0
-    if _diagonal_pivot_gate(A, anorm):
-        zero = np.flatnonzero(Ap.diagonal() == 0)
+    zero = np.flatnonzero(Ap.diagonal() == 0)
+    if _diagonal_pivot_gate(Ap, zero):
         path = ZERO_BLOCK if zero.size else DIAGONAL_PIVOT
         try:
             if path == ZERO_BLOCK:
@@ -149,13 +147,10 @@ def _check_finite(A, b) -> None:
         raise SolverError(f"non-finite rhs entry {b[bad[0]]} at index {bad[0]}")
 
 
-def _diagonal_pivot_gate(A, anorm) -> bool:
-    """The zero-diagonal dofs span a principal block with no stored entry
-    (checked first), and max|A - A^T| <= SYMMETRY_RTOL * |A|max."""
-    zero = np.flatnonzero(A.diagonal() == 0)
-    if zero.size and A[zero, :][:, zero].nnz:
-        return False
-    return abs(A - A.T).max() <= SYMMETRY_RTOL * anorm
+def _diagonal_pivot_gate(Ap, zero) -> bool:
+    """The zero-diagonal dofs `zero` of Ap span a principal block with no
+    stored entry."""
+    return not (zero.size and Ap[zero, :][:, zero].nnz)
 
 
 def _zero_block_order(Ap, zero) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 save then compare, in the same checkout, must exit 0 and print 0 on every
 key; compare itself must report a changed array as nonzero drift, fail on a
-drift past DRIFT_BOUND, and compare a saved CSR triple as one matrix.
+drift past DRIFT_BOUND, compare a saved CSR triple as one matrix, and read
+a roundoff tail of a right-hand side, saved as one key, as no drift.
 """
 
 import importlib.util
@@ -29,6 +30,9 @@ def test_save_then_compare_reads_zero_on_every_key(tmp_path):
     assert compare.returncode == 0, compare.stdout + compare.stderr
     values = dict(line.rsplit(": ", 1) for line in compare.stdout.splitlines())
     assert "ring-p3/dof_table" in values
+    # one right-hand side per system, so no block of it is scaled alone
+    assert "ring-p3/taylor.rhs" in values
+    assert not [key for key in values if key.endswith((".rhs_u", ".rhs_lam"))]
     assert {key for key, value in values.items() if value != "0"} == set()
 
 
@@ -53,6 +57,17 @@ def test_drift_within_the_bound_passes(parity, capsys):
     assert parity.compare(ref, {"moved": np.array([2.0, 4.0 + 2e-10])}) == 0
     assert parity.compare(ref, {"moved": np.array([2.0, 4.0 + 8e-10])}) == 1
     assert capsys.readouterr().out.splitlines() == ["moved: 5e-11", "moved: 2e-10"]
+
+
+def test_a_roundoff_tail_of_a_right_hand_side_reads_no_drift(parity, capsys):
+    # The ring's multiplier load is pure roundoff (u_exact vanishes on the
+    # boundary); within the whole right-hand side its change is scaled by
+    # the primal load, not by itself.
+    ref = {"taylor.rhs": np.array([0.5, -2.0, 2.4e-18, -1.1e-18])}
+    new = {"taylor.rhs": ref["taylor.rhs"] + [0.0, 0.0, 1e-18, -1e-18]}
+    assert parity.compare(ref, new) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert float(line.rsplit(": ", 1)[1]) <= parity.DRIFT_BOUND
 
 
 def test_a_csr_matrix_is_compared_as_one_matrix(parity, capsys):

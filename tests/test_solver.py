@@ -86,7 +86,7 @@ class TestSolveLinear:
     @pytest.mark.parametrize("k", [3, 17, 29])
     def test_near_zero_pivot_reports_its_dof(self, k, symmetric):
         # periodic tridiagonal with row and column k replaced by a tiny pivot;
-        # the symmetric variant passes the diagonal-pivot gate and falls back
+        # both variants pass the diagonal-pivot gate and fall back
         n = 40
         A = sp.diags([-1.0, 2.0, -1.0 if symmetric else -0.5], [-1, 0, 1], shape=(n, n)).tolil()
         A[0, n - 1] = A[n - 1, 0] = -1.0
@@ -208,7 +208,7 @@ class TestSolverPath:
         [
             (functools.partial(assemble_saddle, method="bvc"), DIAGONAL_PIVOT_KWARGS),
             (functools.partial(assemble_saddle, method="unmodified"), ZERO_BLOCK_KWARGS),
-            (functools.partial(assemble_saddle, method="taylor"), {}),
+            (functools.partial(assemble_saddle, method="taylor"), ZERO_BLOCK_KWARGS),
             (lambda V, Lam, domain: assemble_nitsche(V, domain, 40.0), DIAGONAL_PIVOT_KWARGS),
         ],
         ids=["bvc", "unmodified", "taylor", "nitsche"],
@@ -218,25 +218,43 @@ class TestSolverPath:
         solve(assemble(V, L, RING))
         assert splu_calls == [kwargs]
 
+    def test_stored_pattern_asymmetry_keeps_diagonal_pivoting(self, splu_calls):
+        # The sparse `+` in assembly drops entries that cancel exactly, so this
+        # P2 Nitsche matrix (32x8 ring) stores an asymmetric pattern; a gate
+        # that read the pattern would send it to partial pivoting.
+        V, _ = build_level(StudyConfig(element="p2", method="nitsche"), 1, RING)
+        system = assemble_nitsche(V, RING, 40.0)
+        A = system.full_matrix()
+        P = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+        assert (P - P.T).count_nonzero() > 0
+        solve(system)
+        assert splu_calls == [DIAGONAL_PIVOT_KWARGS]
+
     def test_tiny_diagonal_falls_back_and_meets_contract(self, splu_calls, caplog):
-        A = sp.csc_matrix(np.array([[1e-20, 1.0], [1.0, 1e-20]]))
-        b = np.array([1.0, 2.0])
-        with caplog.at_level(logging.DEBUG, logger="bvcfem"):
-            z = solve_linear(A, b)
-        assert splu_calls == [DIAGONAL_PIVOT_KWARGS, {}]
-        assert np.linalg.norm(A @ z - b) / np.linalg.norm(b) <= 1e-10
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        assert warnings[0].name == "bvcfem.solver"
-        assert "falling back to partial pivoting" in warnings[0].getMessage()
-        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-        assert len(debug) == 1 and "path=partial-pivot" in debug[0]
+        # symmetric, then non-symmetric values: the gate reads neither
+        for matrix in ([[1e-20, 1.0], [1.0, 1e-20]], [[1e-20, 2.0], [1.0, 1e-20]]):
+            splu_calls.clear()
+            caplog.clear()
+            A = sp.csc_matrix(np.array(matrix))
+            b = np.array([1.0, 2.0])
+            with caplog.at_level(logging.DEBUG, logger="bvcfem"):
+                z = solve_linear(A, b)
+            assert splu_calls == [DIAGONAL_PIVOT_KWARGS, {}]
+            assert np.linalg.norm(A @ z - b) / np.linalg.norm(b) <= 1e-10
+            warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+            assert len(warnings) == 1
+            assert warnings[0].name == "bvcfem.solver"
+            assert "falling back to partial pivoting" in warnings[0].getMessage()
+            debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+            assert len(debug) == 1 and "path=partial-pivot" in debug[0]
 
     def test_symmetric_singular_still_raises(self, splu_calls):
-        A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(SingularSystem):
-            solve_linear(A, np.array([1.0, 2.0]))
-        assert splu_calls == [DIAGONAL_PIVOT_KWARGS, {}]
+        # and a non-symmetric one: partial pivoting decides both
+        for matrix in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [1.0, 2.0]]):
+            splu_calls.clear()
+            with pytest.raises(SingularSystem):
+                solve_linear(sp.csc_matrix(np.array(matrix)), np.array([1.0, 2.0]))
+            assert splu_calls == [DIAGONAL_PIVOT_KWARGS, {}]
 
     def test_debug_record_per_solve(self, caplog):
         V, L = _ring_spaces()
@@ -292,21 +310,24 @@ class TestZeroBlockPath:
         assert np.array_equal(lu.perm_r, np.arange(n))
 
     def test_matches_partial_pivot_p3(self, splu_calls, p3_level2_spaces):
-        system = assemble_saddle(*p3_level2_spaces, RING, "unmodified")
-        A, b = system.full_matrix(), system.full_rhs()
-        z = solve_linear(A, b)
-        assert splu_calls == [ZERO_BLOCK_KWARGS]
-        z_ref = splu(A).solve(b)
-        assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
+        for method in ("unmodified", "taylor"):
+            splu_calls.clear()
+            system = assemble_saddle(*p3_level2_spaces, RING, method)
+            A, b = system.full_matrix(), system.full_rhs()
+            z = solve_linear(A, b)
+            assert splu_calls == [ZERO_BLOCK_KWARGS]
+            z_ref = splu(A).solve(b)
+            assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
 
     def test_fill_stays_near_bvc_p3(self, splu_calls, p3_level2_spaces):
         # exact counts, not timings: a return to row-swapping fill (2.6x the
         # bvc factor here) fails
-        for method in ("bvc", "unmodified"):
+        for method in ("bvc", "unmodified", "taylor"):
             solve(assemble_saddle(*p3_level2_spaces, RING, method))
-        assert splu_calls == [DIAGONAL_PIVOT_KWARGS, ZERO_BLOCK_KWARGS]
-        (_, lu_bvc), (_, lu_unmodified) = splu_calls.factored
+        assert splu_calls == [DIAGONAL_PIVOT_KWARGS, ZERO_BLOCK_KWARGS, ZERO_BLOCK_KWARGS]
+        (_, lu_bvc), (_, lu_unmodified), (_, lu_taylor) = splu_calls.factored
         assert lu_unmodified.nnz <= 1.5 * lu_bvc.nnz
+        assert lu_taylor.nnz <= 1.5 * lu_bvc.nnz
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_unstable_pairing_raises_on_the_new_path(
@@ -325,7 +346,7 @@ class TestZeroBlockPath:
         assert "zero-block solve rejected (SingularSystem:" in warning.getMessage()
 
         # partial pivoting on its own reports the same dof
-        monkeypatch.setattr(bvcfem.solver, "_diagonal_pivot_gate", lambda A, anorm: False)
+        monkeypatch.setattr(bvcfem.solver, "_diagonal_pivot_gate", lambda Ap, zero: False)
         with pytest.raises(SingularSystem) as alone:
             solve(system)
         assert splu_calls[2:] == [{}]
