@@ -8,7 +8,13 @@ import numpy as np
 import scipy.linalg
 
 from . import geometry as geo
-from .assembly import boundary_mass_primal, coupling_matrix, facet_traces, stiffness_matrix
+from .assembly import (
+    _scatter,
+    boundary_mass_primal,
+    coupling_matrix,
+    facet_traces,
+    stiffness_matrix,
+)
 from .mesh import Mesh
 from .solver import SolutionField
 from .spaces import MultiplierSpace, PrimalSpace, quadrature
@@ -148,7 +154,9 @@ def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace) -> float:
         raise TooLarge(f"inf-sup diagnostic is coarse-level only ({V.dof_count} dofs)")
     Bd = coupling_matrix(V, Lam, False).toarray()
     h = V.mesh.h
-    N = (stiffness_matrix(V) + boundary_mass_primal(V) / h).toarray()
+    n, dofs = V.dof_count, V.dof_table
+    K = _scatter((n, n), stiffness_matrix(V), dofs, dofs)
+    N = (K + boundary_mass_primal(V) / h).toarray()
     X = scipy.linalg.solve(N, Bd.T, assume_a="pos")
     G = Bd @ X
     M = h * np.diag(Lam.mass_matrix_diagonal())

@@ -11,15 +11,20 @@ and assemble_nitsche builds the single-field boundary-value-corrected
 symmetric Nitsche method with penalty gamma = gamma0 / h.
 
 Both return their systems with the primal space's cell-interior dofs (one
-per P3 cell) condensed out by `condense`; solve restores them.  P1, P2 and
-Q1 have none, and their systems are the assembled blocks themselves.
+per P3 cell) condensed out by `condense`, on the per-cell blocks before
+anything is scattered; solve restores them.  P1, P2 and Q1 have none, and
+their blocks are scattered as they are.  Each system stores one sparse
+matrix, the one the solver factors; a saddle system's K, B, D and Bt_corr
+are read from its blocks.
 
 u~ is the Dirichlet data, the domain's u_exact, pulled back from the true
 boundary through the precomputed facet pullback points.  Every cell term
 is one contraction over all cells of V.basis and V.dof_table, every facet
-term one over the facet_traces tables of all boundary facets.  A -1 column
-of the dof table (an edge without a bubble) keeps its reference values;
-_scatter drops its rows and columns, right-hand sides index dofs >= 0.
+term one over the facet_traces tables of all boundary facets; Nitsche's
+facet blocks are added to their cells' blocks.  A -1 column of the dof
+table (an edge without a bubble, a condensed interior dof) keeps its
+reference values; _scatter drops its rows and columns, right-hand sides
+index dofs >= 0.
 """
 
 from __future__ import annotations
@@ -50,65 +55,79 @@ class SingularCell(Exception):
 
 @dataclass
 class Interior:
-    """The cell-interior dofs of V, eliminated from an assembled system.
+    """The cell-interior dofs of V, eliminated cell by cell from an assembled system.
 
-    An interior dof couples only to the dofs of its own cell, so with one
-    per cell (P3) its block of the system is diagonal, diag.  keep lists the
-    retained dofs in order; A_Ir and f_I are the interior rows of the matrix
-    (retained columns) and of the right-hand side, kept for restore.  With
-    no interior dofs drop and eliminate return their input.
+    An interior dof couples only to the dofs of its own cell, so with one per
+    cell (P3) it is eliminated from that cell's block alone; column is its
+    column of V.dof_table.  table is V.dof_table over the retained dofs: -1
+    in the interior column, the later dofs numbered down.  row, f_I and
+    diag are each cell's interior row of its block (0 where table is -1),
+    interior load and diagonal entry, kept for restore.  With no interior dofs table is
+    V.dof_table, eliminate changes nothing and restore returns its input.
     """
 
     dofs: range
-    keep: np.ndarray
-    A_Ir: sp.csr_matrix
-    f_I: np.ndarray
-    diag: np.ndarray
+    column: int | None
+    table: np.ndarray
+    row: np.ndarray | None
+    f_I: np.ndarray | None
+    diag: np.ndarray | None
 
-    def drop(self, B):
-        """B without its interior columns, which hold only roundoff: the
-        interior functions vanish on every facet."""
-        return B[:, self.keep] if self.dofs else B
-
-    def eliminate(self, C, g):
-        """(C_r - C_I diag^-1 A_Ir, g - C_I diag^-1 f_I) for rows C over V's
-        dofs with right-hand side g: their coupling to the interior dofs
-        moved onto the retained ones."""
+    def eliminate(self, blocks, cells):
+        """Move the interior column of blocks (n, a, nl), whose columns are the
+        local functions of cells (n,), onto the retained ones, in place:
+        blocks -= b_I row / diag, with b_I the interior column.  Returns the
+        correction b_I f_I / diag (n, a) of each block row's right-hand side."""
         if not self.dofs:
-            return C, g
-        C_I = C[:, self.dofs.start : self.dofs.stop] @ sp.diags(1.0 / self.diag)
-        return C[:, self.keep] - C_I @ self.A_Ir, g - C_I @ self.f_I
+            return 0.0
+        b_I = blocks[:, :, self.column] / self.diag[cells, None]
+        row = self.row[cells]
+        for k in range(blocks.shape[2]):  # one column at a time: no (n, a, nl) temporary
+            blocks[:, :, k] -= b_I * row[:, None, k]
+        return b_I * self.f_I[cells, None]
 
     def restore(self, u_r) -> np.ndarray:
         """Coefficients of every dof of V from those of the retained ones:
-        u_I = diag^-1 (f_I - A_Ir u_r)."""
+        u_I = (f_I - row . u_r) / diag, cell by cell."""
+        if not self.dofs:
+            return u_r
         a = self.dofs.start
-        u_I = (self.f_I - self.A_Ir @ u_r) / self.diag
+        u_I = (self.f_I - np.einsum("cl,cl->c", self.row, u_r[self.table])) / self.diag
         return np.concatenate([u_r[:a], u_I, u_r[a:]])
 
 
-def condense(V: PrimalSpace, A: sp.csr_matrix, f: np.ndarray):
-    """(A', f', Interior): the system A z = f on V's dofs with V's cell-interior
-    dofs eliminated (static condensation).
+def condense(V: PrimalSpace, Kc: np.ndarray, f: np.ndarray):
+    """(A, f', Interior): the per-cell blocks Kc (cells, nl, nl) over
+    V.dof_table, summed into one CSR matrix with V's cell-interior dofs
+    eliminated (static condensation), and the load f condensed with them.
 
-    A' = A_rr - A_rI diag^-1 A_Ir and f' = f_r - A_rI diag^-1 f_I on the
-    retained dofs r.  Without interior dofs (P1, P2, Q1) A and f come back
-    as they are.
+    Each cell's block loses its interior row and column in place,
+    Kc -= Kc[:, :, j] Kc[:, j, :] / Kc[:, j, j], and f' = f_r - the same
+    column times f_I / diag, before one scatter over the retained dofs.
+    Without interior dofs (P1, P2, Q1) the blocks are scattered as they are
+    and f comes back unchanged.
     """
-    I, n = V.interior_dofs, A.shape[0]
+    I, table, n = V.interior_dofs, V.dof_table, V.dof_count
+    if not I:
+        return _scatter((n, n), Kc, table, table), f, Interior(I, None, table, None, None, None)
     if len(I) > V.mesh.num_cells:
         raise NotImplementedError("condensation takes at most one interior dof per cell")
-    keep = np.r_[0 : I.start, I.stop : n]
-    A_I = A[I.start : I.stop]
-    diag = A_I[:, I.start : I.stop].diagonal()
+    j = int(np.flatnonzero(table[0] == I.start)[0])  # interior dofs are numbered cell by cell
+    diag = Kc[:, j, j].copy()
     zero = np.flatnonzero(diag == 0)
     if zero.size:
-        cell = int(zero[0])  # interior dofs are numbered cell by cell
+        cell = int(zero[0])
         raise SingularCell(f"cell {cell}: zero diagonal at its interior dof {I.start + cell}")
-    interior = Interior(I, keep, A_I[:, keep], f[I.start : I.stop], diag)
-    if not I:
-        return A, f, interior
-    return *interior.eliminate(A[keep], f[keep]), interior
+    kept = np.where(table >= I.stop, table - len(I), table)
+    kept[:, j] = -1
+    row = np.where(kept >= 0, Kc[:, j, :], 0.0)
+    interior = Interior(I, j, kept, row, f[I.start : I.stop].copy(), diag)
+    correction = interior.eliminate(Kc, slice(None))
+    f = np.concatenate([f[: I.start], f[I.stop :]])
+    on = kept >= 0
+    np.subtract.at(f, kept[on], correction[on])
+    n -= len(I)
+    return _scatter((n, n), Kc, kept, kept), f, interior
 
 
 @dataclass
@@ -116,27 +135,44 @@ class SaddleSystem:
     """Block system [[K, B^T], [B or Bt_corr, -D]] with right-hand side.
 
     K[i,j] = (grad phi_j, grad phi_i), B[i,j] = (phi_j, psi_i) on the facet
-    boundary, D[i,j] = (rho_h psi_j, psi_i).  When Bt_corr is set (taylor) it
-    replaces the second-row coupling, Bt_corr[i,j] =
-    (phi_j + rho_h n_h.grad phi_j, psi_i); D is empty except for bvc.  The
-    primal blocks act on the retained dofs of V: interior holds the
-    condensed cell-interior dofs (K and rhs_u condensed, B without their
-    columns, Bt_corr and rhs_lam through Interior.eliminate).
+    boundary, D[i,j] = (rho_h psi_j, psi_i).  For taylor Bt_corr replaces
+    the second-row coupling, Bt_corr[i,j] = (phi_j + rho_h n_h.grad phi_j,
+    psi_i), and is None otherwise; D is empty except for bvc.  A, in CSC,
+    is the one stored matrix, the one the solver factors; K, B, D and
+    Bt_corr are read from its blocks.  The primal blocks act on the
+    retained dofs of V: interior holds the condensed cell-interior dofs.
     """
 
-    K: sp.csr_matrix
-    B: sp.csr_matrix
-    D: sp.csr_matrix
-    Bt_corr: sp.csr_matrix | None
+    A: sp.csc_matrix
     rhs_u: np.ndarray
     rhs_lam: np.ndarray
     V: PrimalSpace
     Lam: MultiplierSpace
     interior: Interior
+    method: str
+
+    @property
+    def K(self) -> sp.csc_matrix:
+        nu = self.rhs_u.shape[0]
+        return self.A[:nu, :nu]
+
+    @property
+    def B(self) -> sp.csr_matrix:
+        nu = self.rhs_u.shape[0]
+        return self.A[:nu, nu:].T
+
+    @property
+    def D(self) -> sp.csc_matrix:
+        nu = self.rhs_u.shape[0]
+        return -self.A[nu:, nu:]
+
+    @property
+    def Bt_corr(self) -> sp.csc_matrix | None:
+        nu = self.rhs_u.shape[0]
+        return self.A[nu:, :nu] if self.method == "taylor" else None
 
     def full_matrix(self) -> sp.csc_matrix:
-        row2 = self.Bt_corr if self.Bt_corr is not None else self.B
-        return sp.bmat([[self.K, self.B.T], [row2, -self.D]], format="csc")
+        return self.A
 
     def full_rhs(self) -> np.ndarray:
         return np.concatenate([self.rhs_u, self.rhs_lam])
@@ -144,15 +180,15 @@ class SaddleSystem:
 
 @dataclass
 class NitscheSystem:
-    """A z = rhs on the retained dofs of V; interior as in SaddleSystem."""
+    """A z = rhs on the retained dofs of V, A in CSC; interior as in SaddleSystem."""
 
-    A: sp.csr_matrix
+    A: sp.csc_matrix
     rhs: np.ndarray
     V: PrimalSpace
     interior: Interior
 
     def full_matrix(self) -> sp.csc_matrix:
-        return self.A.tocsc()
+        return self.A
 
     def full_rhs(self) -> np.ndarray:
         return self.rhs
@@ -167,8 +203,9 @@ def _check_spaces(V, Lam=None):
         )
 
 
-def stiffness_matrix(V: PrimalSpace) -> sp.csr_matrix:
-    """(grad phi_i, grad phi_j) over all cells, bubbles included."""
+def stiffness_matrix(V: PrimalSpace) -> np.ndarray:
+    """Per-cell blocks (cells, nl, nl) of (grad phi_i, grad phi_j), bubbles
+    included, over the columns of V.dof_table."""
     mesh = V.mesh
     rule = quadrature(mesh.cell_kind, 2 * (V.degree + 1))
     _, grads = V.basis(rule.points)
@@ -178,9 +215,7 @@ def stiffness_matrix(V: PrimalSpace) -> sp.csr_matrix:
     # stiffness is then a 2x2 metric contraction (cells are affine).
     S = np.einsum("q,qia,qjb->ijab", rule.weights, grads, grads)
     C = np.einsum("cad,cbd->cab", Jinv, Jinv)
-    Kc = np.einsum("ijab,cab->cij", S, C) * detJ[:, None, None]
-    dofs = V.dof_table
-    return _scatter((V.dof_count, V.dof_count), Kc, dofs, dofs)
+    return np.einsum("ijab,cab->cij", S, C) * detJ[:, None, None]
 
 
 def load_vector(V: PrimalSpace, f) -> np.ndarray:
@@ -240,19 +275,25 @@ def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
     return _scatter((V.dof_count, V.dof_count), blocks, dofs, dofs)
 
 
-def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.csr_matrix:
-    """B[i,j] = (phi_j, psi_i) on the facet boundary.
+def _coupling_blocks(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> np.ndarray:
+    """Per-facet blocks (nf, m + 1, nl) of B[i,j] = (phi_j, psi_i), rows
+    Lam.facet_dofs, columns the dof_table row of the facet's cell.
 
     With rho_dn the primal trace is Taylor-corrected:
     (phi_j + rho_h dn phi_j, psi_i).
     """
     facets = V.mesh.boundary_facets
-    dofs, vals, dn = facet_traces(V)
+    _, vals, dn = facet_traces(V)
     if rho_dn:
         vals = vals + facets.rho[:, :, None] * dn
-    blocks = np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
-    shape = (Lam.dof_count, V.dof_count)
-    return _scatter(shape, blocks, Lam.facet_dofs, dofs)
+    return np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
+
+
+def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.csr_matrix:
+    """B over every dof of V: _coupling_blocks summed into one matrix."""
+    cols = V.dof_table[V.mesh.boundary_facets.cell]
+    blocks = _coupling_blocks(V, Lam, rho_dn)
+    return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, cols)
 
 
 def assemble_saddle(
@@ -263,6 +304,9 @@ def assemble_saddle(
     bvc:        (u, mu) - (rho_h lambda, mu) = (u~, mu);
     unmodified: (u, mu) = (u~, mu), D is empty;
     taylor:     (u + rho_h dn u, mu) = (u~, mu), D is empty.
+
+    B's interior columns are dropped, not condensed: they hold roundoff of
+    a trace that vanishes, so the unmodified (2,2) block stays empty.
     """
     if method not in SADDLE_METHODS:
         raise ValueError(f"unknown multiplier method {method!r}; have {SADDLE_METHODS}")
@@ -276,19 +320,20 @@ def assemble_saddle(
     rhs_lam = np.zeros(nl)
     rhs_lam[Lam.facet_dofs] = (w * at_points(domain.u_exact, facets.pullback)) @ psi
     K, rhs_u, interior = condense(V, stiffness_matrix(V), load_vector(V, domain.f_rhs))
-    Bt_corr = None
+    shape, cols = (nl, K.shape[0]), interior.table[facets.cell]
+    B = row2 = _scatter(shape, _coupling_blocks(V, Lam, False), Lam.facet_dofs, cols)
     if method == "taylor":
-        Bt_corr, rhs_lam = interior.eliminate(coupling_matrix(V, Lam, True), rhs_lam)
+        blocks = _coupling_blocks(V, Lam, True)
+        rhs_lam[Lam.facet_dofs] -= interior.eliminate(blocks, facets.cell)
+        row2 = _scatter(shape, blocks, Lam.facet_dofs, cols)
     return SaddleSystem(
-        K=K,
-        B=interior.drop(coupling_matrix(V, Lam, False)),
-        D=D,
-        Bt_corr=Bt_corr,
+        A=sp.bmat([[K, B.T], [row2, -D]], format="csc"),
         rhs_u=rhs_u,
         rhs_lam=rhs_lam,
         V=V,
         Lam=Lam,
         interior=interior,
+        method=method,
     )
 
 
@@ -306,7 +351,7 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> N
     facets = V.mesh.boundary_facets
     gamma = gamma0 / V.mesh.h
 
-    K = stiffness_matrix(V)
+    Kc = stiffness_matrix(V)
     rhs = load_vector(V, domain.f_rhs)
     dofs, vals, dn = facet_traces(V)
     w, rho = facets.weights, facets.rho
@@ -320,10 +365,10 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> N
     wg = w * at_points(domain.u_exact, facets.pullback)
     data = -np.einsum("fqi,fq->fi", dn, wg) + gamma * np.einsum("fqi,fq->fi", corr, wg)
     np.add.at(rhs, dofs[dofs >= 0], data[dofs >= 0])
+    np.add.at(Kc, facets.cell, M)
 
-    n = V.dof_count
-    A, rhs, interior = condense(V, _scatter((n, n), M, dofs, dofs) + K, rhs)
-    return NitscheSystem(A=A, rhs=rhs, V=V, interior=interior)
+    A, rhs, interior = condense(V, Kc, rhs)
+    return NitscheSystem(A=A.tocsc(), rhs=rhs, V=V, interior=interior)
 
 
 def dump_matrix(A, path) -> None:

@@ -24,6 +24,10 @@ pivoting stable (the -D block takes both signs, a zero block is indefinite,
 with a warning, to partial pivoting, which alone decides whether a system
 is singular.  A non-finite entry in A or b is rejected before any ordering.
 Each solve emits one DEBUG record on the `bvcfem.solver` logger.
+
+The permuted copy of A is built inside the splu call and nothing keeps it,
+so while the pivot check reads the factors (lu.U copies L and U) only A
+and SuperLU's factors are alive; the residual is taken on A.
 """
 
 from __future__ import annotations
@@ -115,22 +119,24 @@ def solve_linear(A, b) -> np.ndarray:
         return np.zeros_like(b)
 
     perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
-    Ap = A[perm, :][:, perm].tocsc()
     anorm = float(np.max(np.abs(A.data))) if A.nnz else 0.0
-    zero = np.flatnonzero(Ap.diagonal() == 0)
-    if _diagonal_pivot_gate(Ap, zero):
+    zero = np.flatnonzero(A.diagonal() == 0)
+    if _diagonal_pivot_gate(A, zero):
         path = ZERO_BLOCK if zero.size else DIAGONAL_PIVOT
         try:
-            if path == ZERO_BLOCK:
-                q = _zero_block_order(Ap, zero)
-                return _factor_and_solve(A, Ap[q, :][:, q], perm[q], b, bnorm, anorm, path)
-            return _factor_and_solve(A, Ap, perm, b, bnorm, anorm, path)
+            order = perm[_zero_block_order(_permuted(A, perm))] if zero.size else perm
+            return _factor_and_solve(A, order, b, bnorm, anorm, path)
         except SolverError as exc:
             logger.warning(
                 "%s solve rejected (%s: %s); falling back to partial pivoting",
                 path, type(exc).__name__, exc,
             )
-    return _factor_and_solve(A, Ap, perm, b, bnorm, anorm, PARTIAL_PIVOT)
+    return _factor_and_solve(A, perm, b, bnorm, anorm, PARTIAL_PIVOT)
+
+
+def _permuted(A, perm) -> sp.csc_matrix:
+    """A[perm][:, perm], a new CSC matrix."""
+    return A[perm, :][:, perm].tocsc()
 
 
 def _check_finite(A, b) -> None:
@@ -147,22 +153,22 @@ def _check_finite(A, b) -> None:
         raise SolverError(f"non-finite rhs entry {b[bad[0]]} at index {bad[0]}")
 
 
-def _diagonal_pivot_gate(Ap, zero) -> bool:
-    """The zero-diagonal dofs `zero` of Ap span a principal block with no
+def _diagonal_pivot_gate(A, zero) -> bool:
+    """The zero-diagonal dofs `zero` of A span a principal block with no
     stored entry."""
-    return not (zero.size and Ap[zero, :][:, zero].nnz)
+    return not (zero.size and A[zero, :][:, zero].nnz)
 
 
-def _zero_block_order(Ap, zero) -> np.ndarray:
+def _zero_block_order(Ap) -> np.ndarray:
     """Column order of Ap: SuperLU's minimum degree, with each zero-diagonal
-    dof (`zero`) moved to just after its last neighbour, the last-eliminated
+    dof moved to just after its last neighbour, the last-eliminated
     stored row of its column.
 
     SuperLU computes its `MMD_AT_PLUS_A` order only inside a factorization,
     so it is read from an incomplete factorization of Ap's pattern under a
     dominant diagonal, which drops all it can of the off-diagonal entries.
     """
-    n = Ap.shape[0]
+    n, zero = Ap.shape[0], np.flatnonzero(Ap.diagonal() == 0)
     P = sp.csc_matrix((np.ones(Ap.nnz), Ap.indices, Ap.indptr), shape=Ap.shape)
     M = (P + P.T + n * sp.eye(n)).tocsc()
     step = spilu(M, drop_tol=1.0, fill_factor=1.0, **_SPLU_OPTIONS[DIAGONAL_PIVOT]).perm_c
@@ -175,17 +181,17 @@ def _zero_block_order(Ap, zero) -> np.ndarray:
     return np.lexsort((step, key))
 
 
-def _factor_and_solve(A, Ap, perm, b, bnorm, anorm, path) -> np.ndarray:
-    """Factor Ap = A[perm][:, perm] along `path` and solve under the contract."""
+def _factor_and_solve(A, perm, b, bnorm, anorm, path) -> np.ndarray:
+    """Factor A[perm][:, perm] along `path` and solve under the contract."""
     try:
-        lu = splu(Ap, **_SPLU_OPTIONS[path])
+        lu = splu(_permuted(A, perm), **_SPLU_OPTIONS[path])
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularSystem(f"factorization failed: {exc}") from exc
 
     udiag = np.abs(lu.U.diagonal())
     j = int(np.argmin(udiag))
     if udiag[j] < PIVOT_RTOL * anorm:
-        # Column j of U is column i of Ap where perm_c[i] == j.
+        # Column j of U is column i of A[perm][:, perm] where perm_c[i] == j.
         dof = int(perm[np.flatnonzero(lu.perm_c == j)[0]])
         raise SingularSystem(
             f"near-zero pivot {udiag[j]:.3e} (|A|max={anorm:.3e}) at dof {dof}",
@@ -214,12 +220,12 @@ def solve(system):
     """Solve an assembled system.
 
     Returns (u_field, lambda_field) over every dof of the spaces;
-    lambda_field is None for Nitsche.  solve_linear factors the condensed
-    matrix the assembler built, and its residual contract holds on that
-    matrix; the cell-interior dofs are then restored from
-    system.interior.  Keeping the uncondensed matrix alive through the
-    factorization for a second residual check would cost the memory the
-    condensation saves.
+    lambda_field is None for Nitsche.  solve_linear factors the one matrix
+    the system stores (full_matrix() returns it, no copy), and its residual
+    contract holds on that condensed matrix; the cell-interior dofs are
+    then restored from system.interior, cell by cell.  Keeping the
+    uncondensed matrix alive through the factorization for a second
+    residual check would cost the memory the condensation saves.
     """
     if not isinstance(system, (NitscheSystem, SaddleSystem)):
         raise SolverError(f"cannot solve a {type(system).__name__}")

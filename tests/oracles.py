@@ -5,7 +5,9 @@ The library evaluates every cell at once through PrimalSpace.basis and the
 keep only the columns a cell has, or build a field from nodal values, so
 that the batched kernels can be checked against them.  uncondensed_system
 builds a system over every dof, before the assembler condenses the
-cell-interior dofs, so that the restored solution can be checked on it.
+cell-interior dofs, so that the restored solution can be checked on it;
+assembled_stiffness sums the per-cell stiffness blocks into one matrix
+without the assembler's scatter.
 """
 
 import numpy as np
@@ -70,18 +72,34 @@ def project_to_multiplier(space, trace):
     return coeffs
 
 
+def _summed(shape, blocks, rows, cols):
+    """Sparse CSR sum of blocks (n, a, b) at rows (n, a), cols (n, b); entries
+    in a -1 row or column are left out."""
+    rows = np.broadcast_to(rows[:, :, None], blocks.shape)
+    cols = np.broadcast_to(cols[:, None, :], blocks.shape)
+    on = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((blocks[on], (rows[on], cols[on])), shape=shape).tocsr()
+
+
+def assembled_stiffness(V):
+    """The stiffness matrix over every dof of V: the stiffness_matrix blocks
+    summed at V.dof_table."""
+    n, dofs = V.dof_count, V.dof_table
+    return _summed((n, n), stiffness_matrix(V), dofs, dofs)
+
+
 def uncondensed_system(V, domain, method, Lam=None, gamma0=None):
     """(A, b) of a multiplier method (Lam given) or of Nitsche (gamma0 given)
     over every dof of V and Lam, unknowns ordered u then lambda.
 
-    Built from stiffness_matrix, coupling_matrix and load_vector, with the
+    Built from assembled_stiffness, coupling_matrix and load_vector, with the
     facet terms of the assemble_saddle and assemble_nitsche docstrings
     written out here; nothing is condensed.
     """
     facets = V.mesh.boundary_facets
     w, rho = facets.weights, facets.rho
     wg = w * at_points(domain.u_exact, facets.pullback)
-    K, f = stiffness_matrix(V), load_vector(V, domain.f_rhs)
+    K, f = assembled_stiffness(V), load_vector(V, domain.f_rhs)
     if method == "nitsche":
         gamma = gamma0 / V.mesh.h
         dofs, vals, dn = facet_traces(V)
@@ -93,10 +111,7 @@ def uncondensed_system(V, domain, method, Lam=None, gamma0=None):
             + gamma * np.einsum("fq,fqj,fqi->fij", w, corr, corr)
         )
         data = -np.einsum("fqi,fq->fi", dn, wg) + gamma * np.einsum("fqi,fq->fi", corr, wg)
-        rows = np.broadcast_to(dofs[:, :, None], M.shape)
-        cols = np.broadcast_to(dofs[:, None, :], M.shape)
-        on = (rows >= 0) & (cols >= 0)
-        A = K + sp.coo_matrix((M[on], (rows[on], cols[on])), shape=K.shape)
+        A = K + _summed(K.shape, M, dofs, dofs)
         np.add.at(f, dofs[dofs >= 0], data[dofs >= 0])
         return A.tocsr(), f
     psi = Lam.eval(facets.s)

@@ -32,7 +32,7 @@ from bvcfem.mesh import (
 )
 from bvcfem.solver import SolutionField
 from bvcfem.spaces import build_multiplier_space, build_primal_space, quadrature
-from oracles import cell_basis, cell_dofs, interpolate, project_to_multiplier
+from oracles import assembled_stiffness, cell_basis, cell_dofs, interpolate, project_to_multiplier
 
 RING = make_ring_domain()
 ELLIPSE = make_ellipse_domain()
@@ -273,7 +273,7 @@ class TestInfSup:
         sigma = infsup_diagnostic(V, L)
         assert sigma > 0.0
 
-        from bvcfem.assembly import boundary_mass_primal, stiffness_matrix
+        from bvcfem.assembly import boundary_mass_primal
         from bvcfem.mesh import REFERENCE_CELLS
 
         verts, edges = REFERENCE_CELLS["triangle"]
@@ -288,7 +288,7 @@ class TestInfSup:
             B[np.ix_(L.facet_dofs[fidx], cell_dofs(V, c))] += np.einsum(
                 "q,qi,qj->ij", F.weights[fidx], psi, vals
             )
-        N = (stiffness_matrix(V) + boundary_mass_primal(V) / mesh.h).toarray()
+        N = (assembled_stiffness(V) + boundary_mass_primal(V) / mesh.h).toarray()
         M = mesh.h * np.diag(L.mass_matrix_diagonal())
         Nc = np.linalg.cholesky(N)
         Mc = np.linalg.cholesky(M)

@@ -16,6 +16,7 @@ from bvcfem.assembly import (
     assemble_nitsche,
     assemble_saddle,
     boundary_mass_primal,
+    _scatter,
     load_vector,
     stiffness_matrix,
 )
@@ -35,7 +36,8 @@ from bvcfem.mesh import (
 )
 from bvcfem.solver import solve
 from bvcfem.spaces import build_multiplier_space, build_primal_space
-from oracles import cell_basis, cell_dofs
+from bvcfem.study import DOMAINS, StudyConfig, build_level
+from oracles import assembled_stiffness, cell_basis, cell_dofs
 
 RING = make_ring_domain()
 ELLIPSE = make_ellipse_domain()
@@ -68,7 +70,8 @@ class TestReferenceElement:
     def test_p1_stiffness_matrix(self):
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
-        K = stiffness_matrix(V).toarray()
+        (K,) = stiffness_matrix(V)  # one cell, local order = dof order
+        assert np.array_equal(V.dof_table, [[0, 1, 2]])
         expected = np.array(
             [[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]]
         )
@@ -142,7 +145,7 @@ class TestStructure:
 
     def test_K_symmetric_and_psd(self, ring_setup):
         mesh, V, L = ring_setup
-        K = stiffness_matrix(V)
+        K = assembled_stiffness(V)
         asym = abs(K - K.T).max()
         assert asym <= 1e-13 * abs(K).max()
         # kernel = constants: smallest eigenvalues of the dense matrix
@@ -248,7 +251,8 @@ class TestNitsche:
         V = build_primal_space(mesh, 1, enrich=False)
         gamma0 = 10.0
         system = assemble_nitsche(V, domain, gamma0)
-        K = stiffness_matrix(V).toarray()
+        (K,) = stiffness_matrix(V)  # one cell, local order = dof order
+        assert np.array_equal(V.dof_table, [[0, 1, 2]])
         gamma = gamma0 / mesh.h
         expected = K.copy()
         s, w = np.polynomial.legendre.leggauss(6)
@@ -337,6 +341,28 @@ def test_taylor_rows_of_two_bubble_corner_cells():
             "q,qi,qj->ij", F.weights[fidx], L.eval(F.s), vals + F.rho[fidx][:, None] * dn
         )[0]
         assert np.allclose(Bt[L.facet_dofs[fidx][0]], expected, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("element", ["p1", "p2", "p3", "q1"])
+def test_each_system_stores_one_matrix(element):
+    # full_matrix() is the stored matrix itself, and the blocks are read from
+    # it: sp.bmat of the block views rebuilds it entry for entry.
+    config = StudyConfig(domain="ellipse" if element == "q1" else "ring", element=element)
+    domain = DOMAINS[config.domain]()
+    V, Lam = build_level(config, 0, domain)
+    for method in ("bvc", "unmodified", "taylor"):
+        system = assemble_saddle(V, Lam, domain, method)
+        A = system.full_matrix()
+        assert A is system.A and A.format == "csc"
+        assert [v for v in vars(system).values() if sp.issparse(v)] == [A]
+        assert (system.Bt_corr is None) == (method != "taylor")
+        row2 = system.B if system.Bt_corr is None else system.Bt_corr
+        rebuilt = sp.bmat([[system.K, system.B.T], [row2, -system.D]], format="csc")
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(rebuilt, part), getattr(A, part))
+    nitsche = assemble_nitsche(V, domain, 10.0)
+    assert nitsche.full_matrix() is nitsche.A and nitsche.A.format == "csc"
+    assert [v for v in vars(nitsche).values() if sp.issparse(v)] == [nitsche.A]
 
 
 def test_boundary_mass_is_facet_length_partition():
@@ -478,7 +504,7 @@ class TestBatchedBubblePath:
         expected = sp.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
         ).tocsr()
-        K = stiffness_matrix(V)
+        K = _scatter((n, n), stiffness_matrix(V), V.dof_table, V.dof_table)
         # Same stored entries, exact zeros included.
         np.testing.assert_array_equal(K.indptr, expected.indptr)
         np.testing.assert_array_equal(K.indices, expected.indices)

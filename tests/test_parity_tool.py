@@ -32,6 +32,8 @@ def test_save_then_compare_reads_zero_on_every_key(tmp_path):
     assert "ring-p3/dof_table" in values
     # one right-hand side per system, so no block of it is scaled alone
     assert "ring-p3/taylor.rhs" in values
+    # the matrix the solver factors, next to its blocks
+    assert {"ring-p3/bvc.A", "ring-p3/bvc.K", "ring-p1/taylor.A"} <= values.keys()
     assert not [key for key in values if key.endswith((".rhs_u", ".rhs_lam"))]
     assert {key for key, value in values.items() if value != "0"} == set()
 

@@ -2,10 +2,12 @@
 
 import functools
 import logging
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 import bvcfem.solver
@@ -219,16 +221,30 @@ class TestSolverPath:
         assert splu_calls == [kwargs]
 
     def test_stored_pattern_asymmetry_keeps_diagonal_pivoting(self, splu_calls):
-        # The sparse `+` in assembly drops entries that cancel exactly, so this
-        # P2 Nitsche matrix (32x8 ring) stores an asymmetric pattern; a gate
-        # that read the pattern would send it to partial pivoting.
-        V, _ = build_level(StudyConfig(element="p2", method="nitsche"), 1, RING)
-        system = assemble_nitsche(V, RING, 40.0)
-        A = system.full_matrix()
+        # A symmetric matrix that stores one exact zero without its mirror has
+        # an asymmetric pattern; a gate that read the pattern would send it
+        # to partial pivoting.
+        dense = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+        A = sp.csc_matrix(
+            (np.array([4.0, 1.0, 1.0, 4.0, 1.0, 0.0, 1.0, 4.0]),
+             np.array([0, 1, 0, 1, 2, 0, 1, 2]),
+             np.array([0, 2, 5, 8])),
+            shape=(3, 3),
+        )
+        assert np.array_equal(A.toarray(), dense)
         P = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
         assert (P - P.T).count_nonzero() > 0
-        solve(system)
+        b = np.array([1.0, 2.0, 3.0])
+        z = solve_linear(A, b)
         assert splu_calls == [DIAGONAL_PIVOT_KWARGS]
+        assert np.linalg.norm(A @ z - b) <= 1e-12 * np.linalg.norm(b)
+        # Nitsche's facet blocks are summed into the cell blocks before one
+        # scatter, which prunes no exact cancellation: on P2 (32x8 ring) the
+        # stored pattern is symmetric.
+        V, _ = build_level(StudyConfig(element="p2", method="nitsche"), 1, RING)
+        A = assemble_nitsche(V, RING, 40.0).full_matrix()
+        P = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+        assert (P - P.T).count_nonzero() == 0
 
     def test_tiny_diagonal_falls_back_and_meets_contract(self, splu_calls, caplog):
         # symmetric, then non-symmetric values: the gate reads neither
@@ -358,6 +374,75 @@ class TestZeroBlockPath:
         z = solve_linear(A, b)
         assert splu_calls == [{}]
         assert np.linalg.norm(A @ z - b) <= 1e-12 * np.linalg.norm(b)
+
+
+CSC = ("indptr", "indices", "data")
+
+
+class _ReleasedLU:
+    """A factorization whose U read asserts that the matrix it was factored
+    from, and its data array, are gone."""
+
+    def __init__(self, lu, refs):
+        self.lu, self.refs = lu, refs
+        self.u_reads = 0
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    @property
+    def U(self):
+        assert [ref() for ref in self.refs] == [None, None], "the factored copy outlived splu"
+        self.u_reads += 1
+        return self.lu.U
+
+
+@pytest.fixture
+def released_splu(monkeypatch):
+    """splu that keeps only weak references to the matrix it factors; each
+    call is recorded as (kwargs, copies of its CSC arrays, lu proxy)."""
+    calls = []
+
+    def weak_splu(A, **kwargs):
+        arrays = tuple(getattr(A, part).copy() for part in CSC)
+        lu = _ReleasedLU(splu(A, **kwargs), (weakref.ref(A), weakref.ref(A.data)))
+        calls.append((kwargs, arrays, lu))
+        return lu
+
+    monkeypatch.setattr(bvcfem.solver, "splu", weak_splu)
+    return calls
+
+
+class TestReleasedCopy:
+    """No permuted copy of A is alive when the solver reads lu.U."""
+
+    @pytest.mark.parametrize(
+        "method, kwargs",
+        [("bvc", DIAGONAL_PIVOT_KWARGS), ("unmodified", ZERO_BLOCK_KWARGS)],
+        ids=["bvc", "unmodified"],
+    )
+    def test_p3_ring_level_1(self, released_splu, method, kwargs):
+        config = StudyConfig(element="p3", method=method)
+        solve(ASSEMBLERS[method](*build_level(config, 1, RING), RING))
+        ((got, _, lu),) = released_splu
+        assert got == kwargs and lu.u_reads == 1
+
+    def test_unstable_pairing_fallback(self, released_splu):
+        # The fallback factors the RCM-permuted A, built exactly as before.
+        config = StudyConfig(
+            element="p2", method="unmodified", multiplier_degree=2, enrich=False
+        )
+        system = ASSEMBLERS["unmodified"](*build_level(config, 0, RING), RING)
+        with pytest.raises(SingularSystem):
+            solve(system)
+        assert [kwargs for kwargs, _, _ in released_splu] == [ZERO_BLOCK_KWARGS, {}]
+        _, arrays, lu = released_splu[1]
+        assert lu.u_reads == 1
+        A = system.full_matrix()
+        perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
+        want = A[perm, :][:, perm]
+        for part, got in zip(CSC, arrays):
+            assert np.array_equal(got, getattr(want, part))
 
 
 class TestSolveSystems:

@@ -8,7 +8,9 @@ ellipse staircase and a 4x4 quad square: the volume quadrature points of
 the error norms (Mesh.to_physical of that rule) with the domain's u_exact,
 grad_u_exact and f_rhs at them, and, enriched and not, the dof tables,
 every assembled matrix and right-hand side (bvc, unmodified, taylor,
-nitsche) with the solution solve returns (NaN where the solver raises), a
+nitsche; a saddle system's K, B, D and Bt_corr blocks and, as
+`<method>.A`, its full_matrix, the matrix the solver factors) with the
+solution solve returns (NaN where the solver raises), a
 load vector, the primal boundary mass and the error_report of a fixed
 random field.  compare rebuilds the same arrays with the bvcfem next to
 this script and prints the max relative difference of each, max|new - ref|
@@ -25,6 +27,8 @@ Keys are added and removed as the program changes.  To compare across such
 a change, make the reference save by copying this script into a checkout
 of the reference commit and running save there, so that both sides write
 the same keys; the script must then read only names that both checkouts have.
+A save made by an older copy of this script, without the `<method>.A`
+keys, reads them as missing.
 """
 
 from __future__ import annotations
@@ -117,6 +121,7 @@ def arrays() -> dict:
                     for block in ("K", "B", "D", "Bt_corr"):
                         if getattr(system, block) is not None:
                             _put_matrix(out, f"{tag}/{method}.{block}", getattr(system, block))
+                    _put_matrix(out, f"{tag}/{method}.A", system.full_matrix())
                     out[f"{tag}/{method}.rhs"] = system.full_rhs()
                     _put_solution(out, f"{tag}/{method}", system)
                 nitsche = assemble_nitsche(V, domain, 10.0 * k * k)
