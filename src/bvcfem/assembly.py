@@ -275,15 +275,16 @@ def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
     return _scatter((V.dof_count, V.dof_count), blocks, dofs, dofs)
 
 
-def _coupling_blocks(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> np.ndarray:
+def _coupling_blocks(Lam: MultiplierSpace, traces, rho_dn: bool) -> np.ndarray:
     """Per-facet blocks (nf, m + 1, nl) of B[i,j] = (phi_j, psi_i), rows
-    Lam.facet_dofs, columns the dof_table row of the facet's cell.
+    Lam.facet_dofs, columns the dof_table row of the facet's cell; traces
+    is facet_traces of the primal space.
 
     With rho_dn the primal trace is Taylor-corrected:
     (phi_j + rho_h dn phi_j, psi_i).
     """
-    facets = V.mesh.boundary_facets
-    _, vals, dn = facet_traces(V)
+    facets = Lam.mesh.boundary_facets
+    _, vals, dn = traces
     if rho_dn:
         vals = vals + facets.rho[:, :, None] * dn
     return np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
@@ -291,9 +292,9 @@ def _coupling_blocks(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> np.n
 
 def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.csr_matrix:
     """B over every dof of V: _coupling_blocks summed into one matrix."""
-    cols = V.dof_table[V.mesh.boundary_facets.cell]
-    blocks = _coupling_blocks(V, Lam, rho_dn)
-    return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, cols)
+    traces = facet_traces(V)
+    blocks = _coupling_blocks(Lam, traces, rho_dn)
+    return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, traces[0])
 
 
 def assemble_saddle(
@@ -321,9 +322,10 @@ def assemble_saddle(
     rhs_lam[Lam.facet_dofs] = (w * at_points(domain.u_exact, facets.pullback)) @ psi
     K, rhs_u, interior = condense(V, stiffness_matrix(V), load_vector(V, domain.f_rhs))
     shape, cols = (nl, K.shape[0]), interior.table[facets.cell]
-    B = row2 = _scatter(shape, _coupling_blocks(V, Lam, False), Lam.facet_dofs, cols)
+    traces = facet_traces(V)
+    B = row2 = _scatter(shape, _coupling_blocks(Lam, traces, False), Lam.facet_dofs, cols)
     if method == "taylor":
-        blocks = _coupling_blocks(V, Lam, True)
+        blocks = _coupling_blocks(Lam, traces, True)
         rhs_lam[Lam.facet_dofs] -= interior.eliminate(blocks, facets.cell)
         row2 = _scatter(shape, blocks, Lam.facet_dofs, cols)
     return SaddleSystem(

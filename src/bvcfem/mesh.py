@@ -133,9 +133,9 @@ def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
     cell, in cell-major, local-edge order of first use; the edges used once
     are the boundary facets.  vertices has shape (nno, 2), cells one row of
     vertex ids in [0, nno) per cell, as many as the cell kind's reference
-    cell has, counterclockwise, and every vertex finite.  Raises MeshError,
-    naming the first bad vertex or cell, otherwise, and for a cell kind other
-    than "triangle" or "quad".
+    cell has, counterclockwise, and every vertex finite.  Raises EmptyMesh
+    for no cells and MeshError, naming the first bad vertex or cell,
+    otherwise, and for a cell kind other than "triangle" or "quad".
     """
     if cell_kind not in REFERENCE_CELLS:
         raise MeshError(f"unknown cell kind {cell_kind!r}; have {', '.join(REFERENCE_CELLS)}")
@@ -147,6 +147,8 @@ def mesh_from_arrays(vertices, cells, cell_kind: str) -> Mesh:
     bad = np.flatnonzero(~np.all(np.isfinite(vertices), axis=1))
     if len(bad):
         raise MeshError(f"vertex {bad[0]} is {vertices[bad[0]].tolist()}, not finite")
+    if cells.shape[:1] == (0,):
+        raise EmptyMesh(f"cells is empty: shape {cells.shape}, a mesh needs at least one cell")
     if cells.ndim != 2 or cells.shape[1] != len(corners):
         raise MeshError(
             f"cell 0: a {cell_kind} has {len(corners)} vertices, cells has shape {cells.shape}"

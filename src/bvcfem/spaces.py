@@ -3,13 +3,14 @@
 Continuous Lagrange P1-P3 on triangles and Q1 on axis-aligned quads, with
 optional hierarchical degree-(k+1) edge bubbles on boundary facets, plus
 facet-wise discontinuous Legendre multiplier spaces.  ELEMENTS, keyed by
-Mesh.cell_kind and built on mesh.REFERENCE_CELLS, is the one table of what
-differs between cell kinds: Lagrange nodes per supported degree, affine
-coordinates, edge bubble and volume quadrature.  One product formula builds
-every kind's Lagrange basis from its nodes and coordinates, so a new degree
-is a nodes entry (with more than one interior node per cell, as P4, also a
-block inverse in assembly.condense).  The dof layout is the same for every
-kind.
+Mesh.cell_kind, is the one table of what differs between cell kinds, each
+entry data plus its volume quadrature: its mesh.REFERENCE_CELLS entry, its
+Lagrange nodes per supported degree and a table of affine coordinates.  One
+product formula builds every kind's Lagrange functions (Silvester's, from
+the nodes) and edge bubbles (from the coordinates' vertex values), so a new
+degree is a nodes entry (with more than one interior node per cell, as P4,
+also a block inverse in assembly.condense) and a new kind one entry.  The
+dof layout is the same for every kind.
 Every cell has the same local functions, PrimalSpace.basis: the Lagrange
 functions, then, in an enriched space, one bubble per local edge (an
 unenriched space has no bubble columns).  PrimalSpace.dof_table holds their
@@ -90,26 +91,6 @@ def _lagrange_nodes(kind, k, interior=()):
     return np.array([*verts, *along, *interior])
 
 
-# Barycentric gradients, and the first and second vertex of each local edge.
-_DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-_TRI_A, _TRI_B = np.array(REFERENCE_CELLS["triangle"][1]).T
-
-
-def _tri_coords(pts):
-    """Barycentric coordinates (..., 3) and their constant gradients (3, 2)."""
-    x, y = pts[..., 0], pts[..., 1]
-    return np.stack([1.0 - x - y, x, y], axis=-1), _DLAM
-
-
-_DQUAD = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
-
-
-def _quad_coords(pts):
-    """Coordinates (1 - x, x, 1 - y, y) (..., 4) and their constant gradients (4, 2)."""
-    x, y = pts[..., 0], pts[..., 1]
-    return np.stack([1.0 - x, x, 1.0 - y, y], axis=-1), _DQUAD
-
-
 def _silvester(k, m):
     """Monomial coefficients of F_m(t) = prod_{j<m} (k t - j) / (j + 1) and of F_m'.
 
@@ -123,86 +104,98 @@ def _silvester(k, m):
     return [a / factorial(m) for a in num], [a / factorial(m) for a in dnum]
 
 
-def _tri_bubble(k, pts):
-    """Hierarchical degree-(k+1) edge functions lam_a lam_b L_{k-1}(lam_b - lam_a).
+def _product(factors):
+    """Values prod_i f_i (n,) and gradients sum_i f_i' prod_{j != i} f_j d_i (n, 2).
 
-    One column per local edge a -> b, as (..., 3) values and (..., 3, 2) gradients.
+    factors is a list of (f_i, f_i', d_i): values and derivatives (n,) of a
+    function of an affine argument, and that argument's gradient d_i (2,).
+    Products and the sum run in factor order.
     """
-    lam, _ = _tri_coords(np.atleast_2d(pts))
-    a, b = _TRI_A, _TRI_B
-    la, lb = lam[..., a], lam[..., b]
-    series = np.eye(k)[k - 1]  # P_{k-1} as a Legendre series
-    L, dL = legval(lb - la, series), legval(lb - la, legder(series))
-    vals = la * lb * L
-    grads = (
-        (lb * L)[..., None] * _DLAM[a]
-        + (la * L)[..., None] * _DLAM[b]
-        + (la * lb * dL)[..., None] * (_DLAM[b] - _DLAM[a])
-    )
-    return vals, grads
-
-
-def _quad_bubble(k, pts):
-    """Edge bubbles s(1-s)(1-t), one column per local edge a -> b (k is 1).
-
-    s runs along the edge from a, ds = v[b] - v[a]; t decays inward along
-    dt, ds turned +90 degrees.  Adding 0.0 turns -0.0 into 0.0.
-    """
-    verts, edges = REFERENCE_CELLS["quad"]
-    a, b = np.array(edges).T
-    ds = verts[b] - verts[a]
-    dt = np.stack([-ds[:, 1], ds[:, 0]], axis=1) + 0.0
-    rel = np.atleast_2d(pts)[..., None, :] - verts[a]  # (..., 4, 2)
-    s = np.sum(rel * ds, axis=-1) + 0.0
-    t = np.sum(rel * dt, axis=-1) + 0.0
-    vals = s * (1.0 - s) * (1.0 - t)
-    cs = (1.0 - 2.0 * s) * (1.0 - t)
-    ct = -s * (1.0 - s)
-    return vals, cs[..., None] * ds + ct[..., None] * dt
+    f = [fi for fi, _, _ in factors]
+    terms = [(df * reduce(mul, f[:i] + f[i + 1 :], 1.0))[:, None] * d
+             for i, (_, df, d) in enumerate(factors)]
+    return reduce(mul, f), reduce(add, terms)
 
 
 @dataclass(frozen=True)
 class Element:
-    """A cell kind's finite element; basis and bubble give values and reference gradients."""
+    """A cell kind's finite element as data; basis and bubble give values and
+    reference gradients."""
 
-    nodes: dict       # supported degree k -> Lagrange nodes (nb, 2), dof_table order
-    coords: Callable  # pts -> affine coordinates (..., m), their gradients (m, 2)
-    bubble: Callable  # (k, pts), one column per local edge
-    rule: Callable    # n -> QuadratureRule with n points per direction
+    cell: tuple         # REFERENCE_CELLS entry: vertices (nv, 2), local edges
+    nodes: dict         # supported degree k -> Lagrange nodes (nb, 2), dof_table order
+    affine: np.ndarray  # (m, 3): coordinate i is (a_i0 + a_i1 x) + a_i2 y
+    rule: Callable      # n -> QuadratureRule with n points per direction
+
+    def coords(self, pts):
+        """Affine coordinates (..., m) at pts (..., 2) and their gradients (m, 2)."""
+        c0, cx, cy = self.affine.T
+        return (c0 + cx * pts[..., 0, None]) + cy * pts[..., 1, None], self.affine[:, 1:]
 
     def basis(self, k, pts):
         """Values (n, nb) and reference gradients (n, nb, 2) of the degree-k Lagrange basis.
 
         Silvester's product formula over the affine coordinates c: the node
         at c(node) has the multi-index alpha = k c(node) and the function
-        prod_i F_{alpha_i}(c_i), whose gradient is
-        sum_i F'_{alpha_i}(c_i) prod_{j != i} F_{alpha_j}(c_j) grad c_i.  The
-        node table alone decides the functions and their column order.
+        prod_i F_{alpha_i}(c_i), with F_0 = 1 left out.  The node table
+        alone decides the functions and their column order.
         """
         c, dc = self.coords(np.atleast_2d(pts))
         F = [_silvester(k, m) for m in range(k + 1)]
         # F_m(c_i) and F_m'(c_i), indexed [m][i].
         Fc, dFc = ([[P.polyval(t, f[d]) for t in c.T] for f in F] for d in (0, 1))
-        vals, grads = [], []
-        for alpha in np.rint(k * self.coords(self.nodes[k])[0]).astype(int):
-            f = [Fc[m][i] for i, m in enumerate(alpha)]
-            vals.append(reduce(mul, f))
-            terms = [(dFc[m][i] * reduce(mul, f[:i] + f[i + 1 :]))[:, None] * dc[i]
-                     for i, m in enumerate(alpha) if m > 0]  # F_0' = 0
-            grads.append(reduce(add, terms))
+        vals, grads = zip(*(
+            _product([(Fc[m][i], dFc[m][i], dc[i]) for i, m in enumerate(alpha) if m > 0])
+            for alpha in np.rint(k * self.coords(self.nodes[k])[0]).astype(int)
+        ))
+        return np.stack(vals, axis=1), np.stack(grads, axis=1)
+
+    def bubble(self, k, pts):
+        """Hierarchical degree-(k+1) edge bubbles, values (n, ne) and gradients (n, ne, 2).
+
+        For local edge a -> b: the product of the coordinates not zero at
+        both a and b, times L_{k-1}(c_b - c_a), where c_a is the coordinate
+        that is 1 at a and 0 at b.  On the triangle that is
+        lam_a lam_b L_{k-1}(lam_b - lam_a); on the quad, the edge's two
+        coordinates times the one that is 1 along the edge.
+        """
+        c, dc = self.coords(np.atleast_2d(pts))
+        verts, edges = self.cell
+        at = self.coords(verts)[0]  # (nv, m): each coordinate at each vertex
+        a, b = np.array(edges).T
+        ia = np.argmax((at[a] == 1.0) & (at[b] == 0.0), axis=1)  # c_a of each edge
+        ib = np.argmax((at[b] == 1.0) & (at[a] == 0.0), axis=1)
+        t = c[:, ib] - c[:, ia]
+        series = np.eye(k)[k - 1]  # P_{k-1} as a Legendre series
+        L, dL = legval(t, series), legval(t, legder(series))
+        on_edge = (at[a] != 0.0) | (at[b] != 0.0)  # (ne, m): not zero at both ends
+        columns = []
+        for e in range(len(edges)):
+            factors = [(c[:, i], 1.0, dc[i]) for i in np.flatnonzero(on_edge[e])]
+            columns.append(_product([*factors, (L[:, e], dL[:, e], dc[ib[e]] - dc[ia[e]])]))
+        vals, grads = zip(*columns)
         return np.stack(vals, axis=1), np.stack(grads, axis=1)
 
 
 ELEMENTS = {
     "triangle": Element(
+        REFERENCE_CELLS["triangle"],
         {
             1: _lagrange_nodes("triangle", 1),
             2: _lagrange_nodes("triangle", 2),
             3: _lagrange_nodes("triangle", 3, interior=[(1 / 3, 1 / 3)]),
         },
-        _tri_coords, _tri_bubble, _tri_rule,
+        # 1 - x - y, x, y: barycentric
+        np.array([[1.0, -1.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        _tri_rule,
     ),
-    "quad": Element({1: _lagrange_nodes("quad", 1)}, _quad_coords, _quad_bubble, _quad_rule),
+    "quad": Element(
+        REFERENCE_CELLS["quad"],
+        {1: _lagrange_nodes("quad", 1)},
+        # 1 - x, x, 1 - y, y
+        np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 0.0, 1.0]]),
+        _quad_rule,
+    ),
 }
 
 

@@ -5,13 +5,18 @@ compares cell_kind to a string literal, so a new cell kind is one entry of
 spaces.ELEMENTS (and mesh.REFERENCE_CELLS), not an edit of every branch.
 A second check keeps the volume kernels on one path: assembly and analysis
 read every cell through PrimalSpace.basis and PrimalSpace.dof_table, never
-through a separate pass over the cells with bubbles.
+through a separate pass over the cells with bubbles.  A third keeps every
+ELEMENTS entry data: its basis and bubbles come from one formula over its
+node and coordinate tables, not from a function of its own.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from bvcfem.spaces import ELEMENTS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bvcfem"
 MODULES = ("spaces.py", "assembly.py", "analysis.py")
@@ -78,3 +83,10 @@ def test_one_volume_path():
     found = {name: names((PACKAGE / name).read_text()) & SECOND_PATH
              for name in ("assembly.py", "analysis.py")}
     assert found == {"assembly.py": set(), "analysis.py": set()}
+
+
+@pytest.mark.parametrize("kind", ELEMENTS)
+def test_every_element_is_data(kind):
+    element = ELEMENTS[kind]
+    callable_fields = {f.name for f in fields(element) if callable(getattr(element, f.name))}
+    assert callable_fields == {"rule"}

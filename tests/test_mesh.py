@@ -325,6 +325,18 @@ def test_mesh_from_arrays_rejects_bad_arrays(vertices, cells, kind, message):
         mesh_from_arrays(vertices, cells, kind)
 
 
+@pytest.mark.parametrize(
+    "cells, kind",
+    [(np.zeros((0, 3), int), "triangle"), (np.zeros((0, 4), int), "quad"), ([], "triangle")],
+    ids=["triangle", "quad", "empty-list"],
+)
+def test_mesh_from_arrays_rejects_zero_cells(cells, kind):
+    # A mesh of no cells would fail only later, in Mesh.num_edges, with
+    # numpy's bare zero-size reduction error.
+    with pytest.raises(EmptyMesh, match=r"cells is empty: shape \(0,"):
+        mesh_from_arrays(np.zeros((3, 2)), cells, kind)
+
+
 # One mesh from each builder: annulus triangles, staircase quads, square quads.
 EVERY_BUILDER = pytest.mark.parametrize(
     "mesh",

@@ -34,6 +34,13 @@ def test_save_then_compare_reads_zero_on_every_key(tmp_path):
     assert "ring-p3/taylor.rhs" in values
     # the matrix the solver factors, next to its blocks
     assert {"ring-p3/bvc.A", "ring-p3/bvc.K", "ring-p1/taylor.A"} <= values.keys()
+    # the reference basis tables, at the volume rule and on every local edge
+    assert {
+        f"{tag}/basis.{where}.{part}"
+        for tag in ("ring-p3", "staircase-p1-plain")
+        for where in ("volume", "facet")
+        for part in ("values", "gradients")
+    } <= values.keys()
     assert not [key for key in values if key.endswith((".rhs_u", ".rhs_lam"))]
     assert {key for key, value in values.items() if value != "0"} == set()
 

@@ -310,6 +310,39 @@ class TestEdgeBubbleTable:
             np.testing.assert_allclose(grads[..., d], (vp - vm) / (2 * eps), rtol=0, atol=1e-8)
 
 
+# P_{k-1}(t) and its derivative, written out as legval evaluates them.
+LEGENDRE = {
+    1: (lambda t: np.ones_like(t), lambda t: np.zeros_like(t)),
+    2: (lambda t: t, lambda t: np.ones_like(t)),
+    3: (lambda t: 1.5 * t * t - 0.5, lambda t: 3.0 * t),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("degree", range(14))
+def test_triangle_bubbles_are_the_closed_form_to_the_bit(k, degree):
+    # lam_a lam_b L_{k-1}(lam_b - lam_a) with its product-rule gradient, in
+    # this grouping; the P3 ring's error budget absorbs no reordering.
+    pts = quadrature("triangle", degree).points
+    x, y = pts[:, 0], pts[:, 1]
+    lam = [1.0 - x - y, x, y]
+    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    P, dP = LEGENDRE[k]
+    vals, grads = [], []
+    for a, b in REFERENCE_CELLS["triangle"][1]:
+        la, lb = lam[a], lam[b]
+        L, dL = P(lb - la), dP(lb - la)
+        vals.append(la * lb * L)
+        grads.append(
+            (lb * L)[:, None] * dlam[a]
+            + (la * L)[:, None] * dlam[b]
+            + (la * lb * dL)[:, None] * (dlam[b] - dlam[a])
+        )
+    got_vals, got_grads = ELEMENTS["triangle"].bubble(k, pts)
+    assert np.array_equal(got_vals, np.stack(vals, axis=1))
+    assert np.array_equal(got_grads, np.stack(grads, axis=1))
+
+
 class TestMultiplierSpace:
     def test_dof_counts(self):
         qmesh = build_staircase_mesh(8, ELLIPSE)

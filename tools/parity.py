@@ -6,13 +6,16 @@
 save writes, for P1-P3 on a ring and a 4x4 triangle square and Q1 on the
 ellipse staircase and a 4x4 quad square: the volume quadrature points of
 the error norms (Mesh.to_physical of that rule) with the domain's u_exact,
-grad_u_exact and f_rhs at them, and, enriched and not, the dof tables,
-every assembled matrix and right-hand side (bvc, unmodified, taylor,
-nitsche; a saddle system's K, B, D and Bt_corr blocks and, as
-`<method>.A`, its full_matrix, the matrix the solver factors) with the
-solution solve returns (NaN where the solver raises), a
-load vector, the primal boundary mass and the error_report of a fixed
-random field.  compare rebuilds the same arrays with the bvcfem next to
+grad_u_exact and f_rhs at them, and, enriched and not, the reference basis
+tables (V.basis values and gradients at that volume rule, as
+`basis.volume.*`, and at the facet Gauss points of every local edge, as
+`basis.facet.*`; a change of the basis shows as its own key, not only
+through the matrices), the dof tables, every assembled matrix and
+right-hand side (bvc, unmodified, taylor, nitsche; a saddle system's K, B,
+D and Bt_corr blocks and, as `<method>.A`, its full_matrix, the matrix the
+solver factors) with the solution solve returns (NaN where the solver
+raises), a load vector, the primal boundary mass and the error_report of a
+fixed random field.  compare rebuilds the same arrays with the bvcfem next to
 this script and prints the max relative difference of each, max|new - ref|
 / max|ref|; a matrix, saved as its CSR indptr/indices/data and shape, is
 compared as one matrix, so an exact zero stored on one side and absent on
@@ -27,8 +30,8 @@ Keys are added and removed as the program changes.  To compare across such
 a change, make the reference save by copying this script into a checkout
 of the reference commit and running save there, so that both sides write
 the same keys; the script must then read only names that both checkouts have.
-A save made by an older copy of this script, without the `<method>.A`
-keys, reads them as missing.
+A save made by an older copy of this script, without the `<method>.A` or
+`basis.*` keys, reads them as missing.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from bvcfem import (  # noqa: E402
     precompute_boundary_geometry,
     solve,
 )
+from bvcfem.mesh import REFERENCE_CELLS  # noqa: E402
 from bvcfem.spaces import quadrature  # noqa: E402
 
 MESHES = {
@@ -106,7 +110,12 @@ def arrays() -> dict:
         domain = make_domain()
         for k in degrees:
             mesh = precompute_boundary_geometry(build(domain), domain, 2 * k + 2)
-            X = mesh.to_physical(quadrature(mesh.cell_kind, 2 * k + 4).points)
+            volume = quadrature(mesh.cell_kind, 2 * k + 4).points
+            X = mesh.to_physical(volume)
+            ref, edges = REFERENCE_CELLS[mesh.cell_kind]
+            a, b = ref[np.array(edges).T]
+            s = mesh.boundary_facets.s[None, :, None]
+            tables = {"volume": volume, "facet": a[:, None, :] + s * (b - a)[:, None, :]}
             out[f"{name}-p{k}/volume_points"] = X
             for data in ("u_exact", "grad_u_exact", "f_rhs"):
                 out[f"{name}-p{k}/{data}"] = getattr(domain, data)(X)
@@ -116,6 +125,10 @@ def arrays() -> dict:
                 Lam = build_multiplier_space(mesh, k - 1)
                 out[f"{tag}/dof_table"] = V.dof_table
                 out[f"{tag}/counts"] = np.array([V.dof_count])
+                for where, pts in tables.items():
+                    vals, grads = V.basis(pts)
+                    out[f"{tag}/basis.{where}.values"] = vals
+                    out[f"{tag}/basis.{where}.gradients"] = grads
                 for method in ("bvc", "unmodified", "taylor"):
                     system = assemble_saddle(V, Lam, domain, method)
                     for block in ("K", "B", "D", "Bt_corr"):
