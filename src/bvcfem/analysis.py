@@ -44,29 +44,59 @@ class ErrorReport:
     normal_dev: float
 
 
+@dataclass(frozen=True)
+class ExactData:
+    """What the error reports on one primal space share, whatever the field:
+    u (cells, nq) and grad u (cells, nq, 2) at the physical points of the
+    error rule of l2_h1_errors, and geometry_report's (delta_h, normal_dev)."""
+
+    u: np.ndarray
+    grad_u: np.ndarray
+    geometry: tuple
+
+
+def _error_rule(V: PrimalSpace, extra_degree: int = 0):
+    return quadrature(V.mesh.cell_kind, 2 * V.degree + 4 + extra_degree)
+
+
+def _exact_on_rule(V: PrimalSpace, domain, rule):
+    X = V.mesh.to_physical(rule.points)
+    return geo.at_points(domain.u_exact, X), geo.at_points(domain.grad_u_exact, X)
+
+
+def exact_data(V: PrimalSpace, domain) -> ExactData:
+    """The exact data of every error report on V, computed once."""
+    u, grad_u = _exact_on_rule(V, domain, _error_rule(V))
+    return ExactData(u, grad_u, geometry_report(V.mesh, domain))
+
+
 def _field_on_volume(field: SolutionField, rule):
-    """Physical points, values and gradients of a primal field, cell-wise.
+    """Values (cells, nq) and gradients (cells, nq, 2) of a primal field.
 
     The coefficients carry one zero appended, so a -1 slot of the dof table
     reads 0.
     """
     V = field.space
-    mesh = V.mesh
     vals, grads = V.basis(rule.points)
     cs = np.append(field.coefficients, 0.0)[V.dof_table]
     uh = np.einsum("qi,ci->cq", vals, cs)  # faster than the matmul here
-    guh = np.tensordot(cs, grads, axes=([1], [1])) @ mesh.Jinv
-    return mesh.to_physical(rule.points), uh, guh, mesh.detJ
+    guh = np.tensordot(cs, grads, axes=([1], [1])) @ V.mesh.Jinv
+    return uh, guh
 
 
-def l2_h1_errors(u_field: SolutionField, domain, extra_degree: int = 0):
-    """||u - u_h|| and |u - u_h|_H1 on the field's mesh, elevated-order quadrature."""
-    k = u_field.space.degree
-    rule = quadrature(u_field.space.mesh.cell_kind, 2 * k + 4 + extra_degree)
-    X, uh, guh, detJ = _field_on_volume(u_field, rule)
-    ue = geo.at_points(domain.u_exact, X)
-    ge = geo.at_points(domain.grad_u_exact, X)
-    wd = rule.weights[None, :] * detJ[:, None]
+def l2_h1_errors(
+    u_field: SolutionField, domain, extra_degree: int = 0, exact: ExactData | None = None
+):
+    """||u - u_h|| and |u - u_h|_H1 on the field's mesh, elevated-order quadrature.
+
+    exact is exact_data(u_field.space, domain), when several norms share it
+    (extra_degree 0 only); None evaluates u and grad u here.
+    """
+    V = u_field.space
+    rule = _error_rule(V, extra_degree)
+    uh, guh = _field_on_volume(u_field, rule)
+    ue, ge = _exact_on_rule(V, domain, rule) if exact is None else (exact.u, exact.grad_u)
+    wd = rule.weights[None, :] * V.mesh.detJ[:, None]
     err_l2 = np.sqrt(np.sum(wd * (uh - ue) ** 2))
     err_h1 = np.sqrt(np.sum(wd[:, :, None] * (guh - ge) ** 2))
     return float(err_l2), float(err_h1)
@@ -74,10 +104,9 @@ def l2_h1_errors(u_field: SolutionField, domain, extra_degree: int = 0):
 
 def field_l2_norm(field: SolutionField) -> float:
     """||v_h|| over the mesh (used e.g. for differences of two solutions)."""
-    k = field.space.degree
-    rule = quadrature(field.space.mesh.cell_kind, 2 * k + 4)
-    _, uh, _, detJ = _field_on_volume(field, rule)
-    return float(np.sqrt(np.sum(rule.weights[None, :] * detJ[:, None] * uh**2)))
+    rule = _error_rule(field.space)
+    uh, _ = _field_on_volume(field, rule)
+    return float(np.sqrt(np.sum(rule.weights[None, :] * field.space.mesh.detJ[:, None] * uh**2)))
 
 
 def multiplier_error(lambda_field: SolutionField, domain) -> float:
@@ -92,16 +121,17 @@ def multiplier_error(lambda_field: SolutionField, domain) -> float:
     return float(np.sqrt(np.sum(facets.weights * (target - lam) ** 2)))
 
 
-def error_triple_norm(u_field, err_lambda, domain) -> float:
+def error_triple_norm(u_field, err_lambda, domain, exact: ExactData | None = None) -> float:
     """|||(u - u_h, lambda~ - lambda_h)||| with lambda~ = -n_h . grad u.
 
-    err_lambda is multiplier_error's value, None for a method without multiplier.
+    err_lambda is multiplier_error's value, None for a method without
+    multiplier; exact is passed to l2_h1_errors.
     """
-    _, err_h1 = l2_h1_errors(u_field, domain)
+    _, err_h1 = l2_h1_errors(u_field, domain, exact=exact)
     mesh = u_field.space.mesh
     facets = mesh.boundary_facets
     ue = geo.at_points(domain.u_exact, facets.points)
-    dofs, vals, _ = facet_traces(u_field.space)
+    dofs, vals = facet_traces(u_field.space)
     uh = np.einsum("fqn,fn->fq", vals, np.append(u_field.coefficients, 0.0)[dofs])
     bnd_sq = np.sum(facets.weights * (ue - uh) ** 2)
     mu_err = 0.0 if err_lambda is None else err_lambda
@@ -172,15 +202,21 @@ def geometry_report(mesh: Mesh, domain) -> tuple:
     return float(np.max(np.abs(facets.rho))), float(np.max(dev))
 
 
-def error_report(u_field, lambda_field, domain) -> ErrorReport:
-    """Assemble the full per-level record for a solved problem."""
+def error_report(u_field, lambda_field, domain, exact: ExactData | None = None) -> ErrorReport:
+    """Assemble the full per-level record for a solved problem.
+
+    exact is exact_data(u_field.space, domain), when the methods solved on
+    one space share it; None computes it here.
+    """
     mesh = u_field.space.mesh
-    err_l2, err_h1 = l2_h1_errors(u_field, domain)
+    if exact is None:
+        exact = exact_data(u_field.space, domain)
+    err_l2, err_h1 = l2_h1_errors(u_field, domain, exact=exact)
     saddle = lambda_field is not None
     err_lam = multiplier_error(lambda_field, domain) if saddle else None
     dofs_lam = lambda_field.space.dof_count if saddle else 0
-    triple = error_triple_norm(u_field, err_lam, domain)
-    delta_h, normal_dev = geometry_report(mesh, domain)
+    triple = error_triple_norm(u_field, err_lam, domain, exact)
+    delta_h, normal_dev = exact.geometry
     return ErrorReport(
         h=mesh.h,
         nno=mesh.nno,

@@ -15,12 +15,15 @@ per P3 cell) condensed out by `condense`, on the per-cell blocks before
 anything is scattered; solve restores them.  P1, P2 and Q1 have none, and
 their blocks are scattered as they are.  Each system stores one sparse
 matrix, the one the solver factors; a saddle system's K, B, D and Bt_corr
-are read from its blocks.
+are read from its blocks.  What no multiplier method changes (the
+condensed stiffness and load, B and the multiplier load) is one
+PrimalAssembly, which the methods solved on one mesh share.
 
 u~ is the Dirichlet data, the domain's u_exact, pulled back from the true
 boundary through the precomputed facet pullback points.  Every cell term
 is one contraction over all cells of V.basis and V.dof_table, every facet
-term one over the facet_traces tables of all boundary facets; Nitsche's
+term one over the facet_traces tables of all boundary facets (and, for
+taylor and Nitsche, facet_normal_derivatives); Nitsche's
 facet blocks are added to their cells' blocks.  A -1 column of the dof
 table (an edge without a bubble, a condensed interior dof) keeps its
 reference values; _scatter drops its rows and columns, right-hand sides
@@ -232,25 +235,36 @@ def load_vector(V: PrimalSpace, f) -> np.ndarray:
     return rhs
 
 
+def _facet_basis(V: PrimalSpace):
+    """V.basis at the boundary facets' Gauss points on every local edge,
+    values (ne, nq, nl) and reference gradients (ne, nq, nl, 2)."""
+    facets = V.mesh.boundary_facets
+    ref, edges = REFERENCE_CELLS[V.mesh.cell_kind]
+    a, b = ref[np.array(edges).T]
+    return V.basis(a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :])
+
+
 def facet_traces(V: PrimalSpace):
     """Cell basis functions traced on every boundary facet of V's mesh.
 
-    Returns (dofs, vals, dn): the dof_table row of each facet's cell and
-    V.basis at the facet's Gauss points on its local edge, with the
-    reference gradients turned into normal derivatives n_h . grad
-    (nf, nq, nl).  The basis is tabulated once per local edge.  A -1
-    column keeps its reference values, for the consumer to drop.  A
-    cell's other bubbles vanish on the facet, but their normal
-    derivatives do not.
+    Returns (dofs, vals): the dof_table row of each facet's cell and
+    V.basis at the facet's Gauss points on its local edge (nf, nq, nl).
+    A -1 column keeps its reference values, for the consumer to drop.
     """
+    facets = V.mesh.boundary_facets
+    vals, _ = _facet_basis(V)
+    return V.dof_table[facets.cell], vals[facets.local_edge]
+
+
+def facet_normal_derivatives(V: PrimalSpace) -> np.ndarray:
+    """n_h . grad of every local function at the points of facet_traces
+    (nf, nq, nl).  A cell's other bubbles vanish on the facet, but their
+    normal derivatives do not."""
     mesh = V.mesh
     facets = mesh.boundary_facets
-    ref, edges = REFERENCE_CELLS[mesh.cell_kind]
-    a, b = ref[np.array(edges).T]
-    vals, grads = V.basis(a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :])
+    _, grads = _facet_basis(V)
     e = facets.local_edge
-    dn = np.einsum("fqnd,fde,fe->fqn", grads[e], mesh.Jinv[facets.cell], facets.n_h)
-    return V.dof_table[facets.cell], vals[e], dn
+    return np.einsum("fqnd,fde,fe->fqn", grads[e], mesh.Jinv[facets.cell], facets.n_h)
 
 
 def _scatter(shape, blocks, rows, cols) -> sp.csr_matrix:
@@ -270,35 +284,74 @@ def _scatter(shape, blocks, rows, cols) -> sp.csr_matrix:
 def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
     """(phi_i, phi_j) over the facet boundary (used by the inf-sup check)."""
     facets = V.mesh.boundary_facets
-    dofs, vals, _ = facet_traces(V)
+    dofs, vals = facet_traces(V)
     blocks = np.einsum("fq,fqi,fqj->fij", facets.weights, vals, vals)
     return _scatter((V.dof_count, V.dof_count), blocks, dofs, dofs)
 
 
-def _coupling_blocks(Lam: MultiplierSpace, traces, rho_dn: bool) -> np.ndarray:
+def _coupling_blocks(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> np.ndarray:
     """Per-facet blocks (nf, m + 1, nl) of B[i,j] = (phi_j, psi_i), rows
-    Lam.facet_dofs, columns the dof_table row of the facet's cell; traces
-    is facet_traces of the primal space.
+    Lam.facet_dofs, columns the dof_table row of the facet's cell.
 
     With rho_dn the primal trace is Taylor-corrected:
     (phi_j + rho_h dn phi_j, psi_i).
     """
     facets = Lam.mesh.boundary_facets
-    _, vals, dn = traces
+    _, vals = facet_traces(V)
     if rho_dn:
-        vals = vals + facets.rho[:, :, None] * dn
+        vals = vals + facets.rho[:, :, None] * facet_normal_derivatives(V)
     return np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
 
 
 def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.csr_matrix:
     """B over every dof of V: _coupling_blocks summed into one matrix."""
-    traces = facet_traces(V)
-    blocks = _coupling_blocks(Lam, traces, rho_dn)
-    return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, traces[0])
+    dofs = V.dof_table[V.mesh.boundary_facets.cell]
+    blocks = _coupling_blocks(V, Lam, rho_dn)
+    return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, dofs)
+
+
+@dataclass
+class PrimalAssembly:
+    """The part of the multiplier systems on V and Lam that no method
+    changes: the condensed stiffness K and load rhs_u with their interior,
+    the coupling B over the retained dofs and the multiplier load (u~, mu).
+    The methods solved on one mesh share it."""
+
+    K: sp.csr_matrix
+    rhs_u: np.ndarray
+    interior: Interior
+    B: sp.csr_matrix
+    rhs_lam: np.ndarray
+
+
+def assemble_primal(
+    V: PrimalSpace, Lam: MultiplierSpace, domain: ImplicitDomain
+) -> PrimalAssembly:
+    """The method-independent part of assemble_saddle's systems on V and Lam.
+
+    B's interior columns are dropped, not condensed: they hold roundoff of
+    a trace that vanishes, so the unmodified (2,2) block stays empty.
+    """
+    _check_spaces(V, Lam)
+    facets = V.mesh.boundary_facets
+    rhs_lam = np.zeros(Lam.dof_count)
+    rhs_lam[Lam.facet_dofs] = (
+        facets.weights * at_points(domain.u_exact, facets.pullback)
+    ) @ Lam.eval(facets.s)
+    K, rhs_u, interior = condense(V, stiffness_matrix(V), load_vector(V, domain.f_rhs))
+    B = _scatter(
+        (Lam.dof_count, K.shape[0]), _coupling_blocks(V, Lam, False),
+        Lam.facet_dofs, interior.table[facets.cell],
+    )
+    return PrimalAssembly(K, rhs_u, interior, B, rhs_lam)
 
 
 def assemble_saddle(
-    V: PrimalSpace, Lam: MultiplierSpace, domain: ImplicitDomain, method: str
+    V: PrimalSpace,
+    Lam: MultiplierSpace,
+    domain: ImplicitDomain,
+    method: str,
+    primal: PrimalAssembly | None = None,
 ) -> SaddleSystem:
     """The multiplier system of one of SADDLE_METHODS, right-hand side (u~, mu).
 
@@ -306,35 +359,33 @@ def assemble_saddle(
     unmodified: (u, mu) = (u~, mu), D is empty;
     taylor:     (u + rho_h dn u, mu) = (u~, mu), D is empty.
 
-    B's interior columns are dropped, not condensed: they hold roundoff of
-    a trace that vanishes, so the unmodified (2,2) block stays empty.
+    primal is assemble_primal(V, Lam, domain), when the methods of one mesh
+    share it; it is read, never changed.  None assembles it here.
     """
     if method not in SADDLE_METHODS:
         raise ValueError(f"unknown multiplier method {method!r}; have {SADDLE_METHODS}")
-    _check_spaces(V, Lam)
+    if primal is None:
+        primal = assemble_primal(V, Lam, domain)
     facets = V.mesh.boundary_facets
-    psi, w, nl = Lam.eval(facets.s), facets.weights, Lam.dof_count
+    nl = Lam.dof_count
     D = sp.csr_matrix((nl, nl))
     if method == "bvc":
-        blocks = np.einsum("fq,fq,qi,qj->fij", w, facets.rho, psi, psi)
+        psi = Lam.eval(facets.s)
+        blocks = np.einsum("fq,fq,qi,qj->fij", facets.weights, facets.rho, psi, psi)
         D = _scatter((nl, nl), blocks, Lam.facet_dofs, Lam.facet_dofs)
-    rhs_lam = np.zeros(nl)
-    rhs_lam[Lam.facet_dofs] = (w * at_points(domain.u_exact, facets.pullback)) @ psi
-    K, rhs_u, interior = condense(V, stiffness_matrix(V), load_vector(V, domain.f_rhs))
-    shape, cols = (nl, K.shape[0]), interior.table[facets.cell]
-    traces = facet_traces(V)
-    B = row2 = _scatter(shape, _coupling_blocks(Lam, traces, False), Lam.facet_dofs, cols)
+    row2, rhs_lam = primal.B, primal.rhs_lam
     if method == "taylor":
-        blocks = _coupling_blocks(Lam, traces, True)
-        rhs_lam[Lam.facet_dofs] -= interior.eliminate(blocks, facets.cell)
-        row2 = _scatter(shape, blocks, Lam.facet_dofs, cols)
+        blocks = _coupling_blocks(V, Lam, True)
+        rhs_lam = rhs_lam.copy()
+        rhs_lam[Lam.facet_dofs] -= primal.interior.eliminate(blocks, facets.cell)
+        row2 = _scatter(primal.B.shape, blocks, Lam.facet_dofs, primal.interior.table[facets.cell])
     return SaddleSystem(
-        A=sp.bmat([[K, B.T], [row2, -D]], format="csc"),
-        rhs_u=rhs_u,
+        A=sp.bmat([[primal.K, primal.B.T], [row2, -D]], format="csc"),
+        rhs_u=primal.rhs_u,
         rhs_lam=rhs_lam,
         V=V,
         Lam=Lam,
-        interior=interior,
+        interior=primal.interior,
         method=method,
     )
 
@@ -355,7 +406,8 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> N
 
     Kc = stiffness_matrix(V)
     rhs = load_vector(V, domain.f_rhs)
-    dofs, vals, dn = facet_traces(V)
+    dofs, vals = facet_traces(V)
+    dn = facet_normal_derivatives(V)
     w, rho = facets.weights, facets.rho
     corr = vals + rho[:, :, None] * dn
     M = (

@@ -127,9 +127,11 @@ def solve_linear(A, b) -> np.ndarray:
             order = perm[_zero_block_order(_permuted(A, perm))] if zero.size else perm
             return _factor_and_solve(A, order, b, bnorm, anorm, path)
         except SolverError as exc:
+            # The text only: a handler that keeps its records would keep
+            # exc, and with it the frames of the whole solve, alive.
             logger.warning(
                 "%s solve rejected (%s: %s); falling back to partial pivoting",
-                path, type(exc).__name__, exc,
+                path, type(exc).__name__, str(exc),
             )
     return _factor_and_solve(A, perm, b, bnorm, anorm, PARTIAL_PIVOT)
 

@@ -224,6 +224,7 @@ class PrimalSpace:
             raise UnsupportedOrder(f"{mesh.cell_kind} degree {degree} not supported; have {have}")
         self.nb_std = len(self.element.nodes[degree])
         self._build_dofs()
+        self._tables = {}  # basis tables by point set, dropped with the space
 
     def _build_dofs(self):
         mesh, k = self.mesh, self.degree
@@ -266,15 +267,24 @@ class PrimalSpace:
 
         Returns values (..., nl) and reference gradients (..., nl, 2): the
         Lagrange functions, then, if the space is enriched, one edge bubble
-        per local edge of REFERENCE_CELLS; the columns of dof_table.
+        per local edge of REFERENCE_CELLS; the columns of dof_table.  Each
+        point set (by value) is tabulated once and kept as long as the
+        space, so the tables are shared and read-only.
         """
         pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, 2)
-        vals, grads = self.element.basis(self.degree, flat)
-        if self.enriched:
-            bv, bg = self.element.bubble(self.degree, flat)
-            vals, grads = np.concatenate([vals, bv], axis=1), np.concatenate([grads, bg], axis=1)
-        return vals.reshape(pts.shape[:-1] + (-1,)), grads.reshape(pts.shape[:-1] + (-1, 2))
+        key = (pts.shape, pts.tobytes())
+        if key not in self._tables:
+            flat = pts.reshape(-1, 2)
+            vals, grads = self.element.basis(self.degree, flat)
+            if self.enriched:
+                bv, bg = self.element.bubble(self.degree, flat)
+                vals = np.concatenate([vals, bv], axis=1)
+                grads = np.concatenate([grads, bg], axis=1)
+            vals = vals.reshape(pts.shape[:-1] + (-1,))
+            grads = grads.reshape(pts.shape[:-1] + (-1, 2))
+            vals.flags.writeable = grads.flags.writeable = False
+            self._tables[key] = vals, grads
+        return self._tables[key]
 
 
 class MultiplierSpace:

@@ -9,6 +9,13 @@ geometry, spaces) shared by run_level and the inf-sup diagnostic; DOMAINS,
 ELEMENT_ORDER and METHODS are the accepted settings, checked only by
 validate_config and listed in --help; analysis.pairwise_rate is the one
 rate formula behind the fits, the CSV and the printed table.
+
+One level loop runs every ladder.  A preset's methods (main and comparison,
+or the unstable pairing's two) are solved level by level on one shared
+Rung: its mesh, spaces, primal assembly and the exact data of its error
+reports are built once, by the first method's run_level, and nothing of it
+outlives its level.  run_study is the one-method case.  The records, and so
+the CSVs, are the same as from one ladder per method.
 """
 
 from __future__ import annotations
@@ -24,16 +31,26 @@ import numpy as np
 
 from .analysis import (
     DegenerateFit,
+    ExactData,
     error_report,
+    exact_data,
     fit_rates,
     infsup_diagnostic,
     pairwise_rate,
 )
-from .assembly import SADDLE_METHODS, IoError, assemble_nitsche, assemble_saddle, dump_system
+from .assembly import (
+    SADDLE_METHODS,
+    IoError,
+    PrimalAssembly,
+    assemble_nitsche,
+    assemble_primal,
+    assemble_saddle,
+    dump_system,
+)
 from .geometry import make_ellipse_domain, make_ring_domain
 from .mesh import build_annulus_mesh, build_staircase_mesh, precompute_boundary_geometry
 from .solver import SingularSystem, solve
-from .spaces import build_multiplier_space, build_primal_space
+from .spaces import MultiplierSpace, PrimalSpace, build_multiplier_space, build_primal_space
 
 
 class ConfigError(Exception):
@@ -134,40 +151,86 @@ def build_level(config: StudyConfig, level: int, domain):
     return V, build_multiplier_space(mesh, config.mult_degree())
 
 
-def run_level(config: StudyConfig, level: int, domain):
-    """One rung of the ladder: mesh, spaces, assembly, solve, report."""
-    V, Lam = build_level(config, level, domain)
+@dataclass
+class Rung:
+    """What the methods solved on one rung of the ladder share.
+
+    The first method's run_level builds it: V and Lam on the mesh, the
+    multiplier methods' primal assembly, and the exact data of the error
+    reports.  pending counts the methods yet to assemble; the last one
+    drops the primal assembly before its solve.
+    """
+
+    pending: int
+    V: PrimalSpace | None = None
+    Lam: MultiplierSpace | None = None
+    primal: PrimalAssembly | None = None
+    exact: ExactData | None = None
+
+
+def run_level(config: StudyConfig, level: int, domain, rung: Rung):
+    """One method on one rung of the ladder: assembly, solve, report.
+
+    The rung's mesh, spaces and primal assembly are built on its first call.
+    """
+    if rung.V is None:
+        rung.V, rung.Lam = build_level(config, level, domain)
+        if rung.Lam is not None:
+            rung.primal = assemble_primal(rung.V, rung.Lam, domain)
+    V = rung.V
     if config.method == "nitsche":
         k = config.order()
         gamma0 = config.gamma0 if config.gamma0 is not None else 10.0 * k * k
         system = assemble_nitsche(V, domain, gamma0)
     else:
-        system = ASSEMBLERS[config.method](V, Lam, domain)
+        system = ASSEMBLERS[config.method](V, rung.Lam, domain, primal=rung.primal)
+    rung.pending -= 1
+    if not rung.pending:
+        rung.primal = None
     if config.dump_prefix:
         dump_system(system, f"{config.dump_prefix}-L{level}")
     u, lam = solve(system)
-    return u, lam, error_report(u, lam, domain)
+    if rung.exact is None:
+        rung.exact = exact_data(V, domain)
+    return u, lam, error_report(u, lam, domain, rung.exact)
+
+
+def _solve_on(result: StudyResult, level: int, domain, rung: Rung) -> None:
+    """Solve result's method on the rung; record its report or its failure."""
+    try:
+        u, _, report = run_level(result.config, level, domain, rung)
+    except SingularSystem as exc:
+        result.failures.append((level, str(exc)))
+        return
+    result.records.append((level, report))
+    result.elevation = np.column_stack([u.space.mesh.vertices, u.vertex_values()])
+
+
+def _run_ladder(config: StudyConfig, methods) -> list:
+    """One StudyResult per method of config's ladder, run level by level:
+    each rung is built once and every method is solved on it, so nothing
+    of a rung outlives it.  Singular levels are recorded, not fatal."""
+    configs = [replace(config, method=method) for method in methods]
+    for c in configs:
+        validate_config(c)
+    domain = DOMAINS[config.domain]()
+    results = [StudyResult(config=c) for c in configs]
+    for level in range(config.levels):
+        rung = Rung(pending=len(results))
+        for result in results:
+            _solve_on(result, level, domain, rung)
+    for result in results:
+        if len(result.reports) >= 3:
+            try:
+                result.rates = fit_rates(result.reports)
+            except DegenerateFit:
+                result.rates = None
+    return results
 
 
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the configured ladder; singular levels are recorded, not fatal."""
-    validate_config(config)
-    domain = DOMAINS[config.domain]()
-    result = StudyResult(config=config)
-    for level in range(config.levels):
-        try:
-            u, lam, report = run_level(config, level, domain)
-        except SingularSystem as exc:
-            result.failures.append((level, str(exc)))
-            continue
-        result.records.append((level, report))
-        result.elevation = np.column_stack([u.space.mesh.vertices, u.vertex_values()])
-    if len(result.reports) >= 3:
-        try:
-            result.rates = fit_rates(result.reports)
-        except DegenerateFit:
-            result.rates = None
-    return result
+    return _run_ladder(config, [config.method])[0]
 
 
 def run_unstable_pairing(levels: int = 5) -> StudyResult:
@@ -177,8 +240,7 @@ def run_unstable_pairing(levels: int = 5) -> StudyResult:
     companion and the coarse-level inf-sup diagnostic values recorded.
     """
     config = replace(PRESETS["unstable-pairing"].config, levels=levels)
-    result = run_study(config)
-    result.companion = run_study(replace(config, method="unmodified"))
+    result, result.companion = _run_ladder(config, [config.method, "unmodified"])
     domain = DOMAINS[config.domain]()
     sigmas = []
     for level in range(2):
@@ -465,9 +527,9 @@ def run_preset(name: str, levels: int | None = None) -> tuple:
     if preset.special == "unstable":
         result = run_unstable_pairing(config.levels)
         return result, check_unstable(result)
-    result = run_study(config)
-    if preset.comparison:
-        result.companion = run_study(replace(config, method=preset.comparison))
+    methods = [m for m in (config.method, preset.comparison) if m is not None]
+    result, *companion = _run_ladder(config, methods)
+    result.companion = companion[0] if companion else None
     msgs = check_rates(result, preset.checks) if preset.checks else []
     return result, msgs
 

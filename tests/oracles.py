@@ -13,7 +13,13 @@ without the assembler's scatter.
 import numpy as np
 import scipy.sparse as sp
 
-from bvcfem.assembly import coupling_matrix, facet_traces, load_vector, stiffness_matrix
+from bvcfem.assembly import (
+    coupling_matrix,
+    facet_normal_derivatives,
+    facet_traces,
+    load_vector,
+    stiffness_matrix,
+)
 from bvcfem.geometry import at_points
 from bvcfem.mesh import gauss_01
 
@@ -102,7 +108,8 @@ def uncondensed_system(V, domain, method, Lam=None, gamma0=None):
     K, f = assembled_stiffness(V), load_vector(V, domain.f_rhs)
     if method == "nitsche":
         gamma = gamma0 / V.mesh.h
-        dofs, vals, dn = facet_traces(V)
+        dofs, vals = facet_traces(V)
+        dn = facet_normal_derivatives(V)
         corr = vals + rho[:, :, None] * dn
         M = (
             -np.einsum("fq,fqj,fqi->fij", w, dn, corr)

@@ -1,9 +1,10 @@
 """tools/parity.py runs end to end in one checkout and reads no drift there.
 
 save then compare, in the same checkout, must exit 0 and print 0 on every
-key; compare itself must report a changed array as nonzero drift, fail on a
-drift past DRIFT_BOUND, compare a saved CSR triple as one matrix, and read
-a roundoff tail of a right-hand side, saved as one key, as no drift.
+key, the preset ladders' per-branch error fields included; compare itself
+must report a changed array as nonzero drift, fail on a drift past
+DRIFT_BOUND, compare a saved CSR triple as one matrix, and read a roundoff
+tail of a right-hand side, saved as one key, as no drift.
 """
 
 import importlib.util
@@ -42,6 +43,13 @@ def test_save_then_compare_reads_zero_on_every_key(tmp_path):
         for part in ("values", "gradients")
     } <= values.keys()
     assert not [key for key in values if key.endswith((".rhs_u", ".rhs_lam"))]
+    # every branch of the preset ladders, per ErrorReport field, failures included
+    assert {
+        f"preset-{name}/{method}.{field}"
+        for name in ("q1-ellipse", "p3-ring", "unstable-pairing")
+        for method in ("bvc", "unmodified")
+        for field in ("err_l2", "err_lambda", "triple", "dofs_u", "delta_h", "failed")
+    } <= values.keys()
     assert {key for key, value in values.items() if value != "0"} == set()
 
 

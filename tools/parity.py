@@ -15,7 +15,12 @@ right-hand side (bvc, unmodified, taylor, nitsche; a saddle system's K, B,
 D and Bt_corr blocks and, as `<method>.A`, its full_matrix, the matrix the
 solver factors) with the solution solve returns (NaN where the solver
 raises), a load vector, the primal boundary mass and the error_report of a
-fixed random field.  compare rebuilds the same arrays with the bvcfem next to
+fixed random field.  It also saves, per branch of run_preset(name,
+levels=2) for q1-ellipse, p3-ring and unstable-pairing, each ErrorReport
+field over the levels (`preset-<name>/<method>.<field>`, NaN at a failed
+level or a None field) and the failed levels (`<method>.failed`), so a
+change to the study's level loop shows its drift per branch and per field.
+compare rebuilds the same arrays with the bvcfem next to
 this script and prints the max relative difference of each, max|new - ref|
 / max|ref|; a matrix, saved as its CSR indptr/indices/data and shape, is
 compared as one matrix, so an exact zero stored on one side and absent on
@@ -37,6 +42,7 @@ A save made by an older copy of this script, without the `<method>.A` or
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +51,7 @@ import scipy.sparse as sp
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bvcfem import (  # noqa: E402
+    ErrorReport,
     SolutionField,
     SolverError,
     assemble_nitsche,
@@ -61,6 +68,7 @@ from bvcfem import (  # noqa: E402
     make_ring_domain,
     make_square_domain,
     precompute_boundary_geometry,
+    run_preset,
     solve,
 )
 from bvcfem.mesh import REFERENCE_CELLS  # noqa: E402
@@ -72,6 +80,8 @@ MESHES = {
     "square": (lambda d: build_square_mesh(4, "triangle"), make_square_domain, (1, 2, 3)),
     "square-quad": (lambda d: build_square_mesh(4, "quad"), make_square_domain, (1,)),
 }
+PRESET_LADDERS = ("q1-ellipse", "p3-ring", "unstable-pairing")
+PRESET_LEVELS = 2
 
 
 # The roundoff a reordered but equivalent computation may leave, relative.
@@ -101,6 +111,21 @@ def _put_solution(out, key, system):
         spaces = (system.V, getattr(system, "Lam", None))
         z = np.full(sum(s.dof_count for s in spaces if s is not None), np.nan)
     out[f"{key}.solution"] = z
+
+
+def _put_ladders(out):
+    """Each branch's ErrorReport fields per level and its failed levels."""
+    for name in PRESET_LADDERS:
+        result, _ = run_preset(name, levels=PRESET_LEVELS)
+        for branch in (result, result.companion):
+            key = f"preset-{name}/{branch.config.method}"
+            records = dict(branch.records)
+            for field in fields(ErrorReport):
+                values = [getattr(records.get(lv), field.name, None) for lv in range(PRESET_LEVELS)]
+                out[f"{key}.{field.name}"] = np.array(
+                    [np.nan if v is None else v for v in values], dtype=float
+                )
+            out[f"{key}.failed"] = np.array([level for level, _ in branch.failures])
 
 
 def arrays() -> dict:
@@ -151,6 +176,7 @@ def arrays() -> dict:
                     out[f"{tag}/error_report.{label}"] = np.array(
                         [np.nan if v is None else v for v in vars(report).values()], dtype=float
                     )
+    _put_ladders(out)
     return out
 
 
