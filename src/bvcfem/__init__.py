@@ -26,8 +26,7 @@ from .analysis import (
 )
 from .assembly import (
     DimensionMismatch,
-    NitscheSystem,
-    SaddleSystem,
+    System,
     assemble_nitsche,
     assemble_saddle,
     boundary_mass_primal,

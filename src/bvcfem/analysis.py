@@ -92,6 +92,8 @@ def l2_h1_errors(
     exact is exact_data(u_field.space, domain), when several norms share it
     (extra_degree 0 only); None evaluates u and grad u here.
     """
+    if exact is not None and extra_degree:
+        raise ValueError(f"exact holds data on the extra_degree 0 rule, not {extra_degree}")
     V = u_field.space
     rule = _error_rule(V, extra_degree)
     uh, guh = _field_on_volume(u_field, rule)

@@ -10,12 +10,12 @@ interior stiffness (grad u, grad v) and the facet coupling (u, mu):
 and assemble_nitsche builds the single-field boundary-value-corrected
 symmetric Nitsche method with penalty gamma = gamma0 / h.
 
-Both return their systems with the primal space's cell-interior dofs (one
-per P3 cell) condensed out by `condense`, on the per-cell blocks before
+Both return a System with the primal space's cell-interior dofs (one per
+P3 cell) condensed out by `condense`, on the per-cell blocks before
 anything is scattered; solve restores them.  P1, P2 and Q1 have none, and
-their blocks are scattered as they are.  Each system stores one sparse
-matrix, the one the solver factors; a saddle system's K, B, D and Bt_corr
-are read from its blocks.  What no multiplier method changes (the
+their blocks are scattered as they are.  A System stores one sparse
+matrix and one right-hand side, the ones the solver takes; a multiplier
+system's K, B, D and Bt_corr are read from its blocks.  What no multiplier method changes (the
 condensed stiffness and load, B and the multiplier load) is one
 PrimalAssembly, which the methods solved on one mesh share.
 
@@ -134,67 +134,47 @@ def condense(V: PrimalSpace, Kc: np.ndarray, f: np.ndarray):
 
 
 @dataclass
-class SaddleSystem:
-    """Block system [[K, B^T], [B or Bt_corr, -D]] with right-hand side.
+class System:
+    """A z = rhs on the retained dofs of V and, with a multiplier, Lam's dofs.
 
+    A, in CSC, is the one stored matrix, the one the solver factors; the
+    primal blocks act on the retained dofs of V, and interior holds the
+    condensed cell-interior dofs.  method is "nitsche", whose Lam is None,
+    or one of SADDLE_METHODS, whose A is [[K, B^T], [B or Bt_corr, -D]]:
     K[i,j] = (grad phi_j, grad phi_i), B[i,j] = (phi_j, psi_i) on the facet
     boundary, D[i,j] = (rho_h psi_j, psi_i).  For taylor Bt_corr replaces
     the second-row coupling, Bt_corr[i,j] = (phi_j + rho_h n_h.grad phi_j,
-    psi_i), and is None otherwise; D is empty except for bvc.  A, in CSC,
-    is the one stored matrix, the one the solver factors; K, B, D and
-    Bt_corr are read from its blocks.  The primal blocks act on the
-    retained dofs of V: interior holds the condensed cell-interior dofs.
+    psi_i), and is None otherwise; D is empty except for bvc.  K, B, D and
+    Bt_corr are read from A's blocks.
     """
-
-    A: sp.csc_matrix
-    rhs_u: np.ndarray
-    rhs_lam: np.ndarray
-    V: PrimalSpace
-    Lam: MultiplierSpace
-    interior: Interior
-    method: str
-
-    @property
-    def K(self) -> sp.csc_matrix:
-        nu = self.rhs_u.shape[0]
-        return self.A[:nu, :nu]
-
-    @property
-    def B(self) -> sp.csr_matrix:
-        nu = self.rhs_u.shape[0]
-        return self.A[:nu, nu:].T
-
-    @property
-    def D(self) -> sp.csc_matrix:
-        nu = self.rhs_u.shape[0]
-        return -self.A[nu:, nu:]
-
-    @property
-    def Bt_corr(self) -> sp.csc_matrix | None:
-        nu = self.rhs_u.shape[0]
-        return self.A[nu:, :nu] if self.method == "taylor" else None
-
-    def full_matrix(self) -> sp.csc_matrix:
-        return self.A
-
-    def full_rhs(self) -> np.ndarray:
-        return np.concatenate([self.rhs_u, self.rhs_lam])
-
-
-@dataclass
-class NitscheSystem:
-    """A z = rhs on the retained dofs of V, A in CSC; interior as in SaddleSystem."""
 
     A: sp.csc_matrix
     rhs: np.ndarray
     V: PrimalSpace
+    Lam: MultiplierSpace | None
     interior: Interior
+    method: str
 
-    def full_matrix(self) -> sp.csc_matrix:
-        return self.A
+    @property
+    def nu(self) -> int:
+        """The number of retained primal dofs, A's leading block."""
+        return self.V.dof_count - len(self.interior.dofs)
 
-    def full_rhs(self) -> np.ndarray:
-        return self.rhs
+    @property
+    def K(self) -> sp.csc_matrix:
+        return self.A[: self.nu, : self.nu]
+
+    @property
+    def B(self) -> sp.csr_matrix:
+        return self.A[: self.nu, self.nu :].T
+
+    @property
+    def D(self) -> sp.csc_matrix:
+        return -self.A[self.nu :, self.nu :]
+
+    @property
+    def Bt_corr(self) -> sp.csc_matrix | None:
+        return self.A[self.nu :, : self.nu] if self.method == "taylor" else None
 
 
 def _check_spaces(V, Lam=None):
@@ -352,7 +332,7 @@ def assemble_saddle(
     domain: ImplicitDomain,
     method: str,
     primal: PrimalAssembly | None = None,
-) -> SaddleSystem:
+) -> System:
     """The multiplier system of one of SADDLE_METHODS, right-hand side (u~, mu).
 
     bvc:        (u, mu) - (rho_h lambda, mu) = (u~, mu);
@@ -373,16 +353,14 @@ def assemble_saddle(
         psi = Lam.eval(facets.s)
         blocks = np.einsum("fq,fq,qi,qj->fij", facets.weights, facets.rho, psi, psi)
         D = _scatter((nl, nl), blocks, Lam.facet_dofs, Lam.facet_dofs)
-    row2, rhs_lam = primal.B, primal.rhs_lam
+    row2, rhs = primal.B, np.concatenate([primal.rhs_u, primal.rhs_lam])
     if method == "taylor":
         blocks = _coupling_blocks(V, Lam, True)
-        rhs_lam = rhs_lam.copy()
-        rhs_lam[Lam.facet_dofs] -= primal.interior.eliminate(blocks, facets.cell)
+        rhs[primal.K.shape[0] + Lam.facet_dofs] -= primal.interior.eliminate(blocks, facets.cell)
         row2 = _scatter(primal.B.shape, blocks, Lam.facet_dofs, primal.interior.table[facets.cell])
-    return SaddleSystem(
+    return System(
         A=sp.bmat([[primal.K, primal.B.T], [row2, -D]], format="csc"),
-        rhs_u=primal.rhs_u,
-        rhs_lam=rhs_lam,
+        rhs=rhs,
         V=V,
         Lam=Lam,
         interior=primal.interior,
@@ -390,7 +368,7 @@ def assemble_saddle(
     )
 
 
-def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> NitscheSystem:
+def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> System:
     """Boundary-value-corrected symmetric Nitsche with gamma = gamma0 / h.
 
     Facet terms, with dn = n_h . grad and corr(v) = v + rho_h dn v:
@@ -422,7 +400,7 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> N
     np.add.at(Kc, facets.cell, M)
 
     A, rhs, interior = condense(V, Kc, rhs)
-    return NitscheSystem(A=A.tocsc(), rhs=rhs, V=V, interior=interior)
+    return System(A=A.tocsc(), rhs=rhs, V=V, Lam=None, interior=interior, method="nitsche")
 
 
 def dump_matrix(A, path) -> None:
@@ -438,7 +416,7 @@ def dump_matrix(A, path) -> None:
 
 def dump_system(system, prefix) -> None:
     """Debug dump of all blocks of a system under the given path prefix."""
-    if isinstance(system, NitscheSystem):
+    if system.Lam is None:
         dump_matrix(system.A, f"{prefix}-A.txt")
         return
     dump_matrix(system.K, f"{prefix}-K.txt")
@@ -446,4 +424,4 @@ def dump_system(system, prefix) -> None:
     dump_matrix(system.D, f"{prefix}-D.txt")
     if system.Bt_corr is not None:
         dump_matrix(system.Bt_corr, f"{prefix}-Bt.txt")
-    dump_matrix(system.full_matrix(), f"{prefix}-full.txt")
+    dump_matrix(system.A, f"{prefix}-full.txt")

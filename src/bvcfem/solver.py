@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import spilu, splu
 
-from .assembly import NitscheSystem, SaddleSystem
+from .assembly import System
 
 logger = logging.getLogger(__name__)
 
@@ -222,20 +222,16 @@ def solve(system):
     """Solve an assembled system.
 
     Returns (u_field, lambda_field) over every dof of the spaces;
-    lambda_field is None for Nitsche.  solve_linear factors the one matrix
-    the system stores (full_matrix() returns it, no copy), and its residual
-    contract holds on that condensed matrix; the cell-interior dofs are
-    then restored from system.interior, cell by cell.  Keeping the
+    lambda_field is None when the system has no multiplier space (Nitsche).
+    solve_linear factors the one matrix the system stores, system.A, and its
+    residual contract holds on that condensed matrix; the cell-interior dofs
+    are then restored from system.interior, cell by cell.  Keeping the
     uncondensed matrix alive through the factorization for a second
     residual check would cost the memory the condensation saves.
     """
-    if not isinstance(system, (NitscheSystem, SaddleSystem)):
+    if not isinstance(system, System):
         raise SolverError(f"cannot solve a {type(system).__name__}")
-    z = solve_linear(system.full_matrix(), system.full_rhs())
-    if isinstance(system, NitscheSystem):
-        return SolutionField(system.V, system.interior.restore(z)), None
-    nu = system.K.shape[0]
-    return (
-        SolutionField(system.V, system.interior.restore(z[:nu])),
-        SolutionField(system.Lam, z[nu:]),
-    )
+    z = solve_linear(system.A, system.rhs)
+    nu = system.nu
+    u = SolutionField(system.V, system.interior.restore(z[:nu]))
+    return u, None if system.Lam is None else SolutionField(system.Lam, z[nu:])

@@ -541,6 +541,8 @@ _CONFIG_KEYS = {
     "preset", "domain", "element", "method", "levels", "gamma0",
     "multiplier_degree", "enrich", "out", "plots",
 }
+# A setting given by a flag alone is named by its flag, the others by their key.
+_FLAG_ONLY = {"dump_prefix": "--dump-matrices"}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -662,9 +664,8 @@ def main(argv=None) -> int:
         if preset_name:
             fixed = sorted(settings.keys() - {"levels"})
             if fixed:
-                raise ConfigError(
-                    f"preset {preset_name} fixes its own settings; drop {', '.join(fixed)}"
-                )
+                named = ", ".join(_FLAG_ONLY.get(key, key) for key in fixed)
+                raise ConfigError(f"preset {preset_name} fixes its own settings; drop {named}")
             result, msgs = run_preset(preset_name, levels=settings.get("levels"))
             label = f"preset {preset_name}"
         else:

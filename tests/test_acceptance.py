@@ -320,7 +320,7 @@ def test_criterion_9_property_suite():
     checks.append(
         (abs(K - K.T).max() <= 1e-13 * abs(K).max(), "stiffness not symmetric")
     )
-    A = system.full_matrix()
+    A = system.A
     checks.append(
         (abs(A - A.T).max() <= 1e-13 * abs(A).max(), "bvc system not symmetric")
     )
@@ -373,7 +373,7 @@ def test_criterion_9_property_suite():
     )
 
     z = np.concatenate([u.coefficients, lam.coefficients])
-    b = system.full_rhs()
+    b = system.rhs
     relres = np.linalg.norm(A @ z - b) / np.linalg.norm(b)
     checks.append((relres <= 1e-10, f"solver residual {relres:.2e} > 1e-10"))
 

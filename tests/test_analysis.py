@@ -21,6 +21,7 @@ from bvcfem.analysis import (
     multiplier_error,
     pairwise_rate,
     ErrorReport,
+    exact_data,
 )
 from bvcfem.geometry import make_ellipse_domain, make_polygon_domain, make_ring_domain, make_square_domain
 from bvcfem.mesh import (
@@ -32,6 +33,7 @@ from bvcfem.mesh import (
 )
 from bvcfem.solver import SolutionField
 from bvcfem.spaces import build_multiplier_space, build_primal_space, quadrature
+from bvcfem.study import StudyConfig, build_level
 from oracles import assembled_stiffness, cell_basis, cell_dofs, interpolate, project_to_multiplier
 
 RING = make_ring_domain()
@@ -103,6 +105,14 @@ class TestL2H1:
         e2 = l2_h1_errors(field, RING, extra_degree=2)
         assert abs(e1[0] - e2[0]) < 0.01 * e1[0]
         assert abs(e1[1] - e2[1]) < 0.01 * e1[1]
+
+    def test_shared_exact_data_takes_only_the_default_rule(self):
+        # exact holds values on the extra_degree 0 rule; another rule's points
+        # would not line up with them.
+        V, _ = build_level(StudyConfig(element="p2"), 0, RING)
+        field = SolutionField(V, interpolate(V, RING.u_exact))
+        with pytest.raises(ValueError, match="extra_degree"):
+            l2_h1_errors(field, RING, extra_degree=2, exact=exact_data(V, RING))
 
     def test_absolute_homogeneity(self):
         zero = lambda p: np.zeros(np.shape(p)[:-1])

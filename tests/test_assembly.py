@@ -130,7 +130,7 @@ class TestReferenceElement:
         L = build_multiplier_space(mesh, 1)
         system = assemble_saddle(V, L, RING, "bvc")
         # u = (r - 1/4)(3/4 - r) vanishes on both circles, so g~ ~ 0
-        assert np.max(np.abs(system.rhs_lam)) <= 1e-12
+        assert np.max(np.abs(system.rhs[system.nu :])) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -156,18 +156,18 @@ class TestStructure:
 
     def test_bvc_full_matrix_symmetric(self, ring_setup):
         mesh, V, L = ring_setup
-        A = assemble_saddle(V, L, RING, "bvc").full_matrix()
+        A = assemble_saddle(V, L, RING, "bvc").A
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
     def test_unmodified_full_matrix_symmetric(self, ring_setup):
         mesh, V, L = ring_setup
-        A = assemble_saddle(V, L, RING, "unmodified").full_matrix()
+        A = assemble_saddle(V, L, RING, "unmodified").A
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
     def test_taylor_asymmetry_localized(self, ring_setup):
         mesh, V, L = ring_setup
         system = assemble_saddle(V, L, RING, "taylor")
-        A = system.full_matrix().toarray()
+        A = system.A.toarray()
         nu = V.dof_count
         # asymmetry only in the multiplier-primal coupling rows
         assert np.allclose(A[:nu, :nu], A[:nu, :nu].T, atol=1e-13)
@@ -181,8 +181,8 @@ class TestStructure:
         bvc = assemble_saddle(V, L, RING, "bvc")
         unmod = assemble_saddle(V, L, RING, "unmodified")
         taylor = assemble_saddle(V, L, RING, "taylor")
-        assert abs(bvc.full_matrix() - unmod.full_matrix()).max() <= 1e-14
-        assert abs(taylor.full_matrix() - unmod.full_matrix()).max() <= 1e-14
+        assert abs(bvc.A - unmod.A).max() <= 1e-14
+        assert abs(taylor.A - unmod.A).max() <= 1e-14
 
     def test_D_positive_semidefinite_on_staircase(self):
         mesh = precompute_boundary_geometry(build_staircase_mesh(16, ELLIPSE), ELLIPSE, 4)
@@ -345,15 +345,15 @@ def test_taylor_rows_of_two_bubble_corner_cells():
 
 @pytest.mark.parametrize("element", ["p1", "p2", "p3", "q1"])
 def test_each_system_stores_one_matrix(element):
-    # full_matrix() is the stored matrix itself, and the blocks are read from
-    # it: sp.bmat of the block views rebuilds it entry for entry.
+    # A is the one stored matrix, and the blocks are read from it: sp.bmat
+    # of the block views rebuilds it entry for entry.
     config = StudyConfig(domain="ellipse" if element == "q1" else "ring", element=element)
     domain = DOMAINS[config.domain]()
     V, Lam = build_level(config, 0, domain)
     for method in ("bvc", "unmodified", "taylor"):
         system = assemble_saddle(V, Lam, domain, method)
-        A = system.full_matrix()
-        assert A is system.A and A.format == "csc"
+        A = system.A
+        assert A.format == "csc"
         assert [v for v in vars(system).values() if sp.issparse(v)] == [A]
         assert (system.Bt_corr is None) == (method != "taylor")
         row2 = system.B if system.Bt_corr is None else system.Bt_corr
@@ -361,7 +361,7 @@ def test_each_system_stores_one_matrix(element):
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(rebuilt, part), getattr(A, part))
     nitsche = assemble_nitsche(V, domain, 10.0)
-    assert nitsche.full_matrix() is nitsche.A and nitsche.A.format == "csc"
+    assert nitsche.A.format == "csc"
     assert [v for v in vars(nitsche).values() if sp.issparse(v)] == [nitsche.A]
 
 

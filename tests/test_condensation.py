@@ -77,7 +77,7 @@ def test_condensed_unmodified_keeps_an_empty_multiplier_block(p3_case, monkeypat
     domain, V, Lam = p3_case
     system = assemble_saddle(V, Lam, domain, "unmodified")
     nu = system.K.shape[0]
-    assert system.full_matrix()[nu:, nu:].nnz == 0
+    assert system.A[nu:, nu:].nnz == 0
     B = coupling_matrix(V, Lam, False).toarray()
     retained = np.delete(np.arange(V.dof_count), V.interior_dofs)
     assert np.array_equal(system.B.toarray(), B[:, retained])
@@ -131,6 +131,6 @@ def test_no_interior_dofs_keep_the_assembled_blocks(case):
         got = got.tocsr()
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part))
-    assert np.array_equal(system.rhs_u, f)
+    assert np.array_equal(system.rhs[: system.nu], f)
     u, _ = solve(assemble_saddle(V, Lam, domain, "bvc"))
     assert len(u.coefficients) == V.dof_count

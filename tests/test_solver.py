@@ -22,7 +22,7 @@ from bvcfem.solver import (
 )
 from bvcfem.spaces import build_multiplier_space, build_primal_space
 from bvcfem.analysis import _field_on_volume
-from bvcfem.assembly import assemble_nitsche, assemble_saddle
+from bvcfem.assembly import System, assemble_nitsche, assemble_saddle
 from bvcfem.spaces import QuadratureRule
 from bvcfem.study import ASSEMBLERS, DOMAINS, StudyConfig, build_level
 from oracles import interpolate, lagrange_points
@@ -242,7 +242,7 @@ class TestSolverPath:
         # scatter, which prunes no exact cancellation: on P2 (32x8 ring) the
         # stored pattern is symmetric.
         V, _ = build_level(StudyConfig(element="p2", method="nitsche"), 1, RING)
-        A = assemble_nitsche(V, RING, 40.0).full_matrix()
+        A = assemble_nitsche(V, RING, 40.0).A
         P = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
         assert (P - P.T).count_nonzero() == 0
 
@@ -281,7 +281,7 @@ class TestSolverPath:
         assert record.levelno == logging.DEBUG and record.name == "bvcfem.solver"
         message = record.getMessage()
         n = V.dof_count + L.dof_count
-        assert f"path=diagonal-pivot n={n} nnz(A)={system.full_matrix().nnz}" in message
+        assert f"path=diagonal-pivot n={n} nnz(A)={system.A.nnz}" in message
         for field in ("nnz(L+U)=", "min_pivot_ratio=", "relres=", "refined=False"):
             assert field in message
 
@@ -293,7 +293,7 @@ class TestSolverPath:
         # P3 level 2 of the bvc ring ladder
         V, L = _ring_spaces(64, 16, degree=3)
         system = assemble_saddle(V, L, RING, "bvc")
-        A, b = system.full_matrix(), system.full_rhs()
+        A, b = system.A, system.rhs
         z = solve_linear(A, b)
         assert splu_calls == [DIAGONAL_PIVOT_KWARGS]
         z_ref = splu(A).solve(b)
@@ -329,7 +329,7 @@ class TestZeroBlockPath:
         for method in ("unmodified", "taylor"):
             splu_calls.clear()
             system = assemble_saddle(*p3_level2_spaces, RING, method)
-            A, b = system.full_matrix(), system.full_rhs()
+            A, b = system.A, system.rhs
             z = solve_linear(A, b)
             assert splu_calls == [ZERO_BLOCK_KWARGS]
             z_ref = splu(A).solve(b)
@@ -438,7 +438,7 @@ class TestReleasedCopy:
         assert [kwargs for kwargs, _, _ in released_splu] == [ZERO_BLOCK_KWARGS, {}]
         _, arrays, lu = released_splu[1]
         assert lu.u_reads == 1
-        A = system.full_matrix()
+        A = system.A
         perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
         want = A[perm, :][:, perm]
         for part, got in zip(CSC, arrays):
@@ -458,9 +458,8 @@ class TestSolveSystems:
         exact = domain.u_exact(lagrange_points(V))
         assert np.max(np.abs(u.coefficients[: len(exact)] - exact)) <= 1e-12
         assert np.max(np.abs(u.coefficients[len(exact) :])) <= 1e-12
-        A = system.full_matrix()
         z = np.concatenate([u.coefficients, lam.coefficients])
-        assert np.linalg.norm(A @ z - system.full_rhs()) <= 1e-12
+        assert np.linalg.norm(system.A @ z - system.rhs) <= 1e-12
 
     def test_unstable_pairing_is_singular(self):
         mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
@@ -468,6 +467,25 @@ class TestSolveSystems:
         L = build_multiplier_space(mesh, 2)  # richer than the boundary trace
         with pytest.raises(SingularSystem):
             solve(assemble_saddle(V, L, RING, "unmodified"))
+
+    @pytest.mark.parametrize("method", ["bvc", "unmodified", "taylor", "nitsche"])
+    def test_one_record_one_solve_path(self, method):
+        # P3 condenses its cell-interior dofs, so u spans V only once restored.
+        config = StudyConfig(element="p3")
+        domain = DOMAINS[config.domain]()
+        V, Lam = build_level(config, 0, domain)
+        if method == "nitsche":
+            system = assemble_nitsche(V, domain, 90.0)
+        else:
+            system = ASSEMBLERS[method](V, Lam, domain)
+        assert type(system) is System
+        u, lam = solve(system)
+        assert (lam is None) == (system.Lam is None) == (method == "nitsche")
+        assert len(u.coefficients) == V.dof_count
+
+    def test_rejects_what_is_not_a_system(self):
+        with pytest.raises(SolverError, match="cannot solve a object"):
+            solve(object())
 
     def test_bvc_heals_unstable_pairing(self):
         mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)

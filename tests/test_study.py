@@ -363,7 +363,7 @@ class TestCli:
         V = build_primal_space(mesh, 2, enrich=True)
         Lam = build_multiplier_space(mesh, 1)
         system = assemble_saddle(V, Lam, ring, "taylor")
-        assert len(lines["full"]) == system.full_matrix().nnz
+        assert len(lines["full"]) == system.A.nnz
         assert len(lines["Bt"]) == system.Bt_corr.nnz
         assert lines["D"] == []
 
@@ -476,11 +476,13 @@ class TestCli:
             (["--preset", "p2-ring", "--element", "p3", "--method", "taylor"], "",
              ["element", "method"]),
             (["--preset", "p2-ring", "--no-enrich", "--dump-matrices", "d"], "",
-             ["dump_prefix", "enrich"]),
+             ["--dump-matrices", "enrich"]),
             ([], "preset = p2-ring\ngamma0 = 3\nmultiplier_degree = 1\n",
              ["gamma0", "multiplier_degree"]),
+            # --dump-matrices has no config key, so the error names the flag.
+            (["--preset", "p2-ring", "--dump-matrices", "x"], "", ["drop --dump-matrices"]),
         ],
-        ids=["flags", "switches", "config-file"],
+        ids=["flags", "switches", "config-file", "flag-only"],
     )
     def test_preset_rejects_study_settings(self, tmp_path, capsys, argv, cfg, keys):
         path = tmp_path / "study.cfg"

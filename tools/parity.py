@@ -11,11 +11,11 @@ tables (V.basis values and gradients at that volume rule, as
 `basis.volume.*`, and at the facet Gauss points of every local edge, as
 `basis.facet.*`; a change of the basis shows as its own key, not only
 through the matrices), the dof tables, every assembled matrix and
-right-hand side (bvc, unmodified, taylor, nitsche; a saddle system's K, B,
-D and Bt_corr blocks and, as `<method>.A`, its full_matrix, the matrix the
-solver factors) with the solution solve returns (NaN where the solver
-raises), a load vector, the primal boundary mass and the error_report of a
-fixed random field.  It also saves, per branch of run_preset(name,
+right-hand side (bvc, unmodified, taylor, nitsche: each System's A, the
+matrix the solver factors, as `<method>.A` and its rhs, and a multiplier
+system's K, B, D and Bt_corr blocks) with the solution solve returns (NaN
+where the solver raises), a load vector, the primal boundary mass and the
+error_report of a fixed random field.  It also saves, per branch of run_preset(name,
 levels=2) for q1-ellipse, p3-ring and unstable-pairing, each ErrorReport
 field over the levels (`preset-<name>/<method>.<field>`, NaN at a failed
 level or a None field) and the failed levels (`<method>.failed`), so a
@@ -25,7 +25,7 @@ this script and prints the max relative difference of each, max|new - ref|
 / max|ref|; a matrix, saved as its CSR indptr/indices/data and shape, is
 compared as one matrix, so an exact zero stored on one side and absent on
 the other reads no drift.  A system's right-hand side is one key (its
-full_rhs), so a block of it that is pure roundoff, as the ring's multiplier
+rhs), so a block of it that is pure roundoff, as the ring's multiplier
 load is where u_exact vanishes, is scaled by the whole vector and does not
 read as drift.  0 on every key means bit-identical results,
 and the `.solution` lines show the solver's drift per system.  It exits 1
@@ -108,7 +108,7 @@ def _put_solution(out, key, system):
     try:
         z = np.concatenate([f.coefficients for f in solve(system) if f is not None])
     except SolverError:
-        spaces = (system.V, getattr(system, "Lam", None))
+        spaces = (system.V, system.Lam)
         z = np.full(sum(s.dof_count for s in spaces if s is not None), np.nan)
     out[f"{key}.solution"] = z
 
@@ -154,18 +154,15 @@ def arrays() -> dict:
                     vals, grads = V.basis(pts)
                     out[f"{tag}/basis.{where}.values"] = vals
                     out[f"{tag}/basis.{where}.gradients"] = grads
-                for method in ("bvc", "unmodified", "taylor"):
-                    system = assemble_saddle(V, Lam, domain, method)
-                    for block in ("K", "B", "D", "Bt_corr"):
+                systems = [assemble_saddle(V, Lam, domain, m) for m in ("bvc", "unmodified", "taylor")]
+                for system in [*systems, assemble_nitsche(V, domain, 10.0 * k * k)]:
+                    key = f"{tag}/{system.method}"
+                    for block in ("K", "B", "D", "Bt_corr") if system.Lam is not None else ():
                         if getattr(system, block) is not None:
-                            _put_matrix(out, f"{tag}/{method}.{block}", getattr(system, block))
-                    _put_matrix(out, f"{tag}/{method}.A", system.full_matrix())
-                    out[f"{tag}/{method}.rhs"] = system.full_rhs()
-                    _put_solution(out, f"{tag}/{method}", system)
-                nitsche = assemble_nitsche(V, domain, 10.0 * k * k)
-                _put_matrix(out, f"{tag}/nitsche.A", nitsche.A)
-                out[f"{tag}/nitsche.rhs"] = nitsche.rhs
-                _put_solution(out, f"{tag}/nitsche", nitsche)
+                            _put_matrix(out, f"{key}.{block}", getattr(system, block))
+                    _put_matrix(out, f"{key}.A", system.A)
+                    out[f"{key}.rhs"] = system.rhs
+                    _put_solution(out, key, system)
                 out[f"{tag}/load"] = load_vector(V, _load)
                 _put_matrix(out, f"{tag}/boundary_mass", boundary_mass_primal(V))
                 rng = np.random.default_rng(1234)
