@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,30 +45,29 @@ class ErrorReport:
     normal_dev: float
 
 
-@dataclass(frozen=True)
-class ExactData:
-    """What the error reports on one primal space share, whatever the field:
-    u (cells, nq) and grad u (cells, nq, 2) at the physical points of the
-    error rule of l2_h1_errors, and geometry_report's (delta_h, normal_dev)."""
-
-    u: np.ndarray
-    grad_u: np.ndarray
-    geometry: tuple
-
-
 def _error_rule(V: PrimalSpace, extra_degree: int = 0):
     return quadrature(V.mesh.cell_kind, 2 * V.degree + 4 + extra_degree)
 
 
-def _exact_on_rule(V: PrimalSpace, domain, rule):
-    X = V.mesh.to_physical(rule.points)
-    return geo.at_points(domain.u_exact, X), geo.at_points(domain.grad_u_exact, X)
+# V -> {(domain, extra_degree): (u, grad_u)}, dropped with V.
+_EXACT = weakref.WeakKeyDictionary()
 
 
-def exact_data(V: PrimalSpace, domain) -> ExactData:
-    """The exact data of every error report on V, computed once."""
-    u, grad_u = _exact_on_rule(V, domain, _error_rule(V))
-    return ExactData(u, grad_u, geometry_report(V.mesh, domain))
+def exact_data(V: PrimalSpace, domain, extra_degree: int = 0):
+    """u (cells, nq) and grad u (cells, nq, 2) at the physical points of
+    l2_h1_errors' rule on V, read-only.
+
+    Each (domain, extra_degree) is evaluated once and kept as long as V, so
+    every error norm on V, of every method solved on it, reads one copy.
+    """
+    tables = _EXACT.setdefault(V, {})
+    key = (domain, extra_degree)
+    if key not in tables:
+        X = V.mesh.to_physical(_error_rule(V, extra_degree).points)
+        u, grad_u = geo.at_points(domain.u_exact, X), geo.at_points(domain.grad_u_exact, X)
+        u.flags.writeable = grad_u.flags.writeable = False
+        tables[key] = u, grad_u
+    return tables[key]
 
 
 def _field_on_volume(field: SolutionField, rule):
@@ -84,20 +84,12 @@ def _field_on_volume(field: SolutionField, rule):
     return uh, guh
 
 
-def l2_h1_errors(
-    u_field: SolutionField, domain, extra_degree: int = 0, exact: ExactData | None = None
-):
-    """||u - u_h|| and |u - u_h|_H1 on the field's mesh, elevated-order quadrature.
-
-    exact is exact_data(u_field.space, domain), when several norms share it
-    (extra_degree 0 only); None evaluates u and grad u here.
-    """
-    if exact is not None and extra_degree:
-        raise ValueError(f"exact holds data on the extra_degree 0 rule, not {extra_degree}")
+def l2_h1_errors(u_field: SolutionField, domain, extra_degree: int = 0):
+    """||u - u_h|| and |u - u_h|_H1 on the field's mesh, elevated-order quadrature."""
     V = u_field.space
+    ue, ge = exact_data(V, domain, extra_degree)
     rule = _error_rule(V, extra_degree)
     uh, guh = _field_on_volume(u_field, rule)
-    ue, ge = _exact_on_rule(V, domain, rule) if exact is None else (exact.u, exact.grad_u)
     wd = rule.weights[None, :] * V.mesh.detJ[:, None]
     err_l2 = np.sqrt(np.sum(wd * (uh - ue) ** 2))
     err_h1 = np.sqrt(np.sum(wd[:, :, None] * (guh - ge) ** 2))
@@ -123,13 +115,13 @@ def multiplier_error(lambda_field: SolutionField, domain) -> float:
     return float(np.sqrt(np.sum(facets.weights * (target - lam) ** 2)))
 
 
-def error_triple_norm(u_field, err_lambda, domain, exact: ExactData | None = None) -> float:
+def error_triple_norm(u_field, err_lambda, domain) -> float:
     """|||(u - u_h, lambda~ - lambda_h)||| with lambda~ = -n_h . grad u.
 
     err_lambda is multiplier_error's value, None for a method without
-    multiplier; exact is passed to l2_h1_errors.
+    multiplier.
     """
-    _, err_h1 = l2_h1_errors(u_field, domain, exact=exact)
+    _, err_h1 = l2_h1_errors(u_field, domain)
     mesh = u_field.space.mesh
     facets = mesh.boundary_facets
     ue = geo.at_points(domain.u_exact, facets.points)
@@ -204,21 +196,15 @@ def geometry_report(mesh: Mesh, domain) -> tuple:
     return float(np.max(np.abs(facets.rho))), float(np.max(dev))
 
 
-def error_report(u_field, lambda_field, domain, exact: ExactData | None = None) -> ErrorReport:
-    """Assemble the full per-level record for a solved problem.
-
-    exact is exact_data(u_field.space, domain), when the methods solved on
-    one space share it; None computes it here.
-    """
+def error_report(u_field, lambda_field, domain) -> ErrorReport:
+    """Assemble the full per-level record for a solved problem."""
     mesh = u_field.space.mesh
-    if exact is None:
-        exact = exact_data(u_field.space, domain)
-    err_l2, err_h1 = l2_h1_errors(u_field, domain, exact=exact)
+    err_l2, err_h1 = l2_h1_errors(u_field, domain)
     saddle = lambda_field is not None
     err_lam = multiplier_error(lambda_field, domain) if saddle else None
     dofs_lam = lambda_field.space.dof_count if saddle else 0
-    triple = error_triple_norm(u_field, err_lam, domain, exact)
-    delta_h, normal_dev = exact.geometry
+    triple = error_triple_norm(u_field, err_lam, domain)
+    delta_h, normal_dev = geometry_report(mesh, domain)
     return ErrorReport(
         h=mesh.h,
         nno=mesh.nno,

@@ -17,8 +17,9 @@ along one of two paths, chosen from the matrix structure:
   matrix whose zero-diagonal block holds entries, and as the fallback below.
 
 Both paths enforce the near-zero-pivot check (`SingularSystem`) and the
-relative residual contract ||Az - b|| / ||b|| <= 1e-10, with a single
-iterative-refinement step as backup.  The gate does not make diagonal
+relative residual contract ||Az - b|| <= 1e-10 ||b||, with a single
+iterative-refinement step as backup; a zero b is ordered, factored and
+checked like any other.  The gate does not make diagonal
 pivoting stable (the -D block takes both signs, a zero block is indefinite,
 `taylor` is not symmetric), so any `SolverError` on that path falls back,
 with a warning, to partial pivoting, which alone decides whether a system
@@ -115,16 +116,13 @@ def solve_linear(A, b) -> np.ndarray:
         raise SolverError(f"rhs length {b.shape[0]} does not match {A.shape}")
     _check_finite(A, b)
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-
     perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
     anorm = float(np.max(np.abs(A.data))) if A.nnz else 0.0
     zero = np.flatnonzero(A.diagonal() == 0)
     if _diagonal_pivot_gate(A, zero):
         path = ZERO_BLOCK if zero.size else DIAGONAL_PIVOT
         try:
-            order = perm[_zero_block_order(_permuted(A, perm))] if zero.size else perm
+            order = _zero_block_order(A, perm, zero) if zero.size else perm
             return _factor_and_solve(A, order, b, bnorm, anorm, path)
         except SolverError as exc:
             # The text only: a handler that keeps its records would keep
@@ -161,26 +159,36 @@ def _diagonal_pivot_gate(A, zero) -> bool:
     return not (zero.size and A[zero, :][:, zero].nnz)
 
 
-def _zero_block_order(Ap) -> np.ndarray:
-    """Column order of Ap: SuperLU's minimum degree, with each zero-diagonal
-    dof moved to just after its last neighbour, the last-eliminated
-    stored row of its column.
+def _zero_block_order(A, perm, zero) -> np.ndarray:
+    """Column order of A, refining its pre-order perm: SuperLU's minimum
+    degree of A[perm][:, perm], with each zero-diagonal dof (`zero`) moved
+    to just after its last neighbour, the last-eliminated stored row of its
+    column.
 
     SuperLU computes its `MMD_AT_PLUS_A` order only inside a factorization,
-    so it is read from an incomplete factorization of Ap's pattern under a
-    dominant diagonal, which drops all it can of the off-diagonal entries.
+    so it is read from an incomplete factorization of the permuted pattern
+    under a dominant diagonal.  That order is fixed from the pattern of
+    P + P^T before the factorization starts, so the factorization is given
+    the upper triangle alone, one column per panel.
     """
-    n, zero = Ap.shape[0], np.flatnonzero(Ap.diagonal() == 0)
-    P = sp.csc_matrix((np.ones(Ap.nnz), Ap.indices, Ap.indptr), shape=Ap.shape)
-    M = (P + P.T + n * sp.eye(n)).tocsc()
-    step = spilu(M, drop_tol=1.0, fill_factor=1.0, **_SPLU_OPTIONS[DIAGONAL_PIVOT]).perm_c
+    n = A.shape[0]
+    at = np.empty_like(perm)
+    at[perm] = np.arange(n)
+    rows, cols = at[A.indices], at[np.repeat(np.arange(n), np.diff(A.indptr))]
+    M = sp.csc_matrix(
+        (np.ones(A.nnz), (np.minimum(rows, cols), np.maximum(rows, cols))), shape=A.shape
+    ) + n * sp.eye(n, format="csc")
+    step = spilu(
+        M, drop_tol=1.0, fill_factor=1.0, panel_size=1, relax=1,
+        **_SPLU_OPTIONS[DIAGONAL_PIVOT],
+    ).perm_c
     # Sort key 2 * step, and 2 * (last neighbour's step) + 1 for a
     # zero-diagonal dof; several that follow one dof keep their mutual order.
-    cols = Ap[:, zero]
+    nbrs, zero = A[:, zero], at[zero]
     key = 2 * step
     key[zero] = -1
-    np.maximum.at(key, np.repeat(zero, np.diff(cols.indptr)), 2 * step[cols.indices] + 1)
-    return np.lexsort((step, key))
+    np.maximum.at(key, np.repeat(zero, np.diff(nbrs.indptr)), 2 * step[at[nbrs.indices]] + 1)
+    return perm[np.lexsort((step, key))]
 
 
 def _factor_and_solve(A, perm, b, bnorm, anorm, path) -> np.ndarray:
@@ -203,13 +211,14 @@ def _factor_and_solve(A, perm, b, bnorm, anorm, path) -> np.ndarray:
     z = np.empty_like(b)
     z[perm] = lu.solve(b[perm])
     resid = b - A @ z
-    relres = float(np.linalg.norm(resid)) / bnorm
-    refined = not relres <= RESIDUAL_RTOL
+    rnorm = float(np.linalg.norm(resid))
+    refined = not rnorm <= RESIDUAL_RTOL * bnorm
     if refined:
         z[perm] += lu.solve(resid[perm])
-        relres = float(np.linalg.norm(b - A @ z)) / bnorm
-        if not relres <= RESIDUAL_RTOL:
-            raise SolverError(f"residual contract violated: relres={relres:.3e}")
+        rnorm = float(np.linalg.norm(b - A @ z))
+    relres = rnorm / bnorm if bnorm else np.inf if rnorm else 0.0
+    if not rnorm <= RESIDUAL_RTOL * bnorm:
+        raise SolverError(f"residual contract violated: relres={relres:.3e}")
     logger.debug(
         "solve path=%s n=%d nnz(A)=%d nnz(L+U)=%d min_pivot_ratio=%.3e "
         "relres=%.3e refined=%s",

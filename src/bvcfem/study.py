@@ -12,10 +12,11 @@ rate formula behind the fits, the CSV and the printed table.
 
 One level loop runs every ladder.  A preset's methods (main and comparison,
 or the unstable pairing's two) are solved level by level on one shared
-Rung: its mesh, spaces, primal assembly and the exact data of its error
-reports are built once, by the first method's run_level, and nothing of it
-outlives its level.  run_study is the one-method case.  The records, and so
-the CSVs, are the same as from one ladder per method.
+Rung: its mesh, spaces and primal assembly are built once, by the first
+method's run_level, and nothing of it outlives its level; the exact data
+of its error reports go with its V (analysis.exact_data).  run_study is
+the one-method case.  The records, and so the CSVs, are the same as from
+one ladder per method.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ import numpy as np
 
 from .analysis import (
     DegenerateFit,
-    ExactData,
     error_report,
-    exact_data,
     fit_rates,
     infsup_diagnostic,
     pairwise_rate,
@@ -122,7 +121,7 @@ class StudyResult:
     records: list = field(default_factory=list)   # (level, ErrorReport)
     failures: list = field(default_factory=list)  # (level, message)
     rates: dict | None = None
-    elevation: np.ndarray | None = None           # (nno, 3) at finest level
+    elevation: np.ndarray | None = None           # (nno, 3) at finest level, None if it failed
     companion: "StudyResult | None" = None
     infsup_sigmas: list | None = None
 
@@ -155,17 +154,15 @@ def build_level(config: StudyConfig, level: int, domain):
 class Rung:
     """What the methods solved on one rung of the ladder share.
 
-    The first method's run_level builds it: V and Lam on the mesh, the
-    multiplier methods' primal assembly, and the exact data of the error
-    reports.  pending counts the methods yet to assemble; the last one
-    drops the primal assembly before its solve.
+    The first method's run_level builds it: V and Lam on the mesh and the
+    multiplier methods' primal assembly.  pending counts the methods yet to
+    assemble; the last one drops the primal assembly before its solve.
     """
 
     pending: int
     V: PrimalSpace | None = None
     Lam: MultiplierSpace | None = None
     primal: PrimalAssembly | None = None
-    exact: ExactData | None = None
 
 
 def run_level(config: StudyConfig, level: int, domain, rung: Rung):
@@ -190,9 +187,7 @@ def run_level(config: StudyConfig, level: int, domain, rung: Rung):
     if config.dump_prefix:
         dump_system(system, f"{config.dump_prefix}-L{level}")
     u, lam = solve(system)
-    if rung.exact is None:
-        rung.exact = exact_data(V, domain)
-    return u, lam, error_report(u, lam, domain, rung.exact)
+    return u, lam, error_report(u, lam, domain)
 
 
 def _solve_on(result: StudyResult, level: int, domain, rung: Rung) -> None:
@@ -203,7 +198,8 @@ def _solve_on(result: StudyResult, level: int, domain, rung: Rung) -> None:
         result.failures.append((level, str(exc)))
         return
     result.records.append((level, report))
-    result.elevation = np.column_stack([u.space.mesh.vertices, u.vertex_values()])
+    if level == result.config.levels - 1:
+        result.elevation = np.column_stack([u.space.mesh.vertices, u.vertex_values()])
 
 
 def _run_ladder(config: StudyConfig, methods) -> list:

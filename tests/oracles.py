@@ -7,11 +7,13 @@ that the batched kernels can be checked against them.  uncondensed_system
 builds a system over every dof, before the assembler condenses the
 cell-interior dofs, so that the restored solution can be checked on it;
 assembled_stiffness sums the per-cell stiffness blocks into one matrix
-without the assembler's scatter.
+without the assembler's scatter.  zero_block_order builds the solver's
+zero-block order from a permuted copy of the whole matrix.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spilu
 
 from bvcfem.assembly import (
     coupling_matrix,
@@ -130,3 +132,24 @@ def uncondensed_system(V, domain, method, Lam=None, gamma0=None):
     g[Lam.facet_dofs] = wg @ psi
     A = sp.bmat([[K, B.T], [row2, -D if method == "bvc" else None]], format="csr")
     return A, np.concatenate([f, g])
+
+
+def zero_block_order(A, perm):
+    """The zero-block solver's column order of A under the pre-order perm,
+    from the permuted copy Ap = A[perm][:, perm]: SuperLU's MMD_AT_PLUS_A
+    order, read from a drop-everything incomplete factorization of the full
+    pattern P + P^T under a dominant diagonal, with each zero-diagonal dof
+    moved to just after its last neighbour."""
+    Ap = A[perm, :][:, perm].tocsc()
+    n, zero = Ap.shape[0], np.flatnonzero(Ap.diagonal() == 0)
+    P = sp.csc_matrix((np.ones(Ap.nnz), Ap.indices, Ap.indptr), shape=Ap.shape)
+    M = (P + P.T + n * sp.eye(n)).tocsc()
+    step = spilu(
+        M, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
+    ).perm_c
+    cols = Ap[:, zero]
+    key = 2 * step
+    key[zero] = -1
+    np.maximum.at(key, np.repeat(zero, np.diff(cols.indptr)), 2 * step[cols.indices] + 1)
+    return perm[np.lexsort((step, key))]

@@ -5,6 +5,10 @@ residual from project_to_multiplier, dense SVD for the inf-sup constant, and
 the chord sagitta bound for delta_h.
 """
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -105,14 +109,6 @@ class TestL2H1:
         e2 = l2_h1_errors(field, RING, extra_degree=2)
         assert abs(e1[0] - e2[0]) < 0.01 * e1[0]
         assert abs(e1[1] - e2[1]) < 0.01 * e1[1]
-
-    def test_shared_exact_data_takes_only_the_default_rule(self):
-        # exact holds values on the extra_degree 0 rule; another rule's points
-        # would not line up with them.
-        V, _ = build_level(StudyConfig(element="p2"), 0, RING)
-        field = SolutionField(V, interpolate(V, RING.u_exact))
-        with pytest.raises(ValueError, match="extra_degree"):
-            l2_h1_errors(field, RING, extra_degree=2, exact=exact_data(V, RING))
 
     def test_absolute_homogeneity(self):
         zero = lambda p: np.zeros(np.shape(p)[:-1])
@@ -229,6 +225,60 @@ class TestTripleNorm:
         report = analysis.error_report(u, lam, RING)
         assert len(calls) == 1
         assert report.triple == error_triple_norm(u, report.err_lambda, RING)
+
+
+class TestExactData:
+    """exact_data is evaluated once per space, domain and rule, kept as long
+    as the space, and read-only."""
+
+    def test_entry_goes_with_its_space(self):
+        V, _ = build_level(StudyConfig(element="p2"), 0, RING)
+        u, _ = exact_data(V, RING)
+        table = weakref.ref(u)
+        del u, V
+        gc.collect()
+        assert table() is None
+
+    def test_tables_are_read_only(self):
+        V, _ = build_level(StudyConfig(element="p2"), 0, RING)
+        for table in exact_data(V, RING):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    def test_extra_degree_has_its_own_table(self):
+        V, _ = build_level(StudyConfig(element="p2"), 0, RING)
+        u, grad_u = exact_data(V, RING)
+        u2, grad_u2 = exact_data(V, RING, 2)
+        nq = len(quadrature("triangle", 2 * 2 + 6).weights)
+        assert u2.shape == (V.mesh.num_cells, nq) and grad_u2.shape == (V.mesh.num_cells, nq, 2)
+        assert nq != u.shape[1]
+        got = exact_data(V, RING)
+        assert got[0] is u and got[1] is grad_u
+
+    def test_one_evaluation_per_level(self, monkeypatch):
+        # Two methods and four l2_h1_errors calls per level read one table.
+        from bvcfem import analysis, study
+
+        sizes, norm_calls = [], []
+
+        def counted_u(points):
+            sizes.append(len(points))
+            return ELLIPSE.u_exact(points)
+
+        def counted_norms(*args, **kwargs):
+            norm_calls.append(None)
+            return l2_h1_errors(*args, **kwargs)
+
+        domain = replace(ELLIPSE, u_exact=counted_u)
+        monkeypatch.setitem(study.DOMAINS, "ellipse", lambda: domain)
+        monkeypatch.setattr(analysis, "l2_h1_errors", counted_norms)
+        study.run_preset("q1-ellipse", levels=2)
+        assert len(norm_calls) == 8
+        nq = len(quadrature("quad", 2 * 1 + 4).weights)
+        for level in range(2):
+            V, _ = build_level(study.PRESETS["q1-ellipse"].config, level, ELLIPSE)
+            assert sizes.count(V.mesh.num_cells * nq) == 1
 
 
 class TestFitRates:

@@ -25,7 +25,7 @@ from bvcfem.analysis import _field_on_volume
 from bvcfem.assembly import System, assemble_nitsche, assemble_saddle
 from bvcfem.spaces import QuadratureRule
 from bvcfem.study import ASSEMBLERS, DOMAINS, StudyConfig, build_level
-from oracles import interpolate, lagrange_points
+from oracles import interpolate, lagrange_points, zero_block_order
 
 RING = make_ring_domain()
 DIAGONAL_PIVOT_KWARGS = dict(
@@ -56,6 +56,11 @@ class TestSolveLinear:
         A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         z = solve_linear(A, np.zeros(2))
         assert np.array_equal(z, np.zeros(2))
+
+    def test_zero_rhs_still_checks_singularity(self):
+        A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(SingularSystem):
+            solve_linear(A, np.zeros(2))
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
@@ -367,6 +372,33 @@ class TestZeroBlockPath:
             solve(system)
         assert splu_calls[2:] == [{}]
         assert err.value.dof_index == alone.value.dof_index >= 0
+
+    @pytest.mark.parametrize(
+        "element, method, levels",
+        [
+            ("p3", "unmodified", (0, 1, 2)),
+            ("p3", "taylor", (0, 1, 2)),
+            ("q1", "unmodified", (0, 1, 2)),
+            ("q1", "taylor", (0, 1, 2)),
+            ("unstable", "unmodified", (0,)),
+        ],
+    )
+    def test_order_from_the_pattern_alone(self, element, method, levels):
+        # The order read from the upper triangle of the permuted pattern is
+        # the one read from a permuted copy of A and its full pattern.
+        if element == "unstable":
+            config = StudyConfig(element="p2", multiplier_degree=2, enrich=False)
+        else:
+            config = StudyConfig(domain="ellipse" if element == "q1" else "ring", element=element)
+        domain = DOMAINS[config.domain]()
+        for level in levels:
+            A = ASSEMBLERS[method](*build_level(config, level, domain), domain).A
+            perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
+            zero = np.flatnonzero(A.diagonal() == 0)
+            assert zero.size and bvcfem.solver._diagonal_pivot_gate(A, zero)
+            assert np.array_equal(
+                bvcfem.solver._zero_block_order(A, perm, zero), zero_block_order(A, perm)
+            )
 
     def test_coupled_zero_diagonal_goes_to_partial_pivoting(self, splu_calls):
         A = sp.csc_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 3.0]]))

@@ -12,7 +12,7 @@ import pytest
 from bvcfem.analysis import ErrorReport, RateFit, error_report
 from bvcfem.assembly import assemble_nitsche
 from bvcfem.geometry import make_ring_domain
-from bvcfem.solver import solve
+from bvcfem.solver import SingularSystem, solve
 from bvcfem.study import (
     CSV_HEADER,
     PRESETS,
@@ -143,6 +143,23 @@ class TestRunStudy:
     def test_elevation_rows_match_nno(self, small_ring_study):
         res = small_ring_study
         assert res.elevation.shape == (res.reports[-1].nno, 3)
+
+    def test_elevation_is_none_when_the_finest_level_fails(self, monkeypatch):
+        from bvcfem import study
+
+        solved = []
+
+        def failing_finest(system):
+            solved.append(system.method)
+            if len(solved) == 3:
+                raise SingularSystem("finest level")
+            return solve(system)
+
+        monkeypatch.setattr(study, "solve", failing_finest)
+        res = run_study(StudyConfig(domain="ring", element="p1", method="bvc", levels=3))
+        assert [level for level, _ in res.records] == [0, 1]
+        assert [level for level, _ in res.failures] == [2]
+        assert res.elevation is None
 
     def test_deterministic_rerun(self, small_ring_study):
         res2 = run_study(StudyConfig(domain="ring", element="p2", method="bvc", levels=3))
