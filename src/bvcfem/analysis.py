@@ -45,29 +45,28 @@ class ErrorReport:
     normal_dev: float
 
 
-def _error_rule(V: PrimalSpace, extra_degree: int = 0):
-    return quadrature(V.mesh.cell_kind, 2 * V.degree + 4 + extra_degree)
+def _error_rule(V: PrimalSpace):
+    return quadrature(V.mesh.cell_kind, 2 * V.degree + 4)
 
 
-# V -> {(domain, extra_degree): (u, grad_u)}, dropped with V.
+# V -> {domain: (u, grad_u)}, dropped with V.
 _EXACT = weakref.WeakKeyDictionary()
 
 
-def exact_data(V: PrimalSpace, domain, extra_degree: int = 0):
+def exact_data(V: PrimalSpace, domain):
     """u (cells, nq) and grad u (cells, nq, 2) at the physical points of
     l2_h1_errors' rule on V, read-only.
 
-    Each (domain, extra_degree) is evaluated once and kept as long as V, so
-    every error norm on V, of every method solved on it, reads one copy.
+    Each domain is evaluated once and kept as long as V, so every error
+    norm on V, of every method solved on it, reads one copy.
     """
     tables = _EXACT.setdefault(V, {})
-    key = (domain, extra_degree)
-    if key not in tables:
-        X = V.mesh.to_physical(_error_rule(V, extra_degree).points)
+    if domain not in tables:
+        X = V.mesh.to_physical(_error_rule(V).points)
         u, grad_u = geo.at_points(domain.u_exact, X), geo.at_points(domain.grad_u_exact, X)
         u.flags.writeable = grad_u.flags.writeable = False
-        tables[key] = u, grad_u
-    return tables[key]
+        tables[domain] = u, grad_u
+    return tables[domain]
 
 
 def _field_on_volume(field: SolutionField, rule):
@@ -84,11 +83,11 @@ def _field_on_volume(field: SolutionField, rule):
     return uh, guh
 
 
-def l2_h1_errors(u_field: SolutionField, domain, extra_degree: int = 0):
+def l2_h1_errors(u_field: SolutionField, domain):
     """||u - u_h|| and |u - u_h|_H1 on the field's mesh, elevated-order quadrature."""
     V = u_field.space
-    ue, ge = exact_data(V, domain, extra_degree)
-    rule = _error_rule(V, extra_degree)
+    ue, ge = exact_data(V, domain)
+    rule = _error_rule(V)
     uh, guh = _field_on_volume(u_field, rule)
     wd = rule.weights[None, :] * V.mesh.detJ[:, None]
     err_l2 = np.sqrt(np.sum(wd * (uh - ue) ** 2))
@@ -176,7 +175,7 @@ def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace) -> float:
     """
     if V.dof_count > 5000:
         raise TooLarge(f"inf-sup diagnostic is coarse-level only ({V.dof_count} dofs)")
-    Bd = coupling_matrix(V, Lam, False).toarray()
+    Bd = coupling_matrix(V, Lam).toarray()
     h = V.mesh.h
     n, dofs = V.dof_count, V.dof_table
     K = _scatter((n, n), stiffness_matrix(V), dofs, dofs)

@@ -283,10 +283,10 @@ def _coupling_blocks(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> np.n
     return np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
 
 
-def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> sp.csr_matrix:
+def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace) -> sp.csr_matrix:
     """B over every dof of V: _coupling_blocks summed into one matrix."""
     dofs = V.dof_table[V.mesh.boundary_facets.cell]
-    blocks = _coupling_blocks(V, Lam, rho_dn)
+    blocks = _coupling_blocks(V, Lam, False)
     return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, dofs)
 
 

@@ -30,7 +30,6 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import legder, legval
-from scipy.special import roots_jacobi
 
 from .mesh import REFERENCE_CELLS, Mesh, gauss_01
 
@@ -54,7 +53,8 @@ def quadrature(kind: str, degree: int) -> QuadratureRule:
 
     Quads use tensor Gauss-Legendre; triangles use the conical product of
     Gauss-Jacobi (weight 1-x) and Gauss-Legendre, exact for total degree
-    <= 2n-1 in each factor.  Facet rules are gauss_01.
+    <= 2n-1 in each factor.  Facet rules are gauss_01.  The Gauss-Jacobi
+    factor loads scipy.special on the first triangle rule.
     """
     if kind not in ELEMENTS:
         raise ValueError(f"unknown cell kind {kind!r}; have {tuple(ELEMENTS)}")
@@ -71,6 +71,8 @@ def _quad_rule(n):
 
 
 def _tri_rule(n):
+    from scipy.special import roots_jacobi  # here, so quad-only runs never load scipy.special
+
     x01, w01 = gauss_01(n)
     xj, wj = roots_jacobi(n, 1, 0)       # weight (1 - x) on [-1, 1]
     xi = 0.5 * (xj + 1.0)

@@ -7,15 +7,20 @@ that the batched kernels can be checked against them.  uncondensed_system
 builds a system over every dof, before the assembler condenses the
 cell-interior dofs, so that the restored solution can be checked on it;
 assembled_stiffness sums the per-cell stiffness blocks into one matrix
-without the assembler's scatter.  zero_block_order builds the solver's
-zero-block order from a permuted copy of the whole matrix.
+without the assembler's scatter, and taylor_coupling sums the Taylor row.
+zero_block_order builds the solver's zero-block order from a permuted copy
+of the whole matrix.  elevated_l2_h1_errors evaluates l2_h1_errors' sums on
+a rule two degrees higher, for the quadrature-saturation checks.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spilu
 
+from bvcfem.analysis import _field_on_volume
 from bvcfem.assembly import (
+    _coupling_blocks,
+    _scatter,
     coupling_matrix,
     facet_normal_derivatives,
     facet_traces,
@@ -24,6 +29,7 @@ from bvcfem.assembly import (
 )
 from bvcfem.geometry import at_points
 from bvcfem.mesh import gauss_01
+from bvcfem.spaces import quadrature
 
 
 def cell_dofs(V, c):
@@ -96,13 +102,36 @@ def assembled_stiffness(V):
     return _summed((n, n), stiffness_matrix(V), dofs, dofs)
 
 
+def taylor_coupling(V, Lam):
+    """Taylor's second row over every dof of V: the coupling blocks of the
+    corrected trace (phi_j + rho_h dn phi_j, psi_i) summed as coupling_matrix
+    sums B's."""
+    dofs = V.dof_table[V.mesh.boundary_facets.cell]
+    blocks = _coupling_blocks(V, Lam, True)
+    return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, dofs)
+
+
+def elevated_l2_h1_errors(u_field, domain):
+    """l2_h1_errors' two sums on the rule of degree 2k + 6, two above the
+    library's 2k + 4."""
+    V = u_field.space
+    rule = quadrature(V.mesh.cell_kind, 2 * V.degree + 6)
+    X = V.mesh.to_physical(rule.points)
+    ue, ge = at_points(domain.u_exact, X), at_points(domain.grad_u_exact, X)
+    uh, guh = _field_on_volume(u_field, rule)
+    wd = rule.weights[None, :] * V.mesh.detJ[:, None]
+    err_l2 = np.sqrt(np.sum(wd * (uh - ue) ** 2))
+    err_h1 = np.sqrt(np.sum(wd[:, :, None] * (guh - ge) ** 2))
+    return float(err_l2), float(err_h1)
+
+
 def uncondensed_system(V, domain, method, Lam=None, gamma0=None):
     """(A, b) of a multiplier method (Lam given) or of Nitsche (gamma0 given)
     over every dof of V and Lam, unknowns ordered u then lambda.
 
-    Built from assembled_stiffness, coupling_matrix and load_vector, with the
-    facet terms of the assemble_saddle and assemble_nitsche docstrings
-    written out here; nothing is condensed.
+    Built from assembled_stiffness, coupling_matrix, taylor_coupling and
+    load_vector, with the facet terms of the assemble_saddle and
+    assemble_nitsche docstrings written out here; nothing is condensed.
     """
     facets = V.mesh.boundary_facets
     w, rho = facets.weights, facets.rho
@@ -124,8 +153,8 @@ def uncondensed_system(V, domain, method, Lam=None, gamma0=None):
         np.add.at(f, dofs[dofs >= 0], data[dofs >= 0])
         return A.tocsr(), f
     psi = Lam.eval(facets.s)
-    B = coupling_matrix(V, Lam, False)
-    row2 = coupling_matrix(V, Lam, True) if method == "taylor" else B
+    B = coupling_matrix(V, Lam)
+    row2 = taylor_coupling(V, Lam) if method == "taylor" else B
     # Facet dofs are contiguous per facet, so D is block diagonal.
     D = sp.block_diag(np.einsum("fq,fq,qi,qj->fij", w, rho, psi, psi))
     g = np.zeros(Lam.dof_count)

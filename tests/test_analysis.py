@@ -38,7 +38,14 @@ from bvcfem.mesh import (
 from bvcfem.solver import SolutionField
 from bvcfem.spaces import build_multiplier_space, build_primal_space, quadrature
 from bvcfem.study import StudyConfig, build_level
-from oracles import assembled_stiffness, cell_basis, cell_dofs, interpolate, project_to_multiplier
+from oracles import (
+    assembled_stiffness,
+    cell_basis,
+    cell_dofs,
+    elevated_l2_h1_errors,
+    interpolate,
+    project_to_multiplier,
+)
 
 RING = make_ring_domain()
 ELLIPSE = make_ellipse_domain()
@@ -106,7 +113,7 @@ class TestL2H1:
         V = build_primal_space(mesh, 2, enrich=True)
         field = SolutionField(V, interpolate(V, RING.u_exact))
         e1 = l2_h1_errors(field, RING)
-        e2 = l2_h1_errors(field, RING, extra_degree=2)
+        e2 = elevated_l2_h1_errors(field, RING)
         assert abs(e1[0] - e2[0]) < 0.01 * e1[0]
         assert abs(e1[1] - e2[1]) < 0.01 * e1[1]
 
@@ -228,8 +235,8 @@ class TestTripleNorm:
 
 
 class TestExactData:
-    """exact_data is evaluated once per space, domain and rule, kept as long
-    as the space, and read-only."""
+    """exact_data is evaluated once per space and domain, kept as long as
+    the space, and read-only."""
 
     def test_entry_goes_with_its_space(self):
         V, _ = build_level(StudyConfig(element="p2"), 0, RING)
@@ -245,16 +252,6 @@ class TestExactData:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
-
-    def test_extra_degree_has_its_own_table(self):
-        V, _ = build_level(StudyConfig(element="p2"), 0, RING)
-        u, grad_u = exact_data(V, RING)
-        u2, grad_u2 = exact_data(V, RING, 2)
-        nq = len(quadrature("triangle", 2 * 2 + 6).weights)
-        assert u2.shape == (V.mesh.num_cells, nq) and grad_u2.shape == (V.mesh.num_cells, nq, 2)
-        assert nq != u.shape[1]
-        got = exact_data(V, RING)
-        assert got[0] is u and got[1] is grad_u
 
     def test_one_evaluation_per_level(self, monkeypatch):
         # Two methods and four l2_h1_errors calls per level read one table.

@@ -29,7 +29,7 @@ from bvcfem.mesh import (
 )
 from bvcfem.solver import ZERO_BLOCK, solve, solve_linear
 from bvcfem.spaces import build_multiplier_space, build_primal_space
-from oracles import assembled_stiffness, uncondensed_system
+from oracles import assembled_stiffness, taylor_coupling, uncondensed_system
 
 RING = make_ring_domain()
 SQUARE = make_square_domain()
@@ -78,7 +78,7 @@ def test_condensed_unmodified_keeps_an_empty_multiplier_block(p3_case, monkeypat
     system = assemble_saddle(V, Lam, domain, "unmodified")
     nu = system.K.shape[0]
     assert system.A[nu:, nu:].nnz == 0
-    B = coupling_matrix(V, Lam, False).toarray()
+    B = coupling_matrix(V, Lam).toarray()
     retained = np.delete(np.arange(V.dof_count), V.interior_dofs)
     assert np.array_equal(system.B.toarray(), B[:, retained])
 
@@ -125,8 +125,8 @@ def test_no_interior_dofs_keep_the_assembled_blocks(case):
     for got, want in (
         (Kc, K),
         (system.K, K),
-        (system.B, coupling_matrix(V, Lam, False)),
-        (system.Bt_corr, coupling_matrix(V, Lam, True)),
+        (system.B, coupling_matrix(V, Lam)),
+        (system.Bt_corr, taylor_coupling(V, Lam)),
     ):
         got = got.tocsr()
         for part in ("data", "indices", "indptr"):

@@ -1,15 +1,22 @@
-"""Every name a library module imports is used in that module.
+"""What the library imports.
 
-A stdlib-ast stand-in for a linter's unused-import check.  __init__.py is
-skipped: its imports are the package's re-exports.
+Every name a library module imports is used in that module: a stdlib-ast
+stand-in for a linter's unused-import check.  __init__.py is skipped: its
+imports are the package's re-exports.  And scipy.special, which only the
+triangle quadrature rules read, is not loaded by a run on quads alone.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bvcfem"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bvcfem"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -41,3 +48,44 @@ def test_checker_flags_unused_and_ignores_future():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Run in a fresh interpreter: this one has loaded scipy.special already.
+LAZY_SPECIAL = """
+import json, sys
+import numpy as np
+from bvcfem.mesh import gauss_01
+from bvcfem.spaces import quadrature
+from bvcfem.study import run_preset
+
+run_preset("q1-ellipse", levels=2)
+after_quads = "scipy.special" in sys.modules
+rule = quadrature("triangle", 6)
+after_rule = "scipy.special" in sys.modules
+
+from scipy.special import roots_jacobi
+
+n = 4  # points per direction of the degree-6 rule
+xj, wj = roots_jacobi(n, 1, 0)
+x01, w01 = gauss_01(n)
+xi, t = np.meshgrid(0.5 * (xj + 1.0), x01, indexing="ij")
+points = np.stack([xi.ravel(), ((1.0 - xi) * t).ravel()], axis=-1)
+weights = np.outer(0.25 * wj, w01).ravel()
+print(json.dumps(dict(
+    after_quads=after_quads,
+    after_rule=after_rule,
+    points=bool(np.array_equal(rule.points, points)),
+    weights=bool(np.array_equal(rule.weights, weights)),
+)))
+"""
+
+
+def test_quad_runs_never_load_scipy_special():
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SPECIAL],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    got = json.loads(proc.stdout)
+    assert got == dict(after_quads=False, after_rule=True, points=True, weights=True)
