@@ -81,7 +81,7 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 # `python -m bvcfem.study` does not find it already imported by the package.
 _STUDY_NAMES = {
     "PRESETS", "StudyConfig", "StudyResult", "emit_csv", "emit_plots",
-    "run_preset", "run_study", "run_unstable_pairing",
+    "run_preset", "run_study",
 }
 
 

@@ -166,12 +166,19 @@ def fit_rates(reports) -> dict:
     return out
 
 
-def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace) -> float:
-    """Smallest generalized singular value of the coupling B.
+# An eigenvalue at most this fraction of the largest counts as kernel.
+KERNEL_RTOL = 1e-10
 
-    sigma_min^2 is the smallest eigenvalue of B N^{-1} B^T against the scaled
+
+def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace) -> tuple:
+    """(kernel, sigma): the coupling B's kernel dimension and its smallest
+    generalized singular value above that kernel.
+
+    The squared values are the eigenvalues of B N^{-1} B^T against the scaled
     multiplier mass h M_Lam, where N = K + M_bnd / h realizes the primal norm
-    ||grad v|| + ||h^{-1/2} v||_bnd.  Dense; restricted to coarse levels.
+    ||grad v|| + ||h^{-1/2} v||_bnd.  kernel counts those at most KERNEL_RTOL
+    times the largest; an inf-sup stable pairing has none.  Dense; restricted
+    to coarse levels.
     """
     if V.dof_count > 5000:
         raise TooLarge(f"inf-sup diagnostic is coarse-level only ({V.dof_count} dofs)")
@@ -184,7 +191,9 @@ def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace) -> float:
     G = Bd @ X
     M = h * np.diag(Lam.mass_matrix_diagonal())
     eig = scipy.linalg.eigh(G, M, eigvals_only=True)
-    return float(np.sqrt(max(eig[0], 0.0)))
+    kernel = int(np.count_nonzero(eig <= KERNEL_RTOL * eig[-1]))
+    sigma = float(np.sqrt(eig[kernel])) if kernel < eig.size else 0.0
+    return kernel, sigma
 
 
 def geometry_report(mesh: Mesh, domain) -> tuple:

@@ -22,7 +22,7 @@ vectors, an appended zero coefficient for fields).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import factorial
 from operator import add, mul
 from typing import Callable
@@ -54,7 +54,8 @@ def quadrature(kind: str, degree: int) -> QuadratureRule:
     Quads use tensor Gauss-Legendre; triangles use the conical product of
     Gauss-Jacobi (weight 1-x) and Gauss-Legendre, exact for total degree
     <= 2n-1 in each factor.  Facet rules are gauss_01.  The Gauss-Jacobi
-    factor loads scipy.special on the first triangle rule.
+    factor loads scipy.special on the first triangle rule.  Each rule is
+    built once per (kind, n) and shared, so its arrays are read-only.
     """
     if kind not in ELEMENTS:
         raise ValueError(f"unknown cell kind {kind!r}; have {tuple(ELEMENTS)}")
@@ -63,13 +64,20 @@ def quadrature(kind: str, degree: int) -> QuadratureRule:
     return ELEMENTS[kind].rule(max(1, (degree + 2) // 2))  # n = ceil((degree+1)/2)
 
 
+def _shared_rule(points, weights) -> QuadratureRule:
+    points.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(points=points, weights=weights)
+
+
+@cache
 def _quad_rule(n):
     x01, w01 = gauss_01(n)
     X, Y = np.meshgrid(x01, x01, indexing="ij")
     W = np.outer(w01, w01)
-    return QuadratureRule(points=np.stack([X.ravel(), Y.ravel()], axis=-1), weights=W.ravel())
+    return _shared_rule(np.stack([X.ravel(), Y.ravel()], axis=-1), W.ravel())
 
 
+@cache
 def _tri_rule(n):
     from scipy.special import roots_jacobi  # here, so quad-only runs never load scipy.special
 
@@ -80,7 +88,7 @@ def _tri_rule(n):
     XI, T = np.meshgrid(xi, x01, indexing="ij")
     W = np.outer(wxi, w01)
     eta = (1.0 - XI) * T
-    return QuadratureRule(points=np.stack([XI.ravel(), eta.ravel()], axis=-1), weights=W.ravel())
+    return _shared_rule(np.stack([XI.ravel(), eta.ravel()], axis=-1), W.ravel())
 
 
 # --- reference bases --------------------------------------------------------

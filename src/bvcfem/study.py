@@ -5,18 +5,21 @@ q1-ellipse, nitsche-p2-ring), runs mesh ladders end to end, fits rates, and
 emits CSV tables, self-contained SVG log-log plots and solution elevations.
 
 Each decision has one home: build_level is the ladder recipe (mesh, facet
-geometry, spaces) shared by run_level and the inf-sup diagnostic; DOMAINS,
-ELEMENT_ORDER and METHODS are the accepted settings, checked only by
-validate_config and listed in --help; analysis.pairwise_rate is the one
-rate formula behind the fits, the CSV and the printed table.
+geometry, spaces) shared by run_level and check_unstable's inf-sup
+diagnostic; DOMAINS, ELEMENT_ORDER and METHODS are the accepted settings,
+checked only by validate_config and listed in --help;
+analysis.pairwise_rate is the one rate formula behind the fits, the CSV
+and the printed table.
 
-One level loop runs every ladder.  A preset's methods (main and comparison,
-or the unstable pairing's two) are solved level by level on one shared
-Rung: its mesh, spaces and primal assembly are built once, by the first
-method's run_level, and nothing of it outlives its level; the exact data
-of its error reports go with its V (analysis.exact_data).  run_study is
-the one-method case.  The records, and so the CSVs, are the same as from
-one ladder per method.
+One level loop runs every ladder.  A preset's methods (main and
+comparison) are solved level by level on one shared Rung: its mesh,
+spaces and primal assembly are built once, by the first method's
+run_level, and nothing of it outlives its level; the exact data of its
+error reports go with its V (analysis.exact_data).  run_study is the
+one-method case.  The records, and so the CSVs, are the same as from one
+ladder per method.  A Preset is its config, its comparison method and
+its check; run_preset runs every preset the same way, the ladder and
+then the check.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -123,7 +127,6 @@ class StudyResult:
     rates: dict | None = None
     elevation: np.ndarray | None = None           # (nno, 3) at finest level, None if it failed
     companion: "StudyResult | None" = None
-    infsup_sigmas: list | None = None
 
     @property
     def reports(self):
@@ -227,22 +230,6 @@ def _run_ladder(config: StudyConfig, methods) -> list:
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the configured ladder; singular levels are recorded, not fatal."""
     return _run_ladder(config, [config.method])[0]
-
-
-def run_unstable_pairing(levels: int = 5) -> StudyResult:
-    """P2 primal without bubbles against discontinuous P2 multipliers.
-
-    Returns the corrected-method result with the unmodified run attached as
-    companion and the coarse-level inf-sup diagnostic values recorded.
-    """
-    config = replace(PRESETS["unstable-pairing"].config, levels=levels)
-    result, result.companion = _run_ladder(config, [config.method, "unmodified"])
-    domain = DOMAINS[config.domain]()
-    sigmas = []
-    for level in range(2):
-        sigmas.append(infsup_diagnostic(*build_level(config, level, domain)))
-    result.infsup_sigmas = sigmas
-    return result
 
 
 # --- output -----------------------------------------------------------------
@@ -436,44 +423,6 @@ def emit_plots(result: StudyResult, prefix) -> None:
 # --- presets ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Preset:
-    config: StudyConfig
-    comparison: str | None = None      # method overlaid for contrast
-    checks: dict | None = None         # norm -> (lo, hi) on last-3 LS rates
-    special: str | None = None
-
-
-PRESETS = {
-    "p2-ring": Preset(
-        config=StudyConfig(domain="ring", element="p2", method="bvc"),
-        comparison="unmodified",
-        checks={"l2": (2.8, 3.3), "h1": (1.8, 2.3), "lambda": (1.7, 2.3)},
-    ),
-    "p3-ring": Preset(
-        config=StudyConfig(domain="ring", element="p3", method="bvc"),
-        comparison="unmodified",
-        checks={"l2": (3.7, 4.3), "h1": (2.8, 3.3), "lambda": (2.6, 3.4)},
-    ),
-    "q1-ellipse": Preset(
-        config=StudyConfig(domain="ellipse", element="q1", method="bvc"),
-        comparison="unmodified",
-        checks={"l2": (1.7, 2.3), "h1": (0.8, 1.3)},
-    ),
-    "unstable-pairing": Preset(
-        config=StudyConfig(
-            domain="ring", element="p2", method="bvc",
-            multiplier_degree=2, enrich=False,
-        ),
-        special="unstable",
-    ),
-    "nitsche-p2-ring": Preset(
-        config=StudyConfig(domain="ring", element="p2", method="nitsche"),
-        checks={"l2": (2.8, 3.3)},
-    ),
-}
-
-
 def check_rates(result: StudyResult, checks: dict) -> list:
     """Compare last-3 least-squares rates against declared windows."""
     msgs = []
@@ -493,25 +442,63 @@ def check_rates(result: StudyResult, checks: dict) -> list:
 
 
 def check_unstable(result: StudyResult) -> list:
-    """Validate the expected instability/stabilization signature."""
-    msgs = [f"levels failed: {result.failures}"] if result.failures else []
+    """The unstable pairing's signature: an inf-sup kernel at level 0, a failed
+    companion, and a corrected branch at L2 rate 3 with decreasing multiplier error."""
+    msgs = check_rates(result, {"l2": (2.7, 3.3)})
     unmod = result.companion
     failed = bool(unmod and unmod.failures)
     if not failed and unmod is not None and unmod.rates and "l2" in unmod.rates:
         failed = unmod.rates["l2"].last3 < 0.5
-    sigmas = result.infsup_sigmas or []
-    if not failed and len(sigmas) >= 2 and sigmas[0] > 0:
-        failed = sigmas[1] <= sigmas[0] / 10.0
     if not failed:
         msgs.append("unmodified branch did not exhibit the expected failure")
-    if result.rates is None or "l2" not in result.rates:
-        msgs.append("corrected branch produced no L2 rate")
-    elif not (2.7 <= result.rates["l2"].last3 <= 3.3):
-        msgs.append(f"corrected L2 rate {result.rates['l2'].last3:.2f} outside [2.7, 3.3]")
+    config = result.config
+    kernel, _ = infsup_diagnostic(*build_level(config, 0, DOMAINS[config.domain]()))
+    if not kernel:
+        msgs.append("the pairing has no inf-sup kernel at level 0")
     lam = [r.err_lambda for r in result.reports if r.err_lambda is not None]
     if len(lam) < 3 or not (lam[-3] > lam[-2] > lam[-1]):
         msgs.append("multiplier error not monotonically decreasing over last 3 levels")
     return msgs
+
+
+@dataclass(frozen=True)
+class Preset:
+    config: StudyConfig
+    check: Callable                # result -> messages of the failed checks
+    comparison: str | None = None  # method overlaid for contrast
+
+
+PRESETS = {
+    "p2-ring": Preset(
+        config=StudyConfig(domain="ring", element="p2", method="bvc"),
+        comparison="unmodified",
+        check=functools.partial(
+            check_rates, checks={"l2": (2.8, 3.3), "h1": (1.8, 2.3), "lambda": (1.7, 2.3)}
+        ),
+    ),
+    "p3-ring": Preset(
+        config=StudyConfig(domain="ring", element="p3", method="bvc"),
+        comparison="unmodified",
+        check=functools.partial(
+            check_rates, checks={"l2": (3.7, 4.3), "h1": (2.8, 3.3), "lambda": (2.6, 3.4)}
+        ),
+    ),
+    "q1-ellipse": Preset(
+        config=StudyConfig(domain="ellipse", element="q1", method="bvc"),
+        comparison="unmodified",
+        check=functools.partial(check_rates, checks={"l2": (1.7, 2.3), "h1": (0.8, 1.3)}),
+    ),
+    "unstable-pairing": Preset(
+        config=StudyConfig(domain="ring", element="p2", method="bvc",
+                           multiplier_degree=2, enrich=False),
+        comparison="unmodified",
+        check=check_unstable,
+    ),
+    "nitsche-p2-ring": Preset(
+        config=StudyConfig(domain="ring", element="p2", method="nitsche"),
+        check=functools.partial(check_rates, checks={"l2": (2.8, 3.3)}),
+    ),
+}
 
 
 def run_preset(name: str, levels: int | None = None) -> tuple:
@@ -520,14 +507,10 @@ def run_preset(name: str, levels: int | None = None) -> tuple:
         raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
     preset = PRESETS[name]
     config = preset.config if levels is None else replace(preset.config, levels=levels)
-    if preset.special == "unstable":
-        result = run_unstable_pairing(config.levels)
-        return result, check_unstable(result)
     methods = [m for m in (config.method, preset.comparison) if m is not None]
     result, *companion = _run_ladder(config, methods)
     result.companion = companion[0] if companion else None
-    msgs = check_rates(result, preset.checks) if preset.checks else []
-    return result, msgs
+    return result, preset.check(result)
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -612,8 +595,6 @@ def _print_result(result: StudyResult, label: str) -> None:
             f"{norm}={fit.last3:.2f}" for norm, fit in sorted(result.rates.items())
         )
         print(summary)
-    if result.infsup_sigmas:
-        print(f"  inf-sup sigma_min (coarse levels): {result.infsup_sigmas}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -689,7 +670,7 @@ def main(argv=None) -> int:
             for msg in msgs:
                 print(f"{tag}: {msg}")
             return code
-        if preset_name and PRESETS[preset_name].checks:
+        if preset_name:
             print("all rate checks passed")
         return 0
     except (ConfigError, IoError) as exc:

@@ -26,7 +26,7 @@ from bvcfem.mesh import (
 )
 from bvcfem.solver import SolutionField, solve
 from bvcfem.spaces import build_multiplier_space, build_primal_space
-from bvcfem.study import StudyConfig, run_study, run_unstable_pairing
+from bvcfem.study import StudyConfig, build_level, run_preset, run_study
 from oracles import cell_basis, elevated_l2_h1_errors
 
 RING = make_ring_domain()
@@ -80,7 +80,8 @@ def q1_unmod():
 
 @pytest.fixture(scope="module")
 def unstable():
-    return run_unstable_pairing()
+    result, _ = run_preset("unstable-pairing")
+    return result
 
 
 def test_criterion_1_ring_p2_bvc_rates(p2_bvc):
@@ -153,15 +154,14 @@ def test_criterion_5_unstable_pairing(unstable):
     failure_signals.append(bool(unmod.failures))
     if unmod.rates and "l2" in unmod.rates:
         failure_signals.append(unmod.rates["l2"].last3 < 0.5)
-    sigmas = unstable.infsup_sigmas or []
-    if len(sigmas) >= 2 and sigmas[0] > 0:  # 0 <= 0 / 10 is no collapse
-        failure_signals.append(sigmas[1] <= sigmas[0] / 10.0)
+    kernel, _ = infsup_diagnostic(*build_level(unstable.config, 0, RING))
     lam = [r.err_lambda for r in unstable.reports]
     _criterion(
         5,
         "unstable P2/P2-disc pairing: unmodified fails, correction stabilizes",
         [
             (any(failure_signals), "unmodified branch exhibited no failure signal"),
+            (kernel > 0, "the pairing has no inf-sup kernel at level 0"),
             ("l2" in (unstable.rates or {}) and 2.7 <= unstable.rates["l2"].last3 <= 3.3,
              "corrected L2 rate not in [2.7, 3.3]"),
             (len(lam) >= 3 and lam[-3] > lam[-2] > lam[-1],

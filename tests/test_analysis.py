@@ -327,7 +327,8 @@ class TestInfSup:
         domain, mesh = triangle_fixture(zero, zerov, zero)
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        sigma = infsup_diagnostic(V, L)
+        kernel, sigma = infsup_diagnostic(V, L)
+        assert kernel == 0
         assert sigma > 0.0
 
         from bvcfem.assembly import boundary_mass_primal
@@ -353,29 +354,40 @@ class TestInfSup:
         svals = np.linalg.svd(T, compute_uv=False)
         assert sigma == pytest.approx(svals[-1], rel=1e-10)
 
+    @staticmethod
+    def _ring_p2(lvl, enrich, m):
+        mesh = precompute_boundary_geometry(build_annulus_mesh(16 * 2**lvl, 4 * 2**lvl), RING, 6)
+        return build_primal_space(mesh, 2, enrich=enrich), build_multiplier_space(mesh, m)
+
+    @pytest.mark.parametrize(
+        "enrich, m, kernels",
+        [(True, 1, (0, 0)), (False, 2, (32, 64)), (False, 1, (2, 2))],
+        ids=["P2+bubbles-P1", "P2-P2", "P2-P1"],
+    )
+    def test_kernel_count(self, enrich, m, kernels):
+        # Levels 0 and 1: the kernel counts the eigenvalues at most 1e-10
+        # times the largest, and sigma is the first value above them.
+        for lvl, expected in enumerate(kernels):
+            kernel, sigma = infsup_diagnostic(*self._ring_p2(lvl, enrich, m))
+            assert kernel == expected
+            assert sigma > 0.0
+
     def test_stable_pairing_bounded_below(self):
         sigmas = []
         for lvl in range(2):
-            mesh = precompute_boundary_geometry(
-                build_annulus_mesh(16 * 2**lvl, 4 * 2**lvl), RING, 6
-            )
-            V = build_primal_space(mesh, 2, enrich=True)
-            L = build_multiplier_space(mesh, 1)
-            sigmas.append(infsup_diagnostic(V, L))
+            kernel, sigma = infsup_diagnostic(*self._ring_p2(lvl, True, 1))
+            assert kernel == 0
+            sigmas.append(sigma)
         assert sigmas[0] > 0.05
         assert 0.5 <= sigmas[1] / sigmas[0] <= 2.0
 
     def test_unstable_pairing_collapses(self):
-        sigmas = []
+        # One kernel vector per boundary facet: 2 trace dofs against 3
+        # multipliers on each.
         for lvl in range(2):
-            mesh = precompute_boundary_geometry(
-                build_annulus_mesh(16 * 2**lvl, 4 * 2**lvl), RING, 6
-            )
-            V = build_primal_space(mesh, 2, enrich=False)
-            L = build_multiplier_space(mesh, 2)
-            sigmas.append(infsup_diagnostic(V, L))
-        assert sigmas[0] <= 1e-6  # rank-deficient coupling
-        assert sigmas[1] <= 1e-6
+            V, L = self._ring_p2(lvl, False, 2)
+            kernel, _ = infsup_diagnostic(V, L)
+            assert kernel == len(V.mesh.boundary_facets)
 
     def test_size_guard(self):
         mesh = precompute_boundary_geometry(build_annulus_mesh(64, 16), RING, 6)

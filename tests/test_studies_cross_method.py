@@ -1,9 +1,11 @@
 """Cross-method studies that are cheap enough outside the acceptance suite."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from bvcfem.study import PRESETS, Preset, StudyConfig, main, run_study
+from bvcfem.study import PRESETS, Preset, StudyConfig, check_rates, main, run_study
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,7 @@ def test_triple_norm_rate_is_energy_order(short_ladders):
 def test_preset_rate_check_failure_exits_2(monkeypatch, tmp_path):
     impossible = Preset(
         config=StudyConfig(domain="ring", element="p2", method="bvc", levels=3),
-        checks={"l2": (9.0, 9.5)},
+        check=functools.partial(check_rates, checks={"l2": (9.0, 9.5)}),
     )
     monkeypatch.setitem(PRESETS, "impossible", impossible)
     assert main(["--preset", "impossible"]) == 2

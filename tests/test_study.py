@@ -278,12 +278,14 @@ class TestPresetRegistry:
         preset = PRESETS[name]
         assert [level for level, _ in result.records] == [0, 1]
         assert result.failures == []
-        if preset.special == "unstable":
-            assert result.companion.config.method == "unmodified"
-            assert len(result.infsup_sigmas) == 2
+        if preset.comparison is None:
+            assert result.companion is None
         else:
-            assert (result.companion is None) == (preset.comparison is None)
-            assert msgs == (["no rates could be fitted"] if preset.checks else [])
+            assert result.companion.config.method == preset.comparison
+        # Two levels fit no rate; the only other check that needs three is
+        # the multiplier's monotone decrease.
+        assert msgs[0] == "no rates could be fitted"
+        assert set(msgs[1:]) <= {"multiplier error not monotonically decreasing over last 3 levels"}
 
     def test_nitsche_preset_matches_a_hand_built_solve(self):
         # No multiplier, and the default penalty 10 k^2 = 40 for P2.
@@ -324,11 +326,11 @@ class TestChecks:
         assert check_unstable(result) == [failed]
         assert check_rates(result, {"l2": (2.7, 3.3)}) == [failed]
 
-    def test_zero_sigmas_are_no_collapse(self):
-        # sigma_min is 0 on both coarse levels, so "sigma_1 <= sigma_0 / 10"
-        # holds without any collapse; the companion solved every level at
-        # L2 rate 1, so nothing failed.
-        config = PRESETS["unstable-pairing"].config
+    def test_unstable_check_needs_a_kernel(self):
+        # The stable P2+bubbles / P1 pairing whose companion failed: every
+        # other condition holds, so the empty inf-sup kernel alone fails.
+        # A companion that solved every level at L2 rate 1 fails as well.
+        config = StudyConfig(element="p2", method="bvc")
         records = [
             (level, ErrorReport(h, 0, 0, 0, h**3, h**2, h**2, None, 0.0, 0.0))
             for level, h in enumerate((1 / 16, 1 / 32, 1 / 64))
@@ -337,10 +339,14 @@ class TestChecks:
             config=config,
             records=records,
             rates={"l2": RateFit(last3=3.0)},
-            companion=StudyResult(config=config, records=records, rates={"l2": RateFit(last3=1.0)}),
-            infsup_sigmas=[0.0, 0.0],
+            companion=StudyResult(config=config, failures=[(0, "near-zero pivot")]),
         )
-        assert check_unstable(result) == ["unmodified branch did not exhibit the expected failure"]
+        no_kernel = "the pairing has no inf-sup kernel at level 0"
+        assert check_unstable(result) == [no_kernel]
+        result.companion = StudyResult(config=config, records=records, rates={"l2": RateFit(last3=1.0)})
+        assert check_unstable(result) == [
+            "unmodified branch did not exhibit the expected failure", no_kernel
+        ]
 
 
 class TestCli:
@@ -407,6 +413,15 @@ class TestCli:
         out, err = capsys.readouterr()
         assert "levels must be positive" in err
         assert "level 0" not in out
+
+    def test_unstable_preset_passes_its_check(self, tmp_path, capsys):
+        # Four levels: over levels 0-2 the corrected L2 rate reads 3.33, above
+        # its window.  The unmodified companion solves no level, so it has no CSV.
+        out = tmp_path / "x.csv"
+        assert main(["--preset", "unstable-pairing", "--levels", "4", "--out", str(out)]) == 0
+        assert "all rate checks passed" in capsys.readouterr().out
+        assert out.exists()
+        assert not (tmp_path / "x-unmodified.csv").exists()
 
     def test_nan_gamma0_flag_exit_one(self, capsys):
         assert main(["--method", "nitsche", "--gamma0", "nan", "--levels", "1"]) == 1
