@@ -69,18 +69,30 @@ def exact_data(V: PrimalSpace, domain):
     return tables[domain]
 
 
-def _field_on_volume(field: SolutionField, rule):
-    """Values (cells, nq) and gradients (cells, nq, 2) of a primal field.
+# Cells per block of the volume norms: each block's tables stay in cache,
+# and no whole-mesh (cells, nq) temporary is made.
+_BLOCK = 2048
 
-    The coefficients carry one zero appended, so a -1 slot of the dof table
-    reads 0.
+
+def _field_blocks(field: SolutionField, points):
+    """Yield (cells, u_h, grad u_h) of a primal field over consecutive blocks
+    of _BLOCK cells: cells a slice, u_h (b, nq) and grad u_h (b, nq, 2) at the
+    reference points (nq, 2) of every cell of the block.
+
+    Each is one BLAS product of the block's coefficients with the reference
+    table; the coefficients carry one zero appended, so a -1 slot of the dof
+    table reads 0.
     """
     V = field.space
-    vals, grads = V.basis(rule.points)
-    cs = np.append(field.coefficients, 0.0)[V.dof_table]
-    uh = np.einsum("qi,ci->cq", vals, cs)  # faster than the matmul here
-    guh = np.tensordot(cs, grads, axes=([1], [1])) @ V.mesh.Jinv
-    return uh, guh
+    vals, grads = V.basis(points)
+    nq, nl = vals.shape
+    grads = grads.transpose(1, 0, 2).reshape(nl, 2 * nq)
+    coeffs = np.append(field.coefficients, 0.0)
+    for start in range(0, len(V.dof_table), _BLOCK):
+        cells = slice(start, start + _BLOCK)
+        cs = coeffs[V.dof_table[cells]]
+        guh = (cs @ grads).reshape(len(cs), nq, 2) @ V.mesh.Jinv[cells]
+        yield cells, cs @ vals.T, guh
 
 
 def l2_h1_errors(u_field: SolutionField, domain):
@@ -88,18 +100,26 @@ def l2_h1_errors(u_field: SolutionField, domain):
     V = u_field.space
     ue, ge = exact_data(V, domain)
     rule = _error_rule(V)
-    uh, guh = _field_on_volume(u_field, rule)
-    wd = rule.weights[None, :] * V.mesh.detJ[:, None]
-    err_l2 = np.sqrt(np.sum(wd * (uh - ue) ** 2))
-    err_h1 = np.sqrt(np.sum(wd[:, :, None] * (guh - ge) ** 2))
-    return float(err_l2), float(err_h1)
+    l2 = h1 = 0.0
+    for cells, uh, guh in _field_blocks(u_field, rule.points):
+        wd = rule.weights * V.mesh.detJ[cells, None]
+        uh -= ue[cells]
+        guh -= ge[cells]
+        guh *= guh
+        l2 += np.vdot(wd * uh, uh)
+        h1 += np.vdot(wd, guh[..., 0] + guh[..., 1])
+    return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
 def field_l2_norm(field: SolutionField) -> float:
     """||v_h|| over the mesh (used e.g. for differences of two solutions)."""
     rule = _error_rule(field.space)
-    uh, _ = _field_on_volume(field, rule)
-    return float(np.sqrt(np.sum(rule.weights[None, :] * field.space.mesh.detJ[:, None] * uh**2)))
+    detJ = field.space.mesh.detJ
+    sq = sum(
+        np.vdot(rule.weights * detJ[cells, None] * uh, uh)
+        for cells, uh, _ in _field_blocks(field, rule.points)
+    )
+    return float(np.sqrt(sq))
 
 
 def multiplier_error(lambda_field: SolutionField, domain) -> float:

@@ -9,15 +9,18 @@ cell-interior dofs, so that the restored solution can be checked on it;
 assembled_stiffness sums the per-cell stiffness blocks into one matrix
 without the assembler's scatter, and taylor_coupling sums the Taylor row.
 zero_block_order builds the solver's zero-block order from a permuted copy
-of the whole matrix.  elevated_l2_h1_errors evaluates l2_h1_errors' sums on
-a rule two degrees higher, for the quadrature-saturation checks.
+of the whole matrix.  whole_mesh_l2_h1_errors evaluates l2_h1_errors' two
+sums as one np.sum each over whole-mesh (cells, nq) tables, on the rule of
+a given degree, so that the blocked sums can be checked against it;
+elevated_l2_h1_errors is that oracle on the rule two degrees above the
+library's, for the quadrature-saturation checks.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spilu
 
-from bvcfem.analysis import _field_on_volume
+from bvcfem.analysis import _field_blocks
 from bvcfem.assembly import (
     _coupling_blocks,
     _scatter,
@@ -111,18 +114,26 @@ def taylor_coupling(V, Lam):
     return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, dofs)
 
 
-def elevated_l2_h1_errors(u_field, domain):
-    """l2_h1_errors' two sums on the rule of degree 2k + 6, two above the
-    library's 2k + 4."""
+def whole_mesh_l2_h1_errors(u_field, domain, degree):
+    """||u - u_h|| and |u - u_h|_H1 on the rule of the given degree, each sum
+    one np.sum over (cells, nq) tables of the whole mesh."""
     V = u_field.space
-    rule = quadrature(V.mesh.cell_kind, 2 * V.degree + 6)
+    rule = quadrature(V.mesh.cell_kind, degree)
     X = V.mesh.to_physical(rule.points)
     ue, ge = at_points(domain.u_exact, X), at_points(domain.grad_u_exact, X)
-    uh, guh = _field_on_volume(u_field, rule)
+    blocks = list(_field_blocks(u_field, rule.points))
+    uh = np.concatenate([b[1] for b in blocks])
+    guh = np.concatenate([b[2] for b in blocks])
     wd = rule.weights[None, :] * V.mesh.detJ[:, None]
     err_l2 = np.sqrt(np.sum(wd * (uh - ue) ** 2))
     err_h1 = np.sqrt(np.sum(wd[:, :, None] * (guh - ge) ** 2))
     return float(err_l2), float(err_h1)
+
+
+def elevated_l2_h1_errors(u_field, domain):
+    """The whole-mesh sums on the rule of degree 2k + 6, two above the
+    library's 2k + 4."""
+    return whole_mesh_l2_h1_errors(u_field, domain, 2 * u_field.space.degree + 6)
 
 
 def uncondensed_system(V, domain, method, Lam=None, gamma0=None):

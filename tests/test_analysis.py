@@ -6,6 +6,7 @@ the chord sagitta bound for delta_h.
 """
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from bvcfem import analysis
 from bvcfem.analysis import (
     DegenerateFit,
     TooLarge,
@@ -45,6 +47,7 @@ from oracles import (
     elevated_l2_h1_errors,
     interpolate,
     project_to_multiplier,
+    whole_mesh_l2_h1_errors,
 )
 
 RING = make_ring_domain()
@@ -128,6 +131,59 @@ class TestL2H1:
         scaled = l2_h1_errors(SolutionField(V, -2.5 * coeffs), domain)
         assert scaled[0] == pytest.approx(2.5 * base[0], rel=1e-12)
         assert scaled[1] == pytest.approx(2.5 * base[1], rel=1e-12)
+
+
+# (degree, enrich, domain) of every primal element, and per domain a mesh
+# of more than one block whose cell count is not a multiple of the block
+# size, and one mesh smaller than a block.
+BLOCKED_FIELDS = [
+    (1, False, "ring"), (2, True, "ring"), (2, False, "ring"), (3, True, "ring"), (1, True, "ellipse"),
+]
+BLOCKED_MESHES = {
+    "ring": (lambda: build_annulus_mesh(80, 20), lambda: build_annulus_mesh(16, 4)),
+    "ellipse": (
+        lambda: build_staircase_mesh(128, ELLIPSE), lambda: build_staircase_mesh(16, ELLIPSE)
+    ),
+}
+
+
+class TestBlockedNorms:
+    """l2_h1_errors and field_l2_norm sum over blocks of cells; the oracle
+    sums whole-mesh tables."""
+
+    @pytest.mark.parametrize("size", ["blocks", "one-block"])
+    @pytest.mark.parametrize("k,enrich,name", BLOCKED_FIELDS)
+    def test_blocked_sums_match_whole_mesh(self, k, enrich, name, size):
+        domain = RING if name == "ring" else ELLIPSE
+        mesh = BLOCKED_MESHES[name][size == "one-block"]()
+        ncells = len(mesh.cells)
+        if size == "blocks":
+            assert ncells > analysis._BLOCK and ncells % analysis._BLOCK
+        else:
+            assert ncells < analysis._BLOCK
+        V = build_primal_space(precompute_boundary_geometry(mesh, domain, 2 * k + 2), k, enrich)
+        rng = np.random.default_rng(k)
+        coeffs = interpolate(V, domain.u_exact) + 1e-3 * rng.standard_normal(V.dof_count)
+        field = SolutionField(V, coeffs)
+        want = whole_mesh_l2_h1_errors(field, domain, 2 * k + 4)
+        assert l2_h1_errors(field, domain) == pytest.approx(want, rel=1e-12, abs=0)
+        zero = whole_mesh_l2_h1_errors(field, make_square_domain(0.0, 0.0, 0.0), 2 * k + 4)
+        assert field_l2_norm(field) == pytest.approx(zero[0], rel=1e-12, abs=0)
+
+    def test_warm_call_allocates_less_than_one_table(self):
+        # P3 at level 4: one (cells, nq) float64 table is 9 MiB; a warm call
+        # (exact data and basis tables already made) stays below it.
+        V, _ = build_level(StudyConfig(domain="ring", element="p3", method="bvc"), 4, RING)
+        field = SolutionField(V, interpolate(V, RING.u_exact))
+        l2_h1_errors(field, RING)
+        table = exact_data(V, RING)[0].nbytes
+        tracemalloc.start()
+        try:
+            l2_h1_errors(field, RING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table
 
 
 class TestMultiplierError:

@@ -21,9 +21,8 @@ from bvcfem.solver import (
     solve_linear,
 )
 from bvcfem.spaces import build_multiplier_space, build_primal_space
-from bvcfem.analysis import _field_on_volume
+from bvcfem.analysis import _field_blocks
 from bvcfem.assembly import System, assemble_nitsche, assemble_saddle
-from bvcfem.spaces import QuadratureRule
 from bvcfem.study import ASSEMBLERS, DOMAINS, StudyConfig, build_level
 from oracles import interpolate, lagrange_points, zero_block_order
 
@@ -541,7 +540,7 @@ class TestSolutionField:
         field = SolutionField(V, rng.standard_normal(V.dof_count))
         # evaluate at the vertex reference positions of a few cells
         ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        uh, _ = _field_on_volume(field, QuadratureRule(points=ref, weights=np.ones(3)))
+        (_, uh, _), = _field_blocks(field, ref)
         for c in (0, 5, 17):
             vals = uh[c]
             dofs = mesh.cells[c]
@@ -552,7 +551,7 @@ class TestSolutionField:
         V = build_primal_space(mesh, 2, enrich=False)
         field = SolutionField(V, interpolate(V, lambda p: 2.0 * p[..., 0] - 3.0 * p[..., 1]))
         ref = np.array([[0.25, 0.25], [0.1, 0.6]])
-        _, guh = _field_on_volume(field, QuadratureRule(points=ref, weights=np.ones(2)))
+        (_, _, guh), = _field_blocks(field, ref)
         g = guh[3]
         assert np.allclose(g, [[2.0, -3.0]] * 2, atol=1e-12)
 

@@ -423,6 +423,15 @@ class TestCli:
         assert out.exists()
         assert not (tmp_path / "x-unmodified.csv").exists()
 
+    def test_short_preset_failure_names_the_level_count(self, capsys):
+        # At 3 levels q1-ellipse reads L2 1.64 and H1 0.44, outside its
+        # windows; the failure says from how many levels the checks hold.
+        assert main(["--preset", "q1-ellipse", "--levels", "3"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("CHECK FAILED: ")]
+        assert [line.split(":")[1] for line in failed] == [" l2", " h1"]
+        assert lines[-1] == "note: the preset checks hold from 4 levels; this run had 3"
+
     def test_nan_gamma0_flag_exit_one(self, capsys):
         assert main(["--method", "nitsche", "--gamma0", "nan", "--levels", "1"]) == 1
         out, err = capsys.readouterr()
