@@ -62,19 +62,33 @@ class Interior:
 
     An interior dof couples only to the dofs of its own cell, so with one per
     cell (P3) it is eliminated from that cell's block alone; column is its
-    column of V.dof_table.  table is V.dof_table over the retained dofs: -1
-    in the interior column, the later dofs numbered down.  row, f_I and
-    diag are each cell's interior row of its block (0 where table is -1),
-    interior load and diagonal entry, kept for restore.  With no interior dofs table is
-    V.dof_table, eliminate changes nothing and restore returns its input.
+    column of V.dof_table.  row, f_I and diag are each cell's interior row of
+    its block (0 where table is -1), interior load and diagonal entry, kept
+    for restore.  With no interior dofs table is V.dof_table, eliminate
+    changes nothing and restore returns its input.
     """
 
-    dofs: range
+    V: PrimalSpace
     column: int | None
-    table: np.ndarray
     row: np.ndarray | None
     f_I: np.ndarray | None
     diag: np.ndarray | None
+
+    @property
+    def dofs(self) -> range:
+        return self.V.interior_dofs
+
+    @property
+    def table(self) -> np.ndarray:
+        """V.dof_table over the retained dofs: -1 in the interior column, the
+        later dofs numbered down.  Derived from V.dof_table on each read, so
+        no second (cells, nl) table is kept."""
+        table, I = self.V.dof_table, self.dofs
+        if not I:
+            return table
+        kept = np.where(table >= I.stop, table - len(I), table)
+        kept[:, self.column] = -1
+        return kept
 
     def eliminate(self, blocks, cells):
         """Move the interior column of blocks (n, a, nl), whose columns are the
@@ -112,7 +126,7 @@ def condense(V: PrimalSpace, Kc: np.ndarray, f: np.ndarray):
     """
     I, table, n = V.interior_dofs, V.dof_table, V.dof_count
     if not I:
-        return _scatter((n, n), Kc, table, table), f, Interior(I, None, table, None, None, None)
+        return _scatter((n, n), Kc, table, table), f, Interior(V, None, None, None, None)
     if len(I) > V.mesh.num_cells:
         raise NotImplementedError("condensation takes at most one interior dof per cell")
     j = int(np.flatnonzero(table[0] == I.start)[0])  # interior dofs are numbered cell by cell
@@ -121,10 +135,9 @@ def condense(V: PrimalSpace, Kc: np.ndarray, f: np.ndarray):
     if zero.size:
         cell = int(zero[0])
         raise SingularCell(f"cell {cell}: zero diagonal at its interior dof {I.start + cell}")
-    kept = np.where(table >= I.stop, table - len(I), table)
-    kept[:, j] = -1
-    row = np.where(kept >= 0, Kc[:, j, :], 0.0)
-    interior = Interior(I, j, kept, row, f[I.start : I.stop].copy(), diag)
+    interior = Interior(V, j, None, f[I.start : I.stop].copy(), diag)
+    kept = interior.table
+    interior.row = np.where(kept >= 0, Kc[:, j, :], 0.0)
     correction = interior.eliminate(Kc, slice(None))
     f = np.concatenate([f[: I.start], f[I.stop :]])
     on = kept >= 0

@@ -17,6 +17,9 @@ unenriched space has no bubble columns).  PrimalSpace.dof_table holds their
 global dofs, -1 on an edge without a bubble.  A -1 column keeps its reference
 values; every consumer drops it (_scatter for matrices, dofs >= 0 for
 vectors, an appended zero coefficient for fields).
+The volume rules are Gauss-Legendre products (gauss_01) and, on triangles,
+conical products with a Gauss-Jacobi factor read from a table, so this
+module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -54,8 +57,9 @@ def quadrature(kind: str, degree: int) -> QuadratureRule:
     Quads use tensor Gauss-Legendre; triangles use the conical product of
     Gauss-Jacobi (weight 1-x) and Gauss-Legendre, exact for total degree
     <= 2n-1 in each factor.  Facet rules are gauss_01.  The Gauss-Jacobi
-    factor loads scipy.special on the first triangle rule.  Each rule is
-    built once per (kind, n) and shared, so its arrays are read-only.
+    factor is read from a table of n = 1-11 points, the counts degrees
+    0-20 need.  Each rule is built once per (kind, n) and shared, so its
+    arrays are read-only.
     """
     if kind not in ELEMENTS:
         raise ValueError(f"unknown cell kind {kind!r}; have {tuple(ELEMENTS)}")
@@ -77,12 +81,79 @@ def _quad_rule(n):
     return _shared_rule(np.stack([X.ravel(), Y.ravel()], axis=-1), W.ravel())
 
 
+# Gauss-Jacobi rules for the weight 1 - x on [-1, 1], nodes then weights, for
+# every point count quadrature asks for (n = 1-11): each value is the repr of
+# scipy.special.roots_jacobi(n, 1, 0), the Golub-Welsch rule, so the triangle
+# rules are bit for bit those of that function and no run loads scipy.special.
+_GAUSS_JACOBI = {
+    1: ((-0.3333333333333333,), (2.0,)),
+    2: (
+        (-0.6898979485566357, 0.2898979485566358),
+        (1.2721655269759087, 0.7278344730240913),
+    ),
+    3: (
+        (-0.8228240809745921, -0.1810662711185305, 0.5753189235216941),
+        (0.8037276549558384, 0.9169644254383448, 0.2793079196058167),
+    ),
+    4: (
+        (-0.8857916077709646, -0.44631397272375245, 0.16718086473783364, 0.7204802713124389),
+        (0.5420276537259541, 0.8138582720410844, 0.5193901904329293, 0.12472388380003234),
+    ),
+    5: (
+        (-0.9203802858970626, -0.6039731642527836, -0.1240503795052277, 0.39092854670727223,
+         0.8029298284023472),
+        (0.3871263609066059, 0.6686985523774788, 0.5855479483386794, 0.2956354802904667,
+         0.0629916580867692),
+    ),
+    6: (
+        (-0.9413671456804301, -0.7038428006630314, -0.3260306194376914, 0.1173430375431003,
+         0.538467724060109, 0.8538913426394822),
+        (0.2892413229020356, 0.5421699889260747, 0.5631702151527953, 0.3946446035626208,
+         0.17582066220203585, 0.034953207254438116),
+    ),
+    7: (
+        (-0.955041227122575, -0.7706418936781917, -0.4684203544308209, -0.09430725266111074,
+         0.2947505657736607, 0.6395186165262152, 0.8874748789261557),
+        (0.22386945369396347, 0.4420370327634976, 0.5095635891983541, 0.42850026278349523,
+         0.2655387858619663, 0.10963342688749395, 0.020857448811229563),
+    ),
+    8: (
+        (-0.9644401697052731, -0.817352784200412, -0.5713830412087385, -0.2561356708334554,
+         0.09037336960685335, 0.4263504857111389, 0.7112674859157089, 0.9107320894200603),
+        (0.17820321744622417, 0.3644760945454951, 0.4500231978835482, 0.42418943774372003,
+         0.31679839796927683, 0.18175727801879568, 0.0713716106239449, 0.013180765768995064),
+    ),
+    9: (
+        (-0.9711751807022471, -0.8512252205816078, -0.6477666876740094, -0.3806648401447244,
+         -0.07605919783797811, 0.23623446939058804, 0.5256460303700793, 0.7638420424200026,
+         0.9274843742335811),
+        (0.14511201409311436, 0.30429702043723433, 0.3941349686893839, 0.40123523677347395,
+         0.33743328737968203, 0.23360478118066105, 0.1272192859642162, 0.04824001713914158,
+         0.008723388343092527),
+    ),
+    10: (
+        (-0.9761647731351688, -0.8765358562457037, -0.7057771007138595, -0.4776806479830877,
+         -0.21072030622842625, 0.0734775314313213, 0.3518889233533302, 0.6019578420737977,
+         0.8034219755802935, 0.939941935677027),
+        (0.12039803209614727, 0.257148618036331, 0.3448452011567048, 0.37078757471089296,
+         0.33822843876330927, 0.26421230225340164, 0.1736076256286026, 0.09109836581305221,
+         0.033677279131932865, 0.005996562409625539),
+    ),
+    11: (
+        (-0.9799634390766392, -0.8959290977456389, -0.7507615497111139, -0.5543187859123242,
+         -0.3199836841706695, -0.06372477382083189, 0.1969945595342783, 0.4444065697819358,
+         0.6616497992456372, 0.8339167731051897, 0.9494527592049593),
+        (0.10146936275256571, 0.21975236453148633, 0.3024801922287482, 0.3386376915360707,
+         0.32751641195225384, 0.2781275006327321, 0.20636544268919016, 0.13056618685533333,
+         0.06665449380672281, 0.024175683841919142, 0.0042546691729781405),
+    ),
+}
+
+
 @cache
 def _tri_rule(n):
-    from scipy.special import roots_jacobi  # here, so quad-only runs never load scipy.special
-
     x01, w01 = gauss_01(n)
-    xj, wj = roots_jacobi(n, 1, 0)       # weight (1 - x) on [-1, 1]
+    xj, wj = map(np.array, _GAUSS_JACOBI[n])
     xi = 0.5 * (xj + 1.0)
     wxi = 0.25 * wj                      # includes the (1 - xi) factor
     XI, T = np.meshgrid(xi, x01, indexing="ij")

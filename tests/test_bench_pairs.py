@@ -31,4 +31,6 @@ def test_one_pair_writes_its_runs_and_summary(tmp_path):
     for s in summary.values():
         assert s["parent"]["q1"] <= s["parent"]["median"] <= s["parent"]["q3"]
         assert s["wins"] in (0, 1)
+        assert isinstance(s["claim_rule_met"], bool)
     assert "peak_rss_mb" in proc.stdout and "change better in" in proc.stdout
+    assert "claim rule" in proc.stdout

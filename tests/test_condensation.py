@@ -6,6 +6,8 @@ solve restores it.  The restored solution must solve the uncondensed system
 have no interior dofs and keep the assembled blocks as they are.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -93,6 +95,19 @@ def test_condensed_unmodified_keeps_an_empty_multiplier_block(p3_case, monkeypat
     assert calls == [bvcfem.solver._SPLU_OPTIONS[ZERO_BLOCK]]
 
 
+def test_retained_table_is_derived_not_stored(p3_case):
+    domain, V, _ = p3_case
+    _, _, interior = condense(V, stiffness_matrix(V), load_vector(V, domain.f_rhs))
+    I, table = V.interior_dofs, V.dof_table
+    want = np.where(table >= I.stop, table - len(I), table)
+    want[:, interior.column] = -1
+    assert interior.table.dtype == want.dtype
+    assert np.array_equal(interior.table, want)
+    # Only row is a (cells, nl) array; the retained table is not kept.
+    shapes = {f.name: np.shape(getattr(interior, f.name)) for f in fields(interior)}
+    assert [name for name, shape in shapes.items() if shape == table.shape] == ["row"]
+
+
 def test_zero_interior_diagonal_names_the_cell():
     domain, V, _ = _p3_case("square-4x4")
     Kc = stiffness_matrix(V)
@@ -119,8 +134,9 @@ def test_no_interior_dofs_keep_the_assembled_blocks(case):
     domain, V, Lam = _no_interior_case(case)
     assert len(V.interior_dofs) == 0
     K, f = assembled_stiffness(V), load_vector(V, domain.f_rhs)
-    Kc, fc, _ = condense(V, stiffness_matrix(V), f)
+    Kc, fc, interior = condense(V, stiffness_matrix(V), f)
     assert fc is f
+    assert interior.table is V.dof_table
     system = assemble_saddle(V, Lam, domain, "taylor")
     for got, want in (
         (Kc, K),

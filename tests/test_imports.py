@@ -2,8 +2,9 @@
 
 Every name a library module imports is used in that module: a stdlib-ast
 stand-in for a linter's unused-import check.  __init__.py is skipped: its
-imports are the package's re-exports.  And scipy.special, which only the
-triangle quadrature rules read, is not loaded by a run on quads alone.
+imports are the package's re-exports.  And no run loads scipy.special: the
+triangle rules read their Gauss-Jacobi factor from a table, which equals
+scipy.special.roots_jacobi to the bit.
 """
 
 import ast
@@ -51,7 +52,7 @@ def test_no_unused_imports(path):
 
 
 # Run in a fresh interpreter: this one has loaded scipy.special already.
-LAZY_SPECIAL = """
+NO_SPECIAL = """
 import json, sys
 import numpy as np
 from bvcfem.mesh import gauss_01
@@ -59,33 +60,31 @@ from bvcfem.spaces import quadrature
 from bvcfem.study import run_preset
 
 run_preset("q1-ellipse", levels=2)
-after_quads = "scipy.special" in sys.modules
-rule = quadrature("triangle", 6)
-after_rule = "scipy.special" in sys.modules
+run_preset("p3-ring", levels=2)
+quadrature("triangle", 20)
+loaded = "scipy.special" in sys.modules
 
 from scipy.special import roots_jacobi
 
-n = 4  # points per direction of the degree-6 rule
-xj, wj = roots_jacobi(n, 1, 0)
-x01, w01 = gauss_01(n)
-xi, t = np.meshgrid(0.5 * (xj + 1.0), x01, indexing="ij")
-points = np.stack([xi.ravel(), ((1.0 - xi) * t).ravel()], axis=-1)
-weights = np.outer(0.25 * wj, w01).ravel()
-print(json.dumps(dict(
-    after_quads=after_quads,
-    after_rule=after_rule,
-    points=bool(np.array_equal(rule.points, points)),
-    weights=bool(np.array_equal(rule.weights, weights)),
-)))
+equal = []
+for n in range(1, 12):  # every point count of a triangle rule, degrees 0-20
+    rule = quadrature("triangle", 2 * n - 1 if n < 11 else 20)
+    xj, wj = roots_jacobi(n, 1, 0)
+    x01, w01 = gauss_01(n)
+    xi, t = np.meshgrid(0.5 * (xj + 1.0), x01, indexing="ij")
+    points = np.stack([xi.ravel(), ((1.0 - xi) * t).ravel()], axis=-1)
+    weights = np.outer(0.25 * wj, w01).ravel()
+    equal.append(np.array_equal(rule.points, points) and np.array_equal(rule.weights, weights))
+print(json.dumps(dict(loaded=loaded, equal=equal)))
 """
 
 
 def test_quad_runs_never_load_scipy_special():
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_SPECIAL],
+        [sys.executable, "-c", NO_SPECIAL],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr.decode()
     got = json.loads(proc.stdout)
-    assert got == dict(after_quads=False, after_rule=True, points=True, weights=True)
+    assert got == dict(loaded=False, equal=[True] * 11)

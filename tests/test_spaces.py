@@ -69,7 +69,9 @@ class TestQuadrature:
         val = np.sum(rule.weights * rule.points[:, 0] ** 4 * rule.points[:, 1] ** 4)
         assert val == pytest.approx(1.0 / 25.0, abs=1e-15)
 
-    @pytest.mark.parametrize("degree", [1, 2, 4, 7, 10, 15, 20])
+    # One degree per point count n = ceil((degree + 1) / 2) = 1-11, so every
+    # row of the Gauss-Jacobi table is checked.
+    @pytest.mark.parametrize("degree", [1, 2, 4, 7, 9, 10, 13, 15, 17, 19, 20])
     def test_triangle_exactness_sweep(self, degree):
         rule = quadrature("triangle", degree)
         assert np.all(rule.weights > 0)

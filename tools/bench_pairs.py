@@ -14,8 +14,10 @@ The series goes to BENCH_<label>.json (in --dir, by default the root of
 this checkout), in the shape of BENCH_pr25.json: the command, the machine
 (CPU count and thread variables) and, per side, its commit and every run's
 seed and last JSON line.  A summary adds, per metric, each side's median
-and quartiles and the number of pairs this checkout won (by the direction
-of BENCHMARK.json), and is printed.  A file of the same label that already
+and quartiles, the number of pairs this checkout won (by the direction of
+BENCHMARK.json) and claim_rule_met: won in at least nine tenths of the
+pairs and the medians apart, in its favour, by more than the parent's
+quartile distance.  The summary is printed.  A file of the same label that already
 exists keeps its series and gets this one appended, so one file holds,
 say, a claim's pairs and the all-workload pairs.
 """
@@ -67,7 +69,10 @@ def quartiles(values) -> dict:
 
 
 def summarize(parent_runs, change_runs) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs this checkout won."""
+    """Per metric: each side's median and quartiles, the pairs this checkout
+    won and whether that meets the claim rule: won in at least nine tenths of
+    the pairs, ties counting for neither side, with the medians further apart
+    in its favour than the parent's quartiles are from each other."""
     with open(ROOT / "BENCHMARK.json") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     out = {}
@@ -75,14 +80,18 @@ def summarize(parent_runs, change_runs) -> dict:
         a = [r["result"]["metrics"][name]["value"] for r in parent_runs]
         b = [r["result"]["metrics"][name]["value"] for r in change_runs]
         if None in a or None in b:
-            out[name] = {"unit": metric["unit"], "missing": True}
+            out[name] = {"unit": metric["unit"], "missing": True, "claim_rule_met": False}
             continue
         sign = -1.0 if better[name.rsplit(".", 1)[-1]] == "lower" else 1.0
+        parent, change = quartiles(a), quartiles(b)
+        wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+        gap = sign * (change["median"] - parent["median"])
         out[name] = {
             "unit": metric["unit"],
-            "parent": quartiles(a),
-            "change": quartiles(b),
-            "wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
+            "parent": parent,
+            "change": change,
+            "wins": wins,
+            "claim_rule_met": wins >= 0.9 * len(a) and gap > parent["q3"] - parent["q1"],
         }
     return out
 
@@ -121,7 +130,8 @@ def main(argv=None) -> int:
     doc = {
         "about": "Alternating pairs of bench/run.py runs, parent checkout against the "
         "change, written by tools/bench_pairs.py: every run's last JSON line, and per "
-        "metric each side's median and quartiles and the pairs the change won.",
+        "metric each side's median and quartiles, the pairs the change won and whether "
+        "that meets the claim rule (claim_rule_met).",
         "machine": {"cpu_count": os.cpu_count(), **{v: os.environ.get(v) for v in THREAD_VARS}},
         "series": [],
     }
@@ -141,7 +151,8 @@ def main(argv=None) -> int:
         a, b = s["parent"], s["change"]
         print(f"  {name}: {a['median']:.4g} [{a['q1']:.4g}, {a['q3']:.4g}] -> "
               f"{b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] {s['unit']}, "
-              f"change better in {s['wins']} of {args.pairs}")
+              f"change better in {s['wins']} of {args.pairs}, "
+              f"claim rule {'met' if s['claim_rule_met'] else 'not met'}")
     results = [r["result"] for rs in runs.values() for r in rs]
     return 0 if all(r["correct"] and r["failed"] == 0 for r in results) else 1
 
