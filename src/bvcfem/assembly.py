@@ -25,9 +25,10 @@ is one contraction over all cells of V.basis and V.dof_table, every facet
 term one over the facet_traces tables of all boundary facets (and, for
 taylor and Nitsche, facet_normal_derivatives); Nitsche's
 facet blocks are added to their cells' blocks.  A -1 column of the dof
-table (an edge without a bubble, a condensed interior dof) keeps its
-reference values; _scatter drops its rows and columns, right-hand sides
-index dofs >= 0.
+table (an edge without a bubble) keeps its reference values; _scatter
+stores only entries whose row and column fall inside the matrix, which
+drops a -1 slot and, in a condensed matrix, the interior dofs V numbers
+last; right-hand sides index dofs >= 0.
 """
 
 from __future__ import annotations
@@ -56,39 +57,28 @@ class SingularCell(Exception):
     """A cell-interior dof has a zero diagonal entry, so it cannot be condensed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Interior:
     """The cell-interior dofs of V, eliminated cell by cell from an assembled system.
 
-    An interior dof couples only to the dofs of its own cell, so with one per
+    V numbers them last, so the retained dofs are V's first dofs.start.  An
+    interior dof couples only to the dofs of its own cell, so with one per
     cell (P3) it is eliminated from that cell's block alone; column is its
     column of V.dof_table.  row, f_I and diag are each cell's interior row of
-    its block (0 where table is -1), interior load and diagonal entry, kept
-    for restore.  With no interior dofs table is V.dof_table, eliminate
+    its block (0 in every column that is no retained dof), interior load and
+    diagonal entry, kept for restore.  With no interior dofs eliminate
     changes nothing and restore returns its input.
     """
 
     V: PrimalSpace
-    column: int | None
-    row: np.ndarray | None
-    f_I: np.ndarray | None
-    diag: np.ndarray | None
+    column: int | None = None
+    row: np.ndarray | None = None
+    f_I: np.ndarray | None = None
+    diag: np.ndarray | None = None
 
     @property
     def dofs(self) -> range:
         return self.V.interior_dofs
-
-    @property
-    def table(self) -> np.ndarray:
-        """V.dof_table over the retained dofs: -1 in the interior column, the
-        later dofs numbered down.  Derived from V.dof_table on each read, so
-        no second (cells, nl) table is kept."""
-        table, I = self.V.dof_table, self.dofs
-        if not I:
-            return table
-        kept = np.where(table >= I.stop, table - len(I), table)
-        kept[:, self.column] = -1
-        return kept
 
     def eliminate(self, blocks, cells):
         """Move the interior column of blocks (n, a, nl), whose columns are the
@@ -105,12 +95,13 @@ class Interior:
 
     def restore(self, u_r) -> np.ndarray:
         """Coefficients of every dof of V from those of the retained ones:
-        u_I = (f_I - row . u_r) / diag, cell by cell."""
+        u_I = (f_I - row . u_r) / diag, cell by cell, appended to u_r."""
         if not self.dofs:
             return u_r
-        a = self.dofs.start
-        u_I = (self.f_I - np.einsum("cl,cl->c", self.row, u_r[self.table])) / self.diag
-        return np.concatenate([u_r[:a], u_I, u_r[a:]])
+        u = np.concatenate([u_r, np.zeros(len(self.dofs))])
+        u_I = (self.f_I - np.einsum("cl,cl->c", self.row, u[self.V.dof_table])) / self.diag
+        u[self.dofs.start :] = u_I
+        return u
 
 
 def condense(V: PrimalSpace, Kc: np.ndarray, f: np.ndarray):
@@ -119,14 +110,16 @@ def condense(V: PrimalSpace, Kc: np.ndarray, f: np.ndarray):
     eliminated (static condensation), and the load f condensed with them.
 
     Each cell's block loses its interior row and column in place,
-    Kc -= Kc[:, :, j] Kc[:, j, :] / Kc[:, j, j], and f' = f_r - the same
-    column times f_I / diag, before one scatter over the retained dofs.
-    Without interior dofs (P1, P2, Q1) the blocks are scattered as they are
-    and f comes back unchanged.
+    Kc -= Kc[:, :, j] Kc[:, j, :] / Kc[:, j, j], and f' = f[:nu] - the same
+    column times f_I / diag.  V numbers its interior dofs last, from
+    nu = V.interior_dofs.start, so V.dof_table itself is scattered at
+    (nu, nu) and the interior rows and columns fall outside.  Without
+    interior dofs (P1, P2, Q1) the blocks are scattered as they are and f
+    comes back unchanged.
     """
-    I, table, n = V.interior_dofs, V.dof_table, V.dof_count
+    I, table, nu = V.interior_dofs, V.dof_table, V.interior_dofs.start
     if not I:
-        return _scatter((n, n), Kc, table, table), f, Interior(V, None, None, None, None)
+        return _scatter((nu, nu), Kc, table, table), f, Interior(V)
     if len(I) > V.mesh.num_cells:
         raise NotImplementedError("condensation takes at most one interior dof per cell")
     j = int(np.flatnonzero(table[0] == I.start)[0])  # interior dofs are numbered cell by cell
@@ -135,15 +128,12 @@ def condense(V: PrimalSpace, Kc: np.ndarray, f: np.ndarray):
     if zero.size:
         cell = int(zero[0])
         raise SingularCell(f"cell {cell}: zero diagonal at its interior dof {I.start + cell}")
-    interior = Interior(V, j, None, f[I.start : I.stop].copy(), diag)
-    kept = interior.table
-    interior.row = np.where(kept >= 0, Kc[:, j, :], 0.0)
+    kept = (table >= 0) & (table < nu)
+    interior = Interior(V, j, np.where(kept, Kc[:, j, :], 0.0), f[nu:].copy(), diag)
     correction = interior.eliminate(Kc, slice(None))
-    f = np.concatenate([f[: I.start], f[I.stop :]])
-    on = kept >= 0
-    np.subtract.at(f, kept[on], correction[on])
-    n -= len(I)
-    return _scatter((n, n), Kc, kept, kept), f, interior
+    f = f[:nu].copy()
+    np.subtract.at(f, table[kept], correction[kept])
+    return _scatter((nu, nu), Kc, table, table), f, interior
 
 
 @dataclass
@@ -151,9 +141,9 @@ class System:
     """A z = rhs on the retained dofs of V and, with a multiplier, Lam's dofs.
 
     A, in CSC, is the one stored matrix, the one the solver factors; the
-    primal blocks act on the retained dofs of V, and interior holds the
-    condensed cell-interior dofs.  method is "nitsche", whose Lam is None,
-    or one of SADDLE_METHODS, whose A is [[K, B^T], [B or Bt_corr, -D]]:
+    primal blocks act on V's first nu dofs, the retained ones, and interior
+    holds the condensed cell-interior dofs.  method is "nitsche", whose Lam
+    is None, or one of SADDLE_METHODS, whose A is [[K, B^T], [B or Bt_corr, -D]]:
     K[i,j] = (grad phi_j, grad phi_i), B[i,j] = (phi_j, psi_i) on the facet
     boundary, D[i,j] = (rho_h psi_j, psi_i).  For taylor Bt_corr replaces
     the second-row coupling, Bt_corr[i,j] = (phi_j + rho_h n_h.grad phi_j,
@@ -170,8 +160,9 @@ class System:
 
     @property
     def nu(self) -> int:
-        """The number of retained primal dofs, A's leading block."""
-        return self.V.dof_count - len(self.interior.dofs)
+        """The number of retained primal dofs, A's leading block: V's dofs
+        before its interior ones."""
+        return self.V.interior_dofs.start
 
     @property
     def K(self) -> sp.csc_matrix:
@@ -263,10 +254,13 @@ def facet_normal_derivatives(V: PrimalSpace) -> np.ndarray:
 def _scatter(shape, blocks, rows, cols) -> sp.csr_matrix:
     """Sparse sum of per-cell or per-facet blocks (n, a, b) at rows (n, a), cols (n, b).
 
-    An entry in a -1 row or column is never stored; every other entry is,
-    exact zeros included.
+    An entry is stored only when its row and column fall inside shape: one
+    rule drops a -1 slot and a condensed interior dof (numbered from the
+    retained count on).  Every other entry is stored, exact zeros included.
     """
-    stored = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+    in_rows = (rows >= 0) & (rows < shape[0])
+    in_cols = (cols >= 0) & (cols < shape[1])
+    stored = in_rows[:, :, None] & in_cols[:, None, :]
     ij = (
         np.broadcast_to(rows[:, :, None], blocks.shape)[stored],
         np.broadcast_to(cols[:, None, :], blocks.shape)[stored],
@@ -334,7 +328,7 @@ def assemble_primal(
     K, rhs_u, interior = condense(V, stiffness_matrix(V), load_vector(V, domain.f_rhs))
     B = _scatter(
         (Lam.dof_count, K.shape[0]), _coupling_blocks(V, Lam, False),
-        Lam.facet_dofs, interior.table[facets.cell],
+        Lam.facet_dofs, V.dof_table[facets.cell],
     )
     return PrimalAssembly(K, rhs_u, interior, B, rhs_lam)
 
@@ -370,7 +364,7 @@ def assemble_saddle(
     if method == "taylor":
         blocks = _coupling_blocks(V, Lam, True)
         rhs[primal.K.shape[0] + Lam.facet_dofs] -= primal.interior.eliminate(blocks, facets.cell)
-        row2 = _scatter(primal.B.shape, blocks, Lam.facet_dofs, primal.interior.table[facets.cell])
+        row2 = _scatter(primal.B.shape, blocks, Lam.facet_dofs, V.dof_table[facets.cell])
     return System(
         A=sp.bmat([[primal.K, primal.B.T], [row2, -D]], format="csc"),
         rhs=rhs,

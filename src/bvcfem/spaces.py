@@ -14,7 +14,8 @@ dof layout is the same for every kind.
 Every cell has the same local functions, PrimalSpace.basis: the Lagrange
 functions, then, in an enriched space, one bubble per local edge (an
 unenriched space has no bubble columns).  PrimalSpace.dof_table holds their
-global dofs, -1 on an edge without a bubble.  A -1 column keeps its reference
+global dofs, -1 on an edge without a bubble; the cell-interior dofs (P3)
+are numbered last, after the bubbles.  A -1 column keeps its reference
 values; every consumer drops it (_scatter for matrices, dofs >= 0 for
 vectors, an appended zero coefficient for fields).
 The volume rules are Gauss-Legendre products (gauss_01) and, on triangles,
@@ -289,10 +290,11 @@ class PrimalSpace:
     dof_table (cells, nl), built once and read-only, holds the global dof of
     each basis column: the Lagrange dofs (the first nb_std columns), then, if
     enriched, one bubble per local edge, -1 on an edge that is no boundary
-    facet.  Bubble dofs follow the Lagrange dofs in boundary-facet order.
-    interior_dofs is the contiguous range of the Lagrange dofs inside the
-    cells (numbered cell by cell, empty below P3), which the assembler
-    condenses out.
+    facet.  The global dofs are numbered vertices (the mesh's vertex ids),
+    edge nodes, bubbles (in boundary-facet order) and, last, the Lagrange
+    dofs inside the cells, cell by cell: interior_dofs, empty below P3,
+    which the assembler condenses out, so the dofs it keeps are the first
+    interior_dofs.start.
     """
 
     def __init__(self, mesh: Mesh, degree: int, enriched: bool):
@@ -328,19 +330,18 @@ class PrimalSpace:
             ndof + (k - 1) * mesh.cell_edges[:, :, None] + slot
         ).reshape(nc, n_edge)
         ndof += (k - 1) * mesh.num_edges
-        # The remaining nodes are interior: numbered cell by cell.
-        n_inner = self.nb_std - nv - n_edge
-        self.interior_dofs = range(ndof, ndof + nc * n_inner)
-        lagrange[:, nv + n_edge :] = ndof + np.arange(nc * n_inner).reshape(nc, n_inner)
-        ndof += nc * n_inner
 
-        # One bubble dof per boundary facet, appended after the Lagrange dofs
-        # in facet order, at the facet's (cell, local edge); every other edge
-        # keeps -1.
+        # One bubble dof per boundary facet, after the edge nodes in facet
+        # order, at the facet's (cell, local edge); every other edge keeps -1.
         facets = mesh.boundary_facets
         nf = len(facets) if self.enriched else 0
         bubbles[facets.cell[:nf], facets.local_edge[:nf]] = ndof + np.arange(nf)
-        self.dof_count = ndof + nf
+        ndof += nf
+        # The remaining nodes are interior: numbered last, cell by cell.
+        n_inner = self.nb_std - nv - n_edge
+        self.interior_dofs = range(ndof, ndof + nc * n_inner)
+        lagrange[:, nv + n_edge :] = ndof + np.arange(nc * n_inner).reshape(nc, n_inner)
+        self.dof_count = self.interior_dofs.stop
         self.dof_table.flags.writeable = False
 
     def basis(self, pts):

@@ -264,12 +264,14 @@ def emit_csv(result: StudyResult, path) -> None:
 
 
 def expected_rates(config: StudyConfig) -> dict:
-    """Reference slopes for plot annotation, from the configured method/order."""
-    k = config.order()
-    if config.method == "unmodified":
-        # geometry error dominates beyond second order
-        return {"l2": min(k + 1.0, 2.0), "h1": min(float(k), 2.0), "lambda": min(float(k), 2.0)}
-    return {"l2": k + 1.0, "h1": float(k), "lambda": float(k)}
+    """Reference slopes for plot annotation: the order k, capped by the
+    boundary defect.  The facets lie delta = O(h^p0) off the boundary, p0 = 2
+    on the ring and 1 on the staircase; the corrected methods square that, so
+    p = p0 unmodified and 2 p0 corrected, and L2 = min(k + 1, p),
+    H1 = min(k, p - 1/2), lambda = min(k, p - 1)."""
+    k = float(config.order())
+    p = (2.0 if config.domain == "ring" else 1.0) * (1 if config.method == "unmodified" else 2)
+    return {"l2": min(k + 1, p), "h1": min(k, p - 0.5), "lambda": min(k, p - 1)}
 
 
 _COLORS = ("#1f6eb4", "#d2422d", "#2d8f57", "#8451a1")
@@ -357,8 +359,8 @@ def _svg_loglog(path, title, ylabel, series, ref_slope=None):
         out.append(
             f'<text x="{W-mr-116}" y="{mt+20+16*i}">{s["label"]}</text>'
         )
-    # reference-slope triangle under the first series
-    if ref_slope is not None:
+    # reference-slope triangle under the first series; a zero slope draws none
+    if ref_slope:
         s0 = series[0]
         hs = np.asarray(s0["h"], dtype=float)
         es = np.asarray(s0["err"], dtype=float)

@@ -49,13 +49,12 @@ def cell_basis(V, c, pts):
 
 
 def lagrange_points(V):
-    """Physical point of every Lagrange dof (n_lagrange, 2), in dof order.
+    """Physical point of every dof of V (dof_count, 2), NaN at a bubble dof.
 
-    Every cell writes its mapped reference nodes; the vertex rows are the
-    mesh vertices themselves.
+    Every cell writes its mapped reference nodes through V.dof_table; the
+    vertex rows are the mesh vertices themselves.
     """
-    n_lagrange = V.dof_count - np.count_nonzero(V.dof_table[:, V.nb_std :] >= 0)
-    points = np.empty((n_lagrange, 2))
+    points = np.full((V.dof_count, 2), np.nan)
     points[V.dof_table[:, : V.nb_std]] = V.mesh.to_physical(V.element.nodes[V.degree])
     points[: V.mesh.nno] = V.mesh.vertices
     return points
@@ -64,8 +63,9 @@ def lagrange_points(V):
 def interpolate(V, fn):
     """Coefficients of the Lagrange interpolant (bubble dofs set to 0)."""
     points = lagrange_points(V)
+    lagrange = ~np.isnan(points[:, 0])
     coeffs = np.zeros(V.dof_count)
-    coeffs[: len(points)] = np.asarray(fn(points), dtype=float)
+    coeffs[lagrange] = np.asarray(fn(points[lagrange]), dtype=float)
     return coeffs
 
 

@@ -375,6 +375,18 @@ def test_boundary_mass_is_facet_length_partition():
     assert ones @ (M @ ones) == pytest.approx(2.0 + np.sqrt(2.0), rel=1e-14)
 
 
+def test_scatter_stores_the_entries_inside_its_shape():
+    # One rule drops a -1 slot and a dof at or past the shape (a condensed
+    # interior dof); every other entry is stored, an exact zero included.
+    rows = np.array([[0, -1, 2], [1, 3, 0]])
+    cols = np.array([[1, 2], [-1, 0]])
+    blocks = np.arange(1.0, 13.0).reshape(2, 3, 2)
+    blocks[0, 0, 0] = 0.0
+    A = _scatter((3, 2), blocks, rows, cols).tocoo()
+    stored = sorted(zip(A.row.tolist(), A.col.tolist(), A.data.tolist()))
+    assert stored == [(0, 0, 12.0), (0, 1, 0.0), (1, 0, 8.0), (2, 1, 5.0)]
+
+
 def test_load_vector_constant_f():
     domain, mesh = unit_triangle_fixture(f=lambda p: np.ones(np.shape(p)[:-1]))
     V = build_primal_space(mesh, 1, enrich=False)

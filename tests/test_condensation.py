@@ -95,17 +95,24 @@ def test_condensed_unmodified_keeps_an_empty_multiplier_block(p3_case, monkeypat
     assert calls == [bvcfem.solver._SPLU_OPTIONS[ZERO_BLOCK]]
 
 
-def test_retained_table_is_derived_not_stored(p3_case):
+@pytest.mark.parametrize("method", METHODS)
+def test_interior_dofs_are_numbered_last(p3_case, method):
+    # The retained dofs are V's first interior_dofs.start, one numbering.
+    domain, V, Lam = p3_case
+    assert V.interior_dofs.stop == V.dof_count
+    if method == "nitsche":
+        system = assemble_nitsche(V, domain, 90.0)
+    else:
+        system = assemble_saddle(V, Lam, domain, method)
+    assert system.nu == V.interior_dofs.start
+
+
+def test_interior_keeps_no_second_table(p3_case):
     domain, V, _ = p3_case
     _, _, interior = condense(V, stiffness_matrix(V), load_vector(V, domain.f_rhs))
-    I, table = V.interior_dofs, V.dof_table
-    want = np.where(table >= I.stop, table - len(I), table)
-    want[:, interior.column] = -1
-    assert interior.table.dtype == want.dtype
-    assert np.array_equal(interior.table, want)
-    # Only row is a (cells, nl) array; the retained table is not kept.
+    # Only row is a (cells, nl) array; no second dof table is kept.
     shapes = {f.name: np.shape(getattr(interior, f.name)) for f in fields(interior)}
-    assert [name for name, shape in shapes.items() if shape == table.shape] == ["row"]
+    assert [name for name, shape in shapes.items() if shape == V.dof_table.shape] == ["row"]
 
 
 def test_zero_interior_diagonal_names_the_cell():
@@ -136,7 +143,6 @@ def test_no_interior_dofs_keep_the_assembled_blocks(case):
     K, f = assembled_stiffness(V), load_vector(V, domain.f_rhs)
     Kc, fc, interior = condense(V, stiffness_matrix(V), f)
     assert fc is f
-    assert interior.table is V.dof_table
     system = assemble_saddle(V, Lam, domain, "taylor")
     for got, want in (
         (Kc, K),

@@ -4,13 +4,15 @@ save then compare, in the same checkout, must exit 0 and print 0 on every
 key, the preset ladders' per-branch error fields included; compare itself
 must report a changed array as nonzero drift, fail on a drift past
 DRIFT_BOUND, compare a saved CSR triple as one matrix, and read a roundoff
-tail of a right-hand side, saved as one key, as no drift.
+tail of a right-hand side, saved as one key, as no drift; save orders V's
+dofs so that a renumbering of V moves no saved value.
 """
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,3 +103,15 @@ def test_a_csr_matrix_is_compared_as_one_matrix(parity, capsys):
     assert parity.compare(saved["A"], saved["stored-zero"]) == 0
     assert parity.compare(saved["A"], saved["moved"]) == 1
     assert capsys.readouterr().out.splitlines() == ["K: 0", "K: 0.125"]
+
+
+def test_a_renumbering_of_v_keeps_the_canonical_order(parity):
+    # Dofs are ranked by their first slot in the dof table, cell by cell, so
+    # after a renumbering the same dofs come in the same places.
+    table = np.array([[2, 0, -1], [1, 2, 3]])
+    new_number = np.array([3, 0, 2, 1])  # dof d is renamed new_number[d]
+    renumbered = np.where(table >= 0, new_number[table], -1)
+    order = parity._canonical_order(SimpleNamespace(dof_table=table))
+    moved = parity._canonical_order(SimpleNamespace(dof_table=renumbered))
+    assert order.tolist() == [2, 0, 1, 3]
+    assert moved.tolist() == new_number[order].tolist()

@@ -486,9 +486,11 @@ class TestSolveSystems:
         L = build_multiplier_space(mesh, 0)
         system = assemble_saddle(V, L, domain, "bvc")
         u, lam = solve(system)
-        exact = domain.u_exact(lagrange_points(V))
-        assert np.max(np.abs(u.coefficients[: len(exact)] - exact)) <= 1e-12
-        assert np.max(np.abs(u.coefficients[len(exact) :])) <= 1e-12
+        points = lagrange_points(V)
+        bubble = np.isnan(points[:, 0])
+        exact = domain.u_exact(points[~bubble])
+        assert np.max(np.abs(u.coefficients[~bubble] - exact)) <= 1e-12
+        assert np.max(np.abs(u.coefficients[bubble])) <= 1e-12
         z = np.concatenate([u.coefficients, lam.coefficients])
         assert np.linalg.norm(system.A @ z - system.rhs) <= 1e-12
 

@@ -247,6 +247,7 @@ class TestPrimalSpace:
         [("ring", 2), ("ring", 3), ("square", 1), ("square", 2), ("square", 3), ("staircase", 1)],
     )
     def test_nodes_sit_at_mapped_reference_nodes(self, mesh_kind, k):
+        # The dofs are numbered vertices, edge nodes, bubbles, cell interiors.
         # Every cell that refers to a Lagrange dof maps its local node to the
         # same physical point, a vertex dof to its mesh vertex; so neighbours
         # agree on their shared edge nodes.
@@ -260,9 +261,14 @@ class TestPrimalSpace:
         nodes = ELEMENTS[mesh.cell_kind].nodes[k]
         mapped = origins[:, None, :] + np.einsum("cab,nb->cna", J, nodes)
         dofs = V.dof_table[:, : V.nb_std]
-        n_lagrange = dofs.max() + 1
-        assert np.array_equal(np.unique(dofs), np.arange(n_lagrange))
-        point = np.empty((n_lagrange, 2))
+        bubbles = V.dof_table[:, V.nb_std :]
+        n_boundary = mesh.nno + (k - 1) * mesh.num_edges
+        n_bubbles = len(mesh.boundary_facets)
+        I = V.interior_dofs
+        assert (I.start, I.stop) == (n_boundary + n_bubbles, V.dof_count)
+        assert np.array_equal(np.unique(dofs), np.r_[:n_boundary, I.start : I.stop])
+        assert np.array_equal(np.unique(bubbles[bubbles >= 0]), np.arange(n_boundary, I.start))
+        point = np.empty((V.dof_count, 2))
         point[dofs] = mapped  # one of the cells that refer to each dof
         np.testing.assert_allclose(mapped, point[dofs], rtol=0, atol=1e-14)
         np.testing.assert_allclose(point[: mesh.nno], mesh.vertices, rtol=0, atol=1e-14)

@@ -244,6 +244,14 @@ class TestPlots:
         text = (tmp_path / "plot-l2.svg").read_text()
         assert f">{ref['l2']:g}</text>" in text
 
+    def test_zero_reference_slope_draws_no_triangle(self, tmp_path):
+        # unmodified on the staircase: lambda's reference slope is 0
+        config = StudyConfig(domain="ellipse", element="q1", method="unmodified", levels=2)
+        emit_plots(run_study(config), tmp_path / "plot")
+        assert expected_rates(config)["lambda"] == 0.0
+        assert "polygon" not in (tmp_path / "plot-lambda.svg").read_text()
+        assert "polygon" in (tmp_path / "plot-h1.svg").read_text()
+
     def test_unwritable_elevation_names_its_path(self, small_ring_study, tmp_path):
         prefix = tmp_path / "plot"
         (tmp_path / "plot-elevation.txt").mkdir()
@@ -259,6 +267,24 @@ class TestExpectedRates:
     def test_unmodified_capped(self):
         r = expected_rates(StudyConfig(element="p3", method="unmodified"))
         assert r["l2"] == 2.0
+
+    @pytest.mark.parametrize(
+        "domain, element, method, want",
+        [
+            # the ring's facets lie O(h^2) off it, the staircase's O(h)
+            ("ring", "p3", "bvc", (4.0, 3.0, 3.0)),
+            ("ring", "p3", "taylor", (4.0, 3.0, 3.0)),
+            ("ring", "p3", "nitsche", (4.0, 3.0, 3.0)),
+            ("ring", "p3", "unmodified", (2.0, 1.5, 1.0)),
+            ("ellipse", "q1", "bvc", (2.0, 1.0, 1.0)),
+            ("ellipse", "q1", "taylor", (2.0, 1.0, 1.0)),
+            ("ellipse", "q1", "nitsche", (2.0, 1.0, 1.0)),
+            ("ellipse", "q1", "unmodified", (1.0, 0.5, 0.0)),
+        ],
+    )
+    def test_boundary_defect_caps_each_norm(self, domain, element, method, want):
+        r = expected_rates(StudyConfig(domain=domain, element=element, method=method))
+        assert r == dict(zip(("l2", "h1", "lambda"), want))
 
 
 class TestPresetRegistry:

@@ -27,7 +27,13 @@ compared as one matrix, so an exact zero stored on one side and absent on
 the other reads no drift.  A system's right-hand side is one key (its
 rhs), so a block of it that is pure roundoff, as the ring's multiplier
 load is where u_exact vanishes, is scaled by the whole vector and does not
-read as drift.  0 on every key means bit-identical results,
+read as drift.  Every array indexed by V's dofs is saved in a canonical
+order, V's dofs ranked by their first slot in V.dof_table read cell by
+cell: the dof table as those ranks, the load, the boundary mass, the u
+part of each solution, and the random field, drawn in that order.  A
+renumbering of V's dofs then reads no drift, while any change of a value
+still does; the condensed systems are saved as they are, over the
+retained dofs.  0 on every key means bit-identical results,
 and the `.solution` lines show the solver's drift per system.  It exits 1
 if a key is missing, changed shape or drifts by more than DRIFT_BOUND.
 
@@ -101,12 +107,19 @@ def _put_matrix(out, key, A):
         out[key + part] = array
 
 
-def _put_solution(out, key, system):
-    """The coefficients solve returns over every dof (u, then lambda), so
-    that a system's condensed blocks may change shape while its solution
-    stays comparable."""
+def _canonical_order(V) -> np.ndarray:
+    """V's dofs ordered by their first slot in V.dof_table, cell by cell."""
+    _, first = np.unique(V.dof_table[V.dof_table >= 0], return_index=True)
+    return np.argsort(first)
+
+
+def _put_solution(out, key, system, order):
+    """The coefficients solve returns over every dof (u in the canonical
+    order, then lambda), so that a system's condensed blocks may change
+    shape while its solution stays comparable."""
     try:
-        z = np.concatenate([f.coefficients for f in solve(system) if f is not None])
+        u, lam = solve(system)
+        z = np.concatenate([u.coefficients[order], [] if lam is None else lam.coefficients])
     except SolverError:
         spaces = (system.V, system.Lam)
         z = np.full(sum(s.dof_count for s in spaces if s is not None), np.nan)
@@ -148,7 +161,9 @@ def arrays() -> dict:
                 tag = f"{name}-p{k}" + ("" if enrich else "-plain")
                 V = build_primal_space(mesh, k, enrich)
                 Lam = build_multiplier_space(mesh, k - 1)
-                out[f"{tag}/dof_table"] = V.dof_table
+                order = _canonical_order(V)
+                rank = np.argsort(order)
+                out[f"{tag}/dof_table"] = np.where(V.dof_table >= 0, rank[V.dof_table], -1)
                 out[f"{tag}/counts"] = np.array([V.dof_count])
                 for where, pts in tables.items():
                     vals, grads = V.basis(pts)
@@ -162,11 +177,11 @@ def arrays() -> dict:
                             _put_matrix(out, f"{key}.{block}", getattr(system, block))
                     _put_matrix(out, f"{key}.A", system.A)
                     out[f"{key}.rhs"] = system.rhs
-                    _put_solution(out, key, system)
-                out[f"{tag}/load"] = load_vector(V, _load)
-                _put_matrix(out, f"{tag}/boundary_mass", boundary_mass_primal(V))
+                    _put_solution(out, key, system, order)
+                out[f"{tag}/load"] = load_vector(V, _load)[order]
+                _put_matrix(out, f"{tag}/boundary_mass", boundary_mass_primal(V)[order][:, order])
                 rng = np.random.default_rng(1234)
-                u = SolutionField(V, rng.standard_normal(V.dof_count))
+                u = SolutionField(V, rng.standard_normal(V.dof_count)[rank])
                 lam = SolutionField(Lam, rng.standard_normal(Lam.dof_count))
                 for label, lf in (("saddle", lam), ("nitsche", None)):
                     report = error_report(u, lf, domain)
