@@ -136,7 +136,7 @@ class TestSolveLinear:
     @pytest.mark.parametrize(
         "preorder, named",
         [
-            ([2, 0, 1, 3], "shape (4,) (int64) for 3 rows"),
+            ([2, 0, 1, 3], "shape (4,) and dtype"),
             ([2, 0, 2], "repeats index 2 at position 2"),
             ([0, 3, 1], "entry 3 at position 1 is not a row"),
         ],
@@ -444,20 +444,25 @@ class TestZeroBlockPath:
     )
     def test_order_from_the_pattern_alone(self, element, method, levels):
         # The order read from the upper triangle of the permuted pattern is
-        # the one read from a permuted copy of A and its full pattern.
+        # the one read from a permuted copy of A and its full pattern, from
+        # the mesh pre-order of a system and from RCM of a bare matrix.
         if element == "unstable":
             config = StudyConfig(element="p2", multiplier_degree=2, enrich=False)
         else:
             config = StudyConfig(domain="ellipse" if element == "q1" else "ring", element=element)
         domain = DOMAINS[config.domain]()
         for level in levels:
-            A = ASSEMBLERS[method](*build_level(config, level, domain), domain).A
-            perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
+            system = ASSEMBLERS[method](*build_level(config, level, domain), domain)
+            A = system.A
             zero = np.flatnonzero(A.diagonal() == 0)
             assert zero.size and bvcfem.solver._diagonal_pivot_gate(A, zero)
-            assert np.array_equal(
-                bvcfem.solver._zero_block_order(A, perm, zero), zero_block_order(A, perm)
-            )
+            for perm in (
+                bvcfem.solver._mesh_order(system),
+                reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True),
+            ):
+                assert np.array_equal(
+                    bvcfem.solver._zero_block_order(A, perm, zero), zero_block_order(A, perm)
+                )
 
     def test_coupled_zero_diagonal_goes_to_partial_pivoting(self, splu_calls):
         A = sp.csc_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 3.0]]))
