@@ -12,13 +12,25 @@ matrix structure, each starting from that pre-order:
   no stored entry; the values are not read.  The corrected multiplier and
   Nitsche systems have no zero on the diagonal and let SuperLU order them
   (`MMD_AT_PLUS_A`).  The zero-block `unmodified` and `taylor` saddle
-  systems take the same minimum-degree order, read from a drop-everything
-  incomplete factorization of their pattern, with each zero-diagonal dof
-  moved to just after its last neighbour, and are factored in that order:
-  its neighbours' fill makes its pivot nonzero by the time it is
-  eliminated, so no row is swapped.
+  systems are factored in a precomputed order.  Its step is the same
+  minimum-degree order, taken of the corrected pattern: `solve` fills in
+  each facet's multiplier block, the one the corrected system's -D block
+  occupies, so the step equals the corrected system's column order on the
+  same dofs (a bare matrix keeps its own pattern).  The step is read from a
+  drop-everything incomplete factorization of that pattern, or reused from
+  a `ColumnOrder`.  Each zero-diagonal dof is then moved to just after its
+  last neighbour: its neighbours' fill makes its pivot nonzero by the time
+  it is eliminated, so no row is swapped.
 - partial pivoting: COLAMD with SuperLU's default threshold pivoting, for a
   matrix whose zero-diagonal block holds entries, and as the fallback below.
+
+A `ColumnOrder` carries one solve's orders to the next solve on the same
+mesh and dofs (a companion method on a shared rung): the mesh pre-order,
+and the column order of a successful diagonal-pivot factorization, which
+the companion takes as its step without the pattern build and the
+incomplete factorization.  A reused step that is not a permutation of the
+rows is rejected before any factorization; a poor one is caught like any
+other order, by the checks below.
 
 Both paths enforce the near-zero-pivot check (`SingularSystem`) and the
 relative residual contract ||Az - b|| <= 1e-10 ||b||, with a single
@@ -29,7 +41,9 @@ pivoting stable (the -D block takes both signs, a zero block is indefinite,
 with a warning, to partial pivoting, which alone decides whether a system
 is singular.  A non-finite entry in A or b is rejected before any ordering.
 Each solve emits one DEBUG record on the `bvcfem.solver` logger, naming its
-pre-order (`order=mesh` or `order=rcm`) and its path.
+pre-order (`order=mesh` or `order=rcm`), the source of its column step
+(`step=mmd`, `step=reused` or, on partial pivoting, `step=colamd`) and its
+path.
 
 The permuted copy of A is built inside the splu call and nothing keeps it,
 so while the pivot check reads the factors (lu.U copies L and U) only A
@@ -111,12 +125,31 @@ class SolutionField:
         return self.coefficients[: self.space.mesh.nno]
 
 
-def solve_linear(A, b, preorder=None) -> np.ndarray:
+@dataclass
+class ColumnOrder:
+    """The orders one solve hands to a later solve on the same mesh and dofs.
+
+    preorder is the system's mesh pre-order.  step is the column order of
+    the last successful diagonal-pivot factorization, a permutation of the
+    pre-ordered positions: SuperLU's `perm_c` on the diagonal-pivot path,
+    the minimum-degree step on the zero-block path.  Both are plain arrays
+    (`perm_c` is copied: SuperLU's array keeps its factorization alive).
+    """
+
+    preorder: np.ndarray | None = None
+    step: np.ndarray | None = None
+
+
+def solve_linear(A, b, preorder=None, blocks=None, order=None) -> np.ndarray:
     """Solve A z = b by sparse LU, enforcing the residual contract.
 
     preorder, a permutation of A's rows, is the mesh pre-order `solve`
     reads from a system; without it (a bare matrix) the pre-order is RCM of
-    A.  Both factorization paths refine it.
+    A.  Both factorization paths refine it.  blocks, rows of dof indices,
+    fill their principal blocks into the pattern of the zero-block path's
+    minimum-degree step.  order, a ColumnOrder shared by solves on the same
+    dofs and pre-order, gives its step in place of that pass and receives
+    the column order of a successful diagonal-pivot factorization.
     """
     A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -126,6 +159,9 @@ def solve_linear(A, b, preorder=None) -> np.ndarray:
         raise SolverError(f"rhs length {b.shape[0]} does not match {A.shape}")
     if preorder is not None:
         _check_permutation(preorder, A.shape[0])
+    step = None if order is None else order.step
+    if step is not None:
+        _check_permutation(step, A.shape[0], "column order")
     _check_finite(A, b)
     bnorm = float(np.linalg.norm(b))
     if preorder is None:
@@ -137,8 +173,25 @@ def solve_linear(A, b, preorder=None) -> np.ndarray:
     if _diagonal_pivot_gate(A, zero):
         path = ZERO_BLOCK if zero.size else DIAGONAL_PIVOT
         try:
-            order = _zero_block_order(A, perm, zero) if zero.size else perm
-            return _factor_and_solve(A, order, b, bnorm, anorm, path, source)
+            if zero.size:
+                label = f"order={source} step={'mmd' if step is None else 'reused'}"
+                if step is None:
+                    step = _mmd_step(A, perm, blocks)
+                columns = _zero_block_order(A, perm, zero, step)
+                z, _ = _factor_and_solve(A, columns, b, bnorm, anorm, path, label)
+            else:
+                # Allocated before the factorization: an array that outlives
+                # the factors but is allocated while they are alive lies
+                # above them in the heap, and the companion's factorization
+                # then fits less well into the memory they free.
+                step = None if order is None else np.empty(A.shape[0], dtype=np.int32)
+                label = f"order={source} step=mmd"
+                z, lu = _factor_and_solve(A, perm, b, bnorm, anorm, path, label)
+                if step is not None:
+                    step[:] = lu.perm_c
+            if order is not None:
+                order.step = step
+            return z
         except SolverError as exc:
             # The text only: a handler that keeps its records would keep
             # exc, and with it the frames of the whole solve, alive.
@@ -146,7 +199,8 @@ def solve_linear(A, b, preorder=None) -> np.ndarray:
                 "%s solve rejected (%s: %s); falling back to partial pivoting",
                 path, type(exc).__name__, str(exc),
             )
-    return _factor_and_solve(A, perm, b, bnorm, anorm, PARTIAL_PIVOT, source)
+    label = f"order={source} step=colamd"
+    return _factor_and_solve(A, perm, b, bnorm, anorm, PARTIAL_PIVOT, label)[0]
 
 
 def _permuted(A, perm) -> sp.csc_matrix:
@@ -154,24 +208,25 @@ def _permuted(A, perm) -> sp.csc_matrix:
     return A[perm, :][:, perm].tocsc()
 
 
-def _check_permutation(perm, n) -> None:
-    """SolverError unless perm is a permutation of 0..n-1, naming its wrong
-    length, its first entry out of range or its first repeated index."""
+def _check_permutation(perm, n, what="pre-order") -> None:
+    """SolverError unless perm, the named order, is a permutation of
+    0..n-1, naming its wrong length, its first entry out of range or its
+    first repeated index."""
     perm = np.asarray(perm)
     if perm.shape != (n,) or not np.issubdtype(perm.dtype, np.integer):
         raise SolverError(
-            f"pre-order of shape {perm.shape} and dtype {perm.dtype} is not a "
+            f"{what} of shape {perm.shape} and dtype {perm.dtype} is not a "
             f"permutation of {n} rows"
         )
     bad = np.flatnonzero((perm < 0) | (perm >= n))
     if bad.size:
-        raise SolverError(f"pre-order entry {perm[bad[0]]} at position {bad[0]} is not a row")
+        raise SolverError(f"{what} entry {perm[bad[0]]} at position {bad[0]} is not a row")
     _, first = np.unique(perm, return_index=True)
     if first.size < n:
         again = np.ones(n, dtype=bool)
         again[first] = False
         k = int(np.flatnonzero(again)[0])
-        raise SolverError(f"pre-order repeats index {perm[k]} at position {k}")
+        raise SolverError(f"{what} repeats index {perm[k]} at position {k}")
 
 
 def _check_finite(A, b) -> None:
@@ -194,11 +249,10 @@ def _diagonal_pivot_gate(A, zero) -> bool:
     return not (zero.size and A[zero, :][:, zero].nnz)
 
 
-def _zero_block_order(A, perm, zero) -> np.ndarray:
-    """Column order of A, refining its pre-order perm: SuperLU's minimum
-    degree of A[perm][:, perm], with each zero-diagonal dof (`zero`) moved
-    to just after its last neighbour, the last-eliminated stored row of its
-    column.
+def _mmd_step(A, perm, blocks=None) -> np.ndarray:
+    """SuperLU's minimum-degree order of A[perm][:, perm], its pattern
+    with the principal block of each row of `blocks` (dof indices) filled
+    in: a permutation of the pre-ordered positions.
 
     SuperLU computes its `MMD_AT_PLUS_A` order only inside a factorization,
     so it is read from an incomplete factorization of the permuted pattern
@@ -209,14 +263,28 @@ def _zero_block_order(A, perm, zero) -> np.ndarray:
     n = A.shape[0]
     at = np.empty_like(perm)
     at[perm] = np.arange(n)
-    rows, cols = at[A.indices], at[np.repeat(np.arange(n), np.diff(A.indptr))]
+    rows, cols = A.indices, np.repeat(np.arange(n), np.diff(A.indptr))
+    if blocks is not None:
+        m = blocks.shape[1]
+        rows = np.concatenate([rows, np.repeat(blocks, m, axis=1).ravel()])
+        cols = np.concatenate([cols, np.tile(blocks, m).ravel()])
+    rows, cols = at[rows], at[cols]
     M = sp.csc_matrix(
-        (np.ones(A.nnz), (np.minimum(rows, cols), np.maximum(rows, cols))), shape=A.shape
+        (np.ones(rows.size), (np.minimum(rows, cols), np.maximum(rows, cols))), shape=A.shape
     ) + n * sp.eye(n, format="csc")
-    step = spilu(
+    return np.array(spilu(
         M, drop_tol=1.0, fill_factor=1.0, panel_size=1, relax=1,
         **_SPLU_OPTIONS[DIAGONAL_PIVOT],
-    ).perm_c
+    ).perm_c)
+
+
+def _zero_block_order(A, perm, zero, step) -> np.ndarray:
+    """Column order of A, refining its pre-order perm by the step (a
+    permutation of the pre-ordered positions), with each zero-diagonal dof
+    (`zero`) moved to just after its last neighbour, the last-eliminated
+    stored row of its column."""
+    at = np.empty_like(perm)
+    at[perm] = np.arange(A.shape[0])
     # Sort key 2 * step, and 2 * (last neighbour's step) + 1 for a
     # zero-diagonal dof; several that follow one dof keep their mutual order.
     nbrs, zero = A[:, zero], at[zero]
@@ -226,9 +294,10 @@ def _zero_block_order(A, perm, zero) -> np.ndarray:
     return perm[np.lexsort((step, key))]
 
 
-def _factor_and_solve(A, perm, b, bnorm, anorm, path, source) -> np.ndarray:
+def _factor_and_solve(A, perm, b, bnorm, anorm, path, label):
     """Factor A[perm][:, perm] along `path` and solve under the contract;
-    `source` names the pre-order in the DEBUG record."""
+    returns z and the factorization.  `label` names the orders in the
+    DEBUG record."""
     try:
         lu = splu(_permuted(A, perm), **_SPLU_OPTIONS[path])
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
@@ -256,11 +325,11 @@ def _factor_and_solve(A, perm, b, bnorm, anorm, path, source) -> np.ndarray:
     if not rnorm <= RESIDUAL_RTOL * bnorm:
         raise SolverError(f"residual contract violated: relres={relres:.3e}")
     logger.debug(
-        "solve order=%s path=%s n=%d nnz(A)=%d nnz(L+U)=%d min_pivot_ratio=%.3e "
+        "solve %s path=%s n=%d nnz(A)=%d nnz(L+U)=%d min_pivot_ratio=%.3e "
         "relres=%.3e refined=%s",
-        source, path, A.shape[0], A.nnz, lu.nnz, udiag[j] / anorm, relres, refined,
+        label, path, A.shape[0], A.nnz, lu.nnz, udiag[j] / anorm, relres, refined,
     )
-    return z
+    return z, lu
 
 
 def _mesh_order(system) -> np.ndarray:
@@ -291,7 +360,7 @@ def _mesh_order(system) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def solve(system):
+def solve(system, order=None):
     """Solve an assembled system.
 
     Returns (u_field, lambda_field) over every dof of the spaces;
@@ -301,10 +370,22 @@ def solve(system):
     are then restored from system.interior, cell by cell.  Keeping the
     uncondensed matrix alive through the factorization for a second
     residual check would cost the memory the condensation saves.
+
+    order, a ColumnOrder shared with other solves on the same mesh and
+    dofs, supplies the orders it holds and receives the ones this solve
+    finds: the mesh pre-order, and the column order of a successful
+    diagonal-pivot factorization.
     """
     if not isinstance(system, System):
         raise SolverError(f"cannot solve a {type(system).__name__}")
-    z = solve_linear(system.A, system.rhs, _mesh_order(system))
+    if order is None:
+        preorder = _mesh_order(system)
+    else:
+        if order.preorder is None:
+            order.preorder = _mesh_order(system)
+        preorder = order.preorder
     nu = system.nu
+    blocks = None if system.Lam is None else nu + system.Lam.facet_dofs
+    z = solve_linear(system.A, system.rhs, preorder, blocks, order)
     u = SolutionField(system.V, system.interior.restore(z[:nu]))
     return u, None if system.Lam is None else SolutionField(system.Lam, z[nu:])

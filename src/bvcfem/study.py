@@ -14,8 +14,9 @@ and the printed table.
 One level loop runs every ladder.  A preset's methods (main and
 comparison) are solved level by level on one shared Rung: its mesh,
 spaces and primal assembly are built once, by the first method's
-run_level, and nothing of it outlives its level; the exact data of its
-error reports go with its V (analysis.exact_data).  run_study is the
+run_level, the companion reuses the first solve's column orders, and
+nothing of it outlives its level; the exact data of its error reports go
+with its V (analysis.exact_data).  run_study is the
 one-method case.  The records, and so the CSVs, are the same as from one
 ladder per method.  A Preset is its config, its comparison method and
 its check; run_preset runs every preset the same way, the ladder and
@@ -52,7 +53,7 @@ from .assembly import (
 )
 from .geometry import make_ellipse_domain, make_ring_domain
 from .mesh import build_annulus_mesh, build_staircase_mesh, precompute_boundary_geometry
-from .solver import SingularSystem, solve
+from .solver import ColumnOrder, SingularSystem, solve
 from .spaces import MultiplierSpace, PrimalSpace, build_multiplier_space, build_primal_space
 
 
@@ -158,14 +159,19 @@ class Rung:
     """What the methods solved on one rung of the ladder share.
 
     The first method's run_level builds it: V and Lam on the mesh and the
-    multiplier methods' primal assembly.  pending counts the methods yet to
-    assemble; the last one drops the primal assembly before its solve.
+    multiplier methods' primal assembly.  While a method is pending after
+    the first, order keeps the first solve's orders, the mesh pre-order and
+    the column order of its diagonal-pivot factorization (two arrays, never
+    the factorization), for the companions to reuse.  pending counts the
+    methods yet to assemble; the last one drops the primal assembly and the
+    orders before its solve.
     """
 
     pending: int
     V: PrimalSpace | None = None
     Lam: MultiplierSpace | None = None
     primal: PrimalAssembly | None = None
+    order: ColumnOrder | None = None
 
 
 def run_level(config: StudyConfig, level: int, domain, rung: Rung):
@@ -185,11 +191,14 @@ def run_level(config: StudyConfig, level: int, domain, rung: Rung):
     else:
         system = ASSEMBLERS[config.method](V, rung.Lam, domain, primal=rung.primal)
     rung.pending -= 1
+    order = rung.order
     if not rung.pending:
-        rung.primal = None
+        rung.primal = rung.order = None
+    elif order is None:
+        order = rung.order = ColumnOrder()
     if config.dump_prefix:
         dump_system(system, f"{config.dump_prefix}-L{level}")
-    u, lam = solve(system)
+    u, lam = solve(system, order)
     return u, lam, error_report(u, lam, domain)
 
 

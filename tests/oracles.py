@@ -9,7 +9,8 @@ cell-interior dofs, so that the restored solution can be checked on it;
 assembled_stiffness sums the per-cell stiffness blocks into one matrix
 without the assembler's scatter, and taylor_coupling sums the Taylor row.
 zero_block_order builds the solver's zero-block order from a permuted copy
-of the whole matrix.  whole_mesh_l2_h1_errors evaluates l2_h1_errors' two
+of the whole matrix, with the multiplier blocks filled in one by one.
+whole_mesh_l2_h1_errors evaluates l2_h1_errors' two
 sums as one np.sum each over whole-mesh (cells, nq) tables, on the rule of
 a given degree, so that the blocked sums can be checked against it;
 elevated_l2_h1_errors is that oracle on the rule two degrees above the
@@ -174,15 +175,21 @@ def uncondensed_system(V, domain, method, Lam=None, gamma0=None):
     return A, np.concatenate([f, g])
 
 
-def zero_block_order(A, perm):
+def zero_block_order(A, perm, blocks=None):
     """The zero-block solver's column order of A under the pre-order perm,
     from the permuted copy Ap = A[perm][:, perm]: SuperLU's MMD_AT_PLUS_A
     order, read from a drop-everything incomplete factorization of the full
-    pattern P + P^T under a dominant diagonal, with each zero-diagonal dof
-    moved to just after its last neighbour."""
+    pattern P + P^T, with the principal block of each row of `blocks` (dof
+    indices of A) set, under a dominant diagonal, with each zero-diagonal
+    dof moved to just after its last neighbour."""
     Ap = A[perm, :][:, perm].tocsc()
     n, zero = Ap.shape[0], np.flatnonzero(Ap.diagonal() == 0)
     P = sp.csc_matrix((np.ones(Ap.nnz), Ap.indices, Ap.indptr), shape=Ap.shape)
+    if blocks is not None:
+        F = sp.lil_matrix(A.shape)
+        for row in blocks:
+            F[np.ix_(row, row)] = 1.0
+        P = P + F.tocsc()[perm, :][:, perm]
     M = (P + P.T + n * sp.eye(n)).tocsc()
     step = spilu(
         M, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",

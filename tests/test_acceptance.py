@@ -69,13 +69,10 @@ def p3_unmod():
 
 
 @pytest.fixture(scope="module")
-def q1_bvc():
-    return run_study(StudyConfig(domain="ellipse", element="q1", method="bvc"))
-
-
-@pytest.fixture(scope="module")
-def q1_unmod():
-    return run_study(StudyConfig(domain="ellipse", element="q1", method="unmodified"))
+def q1():
+    # bvc with its unmodified companion, on one shared ladder
+    result, _ = run_preset("q1-ellipse")
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +130,8 @@ def test_criterion_3_p3_unmodified_no_improvement(p2_unmod, p3_unmod):
     )
 
 
-def test_criterion_4_q1_staircase_rates(q1_bvc, q1_unmod):
+def test_criterion_4_q1_staircase_rates(q1):
+    q1_bvc, q1_unmod = q1, q1.companion
     rates = q1_bvc.rates
     unmod_rate = q1_unmod.rates["l2"].last3
     _criterion(

@@ -14,6 +14,7 @@ import bvcfem.solver
 from bvcfem.geometry import make_ring_domain, make_square_domain
 from bvcfem.mesh import build_annulus_mesh, build_square_mesh, precompute_boundary_geometry
 from bvcfem.solver import (
+    ColumnOrder,
     SingularSystem,
     SolutionField,
     SolverError,
@@ -318,7 +319,7 @@ class TestSolverPath:
                 solve(system)
         (record,) = caplog.records
         assert record.getMessage().startswith(
-            f"solve order={'rcm' if bare else 'mesh'} path=diagonal-pivot "
+            f"solve order={'rcm' if bare else 'mesh'} step=mmd path=diagonal-pivot "
         )
         if bare:
             perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
@@ -326,6 +327,29 @@ class TestSolverPath:
             perm = bvcfem.solver._mesh_order(system)
         ((got, _),) = splu_calls.factored
         assert (got != A[perm, :][:, perm]).nnz == 0
+
+    def test_debug_record_names_the_step(self, splu_calls, caplog):
+        # A companion given the corrected system's orders reuses its step.
+        V, L = _ring_spaces()
+        order = ColumnOrder()
+        with caplog.at_level(logging.DEBUG, logger="bvcfem"):
+            for method in ("bvc", "unmodified", "unmodified"):
+                solve(assemble_saddle(V, L, RING, method), order if method == "bvc" else None)
+            solve(assemble_saddle(V, L, RING, "unmodified"), order)
+        assert [r.getMessage().split(" n=")[0] for r in caplog.records] == [
+            "solve order=mesh step=mmd path=diagonal-pivot",
+            "solve order=mesh step=mmd path=zero-block",
+            "solve order=mesh step=mmd path=zero-block",
+            "solve order=mesh step=reused path=zero-block",
+        ]
+        # The fallback names COLAMD, partial pivoting's column order.
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bvcfem"):
+            solve_linear(sp.csc_matrix(np.array([[1e-20, 1.0], [1.0, 1e-20]])), np.ones(2))
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert debug == [debug[0]] and debug[0].startswith(
+            "solve order=rcm step=colamd path=partial-pivot "
+        )
 
     def test_package_logger_silent_by_default(self):
         handlers = logging.getLogger("bvcfem").handlers
@@ -445,7 +469,8 @@ class TestZeroBlockPath:
     def test_order_from_the_pattern_alone(self, element, method, levels):
         # The order read from the upper triangle of the permuted pattern is
         # the one read from a permuted copy of A and its full pattern, from
-        # the mesh pre-order of a system and from RCM of a bare matrix.
+        # the mesh pre-order of a system and from RCM of a bare matrix, with
+        # and without the multiplier blocks filled in.
         if element == "unstable":
             config = StudyConfig(element="p2", multiplier_degree=2, enrich=False)
         else:
@@ -460,9 +485,98 @@ class TestZeroBlockPath:
                 bvcfem.solver._mesh_order(system),
                 reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True),
             ):
-                assert np.array_equal(
-                    bvcfem.solver._zero_block_order(A, perm, zero), zero_block_order(A, perm)
-                )
+                for blocks in (system.nu + system.Lam.facet_dofs, None):
+                    step = bvcfem.solver._mmd_step(A, perm, blocks)
+                    assert np.array_equal(
+                        bvcfem.solver._zero_block_order(A, perm, zero, step),
+                        zero_block_order(A, perm, blocks),
+                    )
+
+    @pytest.mark.parametrize("element", ["p1", "p2", "p3", "q1"])
+    def test_step_is_the_corrected_systems_column_order(self, splu_calls, element):
+        # The companion's standalone step, minimum degree of its pattern with
+        # the multiplier blocks filled in, is the bvc factor's perm_c: so a
+        # shared rung may hand it over and stay exact.
+        config = StudyConfig(domain="ellipse" if element == "q1" else "ring", element=element)
+        domain = DOMAINS[config.domain]()
+        for level in (0, 1, 2):
+            V, L = build_level(config, level, domain)
+            order = ColumnOrder()
+            solve(ASSEMBLERS["bvc"](V, L, domain), order)
+            (_, lu), = splu_calls.factored
+            splu_calls.factored.clear()
+            unmodified = ASSEMBLERS["unmodified"](V, L, domain)
+            perm = bvcfem.solver._mesh_order(unmodified)
+            assert np.array_equal(perm, order.preorder)
+            step = bvcfem.solver._mmd_step(unmodified.A, perm, unmodified.nu + L.facet_dofs)
+            assert np.array_equal(lu.perm_c, step) and np.array_equal(order.step, step)
+
+    @pytest.mark.parametrize(
+        "step, named",
+        [
+            (lambda n: np.arange(n - 1), "column order of shape"),
+            (lambda n: np.r_[np.arange(n - 1), 0], "column order repeats index 0 at position"),
+            (lambda n: np.r_[np.arange(n - 1), n], "is not a row"),
+        ],
+        ids=["length", "repeat", "range"],
+    )
+    def test_bad_reused_step_rejected_before_factoring(
+        self, splu_calls, monkeypatch, step, named
+    ):
+        spilu_calls = []
+        monkeypatch.setattr(bvcfem.solver, "spilu", lambda *a, **k: spilu_calls.append(a))
+        V, L = _ring_spaces()
+        system = assemble_saddle(V, L, RING, "unmodified")
+        n = system.A.shape[0]
+        order = ColumnOrder(bvcfem.solver._mesh_order(system), step(n))
+        with pytest.raises(SolverError) as err:
+            solve(system, order)
+        assert type(err.value) is SolverError and named in str(err.value)
+        assert splu_calls == [] and spilu_calls == []
+
+    def test_poor_reused_step_meets_the_contract(self, splu_calls, caplog):
+        # A valid step is trusted only as far as the pivot check and the
+        # residual contract.  Reversed, it fills many times more than the
+        # corrected system's step, and the solve still meets the contract.
+        for element, level in (("p2", 1), ("p3", 1), ("q1", 2)):
+            config = StudyConfig(domain="ellipse" if element == "q1" else "ring", element=element)
+            domain = DOMAINS[config.domain]()
+            V, L = build_level(config, level, domain)
+            system = ASSEMBLERS["unmodified"](V, L, domain)
+            order = ColumnOrder()
+            solve(ASSEMBLERS["bvc"](V, L, domain), order)
+            solve(system, ColumnOrder(order.preorder, order.step))
+            order.step = order.step[::-1].copy()
+            with caplog.at_level(logging.WARNING, logger="bvcfem"):
+                u, lam = solve(system, order)
+            assert caplog.records == []
+            assert splu_calls[1:] == [ZERO_BLOCK_KWARGS] * 2
+            (_, good), (_, poor) = splu_calls.factored[1:]
+            assert poor.nnz > 5 * good.nnz
+            z = np.concatenate([u.coefficients[: system.nu], lam.coefficients])
+            assert np.linalg.norm(system.A @ z - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
+            splu_calls.clear()
+            splu_calls.factored.clear()
+
+    def test_reused_step_falls_back_with_the_warning(self, splu_calls, caplog):
+        # The unstable pairing's companion, given bvc's step, hits a zero
+        # pivot on the zero-block path; partial pivoting then finds the
+        # dof it finds on its own.
+        config = StudyConfig(element="p2", multiplier_degree=2, enrich=False)
+        V, L = build_level(config, 0, RING)
+        order = ColumnOrder()
+        solve(ASSEMBLERS["bvc"](V, L, RING), order)
+        system = ASSEMBLERS["unmodified"](V, L, RING)
+        with caplog.at_level(logging.WARNING, logger="bvcfem"), pytest.raises(
+            SingularSystem
+        ) as err:
+            solve(system, order)
+        assert splu_calls == [DIAGONAL_PIVOT_KWARGS, ZERO_BLOCK_KWARGS, {}]
+        (warning,) = caplog.records
+        assert "zero-block solve rejected (SingularSystem:" in warning.getMessage()
+        with pytest.raises(SingularSystem) as alone:
+            solve(system)
+        assert err.value.dof_index == alone.value.dof_index >= 0
 
     def test_coupled_zero_diagonal_goes_to_partial_pivoting(self, splu_calls):
         A = sp.csc_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 3.0]]))

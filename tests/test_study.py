@@ -149,11 +149,11 @@ class TestRunStudy:
 
         solved = []
 
-        def failing_finest(system):
+        def failing_finest(system, order):
             solved.append(system.method)
             if len(solved) == 3:
                 raise SingularSystem("finest level")
-            return solve(system)
+            return solve(system, order)
 
         monkeypatch.setattr(study, "solve", failing_finest)
         res = run_study(StudyConfig(domain="ring", element="p1", method="bvc", levels=3))
