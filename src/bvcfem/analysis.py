@@ -10,6 +10,7 @@ import scipy.linalg
 
 from . import geometry as geo
 from .assembly import (
+    _facet_geometry,
     _scatter,
     boundary_mass_primal,
     coupling_matrix,
@@ -127,7 +128,7 @@ def multiplier_error(lambda_field: SolutionField, domain) -> float:
 
     n_h is the facet normal, consistent with lambda_h ~ -n_h . grad u_h.
     """
-    facets = lambda_field.space.mesh.boundary_facets
+    facets = _facet_geometry(lambda_field.space.mesh)
     n = facets.n_h[:, None, :]
     target = -np.sum(geo.at_points(domain.grad_u_exact, facets.points) * n, axis=-1)
     lam = lambda_field.evaluate_on_facet(slice(None), facets.s)
@@ -142,9 +143,9 @@ def error_triple_norm(u_field, err_lambda, domain) -> float:
     """
     _, err_h1 = l2_h1_errors(u_field, domain)
     mesh = u_field.space.mesh
-    facets = mesh.boundary_facets
+    facets = _facet_geometry(mesh)
     ue = geo.at_points(domain.u_exact, facets.points)
-    dofs, vals = facet_traces(u_field.space)
+    dofs, vals, _ = facet_traces(u_field.space)
     uh = np.einsum("fqn,fn->fq", vals, np.append(u_field.coefficients, 0.0)[dofs])
     bnd_sq = np.sum(facets.weights * (ue - uh) ** 2)
     mu_err = 0.0 if err_lambda is None else err_lambda
@@ -218,7 +219,7 @@ def infsup_diagnostic(V: PrimalSpace, Lam: MultiplierSpace) -> tuple:
 
 def geometry_report(mesh: Mesh, domain) -> tuple:
     """(delta_h, normal_dev): worst |rho_h| and worst |n_h - n(p_h)|."""
-    facets = mesh.boundary_facets
+    facets = _facet_geometry(mesh)
     n_exact = geo.exact_normal(domain, facets.pullback)
     dev = np.linalg.norm(n_exact - facets.n_h[:, None, :], axis=2)
     return float(np.max(np.abs(facets.rho))), float(np.max(dev))

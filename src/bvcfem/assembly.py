@@ -22,8 +22,10 @@ PrimalAssembly, which the methods solved on one mesh share.
 u~ is the Dirichlet data, the domain's u_exact, pulled back from the true
 boundary through the precomputed facet pullback points.  Every cell term
 is one contraction over all cells of V.basis and V.dof_table, every facet
-term one over the facet_traces tables of all boundary facets (and, for
-taylor and Nitsche, facet_normal_derivatives); Nitsche's
+term one over the tables of the facet kernel facet_traces: each boundary
+facet's dofs, traces and normal derivatives, from one V.basis call.  A
+facet reader on a mesh without precompute_boundary_geometry raises
+DimensionMismatch.  B is scattered by coupling_matrix alone; Nitsche's
 facet blocks are added to their cells' blocks.  A -1 column of the dof
 table (an edge without a bubble) keeps its reference values; _scatter
 stores only entries whose row and column fall inside the matrix, which
@@ -181,15 +183,6 @@ class System:
         return self.A[self.nu :, : self.nu] if self.method == "taylor" else None
 
 
-def _check_spaces(V, Lam=None):
-    if Lam is not None and Lam.mesh is not V.mesh:
-        raise DimensionMismatch("primal and multiplier spaces were built on different meshes")
-    if V.mesh.boundary_facets.s is None:
-        raise DimensionMismatch(
-            "facet geometry missing: call precompute_boundary_geometry first"
-        )
-
-
 def stiffness_matrix(V: PrimalSpace) -> np.ndarray:
     """Per-cell blocks (cells, nl, nl) of (grad phi_i, grad phi_j), bubbles
     included, over the columns of V.dof_table."""
@@ -219,36 +212,36 @@ def load_vector(V: PrimalSpace, f) -> np.ndarray:
     return rhs
 
 
-def _facet_basis(V: PrimalSpace):
-    """V.basis at the boundary facets' Gauss points on every local edge,
-    values (ne, nq, nl) and reference gradients (ne, nq, nl, 2)."""
-    facets = V.mesh.boundary_facets
-    ref, edges = REFERENCE_CELLS[V.mesh.cell_kind]
-    a, b = ref[np.array(edges).T]
-    return V.basis(a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :])
+def _facet_geometry(mesh):
+    """mesh.boundary_facets, once precompute_boundary_geometry has given them
+    their Gauss points, weights, rho_h and pullback points."""
+    facets = mesh.boundary_facets
+    if facets.s is None:
+        raise DimensionMismatch(
+            "facet geometry missing: call precompute_boundary_geometry first"
+        )
+    return facets
 
 
 def facet_traces(V: PrimalSpace):
-    """Cell basis functions traced on every boundary facet of V's mesh.
+    """The facet kernel: cell basis functions traced on every boundary facet
+    of V's mesh, from one V.basis call at the facet Gauss points of every
+    local edge.
 
-    Returns (dofs, vals): the dof_table row of each facet's cell and
-    V.basis at the facet's Gauss points on its local edge (nf, nq, nl).
-    A -1 column keeps its reference values, for the consumer to drop.
+    Returns (dofs, vals, dn): the dof_table row of each facet's cell, the
+    values at the facet's Gauss points on its local edge (nf, nq, nl) and
+    their normal derivatives n_h . grad (nf, nq, nl).  A cell's other
+    bubbles vanish on the facet, but their normal derivatives do not.  A -1
+    column keeps its reference values, for the consumer to drop.
     """
-    facets = V.mesh.boundary_facets
-    vals, _ = _facet_basis(V)
-    return V.dof_table[facets.cell], vals[facets.local_edge]
-
-
-def facet_normal_derivatives(V: PrimalSpace) -> np.ndarray:
-    """n_h . grad of every local function at the points of facet_traces
-    (nf, nq, nl).  A cell's other bubbles vanish on the facet, but their
-    normal derivatives do not."""
     mesh = V.mesh
-    facets = mesh.boundary_facets
-    _, grads = _facet_basis(V)
+    facets = _facet_geometry(mesh)
+    ref, edges = REFERENCE_CELLS[mesh.cell_kind]
+    a, b = ref[np.array(edges).T]
+    vals, grads = V.basis(a[:, None, :] + facets.s[None, :, None] * (b - a)[:, None, :])
     e = facets.local_edge
-    return np.einsum("fqnd,fde,fe->fqn", grads[e], mesh.Jinv[facets.cell], facets.n_h)
+    dn = np.einsum("fqnd,fde,fe->fqn", grads[e], mesh.Jinv[facets.cell], facets.n_h)
+    return V.dof_table[facets.cell], vals[e], dn
 
 
 def _scatter(shape, blocks, rows, cols) -> sp.csr_matrix:
@@ -270,30 +263,29 @@ def _scatter(shape, blocks, rows, cols) -> sp.csr_matrix:
 
 def boundary_mass_primal(V: PrimalSpace) -> sp.csr_matrix:
     """(phi_i, phi_j) over the facet boundary (used by the inf-sup check)."""
-    facets = V.mesh.boundary_facets
-    dofs, vals = facet_traces(V)
-    blocks = np.einsum("fq,fqi,fqj->fij", facets.weights, vals, vals)
+    dofs, vals, _ = facet_traces(V)
+    blocks = np.einsum("fq,fqi,fqj->fij", V.mesh.boundary_facets.weights, vals, vals)
     return _scatter((V.dof_count, V.dof_count), blocks, dofs, dofs)
 
 
-def _coupling_blocks(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool) -> np.ndarray:
-    """Per-facet blocks (nf, m + 1, nl) of B[i,j] = (phi_j, psi_i), rows
-    Lam.facet_dofs, columns the dof_table row of the facet's cell.
+def _coupling_blocks(V: PrimalSpace, Lam: MultiplierSpace, rho_dn: bool):
+    """(dofs, blocks): the dof_table row of each facet's cell and the
+    per-facet blocks (nf, m + 1, nl) of B[i,j] = (phi_j, psi_i), rows
+    Lam.facet_dofs, columns dofs.
 
     With rho_dn the primal trace is Taylor-corrected:
     (phi_j + rho_h dn phi_j, psi_i).
     """
+    dofs, vals, dn = facet_traces(V)
     facets = Lam.mesh.boundary_facets
-    _, vals = facet_traces(V)
     if rho_dn:
-        vals = vals + facets.rho[:, :, None] * facet_normal_derivatives(V)
-    return np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
+        vals = vals + facets.rho[:, :, None] * dn
+    return dofs, np.einsum("fq,qi,fqj->fij", facets.weights, Lam.eval(facets.s), vals)
 
 
 def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace) -> sp.csr_matrix:
     """B over every dof of V: _coupling_blocks summed into one matrix."""
-    dofs = V.dof_table[V.mesh.boundary_facets.cell]
-    blocks = _coupling_blocks(V, Lam, False)
+    dofs, blocks = _coupling_blocks(V, Lam, False)
     return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, dofs)
 
 
@@ -316,20 +308,19 @@ def assemble_primal(
 ) -> PrimalAssembly:
     """The method-independent part of assemble_saddle's systems on V and Lam.
 
-    B's interior columns are dropped, not condensed: they hold roundoff of
-    a trace that vanishes, so the unmodified (2,2) block stays empty.
+    B keeps the retained columns of coupling_matrix: its interior columns
+    are dropped, not condensed, since they hold roundoff of a trace that
+    vanishes, so the unmodified (2,2) block stays empty.
     """
-    _check_spaces(V, Lam)
-    facets = V.mesh.boundary_facets
+    if Lam.mesh is not V.mesh:
+        raise DimensionMismatch("primal and multiplier spaces were built on different meshes")
+    facets = _facet_geometry(V.mesh)
     rhs_lam = np.zeros(Lam.dof_count)
     rhs_lam[Lam.facet_dofs] = (
         facets.weights * at_points(domain.u_exact, facets.pullback)
     ) @ Lam.eval(facets.s)
     K, rhs_u, interior = condense(V, stiffness_matrix(V), load_vector(V, domain.f_rhs))
-    B = _scatter(
-        (Lam.dof_count, K.shape[0]), _coupling_blocks(V, Lam, False),
-        Lam.facet_dofs, V.dof_table[facets.cell],
-    )
+    B = coupling_matrix(V, Lam)[:, : K.shape[0]]
     return PrimalAssembly(K, rhs_u, interior, B, rhs_lam)
 
 
@@ -362,9 +353,9 @@ def assemble_saddle(
         D = _scatter((nl, nl), blocks, Lam.facet_dofs, Lam.facet_dofs)
     row2, rhs = primal.B, np.concatenate([primal.rhs_u, primal.rhs_lam])
     if method == "taylor":
-        blocks = _coupling_blocks(V, Lam, True)
+        dofs, blocks = _coupling_blocks(V, Lam, True)
         rhs[primal.K.shape[0] + Lam.facet_dofs] -= primal.interior.eliminate(blocks, facets.cell)
-        row2 = _scatter(primal.B.shape, blocks, Lam.facet_dofs, V.dof_table[facets.cell])
+        row2 = _scatter(primal.B.shape, blocks, Lam.facet_dofs, dofs)
     return System(
         A=sp.bmat([[primal.K, primal.B.T], [row2, -D]], format="csc"),
         rhs=rhs,
@@ -385,14 +376,12 @@ def assemble_nitsche(V: PrimalSpace, domain: ImplicitDomain, gamma0: float) -> S
     """
     if not 0 < gamma0 < np.inf:
         raise ValueError(f"gamma0 must be a positive finite number, got {gamma0!r}")
-    _check_spaces(V)
-    facets = V.mesh.boundary_facets
+    facets = _facet_geometry(V.mesh)
     gamma = gamma0 / V.mesh.h
 
     Kc = stiffness_matrix(V)
     rhs = load_vector(V, domain.f_rhs)
-    dofs, vals = facet_traces(V)
-    dn = facet_normal_derivatives(V)
+    dofs, vals, dn = facet_traces(V)
     w, rho = facets.weights, facets.rho
     corr = vals + rho[:, :, None] * dn
     M = (

@@ -26,7 +26,6 @@ from bvcfem.assembly import (
     _coupling_blocks,
     _scatter,
     coupling_matrix,
-    facet_normal_derivatives,
     facet_traces,
     load_vector,
     stiffness_matrix,
@@ -110,8 +109,7 @@ def taylor_coupling(V, Lam):
     """Taylor's second row over every dof of V: the coupling blocks of the
     corrected trace (phi_j + rho_h dn phi_j, psi_i) summed as coupling_matrix
     sums B's."""
-    dofs = V.dof_table[V.mesh.boundary_facets.cell]
-    blocks = _coupling_blocks(V, Lam, True)
+    dofs, blocks = _coupling_blocks(V, Lam, True)
     return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, dofs)
 
 
@@ -151,8 +149,7 @@ def uncondensed_system(V, domain, method, Lam=None, gamma0=None):
     K, f = assembled_stiffness(V), load_vector(V, domain.f_rhs)
     if method == "nitsche":
         gamma = gamma0 / V.mesh.h
-        dofs, vals = facet_traces(V)
-        dn = facet_normal_derivatives(V)
+        dofs, vals, dn = facet_traces(V)
         corr = vals + rho[:, :, None] * dn
         M = (
             -np.einsum("fq,fqj,fqi->fij", w, dn, corr)

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per exit criterion, one printed line each.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
-pass/fail lines.  The heavy ladders are shared via module-scoped fixtures;
-the stated runtime budgets are asserted on the timed runs.
+pass/fail lines.  The heavy ladders are shared via module-scoped fixtures,
+each a preset's run_preset ladder: bvc with its unmodified companion on
+shared rungs.  The stated runtime budgets are asserted on the timed runs,
+so they time both methods.
 """
 
 import time
@@ -26,7 +28,7 @@ from bvcfem.mesh import (
 )
 from bvcfem.solver import SolutionField, solve
 from bvcfem.spaces import build_multiplier_space, build_primal_space
-from bvcfem.study import StudyConfig, build_level, run_preset, run_study
+from bvcfem.study import build_level, run_preset
 from oracles import cell_basis, elevated_l2_h1_errors
 
 RING = make_ring_domain()
@@ -42,30 +44,21 @@ def _criterion(num, desc, checks):
     assert ok, f"criterion {num}: " + "; ".join(m for c, m in checks if not c)
 
 
-def _timed_study(config):
+def _timed_preset(name):
     t0 = time.perf_counter()
-    result = run_study(config)
+    result, _ = run_preset(name)
     return result, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def p2_bvc():
-    return _timed_study(StudyConfig(domain="ring", element="p2", method="bvc"))
+def p2_ring():
+    # bvc with its unmodified companion, on one shared, timed ladder
+    return _timed_preset("p2-ring")
 
 
 @pytest.fixture(scope="module")
-def p2_unmod():
-    return run_study(StudyConfig(domain="ring", element="p2", method="unmodified"))
-
-
-@pytest.fixture(scope="module")
-def p3_bvc():
-    return _timed_study(StudyConfig(domain="ring", element="p3", method="bvc"))
-
-
-@pytest.fixture(scope="module")
-def p3_unmod():
-    return run_study(StudyConfig(domain="ring", element="p3", method="unmodified"))
+def p3_ring():
+    return _timed_preset("p3-ring")
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +74,8 @@ def unstable():
     return result
 
 
-def test_criterion_1_ring_p2_bvc_rates(p2_bvc):
-    result, seconds = p2_bvc
+def test_criterion_1_ring_p2_bvc_rates(p2_ring):
+    result, seconds = p2_ring
     rates = result.rates
     _criterion(
         1,
@@ -98,8 +91,8 @@ def test_criterion_1_ring_p2_bvc_rates(p2_bvc):
     )
 
 
-def test_criterion_2_ring_p3_bvc_rates(p3_bvc):
-    result, seconds = p3_bvc
+def test_criterion_2_ring_p3_bvc_rates(p3_ring):
+    result, seconds = p3_ring
     rates = result.rates
     _criterion(
         2,
@@ -115,7 +108,8 @@ def test_criterion_2_ring_p3_bvc_rates(p3_bvc):
     )
 
 
-def test_criterion_3_p3_unmodified_no_improvement(p2_unmod, p3_unmod):
+def test_criterion_3_p3_unmodified_no_improvement(p2_ring, p3_ring):
+    p2_unmod, p3_unmod = p2_ring[0].companion, p3_ring[0].companion
     rate = p3_unmod.rates["l2"].last3
     e2 = p2_unmod.reports[-1].err_l2
     e3 = p3_unmod.reports[-1].err_l2
@@ -227,8 +221,8 @@ def test_criterion_7_patch_test():
     _criterion(7, "patch test: affine solution reproduced by all four methods", checks)
 
 
-def test_criterion_8_geometry_suite(p2_bvc):
-    result, _ = p2_bvc
+def test_criterion_8_geometry_suite(p2_ring):
+    result, _ = p2_ring
     # delta_h/h^2 with h = 1/sqrt(nno): nno = n_theta (n_r + 1) carries a +1
     # term, so the ratio drifts by exactly (1 + 1/4)/(1 + 2^-l/4) across
     # levels -- 22.8% when level 0 is included, 10.8% over levels 1-4.  The

@@ -11,12 +11,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bvcfem.analysis import (
+    error_report,
+    error_triple_norm,
+    geometry_report,
+    infsup_diagnostic,
+    multiplier_error,
+)
 from bvcfem.assembly import (
     DimensionMismatch,
     assemble_nitsche,
     assemble_saddle,
     boundary_mass_primal,
     _scatter,
+    coupling_matrix,
+    facet_traces,
     load_vector,
     stiffness_matrix,
 )
@@ -34,10 +43,10 @@ from bvcfem.mesh import (
     mesh_from_arrays,
     precompute_boundary_geometry,
 )
-from bvcfem.solver import solve
+from bvcfem.solver import SolutionField, solve
 from bvcfem.spaces import build_multiplier_space, build_primal_space
 from bvcfem.study import DOMAINS, StudyConfig, build_level
-from oracles import assembled_stiffness, cell_basis, cell_dofs
+from oracles import assembled_stiffness, cell_basis, cell_dofs, interpolate
 
 RING = make_ring_domain()
 ELLIPSE = make_ellipse_domain()
@@ -341,6 +350,66 @@ def test_taylor_rows_of_two_bubble_corner_cells():
             "q,qi,qj->ij", F.weights[fidx], L.eval(F.s), vals + F.rho[fidx][:, None] * dn
         )[0]
         assert np.allclose(Bt[L.facet_dofs[fidx][0]], expected, rtol=0.0, atol=1e-14)
+
+
+# Every public reader of the facet geometry, called on a mesh without it:
+# (mesh, V, Lam, u, lam) -> the call.
+FACET_READERS = {
+    "facet_traces": lambda mesh, V, Lam, u, lam: facet_traces(V),
+    "coupling_matrix": lambda mesh, V, Lam, u, lam: coupling_matrix(V, Lam),
+    "boundary_mass_primal": lambda mesh, V, Lam, u, lam: boundary_mass_primal(V),
+    "infsup_diagnostic": lambda mesh, V, Lam, u, lam: infsup_diagnostic(V, Lam),
+    "multiplier_error": lambda mesh, V, Lam, u, lam: multiplier_error(lam, RING),
+    "error_triple_norm": lambda mesh, V, Lam, u, lam: error_triple_norm(u, 0.0, RING),
+    "geometry_report": lambda mesh, V, Lam, u, lam: geometry_report(mesh, RING),
+    "error_report": lambda mesh, V, Lam, u, lam: error_report(u, lam, RING),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(FACET_READERS))
+def test_facet_readers_need_facet_geometry(reader):
+    mesh = build_annulus_mesh(16, 4)
+    V = build_primal_space(mesh, 2, enrich=True)
+    Lam = build_multiplier_space(mesh, 1)
+    u = SolutionField(V, np.zeros(V.dof_count))
+    lam = SolutionField(Lam, np.zeros(Lam.dof_count))
+    with pytest.raises(DimensionMismatch, match="precompute_boundary_geometry"):
+        FACET_READERS[reader](mesh, V, Lam, u, lam)
+
+
+@pytest.mark.parametrize(
+    "element,where",
+    [(e, w) for e in ("p1", "p2", "p3") for w in ("ring", "square")]
+    + [("q1", "staircase"), ("q1", "square")],
+)
+def test_facet_kernel_is_exact_on_affine_fields(element, where):
+    # The nodal interpolant of u = a + b.x, bubble coefficients 0, is u on
+    # every cell, so at every facet point the kernel's traces sum to u and
+    # its normal derivatives to n_h . b.
+    a, b = 0.3, np.array([0.7, -0.4])
+    if where == "square":
+        k = int(element[1])
+        domain = make_square_domain(a, *b)
+        mesh = build_square_mesh(4, "quad" if element == "q1" else "triangle")
+        V = build_primal_space(precompute_boundary_geometry(mesh, domain, 2 * k + 2), k, True)
+    else:
+        config = StudyConfig(domain="ring" if where == "ring" else "ellipse", element=element)
+        V, _ = build_level(config, 0, DOMAINS[config.domain]())
+    assert V.enriched
+    coeffs = np.append(interpolate(V, lambda x: a + x @ b), 0.0)
+    dofs, vals, dn = facet_traces(V)
+    F = V.mesh.boundary_facets
+    assert vals.shape == dn.shape == (len(F), len(F.s), dofs.shape[1])
+    c = coeffs[dofs]
+    np.testing.assert_allclose(
+        np.einsum("fqn,fn->fq", vals, c), a + F.points @ b, rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        np.einsum("fqn,fn->fq", dn, c),
+        np.broadcast_to((F.n_h @ b)[:, None], vals.shape[:2]),
+        rtol=0,
+        atol=1e-12,
+    )
 
 
 @pytest.mark.parametrize("element", ["p1", "p2", "p3", "q1"])

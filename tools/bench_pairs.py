@@ -15,9 +15,13 @@ this checkout), in the shape of BENCH_pr25.json: the command, the machine
 (CPU count and thread variables) and, per side, its commit and every run's
 seed and last JSON line.  A summary adds, per metric, each side's median
 and quartiles, the number of pairs this checkout won (by the direction of
-BENCHMARK.json) and claim_rule_met: won in at least nine tenths of the
+BENCHMARK.json), claim_rule_met: won in at least nine tenths of the
 pairs and the medians apart, in its favour, by more than the parent's
-quartile distance.  The summary is printed.  A file of the same label that already
+quartile distance, and the no-regression verdict against the metric's
+BENCHMARK.json bound: within_bound, the change's median worse than the
+parent's by at most bound times the parent's median, and unresolved, the
+parent's quartile distance wider than that bound while not every change
+run beats every parent run.  The summary is printed.  A file of the same label that already
 exists keeps its series and gets this one appended, so one file holds,
 say, a claim's pairs and the all-workload pairs.
 """
@@ -72,9 +76,13 @@ def summarize(parent_runs, change_runs) -> dict:
     """Per metric: each side's median and quartiles, the pairs this checkout
     won and whether that meets the claim rule: won in at least nine tenths of
     the pairs, ties counting for neither side, with the medians further apart
-    in its favour than the parent's quartiles are from each other."""
+    in its favour than the parent's quartiles are from each other.  Beside
+    it the no-regression verdict, with tol the metric's BENCHMARK.json bound
+    times the parent's median: within_bound, the change's median worse than
+    the parent's by at most tol, and unresolved, the parent's quartile
+    distance above tol while some change run does not beat every parent run."""
     with open(ROOT / "BENCHMARK.json") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     out = {}
     for name, metric in change_runs[0]["result"]["metrics"].items():
         a = [r["result"]["metrics"][name]["value"] for r in parent_runs]
@@ -82,16 +90,22 @@ def summarize(parent_runs, change_runs) -> dict:
         if None in a or None in b:
             out[name] = {"unit": metric["unit"], "missing": True, "claim_rule_met": False}
             continue
-        sign = -1.0 if better[name.rsplit(".", 1)[-1]] == "lower" else 1.0
+        declared = end_to_end[name.rsplit(".", 1)[-1]]
+        sign = -1.0 if declared["better"] == "lower" else 1.0
         parent, change = quartiles(a), quartiles(b)
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         gap = sign * (change["median"] - parent["median"])
+        spread = parent["q3"] - parent["q1"]
+        tol = declared["bound"] * abs(parent["median"])
+        beats_all = all(sign * (y - x) > 0 for x in a for y in b)
         out[name] = {
             "unit": metric["unit"],
             "parent": parent,
             "change": change,
             "wins": wins,
-            "claim_rule_met": wins >= 0.9 * len(a) and gap > parent["q3"] - parent["q1"],
+            "claim_rule_met": wins >= 0.9 * len(a) and gap > spread,
+            "within_bound": -gap <= tol,
+            "unresolved": spread > tol and not beats_all,
         }
     return out
 
@@ -130,8 +144,9 @@ def main(argv=None) -> int:
     doc = {
         "about": "Alternating pairs of bench/run.py runs, parent checkout against the "
         "change, written by tools/bench_pairs.py: every run's last JSON line, and per "
-        "metric each side's median and quartiles, the pairs the change won and whether "
-        "that meets the claim rule (claim_rule_met).",
+        "metric each side's median and quartiles, the pairs the change won, whether "
+        "that meets the claim rule (claim_rule_met), and the no-regression verdict "
+        "against the metric's bound (within_bound, unresolved).",
         "machine": {"cpu_count": os.cpu_count(), **{v: os.environ.get(v) for v in THREAD_VARS}},
         "series": [],
     }
@@ -152,7 +167,9 @@ def main(argv=None) -> int:
         print(f"  {name}: {a['median']:.4g} [{a['q1']:.4g}, {a['q3']:.4g}] -> "
               f"{b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] {s['unit']}, "
               f"change better in {s['wins']} of {args.pairs}, "
-              f"claim rule {'met' if s['claim_rule_met'] else 'not met'}")
+              f"claim rule {'met' if s['claim_rule_met'] else 'not met'}, "
+              f"{'within' if s['within_bound'] else 'beyond'} bound"
+              f"{', unresolved' if s['unresolved'] else ''}")
     results = [r["result"] for rs in runs.values() for r in rs]
     return 0 if all(r["correct"] and r["failed"] == 0 for r in results) else 1
 
