@@ -21,9 +21,9 @@ quartile distance, and the no-regression verdict against the metric's
 BENCHMARK.json bound: within_bound, the change's median worse than the
 parent's by at most bound times the parent's median, and unresolved, the
 parent's quartile distance wider than that bound while not every change
-run beats every parent run.  The summary is printed.  A file of the same label that already
-exists keeps its series and gets this one appended, so one file holds,
-say, a claim's pairs and the all-workload pairs.
+run beats every parent run.  The summary is printed.  A file of the same
+label that already exists keeps its series and gets this one appended, so
+one file holds, say, a claim's pairs and the all-workload pairs.
 """
 
 from __future__ import annotations
