@@ -13,6 +13,7 @@ from bvcfem import (
     SolutionField,
     StudyConfig,
     assemble_nitsche,
+    assemble_primal,
     assemble_saddle,
     field_l2_norm,
     l2_h1_errors,
@@ -31,7 +32,7 @@ print(f"{'level':>5} {'h':>9} {'L2 (mult)':>11} {'L2 (nitsche)':>13} {'|diff|':>
 errs, hs = [], []
 for lvl in range(4):
     V, Lam = build_level(config, lvl, ring)
-    u_mult, lam = solve(assemble_saddle(V, Lam, ring, "bvc"))
+    u_mult, lam = solve(assemble_saddle(assemble_primal(V, Lam, ring), "bvc"))
     u_nit, _ = solve(assemble_nitsche(V, ring, gamma0))
     e_mult, _ = l2_h1_errors(u_mult, ring)
     e_nit, _ = l2_h1_errors(u_nit, ring)

@@ -28,6 +28,7 @@ from .assembly import (
     DimensionMismatch,
     System,
     assemble_nitsche,
+    assemble_primal,
     assemble_saddle,
     boundary_mass_primal,
     dump_matrix,

@@ -15,9 +15,10 @@ P3 cell) condensed out by `condense`, on the per-cell blocks before
 anything is scattered; solve restores them.  P1, P2 and Q1 have none, and
 their blocks are scattered as they are.  A System stores one sparse
 matrix and one right-hand side, the ones the solver takes; a multiplier
-system's K, B, D and Bt_corr are read from its blocks.  What no multiplier method changes (the
-condensed stiffness and load, B and the multiplier load) is one
-PrimalAssembly, which the methods solved on one mesh share.
+system's K, B, D and Bt_corr are read from its blocks.  What no method
+changes (condensed stiffness and load, B, multiplier load) is one
+PrimalAssembly, assemble_primal(V, Lam, domain), the one input of
+assemble_saddle(primal, method), which the methods on one mesh share.
 
 u~ is the Dirichlet data, the domain's u_exact, pulled back from the true
 boundary through the precomputed facet pullback points.  Every cell term
@@ -289,24 +290,29 @@ def coupling_matrix(V: PrimalSpace, Lam: MultiplierSpace) -> sp.csr_matrix:
     return _scatter((Lam.dof_count, V.dof_count), blocks, Lam.facet_dofs, dofs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimalAssembly:
     """The part of the multiplier systems on V and Lam that no method
     changes: the condensed stiffness K and load rhs_u with their interior,
-    the coupling B over the retained dofs and the multiplier load (u~, mu).
-    The methods solved on one mesh share it."""
+    the coupling B over the retained dofs and the multiplier load (u~, mu),
+    with Lam; V is its interior's, so it holds no space twice."""
 
+    Lam: MultiplierSpace
     K: sp.csr_matrix
     rhs_u: np.ndarray
     interior: Interior
     B: sp.csr_matrix
     rhs_lam: np.ndarray
 
+    @property
+    def V(self) -> PrimalSpace:
+        return self.interior.V
+
 
 def assemble_primal(
     V: PrimalSpace, Lam: MultiplierSpace, domain: ImplicitDomain
 ) -> PrimalAssembly:
-    """The method-independent part of assemble_saddle's systems on V and Lam.
+    """The method-independent part of the multiplier systems on V and Lam.
 
     B keeps the retained columns of coupling_matrix: its interior columns
     are dropped, not condensed, since they hold roundoff of a trace that
@@ -321,29 +327,22 @@ def assemble_primal(
     ) @ Lam.eval(facets.s)
     K, rhs_u, interior = condense(V, stiffness_matrix(V), load_vector(V, domain.f_rhs))
     B = coupling_matrix(V, Lam)[:, : K.shape[0]]
-    return PrimalAssembly(K, rhs_u, interior, B, rhs_lam)
+    return PrimalAssembly(Lam, K, rhs_u, interior, B, rhs_lam)
 
 
-def assemble_saddle(
-    V: PrimalSpace,
-    Lam: MultiplierSpace,
-    domain: ImplicitDomain,
-    method: str,
-    primal: PrimalAssembly | None = None,
-) -> System:
+def assemble_saddle(primal: PrimalAssembly, method: str) -> System:
     """The multiplier system of one of SADDLE_METHODS, right-hand side (u~, mu).
 
     bvc:        (u, mu) - (rho_h lambda, mu) = (u~, mu);
     unmodified: (u, mu) = (u~, mu), D is empty;
     taylor:     (u + rho_h dn u, mu) = (u~, mu), D is empty.
 
-    primal is assemble_primal(V, Lam, domain), when the methods of one mesh
-    share it; it is read, never changed.  None assembles it here.
+    primal is assemble_primal(V, Lam, domain), the system's spaces and data;
+    it is read, never changed, so the methods of one mesh share it.
     """
     if method not in SADDLE_METHODS:
         raise ValueError(f"unknown multiplier method {method!r}; have {SADDLE_METHODS}")
-    if primal is None:
-        primal = assemble_primal(V, Lam, domain)
+    V, Lam = primal.V, primal.Lam
     facets = V.mesh.boundary_facets
     nl = Lam.dof_count
     D = sp.csr_matrix((nl, nl))

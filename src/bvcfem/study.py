@@ -12,11 +12,11 @@ analysis.pairwise_rate is the one rate formula behind the fits, the CSV
 and the printed table.
 
 One level loop runs every ladder.  A preset's methods (main and
-comparison) are solved level by level on one shared Rung: its mesh,
-spaces and primal assembly are built once, by the first method's
-run_level, the companion reuses the first solve's column orders, and
-nothing of it outlives its level; the exact data of its error reports go
-with its V (analysis.exact_data).  run_study is the
+comparison) are solved level by level on one shared Rung: its mesh, V
+and primal assembly (the multiplier systems' one input) are built once,
+by the first method's run_level, the companion reuses the first solve's
+column orders, and nothing of it outlives its level; the exact data of
+its error reports go with its V (analysis.exact_data).  run_study is the
 one-method case.  The records, and so the CSVs, are the same as from one
 ladder per method.  A Preset is its config, its comparison method and
 its check; run_preset runs every preset the same way, the ladder and
@@ -54,7 +54,7 @@ from .assembly import (
 from .geometry import make_ellipse_domain, make_ring_domain
 from .mesh import build_annulus_mesh, build_staircase_mesh, precompute_boundary_geometry
 from .solver import ColumnOrder, SingularSystem, solve
-from .spaces import MultiplierSpace, PrimalSpace, build_multiplier_space, build_primal_space
+from .spaces import PrimalSpace, build_multiplier_space, build_primal_space
 
 
 class ConfigError(Exception):
@@ -158,18 +158,17 @@ def build_level(config: StudyConfig, level: int, domain):
 class Rung:
     """What the methods solved on one rung of the ladder share.
 
-    The first method's run_level builds it: V and Lam on the mesh and the
-    multiplier methods' primal assembly.  While a method is pending after
-    the first, order keeps the first solve's orders, the mesh pre-order and
-    the column order of its diagonal-pivot factorization (two arrays, never
-    the factorization), for the companions to reuse.  pending counts the
-    methods yet to assemble; the last one drops the primal assembly and the
-    orders before its solve.
+    The first method's run_level builds it: V on the mesh and the
+    multiplier methods' primal assembly, which carries Lam.  While a method
+    is pending after the first, order keeps the first solve's orders, the
+    mesh pre-order and the column order of its diagonal-pivot
+    factorization (two arrays, never the factorization), for the companions
+    to reuse.  pending counts the methods yet to assemble; the last one
+    drops the primal assembly and the orders before its solve.
     """
 
     pending: int
     V: PrimalSpace | None = None
-    Lam: MultiplierSpace | None = None
     primal: PrimalAssembly | None = None
     order: ColumnOrder | None = None
 
@@ -180,16 +179,15 @@ def run_level(config: StudyConfig, level: int, domain, rung: Rung):
     The rung's mesh, spaces and primal assembly are built on its first call.
     """
     if rung.V is None:
-        rung.V, rung.Lam = build_level(config, level, domain)
-        if rung.Lam is not None:
-            rung.primal = assemble_primal(rung.V, rung.Lam, domain)
-    V = rung.V
+        rung.V, Lam = build_level(config, level, domain)
+        if Lam is not None:
+            rung.primal = assemble_primal(rung.V, Lam, domain)
     if config.method == "nitsche":
         k = config.order()
         gamma0 = config.gamma0 if config.gamma0 is not None else 10.0 * k * k
-        system = assemble_nitsche(V, domain, gamma0)
+        system = assemble_nitsche(rung.V, domain, gamma0)
     else:
-        system = ASSEMBLERS[config.method](V, rung.Lam, domain, primal=rung.primal)
+        system = ASSEMBLERS[config.method](rung.primal)
     rung.pending -= 1
     order = rung.order
     if not rung.pending:
@@ -368,8 +366,8 @@ def _svg_loglog(path, title, ylabel, series, ref_slope=None):
         out.append(
             f'<text x="{W-mr-116}" y="{mt+20+16*i}">{s["label"]}</text>'
         )
-    # reference-slope triangle under the first series; a zero slope draws none
-    if ref_slope:
+    # reference-slope triangle on the first series' last two points, if any
+    if ref_slope and len(series[0]["h"]) >= 2:
         s0 = series[0]
         hs = np.asarray(s0["h"], dtype=float)
         es = np.asarray(s0["err"], dtype=float)

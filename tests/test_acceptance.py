@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from bvcfem.analysis import geometry_report, infsup_diagnostic, l2_h1_errors
-from bvcfem.assembly import assemble_nitsche, assemble_saddle, stiffness_matrix
+from bvcfem.assembly import (
+    assemble_nitsche,
+    assemble_primal,
+    assemble_saddle,
+    stiffness_matrix,
+)
 from bvcfem.geometry import (
     closest_point,
     make_ellipse_domain,
@@ -173,7 +178,7 @@ def test_criterion_6_nitsche_cross_check():
         )
         V = build_primal_space(mesh, 2, enrich=True)
         Lam = build_multiplier_space(mesh, 1)
-        u_bvc, _ = solve(assemble_saddle(V, Lam, RING, "bvc"))
+        u_bvc, _ = solve(assemble_saddle(assemble_primal(V, Lam, RING), "bvc"))
         u_nit, _ = solve(assemble_nitsche(V, RING, 10.0 * 2 * 2))
         err_bvc, _ = l2_h1_errors(u_bvc, RING)
         err_nit, _ = l2_h1_errors(u_nit, RING)
@@ -200,7 +205,7 @@ def test_criterion_7_patch_test():
         V = build_primal_space(mesh, k, enrich=True)
         Lam = build_multiplier_space(mesh, m)
         for name in ("bvc", "unmodified", "taylor"):
-            u, lam = solve(assemble_saddle(V, Lam, domain, name))
+            u, lam = solve(assemble_saddle(assemble_primal(V, Lam, domain), name))
             _, err_h1 = l2_h1_errors(u, domain)
             checks.append(
                 (err_h1 <= 1e-10, f"{kind} k={k} {name}: H1 error {err_h1:.2e}")
@@ -307,7 +312,7 @@ def test_criterion_9_property_suite():
     mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
     V = build_primal_space(mesh, 2, enrich=True)
     Lam = build_multiplier_space(mesh, 1)
-    system = assemble_saddle(V, Lam, RING, "bvc")
+    system = assemble_saddle(assemble_primal(V, Lam, RING), "bvc")
     K = system.K
     checks.append(
         (abs(K - K.T).max() <= 1e-13 * abs(K).max(), "stiffness not symmetric")
@@ -324,7 +329,7 @@ def test_criterion_9_property_suite():
     smesh = precompute_boundary_geometry(build_staircase_mesh(16, ELLIPSE), ELLIPSE, 4)
     Vq = build_primal_space(smesh, 1, enrich=True)
     Lq = build_multiplier_space(smesh, 0)
-    D = assemble_saddle(Vq, Lq, ELLIPSE, "bvc").D.toarray()
+    D = assemble_saddle(assemble_primal(Vq, Lq, ELLIPSE), "bvc").D.toarray()
     wD = np.linalg.eigvalsh(D)
     checks.append(
         (wD[0] >= -1e-12 * max(abs(wD).max(), 1.0), "staircase D not PSD")

@@ -5,7 +5,7 @@ reference element; the patch test verifies that every method reproduces an
 affine solution exactly on an exactly-meshed polygon.
 """
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,9 @@ from bvcfem.analysis import (
 )
 from bvcfem.assembly import (
     DimensionMismatch,
+    Interior,
     assemble_nitsche,
+    assemble_primal,
     assemble_saddle,
     boundary_mass_primal,
     _scatter,
@@ -90,7 +92,7 @@ class TestReferenceElement:
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_saddle(V, L, domain, "bvc")
+        system = assemble_saddle(assemble_primal(V, L, domain), "bvc")
         B = system.B.toarray()
         # the facet between vertices 0 and 1 has unit length
         for fidx, endpoints in enumerate(mesh.boundary_facets.endpoints):
@@ -101,14 +103,14 @@ class TestReferenceElement:
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_saddle(V, L, domain, "bvc")
+        system = assemble_saddle(assemble_primal(V, L, domain), "bvc")
         assert system.D.nnz == 0 or np.all(system.D.data == 0.0)
 
     def test_zero_data_zero_solution(self):
         domain, mesh = unit_triangle_fixture()
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        u, lam = solve(assemble_saddle(V, L, domain, "bvc"))
+        u, lam = solve(assemble_saddle(assemble_primal(V, L, domain), "bvc"))
         assert np.all(u.coefficients == 0.0)
         assert np.all(lam.coefficients == 0.0)
 
@@ -120,7 +122,7 @@ class TestReferenceElement:
         mesh = with_rho(mesh, np.full_like(mesh.boundary_facets.rho, c))
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_saddle(V, L, domain, "taylor")
+        system = assemble_saddle(assemble_primal(V, L, domain), "taylor")
         for fidx, endpoints in enumerate(mesh.boundary_facets.endpoints):
             if set(endpoints) == {1, 2}:  # hypotenuse, n = (1,1)/sqrt(2)
                 # grads: phi0 (-1,-1), phi1 (1,0), phi2 (0,1); length sqrt(2)
@@ -137,7 +139,7 @@ class TestReferenceElement:
         mesh = precompute_boundary_geometry(build_annulus_mesh(8, 2), RING, 6)
         V = build_primal_space(mesh, 2, enrich=True)
         L = build_multiplier_space(mesh, 1)
-        system = assemble_saddle(V, L, RING, "bvc")
+        system = assemble_saddle(assemble_primal(V, L, RING), "bvc")
         # u = (r - 1/4)(3/4 - r) vanishes on both circles, so g~ ~ 0
         assert np.max(np.abs(system.rhs[system.nu :])) <= 1e-12
 
@@ -165,17 +167,17 @@ class TestStructure:
 
     def test_bvc_full_matrix_symmetric(self, ring_setup):
         mesh, V, L = ring_setup
-        A = assemble_saddle(V, L, RING, "bvc").A
+        A = assemble_saddle(assemble_primal(V, L, RING), "bvc").A
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
     def test_unmodified_full_matrix_symmetric(self, ring_setup):
         mesh, V, L = ring_setup
-        A = assemble_saddle(V, L, RING, "unmodified").A
+        A = assemble_saddle(assemble_primal(V, L, RING), "unmodified").A
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
     def test_taylor_asymmetry_localized(self, ring_setup):
         mesh, V, L = ring_setup
-        system = assemble_saddle(V, L, RING, "taylor")
+        system = assemble_saddle(assemble_primal(V, L, RING), "taylor")
         A = system.A.toarray()
         nu = V.dof_count
         # asymmetry only in the multiplier-primal coupling rows
@@ -187,9 +189,8 @@ class TestStructure:
         mesh = with_rho(mesh, np.zeros_like(mesh.boundary_facets.rho))
         V = build_primal_space(mesh, 2, enrich=True)
         L = build_multiplier_space(mesh, 1)
-        bvc = assemble_saddle(V, L, RING, "bvc")
-        unmod = assemble_saddle(V, L, RING, "unmodified")
-        taylor = assemble_saddle(V, L, RING, "taylor")
+        primal = assemble_primal(V, L, RING)
+        bvc, unmod, taylor = (assemble_saddle(primal, m) for m in ("bvc", "unmodified", "taylor"))
         assert abs(bvc.A - unmod.A).max() <= 1e-14
         assert abs(taylor.A - unmod.A).max() <= 1e-14
 
@@ -197,14 +198,14 @@ class TestStructure:
         mesh = precompute_boundary_geometry(build_staircase_mesh(16, ELLIPSE), ELLIPSE, 4)
         V = build_primal_space(mesh, 1, enrich=True)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_saddle(V, L, ELLIPSE, "bvc")
+        system = assemble_saddle(assemble_primal(V, L, ELLIPSE), "bvc")
         D = system.D.toarray()
         w = np.linalg.eigvalsh(D)
         assert w[0] >= -1e-12 * max(abs(w).max(), 1.0)  # rho > 0 inside
 
     def test_B_facet_locality(self, ring_setup):
         mesh, V, L = ring_setup
-        B = assemble_saddle(V, L, RING, "bvc").B.tocsr()
+        B = assemble_saddle(assemble_primal(V, L, RING), "bvc").B.tocsr()
         for fidx, c in enumerate(mesh.boundary_facets.cell):
             allowed = set(int(d) for d in cell_dofs(V, c))
             for ldof in L.facet_dofs[fidx]:
@@ -216,19 +217,19 @@ class TestStructure:
         other = precompute_boundary_geometry(build_annulus_mesh(8, 2), RING, 6)
         V2 = build_primal_space(other, 2, enrich=True)
         with pytest.raises(DimensionMismatch):
-            assemble_saddle(V2, L, RING, "bvc")
+            assemble_primal(V2, L, RING)
 
     def test_unknown_method_rejected(self, ring_setup):
         mesh, V, L = ring_setup
         with pytest.raises(ValueError, match="nitsche"):
-            assemble_saddle(V, L, RING, "nitsche")
+            assemble_saddle(assemble_primal(V, L, RING), "nitsche")
 
     def test_missing_precompute_rejected(self):
         mesh = build_annulus_mesh(8, 2)
         V = build_primal_space(mesh, 1, enrich=False)
         L = build_multiplier_space(mesh, 0)
         with pytest.raises(DimensionMismatch):
-            assemble_saddle(V, L, RING, "bvc")
+            assemble_primal(V, L, RING)
 
 
 class TestNitsche:
@@ -302,7 +303,7 @@ class TestPatch:
         mesh = precompute_boundary_geometry(build_square_mesh(3, kind), domain, 2 * k + 2)
         V = build_primal_space(mesh, k, enrich=True)
         L = build_multiplier_space(mesh, m)
-        u, lam = solve(assemble_saddle(V, L, domain, method))
+        u, lam = solve(assemble_saddle(assemble_primal(V, L, domain), method))
         from bvcfem.analysis import l2_h1_errors, multiplier_error
 
         _, err_h1 = l2_h1_errors(u, domain)
@@ -335,7 +336,7 @@ def test_taylor_rows_of_two_bubble_corner_cells():
     F = mesh.boundary_facets
     V = build_primal_space(mesh, 1, enrich=True)
     L = build_multiplier_space(mesh, 0)
-    Bt = assemble_saddle(V, L, domain, "taylor").Bt_corr.toarray()
+    Bt = assemble_saddle(assemble_primal(V, L, domain), "taylor").Bt_corr.toarray()
     corners = np.flatnonzero(np.bincount(F.cell)[F.cell] == 2)
     assert len(corners) == 8
     for fidx in corners:
@@ -420,7 +421,7 @@ def test_each_system_stores_one_matrix(element):
     domain = DOMAINS[config.domain]()
     V, Lam = build_level(config, 0, domain)
     for method in ("bvc", "unmodified", "taylor"):
-        system = assemble_saddle(V, Lam, domain, method)
+        system = assemble_saddle(assemble_primal(V, Lam, domain), method)
         A = system.A
         assert A.format == "csc"
         assert [v for v in vars(system).values() if sp.issparse(v)] == [A]
@@ -432,6 +433,49 @@ def test_each_system_stores_one_matrix(element):
     nitsche = assemble_nitsche(V, domain, 10.0)
     assert nitsche.A.format == "csc"
     assert [v for v in vars(nitsche).values() if sp.issparse(v)] == [nitsche.A]
+
+
+CSR_PARTS = ("indptr", "indices", "data")
+
+
+def _arrays(obj, prefix="") -> dict:
+    """Every array obj holds, by field name: a sparse matrix as its CSR
+    arrays, an Interior's arrays under its own field's name."""
+    out = {}
+    for name, value in vars(obj).items():
+        if sp.issparse(value):
+            out.update({f"{prefix}{name}.{p}": getattr(value, p) for p in CSR_PARTS})
+        elif isinstance(value, np.ndarray):
+            out[prefix + name] = value
+        elif isinstance(value, Interior):
+            out.update(_arrays(value, f"{prefix}{name}."))
+    return out
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("element", ["p2", "p3"])
+def test_one_primal_assembly_serves_every_method(element):
+    # The methods of a rung share one primal assembly: none changes it, and
+    # each system is the one a fresh assembly gives, bit for bit.  P3's
+    # taylor eliminates the interior dofs from its facet blocks.
+    V, Lam = build_level(StudyConfig(element=element), 1, RING)
+    primal = assemble_primal(V, Lam, RING)
+    with pytest.raises(FrozenInstanceError):
+        primal.K = None
+    before = {key: array.copy() for key, array in _arrays(primal).items()}
+    assert ("interior.row" in before) == (element == "p3")
+    for method in ("bvc", "unmodified", "taylor"):
+        shared = assemble_saddle(primal, method)
+        fresh = assemble_saddle(assemble_primal(V, Lam, RING), method)
+        for part in CSR_PARTS:
+            assert _same_bits(getattr(shared.A, part), getattr(fresh.A, part))
+        assert _same_bits(shared.rhs, fresh.rhs)
+    after = _arrays(primal)
+    assert after.keys() == before.keys()
+    assert [key for key in before if not _same_bits(after[key], before[key])] == []
 
 
 def test_boundary_mass_is_facet_length_partition():

@@ -16,6 +16,7 @@ import bvcfem.solver
 from bvcfem.assembly import (
     SingularCell,
     assemble_nitsche,
+    assemble_primal,
     assemble_saddle,
     condense,
     coupling_matrix,
@@ -61,7 +62,7 @@ def test_restored_solution_solves_the_uncondensed_system(p3_case, method):
         A, b = uncondensed_system(V, domain, method, gamma0=90.0)
         z = u.coefficients
     else:
-        system = assemble_saddle(V, Lam, domain, method)
+        system = assemble_saddle(assemble_primal(V, Lam, domain), method)
         assert system.K.shape[0] == V.dof_count - V.mesh.num_cells
         u, lam = solve(system)
         A, b = uncondensed_system(V, domain, method, Lam=Lam)
@@ -77,7 +78,7 @@ def test_condensed_unmodified_keeps_an_empty_multiplier_block(p3_case, monkeypat
     # a trace that vanishes, and condensing them would store entries in the
     # (2,2) block and send the system to partial pivoting.
     domain, V, Lam = p3_case
-    system = assemble_saddle(V, Lam, domain, "unmodified")
+    system = assemble_saddle(assemble_primal(V, Lam, domain), "unmodified")
     nu = system.K.shape[0]
     assert system.A[nu:, nu:].nnz == 0
     B = coupling_matrix(V, Lam).toarray()
@@ -103,7 +104,7 @@ def test_interior_dofs_are_numbered_last(p3_case, method):
     if method == "nitsche":
         system = assemble_nitsche(V, domain, 90.0)
     else:
-        system = assemble_saddle(V, Lam, domain, method)
+        system = assemble_saddle(assemble_primal(V, Lam, domain), method)
     assert system.nu == V.interior_dofs.start
 
 
@@ -143,7 +144,7 @@ def test_no_interior_dofs_keep_the_assembled_blocks(case):
     K, f = assembled_stiffness(V), load_vector(V, domain.f_rhs)
     Kc, fc, interior = condense(V, stiffness_matrix(V), f)
     assert fc is f
-    system = assemble_saddle(V, Lam, domain, "taylor")
+    system = assemble_saddle(assemble_primal(V, Lam, domain), "taylor")
     for got, want in (
         (Kc, K),
         (system.K, K),
@@ -154,5 +155,5 @@ def test_no_interior_dofs_keep_the_assembled_blocks(case):
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part))
     assert np.array_equal(system.rhs[: system.nu], f)
-    u, _ = solve(assemble_saddle(V, Lam, domain, "bvc"))
+    u, _ = solve(assemble_saddle(assemble_primal(V, Lam, domain), "bvc"))
     assert len(u.coefficients) == V.dof_count

@@ -193,7 +193,7 @@ class TestPrecompute:
     def test_second_precompute_leaves_the_first_intact(self):
         # Each call returns a new mesh; the input and earlier results keep
         # their geometry, so spaces built on one cannot meet another's facets.
-        from bvcfem.assembly import DimensionMismatch, assemble_saddle
+        from bvcfem.assembly import DimensionMismatch, assemble_primal
         from bvcfem.spaces import build_multiplier_space, build_primal_space
 
         mesh = build_annulus_mesh(8, 2)
@@ -206,7 +206,7 @@ class TestPrecompute:
         V = build_primal_space(m4, 2, enrich=True)
         L = build_multiplier_space(m6, 1)
         with pytest.raises(DimensionMismatch):
-            assemble_saddle(V, L, RING, "bvc")
+            assemble_primal(V, L, RING)
 
     def test_mesh_is_frozen_and_keeps_its_maps(self):
         # The maps are computed once, when the mesh is built: a precompute

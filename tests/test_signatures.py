@@ -1,8 +1,10 @@
-"""Each input is passed once: a space or field already carries its mesh.
+"""Each input is passed once: a space or field already carries its mesh,
+and a primal assembly its spaces and the domain's data.
 
 A stdlib-inspect check over the public functions of the assembly and
 analysis modules: none takes a mesh (or its facets) beside a space or a
-field built on that mesh.
+field built on that mesh, nor a space or the domain beside the primal
+assembly built from them.
 """
 
 import inspect
@@ -11,8 +13,12 @@ import pytest
 
 from bvcfem import analysis, assembly
 
-CARRIERS = {"V", "Lam", "space", "field", "u_field", "lambda_field"}
-CARRIED = {"mesh", "facets"}
+# What each input carries, by parameter name.
+MESH = {"mesh", "facets"}
+CARRIES = {
+    **dict.fromkeys(("V", "Lam", "space", "field", "u_field", "lambda_field"), MESH),
+    "primal": {"V", "Lam", "domain"} | MESH,
+}
 
 
 def public_functions(module):
@@ -24,9 +30,9 @@ def public_functions(module):
 
 
 def passed_twice(fn) -> list:
-    """The parameters of fn that repeat what a space or field parameter carries."""
+    """The parameters of fn that repeat what another of its parameters carries."""
     params = set(inspect.signature(fn).parameters)
-    return sorted(params & CARRIED) if params & CARRIERS else []
+    return sorted(params & set().union(*(CARRIES.get(p, ()) for p in params)))
 
 
 def test_checker_flags_mesh_beside_a_space():
@@ -38,6 +44,17 @@ def test_checker_flags_mesh_beside_a_space():
 
     assert passed_twice(two_inputs) == ["facets", "mesh"]
     assert passed_twice(one_input) == []
+
+
+def test_checker_flags_spaces_beside_the_primal_assembly():
+    def beside_primal(V, Lam, domain, method, primal=None):
+        pass
+
+    def primal_only(primal, method):
+        pass
+
+    assert passed_twice(beside_primal) == ["Lam", "V", "domain"]
+    assert passed_twice(primal_only) == []
 
 
 @pytest.mark.parametrize(

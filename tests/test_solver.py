@@ -23,7 +23,7 @@ from bvcfem.solver import (
 )
 from bvcfem.spaces import build_multiplier_space, build_primal_space
 from bvcfem.analysis import _field_blocks
-from bvcfem.assembly import System, assemble_nitsche, assemble_saddle
+from bvcfem.assembly import System, assemble_nitsche, assemble_primal, assemble_saddle
 from bvcfem.study import ASSEMBLERS, DOMAINS, StudyConfig, build_level
 from oracles import interpolate, lagrange_points, zero_block_order
 
@@ -159,6 +159,10 @@ def _ring_spaces(n_theta=8, n_r=2, degree=2):
     return V, build_multiplier_space(mesh, degree - 1)
 
 
+def _saddle(V, Lam, domain, method):
+    return assemble_saddle(assemble_primal(V, Lam, domain), method)
+
+
 class _Calls(list):
     """Keyword arguments of each factorization; `factored` holds (matrix, lu)."""
 
@@ -229,9 +233,9 @@ class TestSolverPath:
     @pytest.mark.parametrize(
         "assemble, kwargs",
         [
-            (functools.partial(assemble_saddle, method="bvc"), DIAGONAL_PIVOT_KWARGS),
-            (functools.partial(assemble_saddle, method="unmodified"), ZERO_BLOCK_KWARGS),
-            (functools.partial(assemble_saddle, method="taylor"), ZERO_BLOCK_KWARGS),
+            (functools.partial(_saddle, method="bvc"), DIAGONAL_PIVOT_KWARGS),
+            (functools.partial(_saddle, method="unmodified"), ZERO_BLOCK_KWARGS),
+            (functools.partial(_saddle, method="taylor"), ZERO_BLOCK_KWARGS),
             (lambda V, Lam, domain: assemble_nitsche(V, domain, 40.0), DIAGONAL_PIVOT_KWARGS),
         ],
         ids=["bvc", "unmodified", "taylor", "nitsche"],
@@ -295,7 +299,7 @@ class TestSolverPath:
 
     def test_debug_record_per_solve(self, caplog):
         V, L = _ring_spaces()
-        system = assemble_saddle(V, L, RING, "bvc")
+        system = assemble_saddle(assemble_primal(V, L, RING), "bvc")
         with caplog.at_level(logging.DEBUG, logger="bvcfem"):
             solve(system)
         (record,) = caplog.records
@@ -310,7 +314,7 @@ class TestSolverPath:
     def test_debug_record_names_the_preorder(self, splu_calls, caplog, bare):
         # A bare matrix has no mesh: it keeps RCM of A, factored as before.
         V, L = _ring_spaces()
-        system = assemble_saddle(V, L, RING, "bvc")
+        system = assemble_saddle(assemble_primal(V, L, RING), "bvc")
         A = system.A
         with caplog.at_level(logging.DEBUG, logger="bvcfem"):
             if bare:
@@ -330,12 +334,12 @@ class TestSolverPath:
 
     def test_debug_record_names_the_step(self, splu_calls, caplog):
         # A companion given the corrected system's orders reuses its step.
-        V, L = _ring_spaces()
+        primal = assemble_primal(*_ring_spaces(), RING)
         order = ColumnOrder()
         with caplog.at_level(logging.DEBUG, logger="bvcfem"):
             for method in ("bvc", "unmodified", "unmodified"):
-                solve(assemble_saddle(V, L, RING, method), order if method == "bvc" else None)
-            solve(assemble_saddle(V, L, RING, "unmodified"), order)
+                solve(assemble_saddle(primal, method), order if method == "bvc" else None)
+            solve(assemble_saddle(primal, "unmodified"), order)
         assert [r.getMessage().split(" n=")[0] for r in caplog.records] == [
             "solve order=mesh step=mmd path=diagonal-pivot",
             "solve order=mesh step=mmd path=zero-block",
@@ -358,7 +362,7 @@ class TestSolverPath:
     def test_diagonal_pivot_matches_partial_pivot_p3(self, splu_calls):
         # P3 level 2 of the bvc ring ladder
         V, L = _ring_spaces(64, 16, degree=3)
-        system = assemble_saddle(V, L, RING, "bvc")
+        system = assemble_saddle(assemble_primal(V, L, RING), "bvc")
         A, b = system.A, system.rhs
         z = solve_linear(A, b)
         assert splu_calls == [DIAGONAL_PIVOT_KWARGS]
@@ -381,7 +385,7 @@ def test_mesh_order_fills_less_than_rcm(splu_calls, ring_level3_spaces, degree, 
     if method == "nitsche":
         system = assemble_nitsche(V, RING, 10.0 * degree**2)
     else:
-        system = assemble_saddle(V, L, RING, method)
+        system = assemble_saddle(assemble_primal(V, L, RING), method)
     solve(system)
     solve_linear(system.A, system.rhs)
     (_, mesh), (_, rcm) = splu_calls.factored
@@ -402,7 +406,7 @@ class TestZeroBlockPath:
             method="unmodified",
         )
         domain = DOMAINS[config.domain]()
-        solve(ASSEMBLERS["unmodified"](*build_level(config, 1, domain), domain))
+        solve(ASSEMBLERS["unmodified"](assemble_primal(*build_level(config, 1, domain), domain)))
         assert splu_calls == [ZERO_BLOCK_KWARGS]
         ((Aq, lu),) = splu_calls.factored
         n = Aq.shape[0]
@@ -416,7 +420,7 @@ class TestZeroBlockPath:
     def test_matches_partial_pivot_p3(self, splu_calls, p3_level2_spaces):
         for method in ("unmodified", "taylor"):
             splu_calls.clear()
-            system = assemble_saddle(*p3_level2_spaces, RING, method)
+            system = assemble_saddle(assemble_primal(*p3_level2_spaces, RING), method)
             A, b = system.A, system.rhs
             z = solve_linear(A, b)
             assert splu_calls == [ZERO_BLOCK_KWARGS]
@@ -427,7 +431,7 @@ class TestZeroBlockPath:
         # exact counts, not timings: a return to row-swapping fill (2.6x the
         # bvc factor here) fails
         for method in ("bvc", "unmodified", "taylor"):
-            solve(assemble_saddle(*p3_level2_spaces, RING, method))
+            solve(assemble_saddle(assemble_primal(*p3_level2_spaces, RING), method))
         assert splu_calls == [DIAGONAL_PIVOT_KWARGS, ZERO_BLOCK_KWARGS, ZERO_BLOCK_KWARGS]
         (_, lu_bvc), (_, lu_unmodified), (_, lu_taylor) = splu_calls.factored
         assert lu_unmodified.nnz <= 1.5 * lu_bvc.nnz
@@ -440,7 +444,7 @@ class TestZeroBlockPath:
         config = StudyConfig(
             element="p2", method="unmodified", multiplier_degree=2, enrich=False
         )
-        system = ASSEMBLERS["unmodified"](*build_level(config, level, RING), RING)
+        system = ASSEMBLERS["unmodified"](assemble_primal(*build_level(config, level, RING), RING))
         with caplog.at_level(logging.WARNING, logger="bvcfem"), pytest.raises(
             SingularSystem
         ) as err:
@@ -477,7 +481,8 @@ class TestZeroBlockPath:
             config = StudyConfig(domain="ellipse" if element == "q1" else "ring", element=element)
         domain = DOMAINS[config.domain]()
         for level in levels:
-            system = ASSEMBLERS[method](*build_level(config, level, domain), domain)
+            primal = assemble_primal(*build_level(config, level, domain), domain)
+            system = ASSEMBLERS[method](primal)
             A = system.A
             zero = np.flatnonzero(A.diagonal() == 0)
             assert zero.size and bvcfem.solver._diagonal_pivot_gate(A, zero)
@@ -502,10 +507,10 @@ class TestZeroBlockPath:
         for level in (0, 1, 2):
             V, L = build_level(config, level, domain)
             order = ColumnOrder()
-            solve(ASSEMBLERS["bvc"](V, L, domain), order)
+            solve(ASSEMBLERS["bvc"](assemble_primal(V, L, domain)), order)
             (_, lu), = splu_calls.factored
             splu_calls.factored.clear()
-            unmodified = ASSEMBLERS["unmodified"](V, L, domain)
+            unmodified = ASSEMBLERS["unmodified"](assemble_primal(V, L, domain))
             perm = bvcfem.solver._mesh_order(unmodified)
             assert np.array_equal(perm, order.preorder)
             step = bvcfem.solver._mmd_step(unmodified.A, perm, unmodified.nu + L.facet_dofs)
@@ -526,7 +531,7 @@ class TestZeroBlockPath:
         spilu_calls = []
         monkeypatch.setattr(bvcfem.solver, "spilu", lambda *a, **k: spilu_calls.append(a))
         V, L = _ring_spaces()
-        system = assemble_saddle(V, L, RING, "unmodified")
+        system = assemble_saddle(assemble_primal(V, L, RING), "unmodified")
         n = system.A.shape[0]
         order = ColumnOrder(bvcfem.solver._mesh_order(system), step(n))
         with pytest.raises(SolverError) as err:
@@ -542,9 +547,9 @@ class TestZeroBlockPath:
             config = StudyConfig(domain="ellipse" if element == "q1" else "ring", element=element)
             domain = DOMAINS[config.domain]()
             V, L = build_level(config, level, domain)
-            system = ASSEMBLERS["unmodified"](V, L, domain)
+            system = ASSEMBLERS["unmodified"](assemble_primal(V, L, domain))
             order = ColumnOrder()
-            solve(ASSEMBLERS["bvc"](V, L, domain), order)
+            solve(ASSEMBLERS["bvc"](assemble_primal(V, L, domain)), order)
             solve(system, ColumnOrder(order.preorder, order.step))
             order.step = order.step[::-1].copy()
             with caplog.at_level(logging.WARNING, logger="bvcfem"):
@@ -565,8 +570,8 @@ class TestZeroBlockPath:
         config = StudyConfig(element="p2", multiplier_degree=2, enrich=False)
         V, L = build_level(config, 0, RING)
         order = ColumnOrder()
-        solve(ASSEMBLERS["bvc"](V, L, RING), order)
-        system = ASSEMBLERS["unmodified"](V, L, RING)
+        solve(ASSEMBLERS["bvc"](assemble_primal(V, L, RING)), order)
+        system = ASSEMBLERS["unmodified"](assemble_primal(V, L, RING))
         with caplog.at_level(logging.WARNING, logger="bvcfem"), pytest.raises(
             SingularSystem
         ) as err:
@@ -633,7 +638,7 @@ class TestReleasedCopy:
     )
     def test_p3_ring_level_1(self, released_splu, method, kwargs):
         config = StudyConfig(element="p3", method=method)
-        solve(ASSEMBLERS[method](*build_level(config, 1, RING), RING))
+        solve(ASSEMBLERS[method](assemble_primal(*build_level(config, 1, RING), RING)))
         ((got, _, lu),) = released_splu
         assert got == kwargs and lu.u_reads == 1
 
@@ -642,7 +647,7 @@ class TestReleasedCopy:
         config = StudyConfig(
             element="p2", method="unmodified", multiplier_degree=2, enrich=False
         )
-        system = ASSEMBLERS["unmodified"](*build_level(config, 0, RING), RING)
+        system = ASSEMBLERS["unmodified"](assemble_primal(*build_level(config, 0, RING), RING))
         with pytest.raises(SingularSystem):
             solve(system)
         assert [kwargs for kwargs, _, _ in released_splu] == [ZERO_BLOCK_KWARGS, {}]
@@ -663,7 +668,7 @@ class TestSolveSystems:
         mesh = precompute_boundary_geometry(build_square_mesh(2, "triangle"), domain, 4)
         V = build_primal_space(mesh, 1, enrich=True)
         L = build_multiplier_space(mesh, 0)
-        system = assemble_saddle(V, L, domain, "bvc")
+        system = assemble_saddle(assemble_primal(V, L, domain), "bvc")
         u, lam = solve(system)
         points = lagrange_points(V)
         bubble = np.isnan(points[:, 0])
@@ -678,7 +683,7 @@ class TestSolveSystems:
         V = build_primal_space(mesh, 2, enrich=False)
         L = build_multiplier_space(mesh, 2)  # richer than the boundary trace
         with pytest.raises(SingularSystem):
-            solve(assemble_saddle(V, L, RING, "unmodified"))
+            solve(assemble_saddle(assemble_primal(V, L, RING), "unmodified"))
 
     @pytest.mark.parametrize("method", ["bvc", "unmodified", "taylor", "nitsche"])
     def test_one_record_one_solve_path(self, method):
@@ -689,7 +694,7 @@ class TestSolveSystems:
         if method == "nitsche":
             system = assemble_nitsche(V, domain, 90.0)
         else:
-            system = ASSEMBLERS[method](V, Lam, domain)
+            system = ASSEMBLERS[method](assemble_primal(V, Lam, domain))
         assert type(system) is System
         u, lam = solve(system)
         assert (lam is None) == (system.Lam is None) == (method == "nitsche")
@@ -703,7 +708,7 @@ class TestSolveSystems:
         mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), RING, 6)
         V = build_primal_space(mesh, 2, enrich=False)
         L = build_multiplier_space(mesh, 2)
-        u, lam = solve(assemble_saddle(V, L, RING, "bvc"))
+        u, lam = solve(assemble_saddle(assemble_primal(V, L, RING), "bvc"))
         assert np.all(np.isfinite(u.coefficients))
 
 

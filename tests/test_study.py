@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,22 @@ class TestPlots:
         assert "polygon" not in (tmp_path / "plot-lambda.svg").read_text()
         assert "polygon" in (tmp_path / "plot-h1.svg").read_text()
 
+    def test_one_level_plot_stays_on_its_canvas(self, tmp_path):
+        # one point per series gives no slope: no triangle, every coordinate
+        # inside the 640 x 480 canvas
+        emit_plots(run_study(StudyConfig(element="p1", levels=1)), tmp_path / "plot")
+        for norm in ("l2", "h1", "lambda"):
+            text = (tmp_path / f"plot-{norm}.svg").read_text()
+            assert "<polygon" not in text
+            xs = [float(v) for v in re.findall(r'\b(?:x|x1|x2|cx)="([^"]*)"', text)]
+            ys = [float(v) for v in re.findall(r'\b(?:y|y1|y2|cy)="([^"]*)"', text)]
+            for pair in " ".join(re.findall(r'points="([^"]*)"', text)).split():
+                x, y = pair.split(",")
+                xs.append(float(x))
+                ys.append(float(y))
+            assert xs and ys
+            assert all(0 <= x <= 640 for x in xs) and all(0 <= y <= 480 for y in ys)
+
     def test_unwritable_elevation_names_its_path(self, small_ring_study, tmp_path):
         prefix = tmp_path / "plot"
         (tmp_path / "plot-elevation.txt").mkdir()
@@ -389,7 +406,7 @@ class TestCli:
         assert (tmp_path / "p-l2.svg").exists()
 
     def test_dump_matrices_writes_every_block(self, tmp_path):
-        from bvcfem.assembly import assemble_saddle
+        from bvcfem.assembly import assemble_primal, assemble_saddle
         from bvcfem.geometry import make_ring_domain
         from bvcfem.mesh import build_annulus_mesh, precompute_boundary_geometry
         from bvcfem.spaces import build_multiplier_space, build_primal_space
@@ -411,7 +428,7 @@ class TestCli:
         mesh = precompute_boundary_geometry(build_annulus_mesh(16, 4), ring, 6)
         V = build_primal_space(mesh, 2, enrich=True)
         Lam = build_multiplier_space(mesh, 1)
-        system = assemble_saddle(V, Lam, ring, "taylor")
+        system = assemble_saddle(assemble_primal(V, Lam, ring), "taylor")
         assert len(lines["full"]) == system.A.nnz
         assert len(lines["Bt"]) == system.Bt_corr.nnz
         assert lines["D"] == []

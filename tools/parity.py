@@ -11,7 +11,8 @@ tables (V.basis values and gradients at that volume rule, as
 `basis.volume.*`, and at the facet Gauss points of every local edge, as
 `basis.facet.*`; a change of the basis shows as its own key, not only
 through the matrices), the dof tables, every assembled matrix and
-right-hand side (bvc, unmodified, taylor, nitsche: each System's A, the
+right-hand side (bvc, unmodified and taylor, read from one
+assemble_primal as on a study's rung, and nitsche: each System's A, the
 matrix the solver factors, as `<method>.A` and its rhs, and a multiplier
 system's K, B, D and Bt_corr blocks) with the solution solve returns (NaN
 where the solver raises), a load vector, the primal boundary mass and the
@@ -41,6 +42,9 @@ Keys are added and removed as the program changes.  To compare across such
 a change, make the reference save by copying this script into a checkout
 of the reference commit and running save there, so that both sides write
 the same keys; the script must then read only names that both checkouts have.
+Across a change to an API this script calls that keeps the keys, save
+with the reference checkout's own script instead: each side then calls
+its own API and writes the same keys.
 A save made by an older copy of this script, without the `<method>.A` or
 `basis.*` keys, reads them as missing.
 """
@@ -61,6 +65,7 @@ from bvcfem import (  # noqa: E402
     SolutionField,
     SolverError,
     assemble_nitsche,
+    assemble_primal,
     assemble_saddle,
     boundary_mass_primal,
     build_annulus_mesh,
@@ -169,7 +174,8 @@ def arrays() -> dict:
                     vals, grads = V.basis(pts)
                     out[f"{tag}/basis.{where}.values"] = vals
                     out[f"{tag}/basis.{where}.gradients"] = grads
-                systems = [assemble_saddle(V, Lam, domain, m) for m in ("bvc", "unmodified", "taylor")]
+                primal = assemble_primal(V, Lam, domain)  # shared, as on a study's rung
+                systems = [assemble_saddle(primal, m) for m in ("bvc", "unmodified", "taylor")]
                 for system in [*systems, assemble_nitsche(V, domain, 10.0 * k * k)]:
                     key = f"{tag}/{system.method}"
                     for block in ("K", "B", "D", "Bt_corr") if system.Lam is not None else ():
